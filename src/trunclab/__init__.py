@@ -3,7 +3,7 @@
 Builds heavy-tailed edge-probability sequences, truncates them, embeds a
 supercritical slab into the planar lattice at selected scales, and certifies
 percolation of the truncated process numerically with a reproducible
-union-find Monte Carlo engine.
+Monte Carlo engine that clusters whole blocks of trials at once.
 """
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--family", choices=["z2", "zd", "slab"], required=True)
     est.add_argument("--p", type=float, required=True)
     est.add_argument("--L", type=int, required=True)
-    est.add_argument("--N", type=int, default=1, help="truncation level for z2 long-range")
+    est.add_argument("--N", type=int, default=1, help="truncation level, z2 family only")
     est.add_argument("--d", type=int, default=3, help="dimension for zd/slab families")
     est.add_argument("--K", type=int, default=1, help="thickness for the slab family")
     est.add_argument("--trials", type=int, default=10_000)
@@ -71,6 +71,9 @@ def _build_parser() -> _Parser:
 
 
 def _estimate_command(args) -> int:
+    if args.family != "z2" and args.N != 1:
+        print(f"error: --N applies to the z2 family only, not {args.family}", file=sys.stderr)
+        return 1
     seq = ProbabilitySequence.constant(args.p).truncate(args.N)
     if args.event == "crossing":
         if args.family == "z2":

@@ -8,19 +8,22 @@ edge can be coupled across different windows.
 
 Connectivity is computed two ways.  :func:`sample_and_cluster` builds an
 explicit union-find forest, the reference route that tests compare against
-breadth-first search.  The batch estimators delegate the same question to
-``scipy.sparse.csgraph.connected_components`` (or, for small windows, to a
-vectorized label-propagation sweep that handles many trials at once); a
-route-agreement test pins all of them to the union-find answer.
+breadth-first search.  The batch estimators answer the same question for a
+whole block of trials at once: windows with at most 60 edges go through a
+vectorized label-propagation sweep, every other window through one
+``scipy.sparse.csgraph.connected_components`` call on the disjoint union of
+the block's trial graphs (:func:`component_labels` on a 2-D mask).
+Route-agreement tests pin both to the union-find answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .rng import (
@@ -86,10 +89,6 @@ class ClusterState:
     def same_component(self, a: int, b: int) -> bool:
         return self.forest.connected(a, b)
 
-    def component_members(self, vertex: int) -> np.ndarray:
-        labels = self.forest.labels()
-        return np.nonzero(labels == labels[vertex])[0]
-
     def open_edge_count(self) -> int:
         return int(self.open_mask.sum())
 
@@ -120,16 +119,52 @@ def sample_and_cluster(
 
 
 def component_labels(window: GraphWindow, open_mask: np.ndarray) -> np.ndarray:
-    """Component label per vertex of the open subgraph (scipy route)."""
-    open_idx = np.nonzero(open_mask)[0]
+    """Component label per vertex of the open subgraph (scipy route).
+
+    ``open_mask`` is either one trial's ``(n_edges,)`` mask, giving
+    ``(n_vertices,)`` labels, or a ``(batch, n_edges)`` block of trials,
+    giving ``(batch, n_vertices)`` labels.  A block is clustered in one
+    ``connected_components`` call on the disjoint union of its trial graphs,
+    so a label never repeats across rows: two vertices of any rows share a
+    label iff they lie in the same trial and the same component.
+    """
+    open_mask = np.asarray(open_mask, dtype=bool)
+    if open_mask.ndim == 1:
+        return _union_labels(window, open_mask[None, :])[0]
+    return _union_labels(window, open_mask)
+
+
+def _union_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
+    """Labels of the disjoint union of ``batch`` trial graphs, built straight as CSR.
+
+    Vertex ``i`` of trial ``t`` is union vertex ``t * n + i``.  With
+    ``edges_u`` nondecreasing, the open edges of one union row are contiguous
+    in the flattened mask, so ``indptr`` is the running open-edge count read
+    at each row's first edge.
+    """
     n = window.n_vertices
-    if open_idx.size == 0:
-        return np.arange(n, dtype=np.int32)
-    matrix = coo_matrix(
-        (np.ones(open_idx.size, dtype=np.int8), (window.edges_u[open_idx], window.edges_v[open_idx])),
-        shape=(n, n),
-    )
-    return connected_components(matrix, directed=False)[1]
+    batch = open_matrix.shape[0]
+    if batch == 0:
+        return np.empty((0, n), dtype=np.int32)
+    edges_u, edges_v = window.edges_u, window.edges_v
+    if batch * max(n, edges_u.shape[0]) > np.iinfo(np.int32).max:
+        raise ValueError(f"a block of {batch} trials overflows the union's 32-bit CSR indices")
+    if np.any(edges_u[1:] < edges_u[:-1]):
+        order = np.argsort(edges_u, kind="stable")
+        edges_u, edges_v, open_matrix = edges_u[order], edges_v[order], open_matrix[:, order]
+    n_edges = edges_u.shape[0]
+    open_before = np.zeros(batch * n_edges + 1, dtype=np.int32)
+    np.cumsum(open_matrix.ravel(), out=open_before[1:])
+    row_starts = np.searchsorted(edges_u, np.arange(n, dtype=edges_u.dtype))
+    trial_starts = np.arange(batch, dtype=np.int64)[:, None] * n_edges
+    indptr = np.empty(batch * n + 1, dtype=np.int32)
+    indptr[:-1] = open_before[(trial_starts + row_starts).ravel()]
+    indptr[-1] = open_before[-1]
+    offsets = np.arange(batch, dtype=np.int32)[:, None] * np.int32(n)
+    indices = (edges_v.astype(np.int32)[None, :] + offsets)[open_matrix]
+    data = np.ones(indices.shape[0], dtype=np.float64)
+    graph = csr_matrix((data, indices, indptr), shape=(batch * n, batch * n))
+    return connected_components(graph, directed=False)[1].reshape(batch, n)
 
 
 def propagation_labels(
@@ -166,11 +201,6 @@ def propagation_labels(
             return labels
 
 
-def _connected_single(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:
-    """Does any left vertex share a component label with a right vertex."""
-    return np.intersect1d(labels[left], labels[right]).size > 0
-
-
 def _connected_batch(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Batch version over ``(batch, n_vertices)`` label rows; terminal sets are small."""
     hit = np.zeros(labels.shape[0], dtype=bool)
@@ -178,6 +208,17 @@ def _connected_batch(labels: np.ndarray, left: np.ndarray, right: np.ndarray) ->
         for t in right:
             hit |= labels[:, s] == labels[:, t]
     return hit
+
+
+def _union_hits(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-row connection test on disjoint-union labels (unique across rows).
+
+    Marks the labels of every left terminal, then asks whether any right
+    terminal carries a marked label.
+    """
+    marked = np.zeros(int(labels.max()) + 1, dtype=bool)
+    marked[labels[:, left]] = True
+    return marked[labels[:, right]].any(axis=1)
 
 
 def event_terminals(window: GraphWindow, event) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +282,30 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
     )
 
 
-# Below this many uniforms per batch the whole trial block is generated and
-# clustered at once; larger jobs fall back to a per-trial loop.
+# The label-propagation route takes windows of at most _BATCH_LABEL_LIMIT
+# edges, generating and sweeping every trial at once while the job stays
+# below _BATCH_UNIFORM_LIMIT entries; everything else takes the disjoint-union
+# scipy route in blocks of about BLOCK_UNIFORMS uniforms.
 _BATCH_UNIFORM_LIMIT = 40_000_000
-_BATCH_LABEL_LIMIT = 60  # max edges for the label-propagation batch route
+_BATCH_LABEL_LIMIT = 60
+# Uniforms drawn (and edges clustered) per block of trials on the
+# disjoint-union route.  It sets the route's peak memory: 200k uniforms kept
+# the pipeline benchmark's peak RSS below the per-trial loop's, 1M did not.
+BLOCK_UNIFORMS = 200_000
+
+
+def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS uniforms each
+    across ``windows``, and at least one trial."""
+    per_trial = max(1, sum(window.n_edges for window in windows))
+    rows = max(1, BLOCK_UNIFORMS // per_trial)
+    for start in range(0, trials, rows):
+        yield start, min(start + rows, trials)
+
+
+def _open_block(window: GraphWindow, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Indexed-stream open masks of trials ``start .. stop - 1``, one row each."""
+    return indexed_uniform_matrix(window.n_edges, master_seed, stop - start, start) < window.probs
 
 
 def mc_event_probability(
@@ -258,7 +319,6 @@ def mc_event_probability(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     left, right = event_terminals(window, event)
-    successes = 0
     if (
         window.n_edges <= _BATCH_LABEL_LIMIT
         and trials * max(window.n_vertices, window.n_edges) <= _BATCH_UNIFORM_LIMIT
@@ -268,11 +328,10 @@ def mc_event_probability(
         labels = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_matrix)
         successes = int(_connected_batch(labels, left, right).sum())
     else:
-        for trial in range(trials):
-            open_mask = trial_open_mask(window, master_seed, trial)
-            labels = component_labels(window, open_mask)
-            if _connected_single(labels, left, right):
-                successes += 1
+        successes = 0
+        for start, stop in trial_blocks(trials, window):
+            labels = component_labels(window, _open_block(window, master_seed, start, stop))
+            successes += int(_union_hits(labels, left, right).sum())
     return _make_estimate(successes, trials, master_seed, INDEXED_STREAM_RULE, label)
 
 
@@ -316,12 +375,11 @@ def origin_radius_profile(
     radii = list(radii)
     norms = np.abs(window.coords).max(axis=1)
     indicators = np.zeros((trials, len(radii)), dtype=bool)
-    for trial in range(trials):
-        open_mask = trial_open_mask(window, master_seed, trial)
-        labels = component_labels(window, open_mask)
-        cluster = labels == labels[window.origin_index]
-        reach = norms[cluster].max() if cluster.any() else 0
-        indicators[trial] = [reach >= r for r in radii]
+    for start, stop in trial_blocks(trials, window):
+        labels = component_labels(window, _open_block(window, master_seed, start, stop))
+        cluster = labels == labels[:, [window.origin_index]]
+        reach = np.where(cluster, norms, 0).max(axis=1)
+        indicators[start:stop] = reach[:, None] >= np.array(radii)
     estimates = [
         _make_estimate(int(indicators[:, i].sum()), trials, master_seed, INDEXED_STREAM_RULE,
                        label=f"{label}r{r}" if label else f"reach-r{r}")

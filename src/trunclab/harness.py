@@ -27,7 +27,7 @@ from .embedding import (
     select_scales,
     verify_isomorphism,
 )
-from .engine import Estimate, component_labels, origin_boundary_estimate
+from .engine import Estimate, component_labels, origin_boundary_estimate, trial_blocks
 from .rng import INDEXED_STREAM_RULE, KEYED_STREAM_RULE, derive_seed, keyed_uniforms
 from .sequences import EpsilonCertificate, ProbabilitySequence
 from .thresholds import (
@@ -36,7 +36,7 @@ from .thresholds import (
     ThresholdSettings,
     choose_slab_parameters,
 )
-from .windows import ConfigError, embedded_radial_window, long_range_radial_window
+from .windows import ConfigError, GraphWindow, embedded_radial_window, long_range_radial_window
 
 
 @dataclass
@@ -190,10 +190,37 @@ class ContainmentReport:
         }
 
 
+def _row_codes(rows: np.ndarray, low: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Exact mixed-radix int64 code of each integer row, given per-column ranges."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in range(rows.shape[1]):
+        codes = codes * spans[column] + (rows[:, column] - low[column])
+    return codes
+
+
+def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query row among the rows of ``table``, or -1 where absent.
+
+    Both are integer arrays with the same number of columns; rows are compared
+    exactly, through sorted mixed-radix codes.
+    """
+    if table.shape[0] == 0 or queries.shape[0] == 0:
+        return np.full(queries.shape[0], -1, dtype=np.int64)
+    low = np.minimum(table.min(axis=0), queries.min(axis=0))
+    spans = np.maximum(table.max(axis=0), queries.max(axis=0)) - low + 1
+    if np.prod(spans.astype(object)) >= 2**63:
+        raise ValueError("coordinate range too wide for exact 64-bit row codes")
+    table_codes = _row_codes(table, low, spans)
+    order = np.argsort(table_codes, kind="stable")
+    ranked = table_codes[order]
+    query_codes = _row_codes(queries, low, spans)
+    slot = np.minimum(np.searchsorted(ranked, query_codes), ranked.shape[0] - 1)
+    return np.where(ranked[slot] == query_codes, order[slot], -1)
+
+
 def containment_check(
-    graph: EmbeddedGraph,
-    seq: ProbabilitySequence,
-    radius: int,
+    embedded: GraphWindow,
+    full: GraphWindow,
     trials: int,
     master_seed: int,
     corrupt_edge: int | None = None,
@@ -202,73 +229,92 @@ def containment_check(
     that every open embedded edge is open in the full truncated configuration
     and that the origin's embedded cluster sits inside its full cluster.
 
+    ``embedded`` and ``full`` are the radial windows of one radius, built by
+    :func:`embedded_radial_window` and :func:`long_range_radial_window` on the
+    same truncated sequence.  Trials are drawn one by one from the keyed
+    streams and clustered a block at a time; violations are reported in
+    trial order.
+
     ``corrupt_edge`` (test hook) decouples one embedded edge's uniform from
     the shared stream, which must surface as a reported violation.
     """
-    truncated = seq.truncate(graph.scales.top)
-    embedded = embedded_radial_window(graph, truncated, radius)
-    full = long_range_radial_window(truncated, radius)
     report = ContainmentReport(
-        radius=radius, trials=trials, checked_edges=embedded.n_edges, seed=master_seed
+        radius=embedded.meta["radius"],
+        trials=trials,
+        checked_edges=embedded.n_edges,
+        seed=master_seed,
     )
     if trials == 0:
         report.vacuous = True
         report.note = "no trials: containment holds vacuously"
         return report
 
-    full_edge_index = {
-        (tuple(int(c) for c in u), tuple(int(c) for c in v)): e
-        for e, (u, v) in enumerate(zip(full.coords[full.edges_u], full.coords[full.edges_v]))
-    }
-    edge_map = np.empty(embedded.n_edges, dtype=np.int64)
-    for e, (u, v, _) in enumerate(embedded.edge_pairs()):
-        key = (tuple(int(c) for c in u), tuple(int(c) for c in v))
-        if key not in full_edge_index:
-            report.edge_violations += 1
-            report.first_violation = {"kind": "unmapped-edge", "edge": [list(u), list(v)]}
-            return report
-        edge_map[e] = full_edge_index[key]
-
-    vertex_map = np.empty(embedded.n_vertices, dtype=np.int64)
-    full_vertex_index = {tuple(int(c) for c in coord): i for i, coord in enumerate(full.coords)}
-    for i, coord in enumerate(embedded.coords):
-        vertex_map[i] = full_vertex_index[tuple(int(c) for c in coord)]
+    edge_map = _row_lookup(
+        np.hstack(full.edge_endpoint_coords()), np.hstack(embedded.edge_endpoint_coords())
+    )
+    unmapped = np.nonzero(edge_map < 0)[0]
+    if unmapped.size:
+        e = int(unmapped[0])
+        report.edge_violations += 1
+        report.first_violation = {
+            "kind": "unmapped-edge",
+            "edge": [
+                embedded.coords[embedded.edges_u[e]].tolist(),
+                embedded.coords[embedded.edges_v[e]].tolist(),
+            ],
+        }
+        return report
+    vertex_map = _row_lookup(full.coords, embedded.coords)
+    if (vertex_map < 0).any():
+        stray = embedded.coords[np.nonzero(vertex_map < 0)[0][0]].tolist()
+        raise ValueError(f"embedded vertex {stray} lies outside the full window")
 
     embedded_keys = embedded.edge_keys.copy()
     if corrupt_edge is not None:
         embedded_keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
 
-    for trial in range(trials):
-        open_embedded = keyed_uniforms(embedded_keys, master_seed, trial) < embedded.probs
-        open_full = keyed_uniforms(full.edge_keys, master_seed, trial) < full.probs
-        escaped = open_embedded & ~open_full[edge_map]
-        if escaped.any():
-            report.edge_violations += int(escaped.sum())
-            if report.first_violation is None:
-                e = int(np.nonzero(escaped)[0][0])
-                report.first_violation = {
-                    "kind": "edge-open-only-in-embedded",
-                    "trial": trial,
-                    "edge_index": e,
-                    "edge": [
-                        [int(c) for c in embedded.coords[embedded.edges_u[e]]],
-                        [int(c) for c in embedded.coords[embedded.edges_v[e]]],
-                    ],
-                }
+    for start, stop in trial_blocks(trials, embedded, full):
+        block = range(start, stop)
+        open_embedded = np.stack([keyed_uniforms(embedded_keys, master_seed, t) for t in block])
+        open_embedded = open_embedded < embedded.probs
+        open_full = np.stack([keyed_uniforms(full.edge_keys, master_seed, t) for t in block])
+        open_full = open_full < full.probs
+        escaped = open_embedded & ~open_full[:, edge_map]
+        skipped = escaped.any(axis=1)
+        report.edge_violations += int(escaped.sum())
+        # A trial with an escaped edge counts as edge violations only; its
+        # clusters are not compared.
+        clustered = np.nonzero(~skipped)[0]
+        labels_emb = component_labels(embedded, open_embedded[clustered])
+        labels_full = component_labels(full, open_full[clustered])
+        cluster = labels_emb == labels_emb[:, [embedded.origin_index]]
+        outside = labels_full[:, vertex_map] != labels_full[:, [full.origin_index]]
+        strays = cluster & outside
+        leaking = strays.any(axis=1)
+        report.cluster_violations += int(leaking.sum())
+        if report.first_violation is not None or not (skipped.any() or leaking.any()):
             continue
-        labels_emb = component_labels(embedded, open_embedded)
-        labels_full = component_labels(full, open_full)
-        cluster = np.nonzero(labels_emb == labels_emb[embedded.origin_index])[0]
-        inside = labels_full[vertex_map[cluster]] == labels_full[full.origin_index]
-        if not inside.all():
-            report.cluster_violations += 1
-            if report.first_violation is None:
-                stray = int(cluster[np.nonzero(~inside)[0][0]])
-                report.first_violation = {
-                    "kind": "cluster-vertex-escapes",
-                    "trial": trial,
-                    "vertex": [int(c) for c in embedded.coords[stray]],
-                }
+        rows = stop - start
+        first_skipped = int(np.argmax(skipped)) if skipped.any() else rows
+        first_leaking = int(clustered[np.argmax(leaking)]) if leaking.any() else rows
+        if first_skipped < first_leaking:
+            e = int(np.argmax(escaped[first_skipped]))
+            report.first_violation = {
+                "kind": "edge-open-only-in-embedded",
+                "trial": start + first_skipped,
+                "edge_index": e,
+                "edge": [
+                    [int(c) for c in embedded.coords[embedded.edges_u[e]]],
+                    [int(c) for c in embedded.coords[embedded.edges_v[e]]],
+                ],
+            }
+        else:
+            stray = int(np.argmax(strays[np.argmax(leaking)]))
+            report.first_violation = {
+                "kind": "cluster-vertex-escapes",
+                "trial": start + first_leaking,
+                "vertex": [int(c) for c in embedded.coords[stray]],
+            }
     return report
 
 
@@ -422,9 +468,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
     truncated = config.sequence.truncate(scales.top)
     clock = time.perf_counter()
     floor_ok = True
+    radial_windows = []
     for radius in config.theta_radii:
         embedded_window = embedded_radial_window(graph, truncated, radius)
         full_window = long_range_radial_window(truncated, radius)
+        radial_windows.append((radius, embedded_window, full_window))
         est_embedded = origin_boundary_estimate(
             embedded_window,
             config.theta_trials,
@@ -452,11 +500,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
 
     clock = time.perf_counter()
     containment_ok = True
-    for radius in config.theta_radii:
+    for radius, embedded_window, full_window in radial_windows:
         outcome = containment_check(
-            graph,
-            config.sequence,
-            radius,
+            embedded_window,
+            full_window,
             config.containment_trials,
             derive_seed(config.master_seed, "containment", radius),
         )

@@ -57,13 +57,15 @@ def indexed_uniforms(n_edges: int, seed: int, trial_index: int) -> np.ndarray:
     return np.random.Generator(bit_gen).random(n_edges)
 
 
-def indexed_uniform_matrix(n_edges: int, seed: int, trials: int) -> np.ndarray:
-    """All trials at once; row ``t`` equals ``indexed_uniforms(n_edges, seed, t)``."""
+def indexed_uniform_matrix(n_edges: int, seed: int, trials: int, start: int = 0) -> np.ndarray:
+    """Trials ``start .. start + trials - 1`` at once; row ``t`` equals
+    ``indexed_uniforms(n_edges, seed, start + t)``."""
     if n_edges == 0 or trials == 0:
         return np.empty((trials, n_edges), dtype=np.float64)
     width = 4 * _blocks_per_trial(n_edges)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-    block = gen.random(trials * width).reshape(trials, width)
+    bit_gen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    bit_gen.advance(start * _blocks_per_trial(n_edges))
+    block = np.random.Generator(bit_gen).random(trials * width).reshape(trials, width)
     return np.ascontiguousarray(block[:, :n_edges])
 
 

@@ -12,7 +12,7 @@ from trunclab.harness import (
 )
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
 from trunclab.thresholds import ThresholdSettings
-from trunclab.windows import ConfigError
+from trunclab.windows import ConfigError, embedded_radial_window, long_range_radial_window
 
 FAST_THRESHOLDS = ThresholdSettings(
     l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=400, coarse_trials=150
@@ -130,27 +130,31 @@ def seq():
     return ProbabilitySequence.lacunary(0.9, base=2)
 
 
+@pytest.fixture(scope="module")
+def windows(graph, seq):
+    truncated = seq.truncate(graph.scales.top)
+    return embedded_radial_window(graph, truncated, 12), long_range_radial_window(truncated, 12)
+
+
 class TestContainment:
 
-    def test_containment_holds(self, graph, seq):
-        report = containment_check(graph, seq, radius=12, trials=150, master_seed=9)
+    def test_containment_holds(self, windows):
+        report = containment_check(*windows, trials=150, master_seed=9)
         assert report.passed
         assert report.trials == 150
         assert report.edge_violations == 0
         assert report.cluster_violations == 0
         assert not report.vacuous
 
-    def test_corrupted_edge_is_reported(self, graph, seq):
-        report = containment_check(
-            graph, seq, radius=12, trials=150, master_seed=9, corrupt_edge=3
-        )
+    def test_corrupted_edge_is_reported(self, windows):
+        report = containment_check(*windows, trials=150, master_seed=9, corrupt_edge=3)
         assert not report.passed
         assert report.edge_violations > 0
         assert report.first_violation is not None
         assert report.first_violation["kind"] == "edge-open-only-in-embedded"
 
-    def test_zero_trials_is_vacuous(self, graph, seq):
-        report = containment_check(graph, seq, radius=12, trials=0, master_seed=9)
+    def test_zero_trials_is_vacuous(self, windows):
+        report = containment_check(*windows, trials=0, master_seed=9)
         assert report.vacuous
         assert report.passed
         assert "no trials" in report.note
@@ -249,6 +253,23 @@ class TestCli:
         )
         assert code == 0
         assert "theta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family", ["zd", "slab"])
+    def test_estimate_rejects_truncation_level_for_nearest_neighbour_families(self, family, capsys):
+        code = main(
+            ["estimate", "--family", family, "--p", "0.6", "--L", "3", "--N", "4", "--trials", "10"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--N" in captured.err
+        assert captured.out == ""
+
+    def test_estimate_accepts_unit_truncation_level_for_slab(self, capsys):
+        code = main(
+            ["estimate", "--family", "slab", "--p", "0.6", "--L", "3", "--N", "1", "--trials", "10"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("slab,")
 
     def test_scales_command(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
