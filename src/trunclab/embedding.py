@@ -205,6 +205,22 @@ class EmbeddedGraph:
             x += digit * scale
         return (x, coord.vertical * scales[0])
 
+    def encode_array(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`encode` over integer rows laid out as :meth:`SlabCoord.as_tuple`
+        (confined digits, coarse column, row); returns ``(n, 2)`` int64 points."""
+        coords = np.asarray(coords, dtype=np.int64)
+        confined_axes = self.params.confined_axes
+        if coords.ndim != 2 or coords.shape[1] != confined_axes + 2:
+            raise ValueError(
+                f"expected rows of {confined_axes + 2} coordinates, got shape {coords.shape}"
+            )
+        confined = coords[:, :confined_axes]
+        if ((confined < 0) | (confined >= self.params.thickness)).any():
+            raise ValueError(f"confined digit outside [0, {self.params.thickness - 1}]")
+        scales = np.array(self.scales.scales, dtype=np.int64)
+        x = coords[:, -2] * scales[-1] + confined @ scales[:confined_axes]
+        return np.stack([x, coords[:, -1] * scales[0]], axis=1)
+
     def decode(self, point: Point) -> SlabCoord | None:
         """Greedy inverse of :meth:`encode`; None when the point is not a vertex.
 

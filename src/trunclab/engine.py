@@ -137,25 +137,24 @@ def component_labels(window: GraphWindow, open_mask: np.ndarray) -> np.ndarray:
 def _union_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     """Labels of the disjoint union of ``batch`` trial graphs, built straight as CSR.
 
-    Vertex ``i`` of trial ``t`` is union vertex ``t * n + i``.  With
-    ``edges_u`` nondecreasing, the open edges of one union row are contiguous
-    in the flattened mask, so ``indptr`` is the running open-edge count read
-    at each row's first edge.
+    Vertex ``i`` of trial ``t`` is union vertex ``t * n + i``.  With the
+    edges grouped by ``edges_u`` (:attr:`GraphWindow.edge_rows`), the open
+    edges of one union row are contiguous in the flattened mask, so
+    ``indptr`` is the running open-edge count read at each row's first edge.
     """
     n = window.n_vertices
     batch = open_matrix.shape[0]
     if batch == 0:
         return np.empty((0, n), dtype=np.int32)
-    edges_u, edges_v = window.edges_u, window.edges_v
-    if batch * max(n, edges_u.shape[0]) > np.iinfo(np.int32).max:
+    edges_v = window.edges_v
+    n_edges = edges_v.shape[0]
+    if batch * max(n, n_edges) > np.iinfo(np.int32).max:
         raise ValueError(f"a block of {batch} trials overflows the union's 32-bit CSR indices")
-    if np.any(edges_u[1:] < edges_u[:-1]):
-        order = np.argsort(edges_u, kind="stable")
-        edges_u, edges_v, open_matrix = edges_u[order], edges_v[order], open_matrix[:, order]
-    n_edges = edges_u.shape[0]
+    order, row_starts = window.edge_rows
+    if order is not None:
+        edges_v, open_matrix = edges_v[order], open_matrix[:, order]
     open_before = np.zeros(batch * n_edges + 1, dtype=np.int32)
     np.cumsum(open_matrix.ravel(), out=open_before[1:])
-    row_starts = np.searchsorted(edges_u, np.arange(n, dtype=edges_u.dtype))
     trial_starts = np.arange(batch, dtype=np.int64)[:, None] * n_edges
     indptr = np.empty(batch * n + 1, dtype=np.int32)
     indptr[:-1] = open_before[(trial_starts + row_starts).ravel()]

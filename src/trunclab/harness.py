@@ -5,6 +5,11 @@ A run is a pure function of its configuration and master seed.  Every stage
 derives its stream seeds from the master seed and a textual label, so the
 report (written as ``report.json``) is byte-identical across reruns; wall
 times live only in the manifest.
+
+Reach and containment are certified together: for each radius,
+:func:`containment_check` draws one set of keyed trials on the embedded and
+the full radial window and scores both origin-to-boundary reaches (the theta
+rows) and containment from the same clustered configurations.
 """
 
 from __future__ import annotations
@@ -27,7 +32,16 @@ from .embedding import (
     select_scales,
     verify_isomorphism,
 )
-from .engine import Estimate, component_labels, origin_boundary_estimate, trial_blocks
+from .engine import (
+    Estimate,
+    _make_estimate,
+    _union_hits,
+    component_labels,
+    # Not called here since theta comes from the containment pass, but kept
+    # bound: the benchmark's tracer wraps it by name in this namespace.
+    origin_boundary_estimate,  # noqa: F401
+    trial_blocks,
+)
 from .rng import INDEXED_STREAM_RULE, KEYED_STREAM_RULE, derive_seed, keyed_uniforms
 from .sequences import EpsilonCertificate, ProbabilitySequence
 from .thresholds import (
@@ -36,7 +50,13 @@ from .thresholds import (
     ThresholdSettings,
     choose_slab_parameters,
 )
-from .windows import ConfigError, GraphWindow, embedded_radial_window, long_range_radial_window
+from .windows import (
+    ConfigError,
+    GraphWindow,
+    _row_lookup,
+    embedded_radial_window,
+    long_range_radial_window,
+)
 
 
 @dataclass
@@ -71,6 +91,8 @@ class PipelineConfig:
             raise ConfigError("theta radii must be a nonempty increasing list")
         if self.positivity_floor < 0 or self.positivity_floor > 1:
             raise ConfigError("positivity floor must lie in [0, 1]")
+        if self.theta_trials < 1 or self.containment_trials < 0:
+            raise ConfigError("theta needs at least one trial and containment a nonnegative count")
 
 
 def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -> ProbabilitySequence:
@@ -159,7 +181,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class ContainmentReport:
-    """Per-trial check that the embedded process sits inside the truncated one."""
+    """Per-trial check that the embedded process sits inside the truncated one.
+
+    ``embedded_reach`` and ``full_reach`` are the origin-to-boundary estimates
+    the same pass scored (None when it scored none); they are reported as
+    theta, not as part of this record's dictionary.
+    """
 
     radius: int
     trials: int
@@ -170,6 +197,8 @@ class ContainmentReport:
     vacuous: bool = False
     note: str = ""
     seed: int = 0
+    embedded_reach: Estimate | None = None
+    full_reach: Estimate | None = None
 
     @property
     def passed(self) -> bool:
@@ -190,32 +219,9 @@ class ContainmentReport:
         }
 
 
-def _row_codes(rows: np.ndarray, low: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Exact mixed-radix int64 code of each integer row, given per-column ranges."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for column in range(rows.shape[1]):
-        codes = codes * spans[column] + (rows[:, column] - low[column])
-    return codes
-
-
-def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of each query row among the rows of ``table``, or -1 where absent.
-
-    Both are integer arrays with the same number of columns; rows are compared
-    exactly, through sorted mixed-radix codes.
-    """
-    if table.shape[0] == 0 or queries.shape[0] == 0:
-        return np.full(queries.shape[0], -1, dtype=np.int64)
-    low = np.minimum(table.min(axis=0), queries.min(axis=0))
-    spans = np.maximum(table.max(axis=0), queries.max(axis=0)) - low + 1
-    if np.prod(spans.astype(object)) >= 2**63:
-        raise ValueError("coordinate range too wide for exact 64-bit row codes")
-    table_codes = _row_codes(table, low, spans)
-    order = np.argsort(table_codes, kind="stable")
-    ranked = table_codes[order]
-    query_codes = _row_codes(queries, low, spans)
-    slot = np.minimum(np.searchsorted(ranked, query_codes), ranked.shape[0] - 1)
-    return np.where(ranked[slot] == query_codes, order[slot], -1)
+def _open_rows(keys: np.ndarray, probs: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
+    """Keyed-stream open masks of trials ``start .. stop - 1``, one row each."""
+    return np.stack([keyed_uniforms(keys, seed, t) for t in range(start, stop)]) < probs
 
 
 def containment_check(
@@ -224,84 +230,100 @@ def containment_check(
     trials: int,
     master_seed: int,
     corrupt_edge: int | None = None,
+    theta_trials: int = 0,
 ) -> ContainmentReport:
-    """Sample both processes from shared per-lattice-edge uniforms and assert
-    that every open embedded edge is open in the full truncated configuration
-    and that the origin's embedded cluster sits inside its full cluster.
+    """The certification pass of one radius: both reaches and containment
+    from one set of shared keyed trials.
 
     ``embedded`` and ``full`` are the radial windows of one radius, built by
     :func:`embedded_radial_window` and :func:`long_range_radial_window` on the
-    same truncated sequence.  Trials are drawn one by one from the keyed
-    streams and clustered a block at a time; violations are reported in
-    trial order.
+    same truncated sequence.  The pass draws ``max(trials, theta_trials)``
+    trials from the keyed streams, one by one, so every lattice edge the two
+    windows share draws the same uniform, and clusters each block of trials
+    once per window.  On the first ``theta_trials`` trials it scores both
+    origin-to-boundary reaches (``embedded_reach``/``full_reach``).  On the
+    first ``trials`` trials it asserts that every open embedded edge is open
+    in the full truncated configuration and that the origin's embedded
+    cluster sits inside its full cluster; violations are reported in trial
+    order.
 
     ``corrupt_edge`` (test hook) decouples one embedded edge's uniform from
     the shared stream, which must surface as a reported violation.
     """
+    radius = embedded.meta["radius"]
     report = ContainmentReport(
-        radius=embedded.meta["radius"],
+        radius=radius,
         trials=trials,
         checked_edges=embedded.n_edges,
         seed=master_seed,
     )
+    # Containment compares the first ``compared`` trials; an embedded edge
+    # missing from the full window is reported and compares none.
+    compared = trials
     if trials == 0:
         report.vacuous = True
         report.note = "no trials: containment holds vacuously"
-        return report
-
-    edge_map = _row_lookup(
-        np.hstack(full.edge_endpoint_coords()), np.hstack(embedded.edge_endpoint_coords())
-    )
-    unmapped = np.nonzero(edge_map < 0)[0]
-    if unmapped.size:
-        e = int(unmapped[0])
-        report.edge_violations += 1
-        report.first_violation = {
-            "kind": "unmapped-edge",
-            "edge": [
-                embedded.coords[embedded.edges_u[e]].tolist(),
-                embedded.coords[embedded.edges_v[e]].tolist(),
-            ],
-        }
-        return report
-    vertex_map = _row_lookup(full.coords, embedded.coords)
-    if (vertex_map < 0).any():
-        stray = embedded.coords[np.nonzero(vertex_map < 0)[0][0]].tolist()
-        raise ValueError(f"embedded vertex {stray} lies outside the full window")
+    else:
+        edge_map = _row_lookup(
+            np.hstack(full.edge_endpoint_coords()), np.hstack(embedded.edge_endpoint_coords())
+        )
+        unmapped = np.nonzero(edge_map < 0)[0]
+        if unmapped.size:
+            e = int(unmapped[0])
+            report.edge_violations += 1
+            report.first_violation = {
+                "kind": "unmapped-edge",
+                "edge": [
+                    embedded.coords[embedded.edges_u[e]].tolist(),
+                    embedded.coords[embedded.edges_v[e]].tolist(),
+                ],
+            }
+            compared = 0
+        else:
+            vertex_map = _row_lookup(full.coords, embedded.coords)
+            if (vertex_map < 0).any():
+                stray = embedded.coords[np.nonzero(vertex_map < 0)[0][0]].tolist()
+                raise ValueError(f"embedded vertex {stray} lies outside the full window")
 
     embedded_keys = embedded.edge_keys.copy()
     if corrupt_edge is not None:
         embedded_keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
 
-    for start, stop in trial_blocks(trials, embedded, full):
-        block = range(start, stop)
-        open_embedded = np.stack([keyed_uniforms(embedded_keys, master_seed, t) for t in block])
-        open_embedded = open_embedded < embedded.probs
-        open_full = np.stack([keyed_uniforms(full.edge_keys, master_seed, t) for t in block])
-        open_full = open_full < full.probs
-        escaped = open_embedded & ~open_full[:, edge_map]
+    reached = {"embedded": 0, "full": 0}
+    for start, stop in trial_blocks(max(compared, theta_trials), embedded, full):
+        open_embedded = _open_rows(embedded_keys, embedded.probs, master_seed, start, stop)
+        open_full = _open_rows(full.edge_keys, full.probs, master_seed, start, stop)
+        labels_emb = component_labels(embedded, open_embedded)
+        labels_full = component_labels(full, open_full)
+        scored = min(stop, theta_trials) - start
+        if scored > 0:
+            for name, window, labels in (
+                ("embedded", embedded, labels_emb),
+                ("full", full, labels_full),
+            ):
+                origin, boundary = window.terminals["origin"], window.terminals["boundary"]
+                reached[name] += int(_union_hits(labels[:scored], origin, boundary).sum())
+
+        rows = min(stop, compared) - start
+        if rows <= 0:
+            continue
+        escaped = open_embedded[:rows] & ~open_full[:rows, edge_map]
         skipped = escaped.any(axis=1)
         report.edge_violations += int(escaped.sum())
         # A trial with an escaped edge counts as edge violations only; its
         # clusters are not compared.
-        clustered = np.nonzero(~skipped)[0]
-        labels_emb = component_labels(embedded, open_embedded[clustered])
-        labels_full = component_labels(full, open_full[clustered])
-        cluster = labels_emb == labels_emb[:, [embedded.origin_index]]
-        outside = labels_full[:, vertex_map] != labels_full[:, [full.origin_index]]
-        strays = cluster & outside
-        leaking = strays.any(axis=1)
+        cluster = labels_emb[:rows] == labels_emb[:rows, [embedded.origin_index]]
+        outside = labels_full[:rows, vertex_map] != labels_full[:rows, [full.origin_index]]
+        leaking = (cluster & outside).any(axis=1) & ~skipped
         report.cluster_violations += int(leaking.sum())
         if report.first_violation is not None or not (skipped.any() or leaking.any()):
             continue
-        rows = stop - start
-        first_skipped = int(np.argmax(skipped)) if skipped.any() else rows
-        first_leaking = int(clustered[np.argmax(leaking)]) if leaking.any() else rows
-        if first_skipped < first_leaking:
-            e = int(np.argmax(escaped[first_skipped]))
+        first = int(np.argmax(skipped | leaking))
+        if skipped[first]:
+            e = int(np.argmax(escaped[first]))
             report.first_violation = {
                 "kind": "edge-open-only-in-embedded",
-                "trial": start + first_skipped,
+                "trial": start + first,
                 "edge_index": e,
                 "edge": [
                     [int(c) for c in embedded.coords[embedded.edges_u[e]]],
@@ -309,12 +331,19 @@ def containment_check(
                 ],
             }
         else:
-            stray = int(np.argmax(strays[np.argmax(leaking)]))
+            stray = int(np.argmax(cluster[first] & outside[first]))
             report.first_violation = {
                 "kind": "cluster-vertex-escapes",
-                "trial": start + first_leaking,
+                "trial": start + first,
                 "vertex": [int(c) for c in embedded.coords[stray]],
             }
+
+    if theta_trials:
+        report.embedded_reach, report.full_reach = (
+            _make_estimate(reached[name], theta_trials, master_seed, KEYED_STREAM_RULE,
+                           f"theta-{name}-r{radius}")
+            for name in ("embedded", "full")
+        )
     return report
 
 
@@ -466,25 +495,21 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
         return finish()
 
     truncated = config.sequence.truncate(scales.top)
+    # One keyed pass per radius scores theta and containment together; the
+    # "theta" timing covers the window builds and the passes.
     clock = time.perf_counter()
     floor_ok = True
-    radial_windows = []
+    outcomes = []
     for radius in config.theta_radii:
-        embedded_window = embedded_radial_window(graph, truncated, radius)
-        full_window = long_range_radial_window(truncated, radius)
-        radial_windows.append((radius, embedded_window, full_window))
-        est_embedded = origin_boundary_estimate(
-            embedded_window,
-            config.theta_trials,
-            derive_seed(config.master_seed, "theta", "embedded", radius),
-            label=f"theta-embedded-r{radius}",
+        outcome = containment_check(
+            embedded_radial_window(graph, truncated, radius),
+            long_range_radial_window(truncated, radius),
+            config.containment_trials,
+            derive_seed(config.master_seed, "containment", radius),
+            theta_trials=config.theta_trials,
         )
-        est_full = origin_boundary_estimate(
-            full_window,
-            config.theta_trials,
-            derive_seed(config.master_seed, "theta", "full", radius),
-            label=f"theta-full-r{radius}",
-        )
+        outcomes.append(outcome)
+        est_embedded, est_full = outcome.embedded_reach, outcome.full_reach
         report.theta.append(
             {
                 "radius": radius,
@@ -500,13 +525,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
 
     clock = time.perf_counter()
     containment_ok = True
-    for radius, embedded_window, full_window in radial_windows:
-        outcome = containment_check(
-            embedded_window,
-            full_window,
-            config.containment_trials,
-            derive_seed(config.master_seed, "containment", radius),
-        )
+    for outcome in outcomes:
         report.containment.append(outcome.to_dict())
         containment_ok = containment_ok and outcome.passed
     timings["containment"] = time.perf_counter() - clock

@@ -7,13 +7,15 @@ trials can run in any order (or in parallel) without changing a single draw:
   uniforms from a Philox counter stream keyed by the run seed, starting at
   counter block ``t * ceil(E / 4)`` (Philox emits four 64-bit words per
   block).  The uniform for ``(seed, trial, edge_index)`` depends on nothing
-  else.
+  else.  Threshold probes and single estimates use them.
 
 * keyed streams -- one uniform per ``(seed, trial, edge_key)`` triple,
   computed with a splitmix64 finalizer chain.  Edge keys are derived from
   lattice coordinates, so two different windows that share a lattice edge
   draw the *same* uniform for it.  This is what makes monotone-coupling and
-  containment assertions exact per trial instead of merely statistical.
+  containment assertions exact per trial instead of merely statistical.  The
+  pipeline's certification pass draws both its reach (theta) and its
+  containment trials from them.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Finite graph windows with enumerable, deterministically ordered edge lists.
 
-Every builder iterates vertices in lexicographic coordinate order and, per
-vertex, emits edges toward lexicographically larger endpoints in a fixed
-offset order.  Identical inputs therefore always produce identical edge
-orderings, which is what ties the per-edge random streams down.
+Every builder lists vertices in lexicographic coordinate order and, per
+vertex, edges toward lexicographically larger endpoints in a fixed offset
+order.  Identical inputs therefore always produce identical edge orderings,
+which is what ties the per-edge random streams down.  Builders work by index
+arithmetic on numpy arrays: in a box window a vertex index is the row-major
+rank of its coordinates, and the embedded window finds edge endpoints with an
+exact sorted lookup of coordinate rows.
 
 Edges carrying probability zero are omitted by default: they can never open,
 and for heavy-tailed sequences they would dominate the edge list.  Pass
@@ -13,12 +16,12 @@ and for heavy-tailed sequences they would dominate the edge list.  Pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .embedding import EmbeddedGraph, SlabCoord
+from .embedding import EmbeddedGraph
 from .rng import coordinate_edge_keys
 from .sequences import ProbabilitySequence
 
@@ -63,73 +66,134 @@ class GraphWindow:
         for u, v, p in zip(self.edges_u, self.edges_v, self.probs):
             yield tuple(self.coords[u]), tuple(self.coords[v]), float(p)
 
-    def index_of(self, coord) -> int:
-        if not hasattr(self, "_index_cache"):
-            self._index_cache = {tuple(int(c) for c in row): i for i, row in enumerate(self.coords)}
-        return self._index_cache[tuple(int(c) for c in coord)]
+    @cached_property
+    def edge_rows(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The edge list grouped by first endpoint, computed once per window.
+
+        Returns ``(order, starts)``: ``order`` stably sorts the edges by
+        ``edges_u`` (None when ``edges_u`` is already nondecreasing, as every
+        builder leaves it), and ``starts[i]`` is the position in that order of
+        vertex ``i``'s first edge.  The edge arrays must not be changed after
+        the first read.
+        """
+        edges_u = self.edges_u
+        order = None
+        if np.any(edges_u[1:] < edges_u[:-1]):
+            order = np.argsort(edges_u, kind="stable")
+            edges_u = edges_u[order]
+        return order, np.searchsorted(edges_u, np.arange(self.n_vertices, dtype=edges_u.dtype))
 
     def describe(self) -> str:
         parts = [f"{key}={value}" for key, value in sorted(self.meta.items())]
         return f"{self.family}({', '.join(parts)})"
 
 
+def _row_codes(rows: np.ndarray, low: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Exact mixed-radix int64 code of each integer row, given per-column ranges."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in range(rows.shape[1]):
+        codes = codes * spans[column] + (rows[:, column] - low[column])
+    return codes
+
+
+def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query row among the rows of ``table``, or -1 where absent.
+
+    Both are integer arrays with the same number of columns; rows are compared
+    exactly, through sorted mixed-radix codes.
+    """
+    if table.shape[0] == 0 or queries.shape[0] == 0:
+        return np.full(queries.shape[0], -1, dtype=np.int64)
+    low = np.minimum(table.min(axis=0), queries.min(axis=0))
+    spans = np.maximum(table.max(axis=0), queries.max(axis=0)) - low + 1
+    if np.prod(spans.astype(object)) >= 2**63:
+        raise ValueError("coordinate range too wide for exact 64-bit row codes")
+    table_codes = _row_codes(table, low, spans)
+    order = np.argsort(table_codes, kind="stable")
+    ranked = table_codes[order]
+    query_codes = _row_codes(queries, low, spans)
+    slot = np.minimum(np.searchsorted(ranked, query_codes), ranked.shape[0] - 1)
+    return np.where(ranked[slot] == query_codes, order[slot], -1)
+
+
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _finish(
     family: str,
-    coords: list[tuple],
-    edges: list[tuple[int, int, float, int]],
-    terminals: dict[str, list[int]],
+    coords: np.ndarray,
+    edges: Edges,
+    terminals: dict[str, np.ndarray],
     origin_index: int | None,
     meta: dict,
     with_keys: bool,
 ) -> GraphWindow:
-    coord_array = np.array(coords, dtype=np.int64).reshape(len(coords), -1)
-    edges_u = np.array([e[0] for e in edges], dtype=np.int32)
-    edges_v = np.array([e[1] for e in edges], dtype=np.int32)
-    probs = np.array([e[2] for e in edges], dtype=np.float64)
-    lengths = np.array([e[3] for e in edges], dtype=np.int32)
+    edges_u, edges_v, probs, lengths = edges
     window = GraphWindow(
         family=family,
-        coords=coord_array,
-        edges_u=edges_u,
-        edges_v=edges_v,
-        probs=probs,
-        lengths=lengths,
-        terminals={name: np.array(idx, dtype=np.int64) for name, idx in terminals.items()},
+        coords=coords,
+        edges_u=edges_u.astype(np.int32),
+        edges_v=edges_v.astype(np.int32),
+        probs=probs.astype(np.float64),
+        lengths=lengths.astype(np.int32),
+        terminals={name: np.asarray(idx, dtype=np.int64) for name, idx in terminals.items()},
         origin_index=origin_index,
         meta=meta,
     )
-    if with_keys and edges:
-        window.edge_keys = coordinate_edge_keys(coord_array[edges_u], coord_array[edges_v])
-    elif with_keys:
-        window.edge_keys = np.empty(0, dtype=np.uint64)
+    if with_keys:
+        window.edge_keys = coordinate_edge_keys(coords[edges_u], coords[edges_v])
     return window
 
 
-def _long_range_edges(
+def _box_coords(ranges: list[range]) -> np.ndarray:
+    """Every point of the box ``ranges[0] x ranges[1] x ...``, lexicographically ordered."""
+    axes = [np.arange(r.start, r.stop, dtype=np.int64) for r in ranges]
+    return np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _box_edges(shape: tuple[int, ...], steps: list[list[tuple[int, float]]]) -> Edges:
+    """Axis-parallel edges of a box with ``shape[a]`` points along axis ``a``.
+
+    ``steps[a]`` lists the ``(length, probability)`` steps along axis ``a``.
+    A vertex index is the row-major rank of the vertex in the box, so a step
+    of length ``n`` along axis ``a`` adds ``n`` times that axis's stride, and
+    the edge exists iff the coordinate stays inside the box.  Edges come
+    vertex by vertex, and per vertex axis by axis in the order of ``steps``,
+    which is the edge order the module docstring promises.
+    """
+    position = np.indices(shape).reshape(len(shape), -1)
+    strides = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
+    slot_axis = np.array([a for a, axis_steps in enumerate(steps) for _ in axis_steps], dtype=np.intp)
+    lengths = np.array([n for axis_steps in steps for n, _ in axis_steps], dtype=np.int64)
+    probs = np.array([p for axis_steps in steps for _, p in axis_steps], dtype=np.float64)
+    inside = position[slot_axis].T + lengths < np.asarray(shape)[slot_axis]
+    edges_u, slot = np.nonzero(inside)
+    edges_v = edges_u + lengths[slot] * strides[slot_axis[slot]]
+    return edges_u, edges_v, probs[slot], lengths[slot]
+
+
+def _long_range_window(
     seq: ProbabilitySequence,
-    coords: list[tuple[int, int]],
-    index: dict[tuple[int, int], int],
+    x_range: range,
+    y_range: range,
     max_span: int,
     keep_zero_probability: bool,
-) -> list[tuple[int, int, float, int]]:
+) -> tuple[np.ndarray, Edges]:
+    """Coordinates and long-range edges of the planar box ``x_range x y_range``."""
     cap = max_span if seq.truncation is None else min(seq.truncation, max_span)
     if keep_zero_probability:
         lengths = list(range(1, cap + 1))
     else:
         lengths = seq.supported_lengths(cap)
-    probabilities = {n: seq.probability(n) for n in lengths}
-    edges = []
-    for (x, y) in coords:
-        i = index[(x, y)]
-        for n in lengths:
-            j = index.get((x + n, y))
-            if j is not None:
-                edges.append((i, j, probabilities[n], n))
-        for n in lengths:
-            j = index.get((x, y + n))
-            if j is not None:
-                edges.append((i, j, probabilities[n], n))
-    return edges
+    steps = [(n, seq.probability(n)) for n in lengths]
+    coords = _box_coords([x_range, y_range])
+    return coords, _box_edges((len(x_range), len(y_range)), [steps, steps])
+
+
+def _origin(coords: np.ndarray) -> int | None:
+    """Index of the all-zero point among ``coords``, or None."""
+    hits = np.flatnonzero(~coords.any(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 def long_range_box_window(
@@ -147,10 +211,10 @@ def long_range_box_window(
     (x_lo, x_hi), (y_lo, y_hi) = x_extent, y_extent
     if x_hi < x_lo or y_hi < y_lo:
         raise ConfigError("box extents must be nonempty")
-    coords = [(x, y) for x in range(x_lo, x_hi + 1) for y in range(y_lo, y_hi + 1)]
-    index = {c: i for i, c in enumerate(coords)}
     span = max(x_hi - x_lo, y_hi - y_lo, 1)
-    edges = _long_range_edges(seq, coords, index, span, keep_zero_probability)
+    coords, edges = _long_range_window(
+        seq, range(x_lo, x_hi + 1), range(y_lo, y_hi + 1), span, keep_zero_probability
+    )
     meta = {"x": list(x_extent), "y": list(y_extent), "seq": seq.describe()}
     return _finish("z2-long-range", coords, edges, {}, None, meta, with_keys=True)
 
@@ -168,12 +232,12 @@ def long_range_crossing_window(
     """
     if side < 1:
         raise ConfigError("crossing window needs side >= 1")
-    coords = [(x, y) for x in range(side + 2) for y in range(side + 1)]
-    index = {c: i for i, c in enumerate(coords)}
-    edges = _long_range_edges(seq, coords, index, side + 1, keep_zero_probability)
+    coords, edges = _long_range_window(
+        seq, range(side + 2), range(side + 1), side + 1, keep_zero_probability
+    )
     terminals = {
-        "left": [index[(0, y)] for y in range(side + 1)],
-        "right": [index[(side + 1, y)] for y in range(side + 1)],
+        "left": np.flatnonzero(coords[:, 0] == 0),
+        "right": np.flatnonzero(coords[:, 0] == side + 1),
     }
     meta = {"L": side, "seq": seq.describe()}
     return _finish("z2-long-range", coords, edges, terminals, None, meta, with_keys=True)
@@ -193,15 +257,14 @@ def long_range_radial_window(
     if radius < 1:
         raise ConfigError("radial window needs radius >= 1")
     span = range(-radius, radius + 1)
-    coords = [(x, y) for x in span for y in span]
-    index = {c: i for i, c in enumerate(coords)}
-    edges = _long_range_edges(seq, coords, index, 2 * radius, keep_zero_probability)
-    boundary = [i for i, (x, y) in enumerate(coords) if max(abs(x), abs(y)) == radius]
-    terminals = {"origin": [index[(0, 0)]], "boundary": boundary}
+    coords, edges = _long_range_window(seq, span, span, 2 * radius, keep_zero_probability)
+    origin = _origin(coords)
+    terminals = {
+        "origin": [origin],
+        "boundary": np.flatnonzero(np.abs(coords).max(axis=1) == radius),
+    }
     meta = {"radius": radius, "seq": seq.describe()}
-    return _finish(
-        "z2-long-range", coords, edges, terminals, index[(0, 0)], meta, with_keys=True
-    )
+    return _finish("z2-long-range", coords, edges, terminals, origin, meta, with_keys=True)
 
 
 def grid_crossing_window(dimension: int, p: float, side: int) -> GraphWindow:
@@ -238,24 +301,19 @@ def slab_crossing_window(dimension: int, thickness: int, p: float, side: int) ->
     )
 
 
+def _nearest_neighbor_box(ranges: list[range], p: float) -> tuple[np.ndarray, Edges]:
+    """Coordinates and unit edges of the box ``ranges[0] x ranges[1] x ...``."""
+    coords = _box_coords(ranges)
+    return coords, _box_edges(tuple(len(r) for r in ranges), [[(1, p)]] * len(ranges))
+
+
 def _axis_box_window(family, ranges, p, crossing_axis, meta) -> GraphWindow:
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability {p} outside [0, 1]")
-    coords = [c for c in product(*ranges)]
-    index = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for c in coords:
-        i = index[c]
-        for axis in range(len(ranges)):
-            neighbor = c[:axis] + (c[axis] + 1,) + c[axis + 1 :]
-            j = index.get(neighbor)
-            if j is not None:
-                edges.append((i, j, p, 1))
-    lo = ranges[crossing_axis].start
-    hi = ranges[crossing_axis].stop - 1
+    coords, edges = _nearest_neighbor_box(ranges, p)
     terminals = {
-        "left": [i for i, c in enumerate(coords) if c[crossing_axis] == lo],
-        "right": [i for i, c in enumerate(coords) if c[crossing_axis] == hi],
+        "left": np.flatnonzero(coords[:, crossing_axis] == ranges[crossing_axis].start),
+        "right": np.flatnonzero(coords[:, crossing_axis] == ranges[crossing_axis].stop - 1),
     }
     return _finish(family, coords, edges, terminals, None, meta, with_keys=False)
 
@@ -268,19 +326,9 @@ def grid_radial_window(dimension: int, p: float, radius: int) -> GraphWindow:
         raise ConfigError("radial window needs radius >= 1")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability {p} outside [0, 1]")
-    span = range(-radius, radius + 1)
-    coords = [c for c in product(*[span] * dimension)]
-    index = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for c in coords:
-        i = index[c]
-        for axis in range(dimension):
-            neighbor = c[:axis] + (c[axis] + 1,) + c[axis + 1 :]
-            j = index.get(neighbor)
-            if j is not None:
-                edges.append((i, j, p, 1))
-    origin = index[(0,) * dimension]
-    boundary = [i for i, c in enumerate(coords) if max(abs(v) for v in c) == radius]
+    coords, edges = _nearest_neighbor_box([range(-radius, radius + 1)] * dimension, p)
+    origin = _origin(coords)
+    boundary = np.flatnonzero(np.abs(coords).max(axis=1) == radius)
     terminals = {"origin": [origin], "boundary": boundary}
     meta = {"d": dimension, "p": p, "radius": radius}
     return _finish(f"z{dimension}", coords, edges, terminals, origin, meta, with_keys=False)
@@ -293,19 +341,9 @@ def slab_radial_window(dimension: int, thickness: int, p: float, radius: int) ->
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability {p} outside [0, 1]")
     span = range(-radius, radius + 1)
-    ranges = [span, span] + [range(thickness)] * (dimension - 2)
-    coords = [c for c in product(*ranges)]
-    index = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for c in coords:
-        i = index[c]
-        for axis in range(dimension):
-            neighbor = c[:axis] + (c[axis] + 1,) + c[axis + 1 :]
-            j = index.get(neighbor)
-            if j is not None:
-                edges.append((i, j, p, 1))
-    origin = index[(0, 0) + (0,) * (dimension - 2)]
-    boundary = [i for i, c in enumerate(coords) if max(abs(c[0]), abs(c[1])) == radius]
+    coords, edges = _nearest_neighbor_box([span, span] + [range(thickness)] * (dimension - 2), p)
+    origin = _origin(coords)
+    boundary = np.flatnonzero(np.abs(coords[:, :2]).max(axis=1) == radius)
     terminals = {"origin": [origin], "boundary": boundary}
     meta = {"d": dimension, "K": thickness, "p": p, "radius": radius}
     return _finish(
@@ -325,49 +363,50 @@ def embedded_radial_window(
     least one embedded-graph neighbor outside the box: a coarse vertex set
     rarely touches the exact rim, so "about to leave the box" is the honest
     boundary notion here.
+
+    Vertices are the slab coordinates whose image under the graph's
+    coordinate map lies in the box, sorted by image point; an edge joins a
+    vertex to the image point one scale to its right, or the smallest scale
+    above it, when that point is a vertex too.
     """
     if radius < 1:
         raise ConfigError("radial window needs radius >= 1")
     scales = graph.scales.scales
     top = scales[-1]
     smallest = scales[0]
-    coarse_lo = -(radius // top) - 1
-    coarse_hi = radius // top + 1
-    vertical_lo = -(radius // smallest) - 1
-    vertical_hi = radius // smallest + 1
-    members: list[tuple[SlabCoord, tuple[int, int]]] = []
-    for coarse in range(coarse_lo, coarse_hi + 1):
-        for vertical in range(vertical_lo, vertical_hi + 1):
-            for confined in product(range(graph.params.thickness), repeat=graph.params.confined_axes):
-                coord = SlabCoord(confined, coarse, vertical)
-                point = graph.encode(coord)
-                if max(abs(point[0]), abs(point[1])) <= radius:
-                    members.append((coord, point))
-    members.sort(key=lambda item: item[1])
-    coords = [point for _, point in members]
-    index = {point: i for i, (_, point) in enumerate(members)}
-    if (0, 0) not in index:
+    thickness = graph.params.thickness
+    confined_axes = graph.params.confined_axes
+    coarse = range(-(radius // top) - 1, radius // top + 2)
+    vertical = range(-(radius // smallest) - 1, radius // smallest + 2)
+    slab = _box_coords([range(thickness)] * confined_axes + [coarse, vertical])
+    points = graph.encode_array(slab)
+    inside = np.abs(points).max(axis=1) <= radius
+    slab, points = slab[inside], points[inside]
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    slab, points = slab[order], points[order]
+    origin = _origin(points)
+    if origin is None:
         raise ConfigError("embedded window does not contain the origin")
 
-    probabilities = {n: seq.probability(n) for n in scales}
-    edges = []
-    boundary = set()
-    for coord, point in members:
-        i = index[point]
-        x, y = point
-        for n in scales:
-            j = index.get((x + n, y))
-            if j is not None:
-                edges.append((i, j, probabilities[n], n))
-        j = index.get((x, y + smallest))
-        if j is not None:
-            edges.append((i, j, probabilities[smallest], smallest))
-        for neighbor in graph.coord_neighbors(coord):
-            nx, ny = graph.encode(neighbor)
-            if max(abs(nx), abs(ny)) > radius:
-                boundary.add(i)
-                break
-    terminals = {"origin": [index[(0, 0)]], "boundary": sorted(boundary)}
+    step_lengths = np.array(list(scales) + [smallest], dtype=np.int64)
+    offsets = np.array([(n, 0) for n in scales] + [(0, smallest)], dtype=np.int64)
+    probabilities = np.array([seq.probability(n) for n in step_lengths.tolist()], dtype=np.float64)
+    targets = _row_lookup(points, (points[:, None, :] + offsets).reshape(-1, 2))
+    targets = targets.reshape(points.shape[0], offsets.shape[0])
+    edges_u, slot = np.nonzero(targets >= 0)
+    edges = (edges_u, targets[edges_u, slot], probabilities[slot], step_lengths[slot])
+
+    # Slab-graph neighbors: a unit step along any axis, confined digits kept
+    # inside the slab.
+    escapes = np.zeros(points.shape[0], dtype=bool)
+    unit = np.eye(slab.shape[1], dtype=np.int64)
+    for move in np.vstack([unit, -unit]):
+        neighbor = slab + move
+        confined = neighbor[:, :confined_axes]
+        valid = ((confined >= 0) & (confined < thickness)).all(axis=1)
+        far = np.abs(graph.encode_array(neighbor[valid])).max(axis=1) > radius
+        escapes[np.flatnonzero(valid)[far]] = True
+    terminals = {"origin": [origin], "boundary": np.flatnonzero(escapes)}
     meta = {
         "radius": radius,
         "d": graph.params.dimension,
@@ -375,7 +414,7 @@ def embedded_radial_window(
         "scales": list(scales),
         "seq": seq.describe(),
     }
-    return _finish("embedded", coords, edges, terminals, index[(0, 0)], meta, with_keys=True)
+    return _finish("embedded", points, edges, terminals, origin, meta, with_keys=True)
 
 
 def build_window(family: str, **spec) -> GraphWindow:

@@ -3,8 +3,8 @@
 The batch estimators cluster a whole block of trials in one
 ``connected_components`` call; these tests pin that route to one trial at a
 time: 2-D against 1-D ``component_labels``, block-offset Philox matrices
-against per-trial streams, and block-wise containment against a per-trial
-reference loop.
+against per-trial streams, and the block-wise containment pass (reaches and
+containment) against per-trial reference loops.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from trunclab import engine
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import (
     component_labels,
+    exact_event_probability,
     mc_event_probability,
     origin_radius_profile,
     sample_and_cluster,
@@ -25,7 +26,7 @@ from trunclab.engine import (
     trial_open_mask,
 )
 from trunclab.harness import containment_check
-from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms
+from trunclab.rng import KEYED_STREAM_RULE, indexed_uniform_matrix, indexed_uniforms, keyed_uniforms
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     GraphWindow,
@@ -223,11 +224,15 @@ def test_containment_blocks_match_per_trial_reference(graph, corrupt_edge, moved
     edge_violations, cluster_violations, first = per_trial_containment(
         embedded, full, trials, 9, corrupt_edge
     )
-    report = containment_check(embedded, full, trials, 9, corrupt_edge=corrupt_edge)
-    assert report.edge_violations == edge_violations
-    assert report.cluster_violations == cluster_violations
-    assert report.first_violation == first
-    assert report.passed == (first is None)
+    # Reach trials beyond the containment trials must not change containment.
+    for theta_trials in (0, 101):
+        report = containment_check(
+            embedded, full, trials, 9, corrupt_edge=corrupt_edge, theta_trials=theta_trials
+        )
+        assert report.edge_violations == edge_violations
+        assert report.cluster_violations == cluster_violations
+        assert report.first_violation == first
+        assert report.passed == (first is None)
     # The reference saw the faults each case injects.
     assert (edge_violations > 0) == (corrupt_edge is not None)
     assert (cluster_violations > 0) == moved_origin
@@ -262,3 +267,51 @@ def test_missing_full_edge_is_unmapped(radial_pair):
         "edge": [target[0].tolist(), target[1].tolist()],
     }
 
+
+
+def per_trial_reach(window, keys, trials, seed):
+    """Origin-to-boundary successes, one keyed trial and one 1-D clustering at a time."""
+    boundary = window.terminals["boundary"]
+    successes = 0
+    for trial in range(trials):
+        labels = component_labels(window, keyed_uniforms(keys, seed, trial) < window.probs)
+        successes += bool(np.isin(labels[window.origin_index], labels[boundary]))
+    return successes
+
+
+@pytest.mark.parametrize("theta_trials", [20, 50, 77])
+def test_pass_reaches_match_per_trial_loop(graph, theta_trials, monkeypatch):
+    embedded, full = radial_windows(graph, 0.2)
+    monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 6 * (embedded.n_edges + full.n_edges))
+    containment_trials = 50  # blocks of 6, the last one ragged in every case
+    report = containment_check(embedded, full, containment_trials, 13, theta_trials=theta_trials)
+    assert report.passed
+    for window, estimate in ((embedded, report.embedded_reach), (full, report.full_reach)):
+        successes = per_trial_reach(window, window.edge_keys, theta_trials, 13)
+        assert 0 < successes < theta_trials  # neither reach is saturated
+        assert estimate.successes == successes
+        assert estimate.trials == theta_trials
+        assert estimate.seed == 13
+        assert estimate.stream_rule == KEYED_STREAM_RULE
+    assert report.embedded_reach.label == "theta-embedded-r12"
+    assert report.full_reach.label == "theta-full-r12"
+
+
+def test_pass_without_theta_trials_reports_no_reach(radial_pair):
+    report = containment_check(*radial_pair, 10, 9)
+    assert report.embedded_reach is None and report.full_reach is None
+
+
+def test_pass_reaches_agree_with_exact_enumeration():
+    graph = EmbeddedGraph(SlabParameters(3, 1), ScaleVector((1, 3), 1))
+    truncated = PS.constant(0.5).truncate(graph.scales.top)
+    embedded = embedded_radial_window(graph, truncated, 1)
+    full = long_range_radial_window(truncated, 1)
+    assert full.n_edges <= engine.MAX_EXACT_EDGES
+    trials = 10**5
+    report = containment_check(embedded, full, 0, 31, theta_trials=trials)
+    assert report.vacuous
+    for window, estimate in ((embedded, report.embedded_reach), (full, report.full_reach)):
+        exact = exact_event_probability(window, "origin_boundary")
+        sigma = (exact * (1 - exact) / trials) ** 0.5
+        assert abs(estimate.value - exact) <= 4 * sigma, (window.family, estimate.value, exact)

@@ -233,8 +233,7 @@ class TestExactOracle:
 
     def test_two_edges_in_series(self):
         window = long_range_box_window(nn(0.4), (0, 2), (0, 0))
-        u = window.index_of((0, 0))
-        v = window.index_of((2, 0))
+        u, v = (int(np.flatnonzero((window.coords == point).all(axis=1))[0]) for point in ((0, 0), (2, 0)))
         assert exact_event_probability(window, ("pair", u, v)) == pytest.approx(0.16)
 
     def test_crossing_half_by_duality(self):

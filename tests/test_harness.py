@@ -107,6 +107,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(margin=0.45)
 
+    @pytest.mark.parametrize("counts", [dict(theta_trials=0), dict(containment_trials=-1)])
+    def test_trial_counts_validated(self, counts):
+        with pytest.raises(ConfigError):
+            small_config(**counts)
+
     def test_sequence_section_variants(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(
