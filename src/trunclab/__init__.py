@@ -44,7 +44,7 @@ from .thresholds import (
     choose_slab_parameters,
     estimate_pc,
 )
-from .windows import ConfigError, GraphWindow, build_window
+from .windows import ConfigError, GraphWindow
 
 __all__ = [
     "CalibrationTable",
@@ -65,7 +65,6 @@ __all__ = [
     "ThresholdSettings",
     "UnionFind",
     "block_set",
-    "build_window",
     "choose_slab_parameters",
     "containment_check",
     "crossing_estimate",

@@ -8,12 +8,14 @@ edge can be coupled across different windows.
 
 Connectivity is computed two ways.  :func:`sample_and_cluster` builds an
 explicit union-find forest, the reference route that tests compare against
-breadth-first search.  The batch estimators answer the same question for a
-whole block of trials at once: windows with at most 60 edges go through a
-vectorized label-propagation sweep, every other window through one
+breadth-first search.  Every Monte Carlo estimate answers the same question
+for a whole block of trials at once, with one
 ``scipy.sparse.csgraph.connected_components`` call on the disjoint union of
 the block's trial graphs (:func:`component_labels` on a 2-D mask).
-Route-agreement tests pin both to the union-find answer.
+Route-agreement tests pin it to the union-find answer.  The exact oracle,
+:func:`exact_event_probability`, labels its enumerated configurations with
+its own vectorized label-propagation sweep, so Monte Carlo estimates are
+checked against connectivity code they do not share.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ def propagation_labels(
     """Component labels for a whole batch of configurations at once.
 
     ``open_matrix`` is boolean with shape ``(batch, n_edges)``.  Minimum-label
-    propagation sweeps every edge until no label changes; for the small
-    windows this is used on, a handful of sweeps suffice.
+    propagation sweeps every edge until no label changes; on the small
+    windows the exact oracle enumerates, a handful of sweeps suffice.
     """
     batch = open_matrix.shape[0]
     labels = np.broadcast_to(np.arange(n_vertices, dtype=np.int32), (batch, n_vertices)).copy()
@@ -201,7 +203,7 @@ def propagation_labels(
 
 
 def _connected_batch(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Batch version over ``(batch, n_vertices)`` label rows; terminal sets are small."""
+    """Per-row connection test over ``(batch, n_vertices)`` label rows; terminal sets are small."""
     hit = np.zeros(labels.shape[0], dtype=bool)
     for s in left:
         for t in right:
@@ -281,22 +283,22 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
     )
 
 
-# The label-propagation route takes windows of at most _BATCH_LABEL_LIMIT
-# edges, generating and sweeping every trial at once while the job stays
-# below _BATCH_UNIFORM_LIMIT entries; everything else takes the disjoint-union
-# scipy route in blocks of about BLOCK_UNIFORMS uniforms.
-_BATCH_UNIFORM_LIMIT = 40_000_000
-_BATCH_LABEL_LIMIT = 60
-# Uniforms drawn (and edges clustered) per block of trials on the
-# disjoint-union route.  It sets the route's peak memory: 200k uniforms kept
+# Uniforms drawn (and edges or vertices clustered) per block of trials on
+# the disjoint-union route.  It sets the route's peak memory: 200k uniforms kept
 # the pipeline benchmark's peak RSS below the per-trial loop's, 1M did not.
 BLOCK_UNIFORMS = 200_000
 
 
 def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]]:
     """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS uniforms each
-    across ``windows``, and at least one trial."""
-    per_trial = max(1, sum(window.n_edges for window in windows))
+    across ``windows``, and at least one trial.
+
+    A window weighs its edge or its vertex count, whichever is larger: the
+    union graph of a block has a row per vertex of every trial, so a window
+    with many vertices and few edges must not get a block that overflows the
+    union's 32-bit indices.
+    """
+    per_trial = max(1, sum(max(window.n_edges, window.n_vertices) for window in windows))
     rows = max(1, BLOCK_UNIFORMS // per_trial)
     for start in range(0, trials, rows):
         yield start, min(start + rows, trials)
@@ -318,19 +320,10 @@ def mc_event_probability(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     left, right = event_terminals(window, event)
-    if (
-        window.n_edges <= _BATCH_LABEL_LIMIT
-        and trials * max(window.n_vertices, window.n_edges) <= _BATCH_UNIFORM_LIMIT
-    ):
-        uniforms = indexed_uniform_matrix(window.n_edges, master_seed, trials)
-        open_matrix = uniforms < window.probs
-        labels = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_matrix)
-        successes = int(_connected_batch(labels, left, right).sum())
-    else:
-        successes = 0
-        for start, stop in trial_blocks(trials, window):
-            labels = component_labels(window, _open_block(window, master_seed, start, stop))
-            successes += int(_union_hits(labels, left, right).sum())
+    successes = 0
+    for start, stop in trial_blocks(trials, window):
+        labels = component_labels(window, _open_block(window, master_seed, start, stop))
+        successes += int(_union_hits(labels, left, right).sum())
     return _make_estimate(successes, trials, master_seed, INDEXED_STREAM_RULE, label)
 
 

@@ -80,6 +80,10 @@ class LatticeFamily:
         return slab_crossing_window(self.dimension, self.thickness, p, side)
 
 
+# Spacing of the coarse ascending scan that opens the bisection bracket.
+COARSE_GRID_STEP = 0.05
+
+
 @dataclass(frozen=True)
 class ThresholdSettings:
     """Schedule and budgets shared by every threshold estimate in a run."""
@@ -88,7 +92,6 @@ class ThresholdSettings:
     bracket_tol: float = 0.015
     trials_per_probe: int = 3000
     coarse_trials: int = 600
-    coarse_grid_step: float = 0.05
 
     def __post_init__(self) -> None:
         if not self.l_schedule or any(b <= a for a, b in zip(self.l_schedule, self.l_schedule[1:])):
@@ -173,7 +176,7 @@ def estimate_pc(
         return {"family": family.key, "probes": [pr.to_dict() for pr in probes], **extra}
 
     schedule = settings.l_schedule
-    step = settings.coarse_grid_step
+    step = COARSE_GRID_STEP
     grid = [round(step * k, 10) for k in range(1, int(1.0 / step))]
     low, high = 0.0, None
     for p in grid:

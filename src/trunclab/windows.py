@@ -8,9 +8,8 @@ arithmetic on numpy arrays: in a box window a vertex index is the row-major
 rank of its coordinates, and the embedded window finds edge endpoints with an
 exact sorted lookup of coordinate rows.
 
-Edges carrying probability zero are omitted by default: they can never open,
-and for heavy-tailed sequences they would dominate the edge list.  Pass
-``keep_zero_probability=True`` to the long-range builders to keep them.
+Edges carrying probability zero are omitted: they can never open, and for
+heavy-tailed sequences they would dominate the edge list.
 """
 
 from __future__ import annotations
@@ -177,15 +176,10 @@ def _long_range_window(
     x_range: range,
     y_range: range,
     max_span: int,
-    keep_zero_probability: bool,
 ) -> tuple[np.ndarray, Edges]:
     """Coordinates and long-range edges of the planar box ``x_range x y_range``."""
     cap = max_span if seq.truncation is None else min(seq.truncation, max_span)
-    if keep_zero_probability:
-        lengths = list(range(1, cap + 1))
-    else:
-        lengths = seq.supported_lengths(cap)
-    steps = [(n, seq.probability(n)) for n in lengths]
+    steps = [(n, seq.probability(n)) for n in seq.supported_lengths(cap)]
     coords = _box_coords([x_range, y_range])
     return coords, _box_edges((len(x_range), len(y_range)), [steps, steps])
 
@@ -200,7 +194,6 @@ def long_range_box_window(
     seq: ProbabilitySequence,
     x_extent: tuple[int, int],
     y_extent: tuple[int, int],
-    keep_zero_probability: bool = False,
 ) -> GraphWindow:
     """Plain planar long-range box with inclusive extents and no terminals.
 
@@ -212,18 +205,12 @@ def long_range_box_window(
     if x_hi < x_lo or y_hi < y_lo:
         raise ConfigError("box extents must be nonempty")
     span = max(x_hi - x_lo, y_hi - y_lo, 1)
-    coords, edges = _long_range_window(
-        seq, range(x_lo, x_hi + 1), range(y_lo, y_hi + 1), span, keep_zero_probability
-    )
+    coords, edges = _long_range_window(seq, range(x_lo, x_hi + 1), range(y_lo, y_hi + 1), span)
     meta = {"x": list(x_extent), "y": list(y_extent), "seq": seq.describe()}
     return _finish("z2-long-range", coords, edges, {}, None, meta, with_keys=True)
 
 
-def long_range_crossing_window(
-    seq: ProbabilitySequence,
-    side: int,
-    keep_zero_probability: bool = False,
-) -> GraphWindow:
+def long_range_crossing_window(seq: ProbabilitySequence, side: int) -> GraphWindow:
     """Planar long-range rectangle ``{0..side+1} x {0..side}`` for sponge crossings.
 
     The crossing event joins the ``x = 0`` column to the ``x = side + 1``
@@ -232,9 +219,7 @@ def long_range_crossing_window(
     """
     if side < 1:
         raise ConfigError("crossing window needs side >= 1")
-    coords, edges = _long_range_window(
-        seq, range(side + 2), range(side + 1), side + 1, keep_zero_probability
-    )
+    coords, edges = _long_range_window(seq, range(side + 2), range(side + 1), side + 1)
     terminals = {
         "left": np.flatnonzero(coords[:, 0] == 0),
         "right": np.flatnonzero(coords[:, 0] == side + 1),
@@ -243,11 +228,7 @@ def long_range_crossing_window(
     return _finish("z2-long-range", coords, edges, terminals, None, meta, with_keys=True)
 
 
-def long_range_radial_window(
-    seq: ProbabilitySequence,
-    radius: int,
-    keep_zero_probability: bool = False,
-) -> GraphWindow:
+def long_range_radial_window(seq: ProbabilitySequence, radius: int) -> GraphWindow:
     """Planar long-range box ``[-radius, radius]^2`` around the origin.
 
     The boundary terminal is the box rim (sup-norm exactly ``radius``); the
@@ -257,7 +238,7 @@ def long_range_radial_window(
     if radius < 1:
         raise ConfigError("radial window needs radius >= 1")
     span = range(-radius, radius + 1)
-    coords, edges = _long_range_window(seq, span, span, 2 * radius, keep_zero_probability)
+    coords, edges = _long_range_window(seq, span, span, 2 * radius)
     origin = _origin(coords)
     terminals = {
         "origin": [origin],
@@ -415,36 +396,3 @@ def embedded_radial_window(
         "seq": seq.describe(),
     }
     return _finish("embedded", points, edges, terminals, origin, meta, with_keys=True)
-
-
-def build_window(family: str, **spec) -> GraphWindow:
-    """Dispatch a window description to its builder; unknown keys are errors."""
-    try:
-        if family in ("z2-long-range", "z2"):
-            seq = spec.pop("seq", None)
-            if seq is None:
-                seq = ProbabilitySequence.constant(spec.pop("p")).truncate(spec.pop("N", 1))
-            if "radius" in spec:
-                return long_range_radial_window(seq, spec.pop("radius"), **spec)
-            if "x_extent" in spec:
-                return long_range_box_window(seq, spec.pop("x_extent"), spec.pop("y_extent"), **spec)
-            return long_range_crossing_window(seq, spec.pop("L"), **spec)
-        if family == "zd":
-            if "radius" in spec:
-                return grid_radial_window(spec.pop("d"), spec.pop("p"), spec.pop("radius"), **spec)
-            return grid_crossing_window(spec.pop("d"), spec.pop("p"), spec.pop("L"), **spec)
-        if family == "slab":
-            if "radius" in spec:
-                return slab_radial_window(
-                    spec.pop("d"), spec.pop("K"), spec.pop("p"), spec.pop("radius"), **spec
-                )
-            return slab_crossing_window(
-                spec.pop("d"), spec.pop("K"), spec.pop("p"), spec.pop("L"), **spec
-            )
-        if family == "embedded":
-            return embedded_radial_window(spec.pop("graph"), spec.pop("seq"), spec.pop("radius"), **spec)
-    except KeyError as exc:
-        raise ConfigError(f"window family {family!r} is missing parameter {exc}") from None
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for window family {family!r}: {exc}") from None
-    raise ConfigError(f"unknown window family {family!r}")

@@ -31,6 +31,7 @@ from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     GraphWindow,
     embedded_radial_window,
+    long_range_crossing_window,
     long_range_radial_window,
     slab_crossing_window,
 )
@@ -64,13 +65,13 @@ def route_windows(graph):
         "slab": slab_crossing_window(3, 2, 0.37, 8),
         "long-range": long_range_radial_window(PS.constant(0.3).truncate(3), 6),
         "embedded": embedded_radial_window(graph, truncated, 12),
+        "small-crossing": long_range_crossing_window(PS.constant(0.5).truncate(1), 1),
     }
 
 
-@pytest.mark.parametrize("kind", ["slab", "long-range", "embedded"])
+@pytest.mark.parametrize("kind", ["slab", "long-range", "embedded", "small-crossing"])
 def test_block_labels_match_per_trial_labels(graph, kind):
     window = route_windows(graph)[kind]
-    assert window.n_edges > 60  # off the propagation route
     block = indexed_uniform_matrix(window.n_edges, 11, 13, 5) < window.probs
     labels = component_labels(window, block)
     assert labels.shape == (13, window.n_vertices)
@@ -82,19 +83,31 @@ def test_block_labels_match_per_trial_labels(graph, kind):
         assert not np.intersect1d(labels[row - 1], labels[row]).size
 
 
-@pytest.mark.parametrize("kind", ["slab", "long-range", "embedded"])
+@pytest.mark.parametrize("kind", ["slab", "long-range", "embedded", "small-crossing"])
 def test_estimates_over_ragged_blocks_match_per_trial_loop(graph, kind, monkeypatch):
     window = route_windows(graph)[kind]
     monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 7 * window.n_edges)
     trials = 45  # six blocks of 7 and one of 3
     assert [stop - start for start, stop in trial_blocks(trials, window)] == [7] * 6 + [3]
-    event = "crossing" if kind == "slab" else "origin_boundary"
+    event = "crossing" if kind in ("slab", "small-crossing") else "origin_boundary"
     left, right = engine.event_terminals(window, event)
     expected = 0
     for trial in range(trials):
         labels = component_labels(window, trial_open_mask(window, 23, trial))
         expected += bool(np.intersect1d(labels[left], labels[right]).size)
     assert mc_event_probability(window, event, trials, 23).successes == expected
+
+
+def test_blocks_of_an_edgeless_window_fit_the_union_indices():
+    # 14,641 vertices and no edge: a block is sized by its vertices, so the
+    # disjoint union of a block stays inside the 32-bit CSR indices.
+    window = long_range_radial_window(PS.constant(0.0), 60)
+    assert window.n_edges == 0
+    blocks = list(trial_blocks(200_000, window))
+    assert blocks[0][0] == 0 and blocks[-1][1] == 200_000
+    assert all(stop == next_start for (_, stop), (next_start, _) in zip(blocks, blocks[1:]))
+    assert all((stop - start) * window.n_vertices <= engine.BLOCK_UNIFORMS for start, stop in blocks)
+    assert mc_event_probability(window, "origin_boundary", 30, 1).successes == 0
 
 
 def test_block_route_agrees_with_union_find():

@@ -27,7 +27,6 @@ from trunclab.rng import (
 from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import (
     ConfigError,
-    build_window,
     long_range_box_window,
     long_range_crossing_window,
     long_range_radial_window,
@@ -75,9 +74,6 @@ class TestWindowConstruction:
         seq = PS.lacunary(0.5, base=2).truncate(4)
         window = long_range_box_window(seq, (0, 4), (0, 0))
         assert set(window.lengths) == {1, 2, 4}
-        kept = long_range_box_window(seq, (0, 4), (0, 0), keep_zero_probability=True)
-        assert set(kept.lengths) == {1, 2, 3, 4}
-        assert (kept.probs[kept.lengths == 3] == 0.0).all()
 
     def test_deterministic_edge_order(self):
         a = long_range_radial_window(PS.constant(0.4).truncate(2), 3)
@@ -86,15 +82,9 @@ class TestWindowConstruction:
         assert np.array_equal(a.edges_v, b.edges_v)
         assert np.array_equal(a.edge_keys, b.edge_keys)
 
-    def test_dispatcher_and_errors(self):
-        window = build_window("z2", p=0.5, N=1, L=2)
-        assert window.family == "z2-long-range"
+    def test_slab_builder_rejects_dimension_one(self):
         with pytest.raises(ConfigError):
-            build_window("slab", d=1, K=2, p=0.5, L=2)
-        with pytest.raises(ConfigError):
-            build_window("nosuch", p=0.5)
-        with pytest.raises(ConfigError):
-            build_window("zd", p=0.5)  # missing parameters
+            slab_crossing_window(1, 2, 0.5, 2)
 
 
 class TestStreamContract:

@@ -52,9 +52,15 @@ def reference_window(family, coords, edges, terminals, origin_index, meta, with_
     return window
 
 
-def reference_long_range_edges(seq, coords, index, max_span, keep_zero_probability):
+def reference_long_range_edges(seq, coords, index, max_span, all_lengths):
+    """Long-range edges by a coordinate loop.
+
+    With ``all_lengths`` the loop walks every length up to the cap and drops
+    the zero-probability edges afterwards, which is the omission rule the
+    builders promise, stated without ``supported_lengths``.
+    """
     cap = max_span if seq.truncation is None else min(seq.truncation, max_span)
-    if keep_zero_probability:
+    if all_lengths:
         lengths = list(range(1, cap + 1))
     else:
         lengths = seq.supported_lengths(cap)
@@ -70,23 +76,23 @@ def reference_long_range_edges(seq, coords, index, max_span, keep_zero_probabili
             j = index.get((x, y + n))
             if j is not None:
                 edges.append((i, j, probabilities[n], n))
-    return edges
+    return [edge for edge in edges if edge[2] > 0.0] if all_lengths else edges
 
 
-def reference_box(seq, x_extent, y_extent, keep_zero_probability=False):
+def reference_box(seq, x_extent, y_extent, all_lengths=False):
     (x_lo, x_hi), (y_lo, y_hi) = x_extent, y_extent
     coords = [(x, y) for x in range(x_lo, x_hi + 1) for y in range(y_lo, y_hi + 1)]
     index = {c: i for i, c in enumerate(coords)}
     span = max(x_hi - x_lo, y_hi - y_lo, 1)
-    edges = reference_long_range_edges(seq, coords, index, span, keep_zero_probability)
+    edges = reference_long_range_edges(seq, coords, index, span, all_lengths)
     meta = {"x": list(x_extent), "y": list(y_extent), "seq": seq.describe()}
     return reference_window("z2-long-range", coords, edges, {}, None, meta, True)
 
 
-def reference_crossing(seq, side, keep_zero_probability=False):
+def reference_crossing(seq, side, all_lengths=False):
     coords = [(x, y) for x in range(side + 2) for y in range(side + 1)]
     index = {c: i for i, c in enumerate(coords)}
-    edges = reference_long_range_edges(seq, coords, index, side + 1, keep_zero_probability)
+    edges = reference_long_range_edges(seq, coords, index, side + 1, all_lengths)
     terminals = {
         "left": [index[(0, y)] for y in range(side + 1)],
         "right": [index[(side + 1, y)] for y in range(side + 1)],
@@ -95,11 +101,11 @@ def reference_crossing(seq, side, keep_zero_probability=False):
     return reference_window("z2-long-range", coords, edges, terminals, None, meta, True)
 
 
-def reference_radial(seq, radius, keep_zero_probability=False):
+def reference_radial(seq, radius, all_lengths=False):
     span = range(-radius, radius + 1)
     coords = [(x, y) for x in span for y in span]
     index = {c: i for i, c in enumerate(coords)}
-    edges = reference_long_range_edges(seq, coords, index, 2 * radius, keep_zero_probability)
+    edges = reference_long_range_edges(seq, coords, index, 2 * radius, all_lengths)
     boundary = [i for i, (x, y) in enumerate(coords) if max(abs(x), abs(y)) == radius]
     terminals = {"origin": [index[(0, 0)]], "boundary": boundary}
     meta = {"radius": radius, "seq": seq.describe()}
@@ -241,25 +247,23 @@ SEQUENCES = {
 }
 
 
-@pytest.mark.parametrize("keep_zero", [False, True])
+@pytest.mark.parametrize("all_lengths", [False, True])
 @pytest.mark.parametrize("truncation", range(1, 10))
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
-def test_long_range_builders_match_loops(name, truncation, keep_zero):
+def test_long_range_builders_match_loops(name, truncation, all_lengths):
     seq = SEQUENCES[name].truncate(truncation)
     for radius in (1, 2, 5, 9):
         assert_same_window(
-            long_range_radial_window(seq, radius, keep_zero_probability=keep_zero),
-            reference_radial(seq, radius, keep_zero),
+            long_range_radial_window(seq, radius), reference_radial(seq, radius, all_lengths)
         )
     for side in (1, 4, 11):
         assert_same_window(
-            long_range_crossing_window(seq, side, keep_zero_probability=keep_zero),
-            reference_crossing(seq, side, keep_zero),
+            long_range_crossing_window(seq, side), reference_crossing(seq, side, all_lengths)
         )
     for x_extent, y_extent in (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((-3, 4), (2, 3)), ((1, 2), (-6, 6))):
         assert_same_window(
-            long_range_box_window(seq, x_extent, y_extent, keep_zero_probability=keep_zero),
-            reference_box(seq, x_extent, y_extent, keep_zero),
+            long_range_box_window(seq, x_extent, y_extent),
+            reference_box(seq, x_extent, y_extent, all_lengths),
         )
 
 
