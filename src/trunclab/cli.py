@@ -14,7 +14,7 @@ from .embedding import EmbeddedGraph, HypothesisNotWitnessed, SlabParameters, se
 from .engine import crossing_estimate, origin_boundary_estimate
 from .harness import load_config, run_pipeline
 from .sequences import ProbabilitySequence
-from .thresholds import BracketError, CalibrationTable, LatticeFamily, ThresholdSettings
+from .thresholds import CalibrationTable, LatticeFamily, ThresholdSettings
 from .windows import (
     ConfigError,
     grid_crossing_window,
@@ -112,11 +112,7 @@ def _pc_command(args) -> int:
         bracket_tol=args.tol,
         trials_per_probe=args.trials,
     )
-    try:
-        estimate = estimate_pc(family, settings, args.seed)
-    except BracketError as exc:
-        print(f"bracket failure: {exc}", file=sys.stderr)
-        return 3
+    estimate = estimate_pc(family, settings, args.seed)
     if args.calib:
         from .thresholds import CalibrationRow
 

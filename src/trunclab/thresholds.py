@@ -1,26 +1,33 @@
 """Critical-threshold estimation and slab-geometry selection.
 
 The threshold proxy is the open probability at which the left-right crossing
-of the ``(L+1) x L`` sponge reaches one-half, located by bisection on the
-largest window of a schedule after a coarse scan on the smallest.  On the
-planar lattice this proxy equals the true threshold exactly (self-duality),
-which is the calibration anchor; elsewhere it is an estimate whose bracket
-and statistical uncertainty are reported rather than hidden.
+of the ``(L+1) x L`` sponge reaches one-half.  All probes at one window side
+share one seed, so the crossing fraction there is the empirical distribution
+function of the trials' bottleneck values and exactly nondecreasing in the
+probability; bisection on it cannot fail, and it is carried through a
+schedule of sides to the largest.  On the planar lattice this proxy equals
+the true threshold exactly (self-duality), which is the calibration anchor;
+elsewhere it is an estimate whose bracket and statistical uncertainty are
+reported rather than hidden.  The finite-size drift between sides is not yet
+part of the uncertainty.
 
 ``choose_slab_parameters`` scans slab geometries in increasing simulation
 cost (dimension first, then thickness) until one's estimated threshold
 clears a declared level with margin to spare -- the numeric stand-in for
-the cited existence results, which give no effective bounds.
+the cited existence results, which give no effective bounds.  Estimates are
+persisted in a :class:`CalibrationTable`, whose rows are reused only under
+the settings and method they were computed with.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .embedding import SlabParameters
-from .engine import Estimate, binomial_half_width, crossing_estimate
+from .engine import binomial_half_width, crossing_estimate
 from .rng import derive_seed
 from .sequences import ProbabilitySequence
 from .windows import (
@@ -30,14 +37,6 @@ from .windows import (
     long_range_crossing_window,
     slab_crossing_window,
 )
-
-
-class BracketError(Exception):
-    """The crossing response refused to straddle one-half; diagnostics attached."""
-
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class ParametersNotFound(Exception):
@@ -80,8 +79,9 @@ class LatticeFamily:
         return slab_crossing_window(self.dimension, self.thickness, p, side)
 
 
-# Spacing of the coarse ascending scan that opens the bisection bracket.
-COARSE_GRID_STEP = 0.05
+# Names the estimator in every ThresholdEstimate and calibration row; a
+# stored row computed by another method is never reused.
+METHOD = "coupled-bisection/v2"
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class ThresholdEstimate:
     settings: ThresholdSettings
     master_seed: int
     probes: list[ProbeRecord] = field(default_factory=list)
-    method: str = "bisection-on-crossing/v1"
+    method: str = METHOD
 
     def to_dict(self) -> dict:
         return {
@@ -143,117 +143,52 @@ class ThresholdEstimate:
         }
 
 
-def estimate_pc(
-    family: LatticeFamily,
-    settings: ThresholdSettings,
-    master_seed: int,
-) -> ThresholdEstimate:
+def estimate_pc(family: LatticeFamily, settings: ThresholdSettings, master_seed: int) -> ThresholdEstimate:
     """Locate the probability where the largest window's crossing hits one-half.
 
-    A coarse ascending scan on the smallest window initializes the bracket.
-    Because the crossing response drifts between window sizes, the bracket is
-    then *transported* through the schedule: at each larger window it walks
-    outward in coarse steps until it straddles one-half again.  At the
-    largest window the endpoints are re-probed as a noise check -- if an
-    endpoint sits on the wrong side of one-half beyond twice the probe
-    half-width, the check reruns once with four times the trials before
-    failing with diagnostics -- and bisection then runs the bracket down to
-    tolerance.
+    Every probe at side ``L`` uses the seed ``derive_seed(master_seed, "pc",
+    key, L)``, so the crossing fraction there is exactly nondecreasing in
+    ``p``, with the known values 0 at ``p = 0`` and 1 at ``p = 1``, which are
+    never probed.  Side by side, the bracket carried over (at first
+    ``[0, 1]``) widens in doubling steps until it straddles one-half and is
+    then bisected to ``bracket_tol``; the first of several sides probes with
+    ``coarse_trials``, every other side with ``trials_per_probe``.  The final
+    bracket holds the median of the top side's per-trial bottleneck values,
+    and the slope across it (their density) turns the probe noise at
+    one-half into ``stat_term``.
     """
     probes: list[ProbeRecord] = []
-    probe_counter = 0
 
-    def probe(p: float, side: int, trials: int) -> Estimate:
-        nonlocal probe_counter
-        seed = derive_seed(master_seed, "pc", family.key, probe_counter)
-        probe_counter += 1
-        window = family.crossing_window(p, side)
-        estimate = crossing_estimate(window, trials, seed, label=f"pc-probe:{family.key}:L{side}:p{p!r}")
-        probes.append(ProbeRecord(side, p, estimate.value, trials, seed))
-        return estimate
+    def response(side: int, trials: int) -> Callable[[float], float]:
+        seed = derive_seed(master_seed, "pc", family.key, side)
+        values = {0.0: 0.0, 1.0: 1.0}
 
-    def diagnostics(extra: dict) -> dict:
-        return {"family": family.key, "probes": [pr.to_dict() for pr in probes], **extra}
+        def value(p: float) -> float:
+            if p not in values:
+                window = family.crossing_window(p, side)
+                label = f"pc-probe:{family.key}:L{side}:p{p!r}"
+                values[p] = crossing_estimate(window, trials, seed, label=label).value
+                probes.append(ProbeRecord(side, p, values[p], trials, seed))
+            return values[p]
+
+        return value
 
     schedule = settings.l_schedule
-    step = COARSE_GRID_STEP
-    grid = [round(step * k, 10) for k in range(1, int(1.0 / step))]
-    low, high = 0.0, None
-    for p in grid:
-        value = probe(p, schedule[0], settings.coarse_trials).value
-        if value >= 0.5:
-            high = p
-            break
-        low = p
-    if high is None:
-        raise BracketError(
-            f"{family.key}: crossing stayed below 1/2 over the whole coarse grid",
-            diagnostics({"grid_max": grid[-1]}),
-        )
+    low, high = 0.0, 1.0
+    for index, side in enumerate(schedule):
+        coarse = index == 0 and len(schedule) > 1
+        value = response(side, settings.coarse_trials if coarse else settings.trials_per_probe)
+        step = high - low
+        while value(high) < 0.5:
+            low, high, step = high, min(high + step, 1.0), 2.0 * step
+        while value(low) >= 0.5:
+            low, high, step = max(low - step, 0.0), low, 2.0 * step
+        while high - low > settings.bracket_tol:
+            mid = 0.5 * (low + high)
+            low, high = (low, mid) if value(mid) >= 0.5 else (mid, high)
 
-    def transport(side: int, low: float, high: float) -> tuple[float, float, Estimate, Estimate]:
-        est_high = probe(high, side, settings.trials_per_probe)
-        for _ in range(len(grid)):
-            if est_high.value >= 0.5:
-                break
-            if high >= grid[-1] + step:
-                raise BracketError(
-                    f"{family.key}: crossing stayed below 1/2 up to p={high} at L={side}",
-                    diagnostics({"bracket": [low, high]}),
-                )
-            low, high = high, min(high + step, 1.0)
-            est_high = probe(high, side, settings.trials_per_probe)
-        est_low = probe(low, side, settings.trials_per_probe)
-        for _ in range(len(grid)):
-            if est_low.value < 0.5:
-                break
-            if low <= 0.0:
-                raise BracketError(
-                    f"{family.key}: crossing stayed at or above 1/2 down to p=0 at L={side}",
-                    diagnostics({"bracket": [low, high]}),
-                )
-            high, est_high = low, est_low
-            low = max(low - step, 0.0)
-            est_low = probe(low, side, settings.trials_per_probe)
-        return low, high, est_low, est_high
-
-    for side in schedule[1:] or schedule[-1:]:
-        low, high, est_low, est_high = transport(side, low, high)
-
-    top = schedule[-1]
-
-    def validate(trials: int) -> tuple[Estimate, Estimate] | None:
-        est_low = probe(low, top, trials)
-        est_high = probe(high, top, trials)
-        slack_low = 2.0 * max(est_low.half_width, binomial_half_width(0.5, trials))
-        slack_high = 2.0 * max(est_high.half_width, binomial_half_width(0.5, trials))
-        if est_low.value >= 0.5 + slack_low or est_high.value <= 0.5 - slack_high:
-            return None
-        return est_low, est_high
-
-    endpoints = validate(settings.trials_per_probe)
-    if endpoints is None:
-        endpoints = validate(4 * settings.trials_per_probe)
-        if endpoints is None:
-            raise BracketError(
-                f"{family.key}: bracket ({low}, {high}) failed the noise check at L={top} even "
-                "after widening trials",
-                diagnostics({"bracket": [low, high]}),
-            )
-    est_low, est_high = endpoints
-    validated_span = high - low
-
-    while high - low > settings.bracket_tol:
-        mid = 0.5 * (low + high)
-        if probe(mid, top, settings.trials_per_probe).value >= 0.5:
-            high = mid
-        else:
-            low = mid
-
-    # Slope of the crossing response across the validated bracket converts
-    # the probe's statistical half-width into probability units; a floor of
-    # 1/2 keeps flat-response noise from exploding the uncertainty.
-    slope = max((est_high.value - est_low.value) / max(validated_span, 1e-9), 0.5)
+    # A slope floor of 1/2 keeps a flat response from exploding the term.
+    slope = max((value(high) - value(low)) / (high - low), 0.5)
     stat_term = min(binomial_half_width(0.5, settings.trials_per_probe) / slope, 0.1)
     return ThresholdEstimate(
         family=family,
@@ -277,8 +212,10 @@ CALIBRATION_COLUMNS = [
     "bracket_lo",
     "bracket_hi",
     "stat_term",
-    "l_max",
+    "l_schedule",
+    "bracket_tol",
     "trials_per_probe",
+    "coarse_trials",
     "seed",
     "method",
 ]
@@ -286,6 +223,8 @@ CALIBRATION_COLUMNS = [
 
 @dataclass
 class CalibrationRow:
+    """One family's threshold with the settings, seed and method behind it."""
+
     family_key: str
     kind: str
     dimension: int
@@ -295,8 +234,7 @@ class CalibrationRow:
     bracket_lo: float
     bracket_hi: float
     stat_term: float
-    l_max: int
-    trials_per_probe: int
+    settings: ThresholdSettings
     seed: int
     method: str
 
@@ -312,8 +250,7 @@ class CalibrationRow:
             bracket_lo=estimate.bracket[0],
             bracket_hi=estimate.bracket[1],
             stat_term=estimate.stat_term,
-            l_max=estimate.settings.l_schedule[-1],
-            trials_per_probe=estimate.settings.trials_per_probe,
+            settings=estimate.settings,
             seed=estimate.master_seed,
             method=estimate.method,
         )
@@ -329,8 +266,10 @@ class CalibrationRow:
             "bracket_lo": repr(self.bracket_lo),
             "bracket_hi": repr(self.bracket_hi),
             "stat_term": repr(self.stat_term),
-            "l_max": self.l_max,
-            "trials_per_probe": self.trials_per_probe,
+            "l_schedule": " ".join(str(side) for side in self.settings.l_schedule),
+            "bracket_tol": repr(self.settings.bracket_tol),
+            "trials_per_probe": self.settings.trials_per_probe,
+            "coarse_trials": self.settings.coarse_trials,
             "seed": self.seed,
             "method": self.method,
         }
@@ -341,11 +280,24 @@ class CalibrationRow:
             "p_hat": self.p_hat,
             "uncertainty": self.uncertainty,
             "bracket": [self.bracket_lo, self.bracket_hi],
-            "l_max": self.l_max,
-            "trials_per_probe": self.trials_per_probe,
+            **asdict(self.settings),
             "seed": self.seed,
             "method": self.method,
         }
+
+    def mismatches(self, settings: ThresholdSettings) -> list[str]:
+        """``name stored != requested`` for each setting, and the method, that differs.
+
+        The seed is provenance, not part of the key: a row computed under
+        another master seed is still reused.
+        """
+        stored, requested = asdict(self.settings), asdict(settings)
+        differing = [
+            f"{name} {stored[name]!r} != {requested[name]!r}" for name in stored if stored[name] != requested[name]
+        ]
+        if self.method != METHOD:
+            differing.append(f"method {self.method!r} != {METHOD!r}")
+        return differing
 
 
 class CalibrationTable:
@@ -359,8 +311,16 @@ class CalibrationTable:
 
     def _load(self) -> None:
         with open(self.path, newline="") as handle:
-            reader = csv.DictReader(row for row in handle if not row.startswith("#"))
-            for record in reader:
+            lines = [(number, line) for number, line in enumerate(handle, 1) if not line.startswith("#")]
+        reader = csv.DictReader(line for _, line in lines)
+        missing = [column for column in CALIBRATION_COLUMNS if column not in (reader.fieldnames or ())]
+        if reader.fieldnames and missing:
+            raise ConfigError(f"calibration file {self.path}: missing column(s) {', '.join(missing)}")
+        for record in reader:
+            where = f"calibration file {self.path}, line {lines[reader.line_num - 1][0]}"
+            if None in record or not all(record.values()):
+                raise ConfigError(f"{where}: expected {len(CALIBRATION_COLUMNS)} nonempty fields")
+            try:
                 row = CalibrationRow(
                     family_key=record["family"],
                     kind=record["kind"],
@@ -371,20 +331,32 @@ class CalibrationTable:
                     bracket_lo=float(record["bracket_lo"]),
                     bracket_hi=float(record["bracket_hi"]),
                     stat_term=float(record["stat_term"]),
-                    l_max=int(record["l_max"]),
-                    trials_per_probe=int(record["trials_per_probe"]),
+                    settings=ThresholdSettings(
+                        l_schedule=tuple(int(side) for side in record["l_schedule"].split()),
+                        bracket_tol=float(record["bracket_tol"]),
+                        trials_per_probe=int(record["trials_per_probe"]),
+                        coarse_trials=int(record["coarse_trials"]),
+                    ),
                     seed=int(record["seed"]),
                     method=record["method"],
                 )
-                self.rows[row.family_key] = row
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            self.rows[row.family_key] = row
 
     def save(self) -> None:
         if self.path is None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w", newline="") as handle:
-            handle.write("# threshold calibration: bisection on sponge-crossing probability 1/2\n")
-            handle.write("# rows replay bit-exactly from their recorded seed and settings\n")
+            handle.write(
+                "# threshold calibration: coupled bisection on sponge-crossing probability 1/2;"
+                " the bracket holds the median of the top side's per-trial bottleneck values\n"
+            )
+            handle.write(
+                "# rows replay bit-exactly from their recorded seed and settings, and are"
+                " reused only under the same settings and method\n"
+            )
             handle.write(
                 "# external reference anchors (not asserted): z2 bond = 1/2 exactly"
                 " (self-duality); z3 bond ~ 0.2488 (literature)\n"
@@ -409,12 +381,20 @@ class CalibrationTable:
     ) -> CalibrationRow:
         """Return the stored row or compute, persist, and return a fresh one.
 
-        The estimation seed depends only on the master seed and the family
-        key, never on scan order, so a table rebuilt in any order is
-        identical.
+        A stored row computed under other settings or by another method
+        raises :class:`ConfigError` naming every differing field.  The
+        estimation seed depends only on the master seed and the family key,
+        never on scan order, so a table rebuilt in any order is identical.
         """
         row = self.get(family)
         if row is not None:
+            stale = row.mismatches(settings)
+            if stale:
+                raise ConfigError(
+                    f"calibration row {family.key} in {self.path or 'the table'} was computed under"
+                    f" other settings (stored != requested): {'; '.join(stale)}; remove the row or"
+                    " use another calibration file"
+                )
             return row
         seed = derive_seed(master_seed, "threshold", family.key)
         estimate = estimate_pc(family, settings, seed)

@@ -1,12 +1,13 @@
 """What the benchmark under ``perfbench/`` relies on in the package.
 
 ``perfbench/tracer.py`` wraps functions by name in the namespaces that call
-them (``vars(owner)[name]``), and ``perfbench/run.py`` divides certification
-trials by the ``theta`` plus ``containment`` timings of ``manifest.json``.  A
-cleanup that unbinds a traced name, such as ``origin_boundary_estimate`` in
-``trunclab.harness`` (imported there but no longer called), or drops a
-timing key would break ``perfbench/run.py`` while the rest of the suite
-stayed green.
+them (``vars(owner)[name]``), ``perfbench/run.py`` divides certification
+trials by the ``theta`` plus ``containment`` timings of ``manifest.json``, and
+``perfbench/workloads.py`` builds its pipeline config from names it imports,
+``ThresholdSettings`` fields among them.  A cleanup that unbinds a traced
+name, such as ``origin_boundary_estimate`` in ``trunclab.harness`` (imported
+there but no longer called), drops a timing key, or drops a settings field
+would break every benchmark op while the rest of the suite stayed green.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from trunclab.harness import run_pipeline
 
 from test_golden import golden_config
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve the module by name
     spec.loader.exec_module(module)
@@ -33,7 +34,7 @@ def load_tracer():
 
 
 def test_every_traced_name_is_bound():
-    tracing = load_tracer()
+    tracing = load_perfbench("tracer")
     owners = (harness, thresholds, engine, thresholds.LatticeFamily)
     before = {(owner, name): value for owner in owners for name, value in vars(owner).items()}
     tracer = tracing.Tracer()
@@ -51,3 +52,10 @@ def test_manifest_times_theta_and_containment(tmp_path):
     run_pipeline(golden_config(), tmp_path)
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings_seconds"]
     assert {"theta", "containment"} <= timings.keys()
+
+
+def test_benchmark_pipeline_config_builds():
+    workloads = load_perfbench("workloads")  # an unbound imported name raises here
+    config = workloads.pipeline_config(1)
+    assert isinstance(config.thresholds, thresholds.ThresholdSettings)
+    assert config.master_seed == 1

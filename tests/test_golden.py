@@ -1,12 +1,14 @@
 """Golden output: a tiny pipeline whose artifacts must not change by accident.
 
-The calibration digest was recorded before the disjoint-union clustering
-route replaced the per-trial loop, and every change since has kept it.  The
-report and estimates digests were re-recorded when theta moved from
-per-window Philox streams onto the containment pass's keyed trials, which
-changed only the theta rows (their seeds and stream rule).  A change that
-moves these numbers on purpose (a new stream rule, a new estimator) updates
-the digests and says why in CHANGES.md.
+The estimates digest was re-recorded when theta moved from per-window
+Philox streams onto the containment pass's keyed trials, which changed only
+the theta rows (their seeds and stream rule).  The report and calibration
+digests were re-recorded when the threshold estimator moved to probes
+coupled within each window side (method ``coupled-bisection/v2``) and the
+calibration rows began to record every threshold setting; only the report's
+``threshold`` entry and the calibration rows changed.  A change that moves
+these numbers on purpose (a new stream rule, a new estimator) updates the
+digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -16,9 +18,9 @@ from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
 from trunclab.thresholds import ThresholdSettings
 
 DIGESTS = {
-    "report.json": "823763de731d507396ef8f85d332308052ded79f9046c065837b21381ae328ab",
+    "report.json": "836200281c16daf0167c743c37b2647e88b307ab52f7cc46df4ed2bb99fd3d8b",
     "estimates.csv": "11899995e554df6d1a20a77babdda3ba5025c0fd2d27f92b83260b29d9302e5d",
-    "calibration.csv": "187b5830a5097df2667036c77a0fb444ac1f1e9360e3ab0e074119523ba7f4b9",
+    "calibration.csv": "8db442cac2a3696dd6dee1e9503cc42c2c8204bc499d60e7bf75c88fc6dfa536",
 }
 
 

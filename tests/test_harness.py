@@ -11,7 +11,7 @@ from trunclab.harness import (
     run_pipeline,
 )
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
-from trunclab.thresholds import ThresholdSettings
+from trunclab.thresholds import METHOD, CalibrationRow, CalibrationTable, ThresholdSettings
 from trunclab.windows import ConfigError, embedded_radial_window, long_range_radial_window
 
 FAST_THRESHOLDS = ThresholdSettings(
@@ -312,6 +312,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["family"] == "z2"
         assert (tmp_path / "calib.csv").exists()
+
+    def test_pc_command_names_a_corrupted_calibration_file(self, tmp_path, capsys):
+        calib = tmp_path / "calib.csv"
+        calib.write_text("family,kind,dimension\nz2,z2,2\n")
+        code = main(
+            ["pc", "--family", "z2", "--L-schedule", "4,8", "--trials", "200",
+             "--tol", "0.05", "--seed", "5", "--calib", str(calib)]
+        )
+        assert code == 1
+        error = capsys.readouterr().err
+        assert str(calib) in error and "method" in error
+
+    def test_pipeline_refuses_a_stale_calibration_row(self, tmp_path, capsys):
+        calib = tmp_path / "calib.csv"
+        stale = ThresholdSettings(l_schedule=(6, 12, 24), bracket_tol=0.04, trials_per_probe=5000, coarse_trials=150)
+        CalibrationTable(calib).put(
+            CalibrationRow("slab-d3-k1", "slab", 3, 1, 0.49, 0.01, 0.48, 0.5, 0.005, stale, 7, METHOD)
+        )
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("coarse_trials = 150", f"coarse_trials = 150\ncalibration_file = {calib}"))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        error = capsys.readouterr().err
+        assert "slab-d3-k1" in error and "l_schedule" in error and "trials_per_probe" in error
 
     def test_pipeline_command(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

@@ -1,10 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import trunclab.thresholds as thresholds_module
-from trunclab.engine import Estimate
+from trunclab.engine import Estimate, component_labels
+from trunclab.rng import derive_seed, indexed_uniforms
 from trunclab.thresholds import (
-    BracketError,
+    METHOD,
     CalibrationRow,
     CalibrationTable,
     LatticeFamily,
@@ -83,51 +87,91 @@ class TestEstimatePc:
         plane = estimate_pc(LatticeFamily("z2"), FAST, 42)
         assert cubic.p_hat <= plane.p_hat + cubic.uncertainty + plane.uncertainty
 
-    def test_bracket_failure_diagnostics(self, monkeypatch):
-        def never_crosses(window, trials, seed, label=""):
-            return Estimate(0.1, trials, trials // 10, 0.01, seed, "stub", label)
+    def test_probes_are_coupled_within_each_side(self):
+        family = LatticeFamily("slab", 3, 2)
+        estimate = estimate_pc(family, FAST, 11)
+        values_at_top = {0.0: 0.0, 1.0: 1.0}
+        for side in FAST.l_schedule:
+            probes = sorted((pr for pr in estimate.probes if pr.side == side), key=lambda pr: pr.p)
+            assert probes
+            assert {pr.seed for pr in probes} == {derive_seed(11, "pc", family.key, side)}
+            assert all(a.value <= b.value for a, b in zip(probes, probes[1:]))
+            assert all(0.0 < pr.p < 1.0 for pr in probes)
+            if side == FAST.l_schedule[-1]:
+                values_at_top.update((pr.p, pr.value) for pr in probes)
+        assert {pr.trials for pr in estimate.probes if pr.side == 6} == {FAST.coarse_trials}
+        assert {pr.trials for pr in estimate.probes if pr.side == 12} == {FAST.trials_per_probe}
+        low, high = estimate.bracket
+        assert values_at_top[low] < 0.5 <= values_at_top[high]
+        assert high - low <= FAST.bracket_tol
 
-        monkeypatch.setattr(thresholds_module, "crossing_estimate", never_crosses)
-        with pytest.raises(BracketError) as excinfo:
-            estimate_pc(LatticeFamily("z2"), FAST, 1)
-        assert excinfo.value.diagnostics["family"] == "z2"
+    @pytest.mark.parametrize("first, second", [(0.2, 0.8), (0.8, 0.2)])
+    def test_drifted_response_is_transported(self, monkeypatch, first, second):
+        # The step of a monotone stub response moves between the sides: the
+        # carried bracket must widen until it straddles the new step, never
+        # probing 0 or 1.
+        steps = {6: first, 12: second}
+        probed = []
 
-    def test_drifted_response_exhausts_transport(self, monkeypatch):
-        # The large window never reaches 1/2 anywhere: the bracket walks all
-        # the way up and fails with the walk recorded in the diagnostics.
-        def sunk(window, trials, seed, label=""):
-            p = window.probs[0] if window.n_edges else 0.0
-            value = (0.0 if p < 0.4 else 1.0) if window.meta["L"] == FAST.l_schedule[0] else 0.1
-            return Estimate(value, trials, int(value * trials), 0.01, seed, "stub", label)
+        def drifting(window, trials, seed, label=""):
+            p = float(window.probs[0])
+            probed.append(p)
+            value = 1.0 if p >= steps[window.meta["L"]] else 0.0
+            return Estimate(value, trials, int(value * trials), 0.0, seed, "stub", label)
 
-        monkeypatch.setattr(thresholds_module, "crossing_estimate", sunk)
-        with pytest.raises(BracketError) as excinfo:
-            estimate_pc(LatticeFamily("z2"), FAST, 1)
-        assert "stayed below" in str(excinfo.value)
-        assert excinfo.value.diagnostics["probes"]
+        monkeypatch.setattr(thresholds_module, "crossing_estimate", drifting)
+        estimate = estimate_pc(LatticeFamily("z2"), FAST, 1)
+        low, high = estimate.bracket
+        assert low < second <= high
+        assert high - low <= FAST.bracket_tol
+        assert all(0.0 < p < 1.0 for p in probed)
+        # Doubling steps cross the drift in logarithmically many probes.
+        assert sum(pr.side == 12 for pr in estimate.probes) <= 12
 
-    def test_noisy_bracket_widens_trials_then_fails(self, monkeypatch):
-        # Transport sees a straddle, but every later probe at the top window
-        # contradicts it: the noise check must widen trials once and give up.
-        top_calls = {"count": 0}
+    def test_bracket_holds_the_median_bottleneck_value(self):
+        # Trial t crosses at p iff its bottleneck value b_t < p, so the final
+        # bracket [low, high) must hold the ceil(n/2)-th smallest b_t.
+        settings = ThresholdSettings(l_schedule=(4, 8), bracket_tol=0.01, trials_per_probe=101, coarse_trials=50)
+        family = LatticeFamily("slab", 3, 2)
+        estimate = estimate_pc(family, settings, 3)
+        window = family.crossing_window(0.5, 8)
+        left, right = window.terminals["left"], window.terminals["right"]
+        seed = derive_seed(3, "pc", family.key, 8)
 
-        def flipping(window, trials, seed, label=""):
-            p = window.probs[0] if window.n_edges else 0.0
-            if window.meta["L"] == FAST.l_schedule[0]:
-                value = 0.0 if p < 0.4 else 1.0
-            else:
-                top_calls["count"] += 1
-                if top_calls["count"] <= 2:  # transport endpoint probes
-                    value = 0.9 if p >= 0.4 else 0.1
-                else:  # noise-check probes see an inverted response
-                    value = 0.9
-            return Estimate(value, trials, int(value * trials), 0.001, seed, "stub", label)
+        def crosses(open_mask):
+            labels = component_labels(window, open_mask)
+            return np.intersect1d(labels[left], labels[right]).size > 0
 
-        monkeypatch.setattr(thresholds_module, "crossing_estimate", flipping)
-        with pytest.raises(BracketError) as excinfo:
-            estimate_pc(LatticeFamily("z2"), FAST, 1)
-        assert "noise check" in str(excinfo.value)
-        assert top_calls["count"] == 6  # 2 transport + 2 validation + 2 widened validation
+        bottlenecks = []
+        for trial in range(settings.trials_per_probe):
+            uniforms = indexed_uniforms(window.n_edges, seed, trial)
+            ranked = np.sort(uniforms)
+            lo, hi = 0, len(ranked) - 1  # the all-open graph crosses
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if crosses(uniforms <= ranked[mid]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            bottlenecks.append(ranked[lo])
+        median = sorted(bottlenecks)[math.ceil(settings.trials_per_probe / 2) - 1]
+        low, high = estimate.bracket
+        assert low <= median < high
+
+    def test_every_setting_changes_the_probes(self):
+        def probe_points(estimate):
+            return [(pr.side, pr.p, pr.value) for pr in estimate.probes]
+
+        family = LatticeFamily("z2")
+        base = estimate_pc(family, FAST, 9)
+        for change in (
+            {"l_schedule": (6, 10)},
+            {"bracket_tol": 0.02},
+            {"trials_per_probe": 400},
+            {"coarse_trials": 100},
+        ):
+            other = estimate_pc(family, dataclasses.replace(FAST, **change), 9)
+            assert probe_points(other) != probe_points(base), change
 
 
 def _fake_row(key: str, dimension: int, thickness: int, p_hat: float) -> CalibrationRow:
@@ -141,10 +185,9 @@ def _fake_row(key: str, dimension: int, thickness: int, p_hat: float) -> Calibra
         bracket_lo=p_hat - 0.005,
         bracket_hi=p_hat + 0.005,
         stat_term=0.001,
-        l_max=32,
-        trials_per_probe=1000,
+        settings=FAST,
         seed=1,
-        method="stub",
+        method=METHOD,
     )
 
 
@@ -175,6 +218,54 @@ class TestCalibrationTable:
         fresh = CalibrationTable(tmp_path / "calib.csv")
         assert fresh.ensure(family, FAST, 5) == first
         assert calls["count"] == 1
+
+    def test_stale_rows_are_refused_naming_each_field(self, tmp_path):
+        path = tmp_path / "calib.csv"
+        family = LatticeFamily("z2")
+        row = CalibrationTable(path).ensure(family, FAST, 5)
+        # The seed is provenance, not part of the key.
+        assert CalibrationTable(path).ensure(family, FAST, 6) == row
+        other = ThresholdSettings(l_schedule=(6, 12, 24), bracket_tol=0.02, trials_per_probe=5000, coarse_trials=200)
+        with pytest.raises(ConfigError) as excinfo:
+            CalibrationTable(path).ensure(family, other, 5)
+        message = str(excinfo.value)
+        assert str(path) in message and "z2" in message
+        for name in ("l_schedule", "bracket_tol", "trials_per_probe"):
+            assert name in message
+        assert "coarse_trials" not in message
+
+        table = CalibrationTable(path)
+        table.put(dataclasses.replace(row, method="bisection-on-crossing/v1"))
+        with pytest.raises(ConfigError, match="method"):
+            CalibrationTable(path).ensure(family, FAST, 5)
+
+    def test_truncated_row_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "calib.csv"
+        table = CalibrationTable(path)
+        table.put(_fake_row("slab-d3-k1", 3, 1, 0.49))
+        table.put(_fake_row("slab-d3-k2", 3, 2, 0.44))
+        text = path.read_text()
+        last_line = len(text.splitlines())
+        row_start = text.rstrip("\n").rindex("\n") + 1
+        # Cut the last row after each of its commas, and once inside a number.
+        cuts = [i + 1 for i, char in enumerate(text) if char == "," and i > row_start]
+        for cut in cuts + [cuts[4] + 3]:
+            path.write_text(text[:cut])
+            with pytest.raises(ConfigError) as excinfo:
+                CalibrationTable(path)
+            message = str(excinfo.value)
+            assert str(path) in message and f"line {last_line}:" in message, text[:cut]
+
+    def test_missing_column_names_the_file_and_column(self, tmp_path):
+        path = tmp_path / "calib.csv"
+        CalibrationTable(path).put(_fake_row("slab-d3-k2", 3, 2, 0.44))
+        lines = path.read_text().splitlines()
+        kept = [line.rsplit(",", 1)[0] if not line.startswith("#") else line for line in lines]
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            CalibrationTable(path)
+        assert str(path) in str(excinfo.value)
+        assert "method" in str(excinfo.value)
 
     def test_row_replays_from_recorded_seed(self, tmp_path):
         table = CalibrationTable(tmp_path / "calib.csv")
