@@ -58,6 +58,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("--L-schedule", default="8,16,32")
     pc.add_argument("--tol", type=float, default=0.015)
     pc.add_argument("--trials", type=int, default=3000)
+    pc.add_argument("--coarse-trials", type=int, default=600, help="trials per probe on the first side")
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--calib", default=None, help="calibration CSV to update")
 
@@ -106,11 +107,12 @@ def _estimate_command(args) -> int:
 def _pc_command(args) -> int:
     from .thresholds import estimate_pc
 
-    family = LatticeFamily(args.family, args.d, args.K)
+    family = LatticeFamily(args.family, 2 if args.family == "z2" else args.d, args.K)
     settings = ThresholdSettings(
         l_schedule=tuple(int(x) for x in args.L_schedule.replace(",", " ").split()),
         bracket_tol=args.tol,
         trials_per_probe=args.trials,
+        coarse_trials=args.coarse_trials,
     )
     estimate = estimate_pc(family, settings, args.seed)
     if args.calib:

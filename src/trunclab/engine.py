@@ -6,16 +6,16 @@ the uniform for edge ``e`` of trial ``t`` is a pure function of
 so estimates cannot depend on trial execution order and the same lattice
 edge can be coupled across different windows.
 
-Connectivity is computed two ways.  :func:`sample_and_cluster` builds an
-explicit union-find forest, the reference route that tests compare against
-breadth-first search.  Every Monte Carlo estimate answers the same question
-for a whole block of trials at once, with one
-``scipy.sparse.csgraph.connected_components`` call on the disjoint union of
-the block's trial graphs (:func:`component_labels` on a 2-D mask).
-Route-agreement tests pin it to the union-find answer.  The exact oracle,
-:func:`exact_event_probability`, labels its enumerated configurations with
-its own vectorized label-propagation sweep, so Monte Carlo estimates are
-checked against connectivity code they do not share.
+Every Monte Carlo estimate clusters a whole block of trials with one call
+into the compiled union-find kernel (:mod:`trunclab.kernel`):
+:func:`component_labels` labels an open-edge block, and the certification
+pass draws its keyed trials and labels them in the same kernel loop.  There
+is no second route in the package.  The tests keep scipy's
+``connected_components`` and the pure-Python :class:`UnionFind` (which
+:func:`sample_and_cluster` builds) as references the kernel must agree with.
+The exact oracle, :func:`exact_event_probability`, labels its enumerated
+configurations with its own vectorized label-propagation sweep, so Monte
+Carlo estimates are checked against connectivity code they do not share.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
+from .kernel import mask_labels
 from .rng import (
     INDEXED_STREAM_RULE,
     indexed_uniform_matrix,
@@ -121,51 +120,18 @@ def sample_and_cluster(
 
 
 def component_labels(window: GraphWindow, open_mask: np.ndarray) -> np.ndarray:
-    """Component label per vertex of the open subgraph (scipy route).
+    """Component label per vertex of the open subgraph.
 
     ``open_mask`` is either one trial's ``(n_edges,)`` mask, giving
     ``(n_vertices,)`` labels, or a ``(batch, n_edges)`` block of trials,
-    giving ``(batch, n_vertices)`` labels.  A block is clustered in one
-    ``connected_components`` call on the disjoint union of its trial graphs,
-    so a label never repeats across rows: two vertices of any rows share a
-    label iff they lie in the same trial and the same component.
+    giving ``(batch, n_vertices)`` labels.  A label never repeats across
+    rows: two vertices of any rows share a label iff they lie in the same
+    trial and the same component.
     """
     open_mask = np.asarray(open_mask, dtype=bool)
     if open_mask.ndim == 1:
-        return _union_labels(window, open_mask[None, :])[0]
-    return _union_labels(window, open_mask)
-
-
-def _union_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
-    """Labels of the disjoint union of ``batch`` trial graphs, built straight as CSR.
-
-    Vertex ``i`` of trial ``t`` is union vertex ``t * n + i``.  With the
-    edges grouped by ``edges_u`` (:attr:`GraphWindow.edge_rows`), the open
-    edges of one union row are contiguous in the flattened mask, so
-    ``indptr`` is the running open-edge count read at each row's first edge.
-    """
-    n = window.n_vertices
-    batch = open_matrix.shape[0]
-    if batch == 0:
-        return np.empty((0, n), dtype=np.int32)
-    edges_v = window.edges_v
-    n_edges = edges_v.shape[0]
-    if batch * max(n, n_edges) > np.iinfo(np.int32).max:
-        raise ValueError(f"a block of {batch} trials overflows the union's 32-bit CSR indices")
-    order, row_starts = window.edge_rows
-    if order is not None:
-        edges_v, open_matrix = edges_v[order], open_matrix[:, order]
-    open_before = np.zeros(batch * n_edges + 1, dtype=np.int32)
-    np.cumsum(open_matrix.ravel(), out=open_before[1:])
-    trial_starts = np.arange(batch, dtype=np.int64)[:, None] * n_edges
-    indptr = np.empty(batch * n + 1, dtype=np.int32)
-    indptr[:-1] = open_before[(trial_starts + row_starts).ravel()]
-    indptr[-1] = open_before[-1]
-    offsets = np.arange(batch, dtype=np.int32)[:, None] * np.int32(n)
-    indices = (edges_v.astype(np.int32)[None, :] + offsets)[open_matrix]
-    data = np.ones(indices.shape[0], dtype=np.float64)
-    graph = csr_matrix((data, indices, indptr), shape=(batch * n, batch * n))
-    return connected_components(graph, directed=False)[1].reshape(batch, n)
+        return mask_labels(window, open_mask[None, :])[0]
+    return mask_labels(window, open_mask)
 
 
 def propagation_labels(
@@ -212,7 +178,7 @@ def _connected_batch(labels: np.ndarray, left: np.ndarray, right: np.ndarray) ->
 
 
 def _union_hits(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row connection test on disjoint-union labels (unique across rows).
+    """Per-row connection test on block labels (unique across rows).
 
     Marks the labels of every left terminal, then asks whether any right
     terminal carries a marked label.
@@ -283,9 +249,9 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
     )
 
 
-# Uniforms drawn (and edges or vertices clustered) per block of trials on
-# the disjoint-union route.  It sets the route's peak memory: 200k uniforms kept
-# the pipeline benchmark's peak RSS below the per-trial loop's, 1M did not.
+# Uniforms drawn (and edges or vertices clustered) per block of trials.  It
+# sets the block route's peak memory: 200k uniforms kept the pipeline
+# benchmark's peak RSS below the per-trial loop's, 1M did not.
 BLOCK_UNIFORMS = 200_000
 
 
@@ -293,10 +259,10 @@ def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]
     """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS uniforms each
     across ``windows``, and at least one trial.
 
-    A window weighs its edge or its vertex count, whichever is larger: the
-    union graph of a block has a row per vertex of every trial, so a window
-    with many vertices and few edges must not get a block that overflows the
-    union's 32-bit indices.
+    A window weighs its edge or its vertex count, whichever is larger: a
+    block's labels hold an entry per vertex of every trial, so a window with
+    many vertices and few edges must not get a block that overflows the
+    kernel's 32-bit labels.
     """
     per_trial = max(1, sum(max(window.n_edges, window.n_vertices) for window in windows))
     rows = max(1, BLOCK_UNIFORMS // per_trial)

@@ -32,17 +32,26 @@ from .embedding import (
     select_scales,
     verify_isomorphism,
 )
+# component_labels, origin_boundary_estimate and keyed_uniforms are not
+# called here (the certification pass draws and clusters its trials in the
+# kernel's keyed_labels), but they stay bound: the benchmark's tracer wraps
+# each by name in this namespace.
 from .engine import (
     Estimate,
     _make_estimate,
     _union_hits,
-    component_labels,
-    # Not called here since theta comes from the containment pass, but kept
-    # bound: the benchmark's tracer wraps it by name in this namespace.
+    component_labels,  # noqa: F401
     origin_boundary_estimate,  # noqa: F401
     trial_blocks,
 )
-from .rng import INDEXED_STREAM_RULE, KEYED_STREAM_RULE, derive_seed, keyed_uniforms
+from .kernel import keyed_labels
+from .rng import (
+    INDEXED_STREAM_RULE,
+    KEYED_STREAM_RULE,
+    derive_seed,
+    keyed_uniforms,  # noqa: F401
+    open_thresholds,
+)
 from .sequences import EpsilonCertificate, ProbabilitySequence
 from .thresholds import (
     CalibrationTable,
@@ -219,11 +228,6 @@ class ContainmentReport:
         }
 
 
-def _open_rows(keys: np.ndarray, probs: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
-    """Keyed-stream open masks of trials ``start .. stop - 1``, one row each."""
-    return np.stack([keyed_uniforms(keys, seed, t) for t in range(start, stop)]) < probs
-
-
 def containment_check(
     embedded: GraphWindow,
     full: GraphWindow,
@@ -238,14 +242,14 @@ def containment_check(
     ``embedded`` and ``full`` are the radial windows of one radius, built by
     :func:`embedded_radial_window` and :func:`long_range_radial_window` on the
     same truncated sequence.  The pass draws ``max(trials, theta_trials)``
-    trials from the keyed streams, one by one, so every lattice edge the two
-    windows share draws the same uniform, and clusters each block of trials
-    once per window.  On the first ``theta_trials`` trials it scores both
-    origin-to-boundary reaches (``embedded_reach``/``full_reach``).  On the
-    first ``trials`` trials it asserts that every open embedded edge is open
-    in the full truncated configuration and that the origin's embedded
-    cluster sits inside its full cluster; violations are reported in trial
-    order.
+    trials from the keyed streams, so every lattice edge the two windows
+    share draws the same uniform; the kernel draws and clusters each block
+    of trials in one call per window.  On the first ``theta_trials`` trials
+    it scores both origin-to-boundary reaches
+    (``embedded_reach``/``full_reach``).  On the first ``trials`` trials it
+    asserts that every open embedded edge is open in the full truncated
+    configuration and that the origin's embedded cluster sits inside its
+    full cluster; violations are reported in trial order.
 
     ``corrupt_edge`` (test hook) decouples one embedded edge's uniform from
     the shared stream, which must surface as a reported violation.
@@ -289,12 +293,15 @@ def containment_check(
     if corrupt_edge is not None:
         embedded_keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
 
+    embedded_thresholds, full_thresholds = open_thresholds(embedded.probs), open_thresholds(full.probs)
     reached = {"embedded": 0, "full": 0}
     for start, stop in trial_blocks(max(compared, theta_trials), embedded, full):
-        open_embedded = _open_rows(embedded_keys, embedded.probs, master_seed, start, stop)
-        open_full = _open_rows(full.edge_keys, full.probs, master_seed, start, stop)
-        labels_emb = component_labels(embedded, open_embedded)
-        labels_full = component_labels(full, open_full)
+        open_embedded, labels_emb = keyed_labels(
+            embedded, embedded_keys, embedded_thresholds, master_seed, start, stop
+        )
+        open_full, labels_full = keyed_labels(
+            full, full.edge_keys, full_thresholds, master_seed, start, stop
+        )
         scored = min(stop, theta_trials) - start
         if scored > 0:
             for name, window, labels in (

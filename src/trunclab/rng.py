@@ -16,6 +16,13 @@ trials can run in any order (or in parallel) without changing a single draw:
   containment assertions exact per trial instead of merely statistical.  The
   pipeline's certification pass draws both its reach (theta) and its
   containment trials from them.
+
+A keyed uniform is ``u = (word >> 11) * 2^-53`` for a 64-bit ``word``.  Both
+that product and ``p * 2^53`` are exact in binary floating point, so for an
+integer ``k = word >> 11`` the test ``u < p`` is exactly ``k < ceil(p * 2^53)``
+(:func:`open_thresholds`).  The compiled kernel (:mod:`trunclab.kernel`)
+draws the words itself and compares them as integers, which yields the same
+open masks as ``keyed_uniforms(...) < probs`` bit for bit.
 """
 
 from __future__ import annotations
@@ -101,3 +108,9 @@ def keyed_uniforms(edge_keys: np.ndarray, seed: int, trial_index: int) -> np.nda
     stamp = mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ mix64(np.uint64(trial_index) + np.uint64(1)))
     words = mix64(edge_keys ^ stamp)
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def open_thresholds(probs: np.ndarray) -> np.ndarray:
+    """``ceil(p * 2^53)`` per edge: keyed word ``w`` opens the edge iff ``(w >> 11)``
+    is below it, exactly when the edge's keyed uniform is below ``p``."""
+    return np.ceil(np.asarray(probs, dtype=np.float64) * 2.0**53).astype(np.uint64)

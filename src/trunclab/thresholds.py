@@ -136,7 +136,9 @@ class ThresholdEstimate:
             "bracket": list(self.bracket),
             "stat_term": self.stat_term,
             "L_schedule": list(self.settings.l_schedule),
+            "bracket_tol": self.settings.bracket_tol,
             "trials_per_probe": self.settings.trials_per_probe,
+            "coarse_trials": self.settings.coarse_trials,
             "master_seed": self.master_seed,
             "method": self.method,
             "probes": [p.to_dict() for p in self.probes],

@@ -15,7 +15,6 @@ heavy-tailed sequences they would dominate the edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -64,23 +63,6 @@ class GraphWindow:
     def edge_pairs(self) -> Iterator[tuple[tuple, tuple, float]]:
         for u, v, p in zip(self.edges_u, self.edges_v, self.probs):
             yield tuple(self.coords[u]), tuple(self.coords[v]), float(p)
-
-    @cached_property
-    def edge_rows(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The edge list grouped by first endpoint, computed once per window.
-
-        Returns ``(order, starts)``: ``order`` stably sorts the edges by
-        ``edges_u`` (None when ``edges_u`` is already nondecreasing, as every
-        builder leaves it), and ``starts[i]`` is the position in that order of
-        vertex ``i``'s first edge.  The edge arrays must not be changed after
-        the first read.
-        """
-        edges_u = self.edges_u
-        order = None
-        if np.any(edges_u[1:] < edges_u[:-1]):
-            order = np.argsort(edges_u, kind="stable")
-            edges_u = edges_u[order]
-        return order, np.searchsorted(edges_u, np.arange(self.n_vertices, dtype=edges_u.dtype))
 
     def describe(self) -> str:
         parts = [f"{key}={value}" for key, value in sorted(self.meta.items())]

@@ -7,6 +7,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from trunclab.sequences import ProbabilitySequence
 
@@ -56,6 +58,36 @@ def bfs_components(n_vertices, edge_list):
                     queue.append(other)
         components.add(frozenset(members))
     return components
+
+
+def scipy_union_labels(window, open_matrix):
+    """Reference labels of a ``(batch, n_edges)`` block from scipy's ``connected_components``.
+
+    Vertex ``i`` of trial ``t`` is vertex ``t * n + i`` of one disjoint-union
+    graph, built straight as CSR: with the edges stably sorted by ``edges_u``,
+    the open edges of one union row are contiguous in the flattened mask, so
+    ``indptr`` is the running open-edge count read at each row's first edge.
+    Labels are unique across rows.
+    """
+    n = window.n_vertices
+    open_matrix = np.asarray(open_matrix, dtype=bool)
+    batch = open_matrix.shape[0]
+    order = np.argsort(window.edges_u, kind="stable")
+    edges_u, edges_v = window.edges_u[order], window.edges_v[order]
+    open_matrix = open_matrix[:, order]
+    n_edges = edges_v.shape[0]
+    row_starts = np.searchsorted(edges_u, np.arange(n, dtype=edges_u.dtype))
+    open_before = np.zeros(batch * n_edges + 1, dtype=np.int64)
+    np.cumsum(open_matrix.ravel(), out=open_before[1:])
+    trial_starts = np.arange(batch, dtype=np.int64)[:, None] * n_edges
+    indptr = np.empty(batch * n + 1, dtype=np.int64)
+    indptr[:-1] = open_before[(trial_starts + row_starts).ravel()]
+    indptr[-1] = open_before[-1]
+    offsets = np.arange(batch, dtype=np.int64)[:, None] * n
+    indices = (edges_v.astype(np.int64)[None, :] + offsets)[open_matrix]
+    data = np.ones(indices.shape[0], dtype=np.float64)
+    graph = csr_matrix((data, indices, indptr), shape=(batch * n, batch * n))
+    return connected_components(graph, directed=False)[1].reshape(batch, n)
 
 
 def random_sequence(rng: np.random.Generator) -> ProbabilitySequence:

@@ -1,8 +1,7 @@
-"""Route agreement for the disjoint-union clustering route.
+"""Route agreement for the block clustering route.
 
-The batch estimators cluster a whole block of trials in one
-``connected_components`` call; these tests pin that route to one trial at a
-time: 2-D against 1-D ``component_labels``, block-offset Philox matrices
+The batch estimators cluster a whole block of trials in one kernel call;
+these tests pin that route to one trial at a time: 2-D against 1-D ``component_labels``, block-offset Philox matrices
 against per-trial streams, and the block-wise containment pass (reaches and
 containment) against per-trial reference loops.
 """
@@ -17,6 +16,7 @@ import pytest
 from trunclab import engine
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import (
+    UnionFind,
     component_labels,
     exact_event_probability,
     mc_event_probability,
@@ -36,7 +36,7 @@ from trunclab.windows import (
     slab_crossing_window,
 )
 
-from conftest import bfs_components
+from conftest import bfs_components, scipy_union_labels
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
@@ -100,7 +100,7 @@ def test_estimates_over_ragged_blocks_match_per_trial_loop(graph, kind, monkeypa
 
 def test_blocks_of_an_edgeless_window_fit_the_union_indices():
     # 14,641 vertices and no edge: a block is sized by its vertices, so the
-    # disjoint union of a block stays inside the 32-bit CSR indices.
+    # labels of a block stay inside the kernel's 32-bit labels.
     window = long_range_radial_window(PS.constant(0.0), 60)
     assert window.n_edges == 0
     blocks = list(trial_blocks(200_000, window))
@@ -148,11 +148,17 @@ def test_unsorted_edge_list():
     configs = np.arange(1 << len(edges))
     block = ((configs[:, None] >> np.arange(len(edges))) & 1).astype(bool)
     labels = component_labels(window, block)
+    reference = scipy_union_labels(window, block)
     for row, mask in enumerate(block):
         open_edges = [edge for edge, is_open in zip(edges, mask) if is_open]
         parts = {frozenset(np.nonzero(labels[row] == label)[0].tolist()) for label in set(labels[row].tolist())}
         assert parts == bfs_components(6, open_edges)
         assert same_partition(component_labels(window, mask), labels[row])
+        assert same_partition(reference[row], labels[row])
+        forest = UnionFind(6)
+        for u, v in open_edges:
+            forest.union(u, v)
+        assert same_partition(forest.labels(), labels[row])
 
 
 def test_matrix_start_offsets_per_trial_streams():

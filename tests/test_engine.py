@@ -33,7 +33,7 @@ from trunclab.windows import (
     slab_crossing_window,
 )
 
-from conftest import bfs_components
+from conftest import bfs_components, scipy_union_labels
 
 PS = ProbabilitySequence
 
@@ -184,15 +184,16 @@ class TestSampling:
         window = long_range_radial_window(PS.constant(0.5).truncate(2), 3)
         for trial in range(20):
             open_mask = trial_open_mask(window, 99, trial)
-            scipy_labels = component_labels(window, open_mask)
+            scipy_labels = scipy_union_labels(window, open_mask[None, :])[0]
             forest = UnionFind(window.n_vertices)
             for e in np.nonzero(open_mask)[0]:
                 forest.union(int(window.edges_u[e]), int(window.edges_v[e]))
             uf_labels = forest.labels()
-            # Same partitions (labels may differ by renaming).
-            assert len(set(zip(scipy_labels.tolist(), uf_labels.tolist()))) == len(
-                set(scipy_labels.tolist())
-            ) == len(set(uf_labels.tolist()))
+            # Same partitions (labels may differ by renaming), and the kernel's too.
+            for labels in (scipy_labels, component_labels(window, open_mask)):
+                assert len(set(zip(labels.tolist(), uf_labels.tolist()))) == len(
+                    set(labels.tolist())
+                ) == len(set(uf_labels.tolist()))
 
 
 class TestUnionFindAgainstBreadthFirstSearch:
@@ -310,6 +311,6 @@ def test_propagation_labels_match_scipy(rng):
     open_matrix = uniforms < window.probs
     batch = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_matrix)
     for t in range(trials):
-        reference = component_labels(window, open_matrix[t])
+        reference = scipy_union_labels(window, open_matrix[t : t + 1])[0]
         pairs = set(zip(batch[t].tolist(), reference.tolist()))
         assert len(pairs) == len(set(reference.tolist()))

@@ -11,7 +11,7 @@ from trunclab.harness import (
     run_pipeline,
 )
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
-from trunclab.thresholds import METHOD, CalibrationRow, CalibrationTable, ThresholdSettings
+from trunclab.thresholds import METHOD, CalibrationRow, CalibrationTable, LatticeFamily, ThresholdSettings
 from trunclab.windows import ConfigError, embedded_radial_window, long_range_radial_window
 
 FAST_THRESHOLDS = ThresholdSettings(
@@ -312,6 +312,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["family"] == "z2"
         assert (tmp_path / "calib.csv").exists()
+
+    def test_pc_row_is_reused_under_its_own_settings(self, tmp_path, capsys):
+        calib = tmp_path / "calib.csv"
+        code = main(
+            ["pc", "--family", "z2", "--L-schedule", "4,8", "--trials", "200", "--coarse-trials", "40",
+             "--tol", "0.05", "--seed", "5", "--calib", str(calib)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["coarse_trials"] == 40 and payload["bracket_tol"] == 0.05
+        settings = ThresholdSettings(l_schedule=(4, 8), bracket_tol=0.05, trials_per_probe=200, coarse_trials=40)
+        table = CalibrationTable(calib)
+        stored = table.rows["z2"]
+        assert stored.dimension == 2
+        assert stored.mismatches(settings) == []
+        assert table.ensure(LatticeFamily("z2"), settings, master_seed=99) is stored
 
     def test_pc_command_names_a_corrupted_calibration_file(self, tmp_path, capsys):
         calib = tmp_path / "calib.csv"
