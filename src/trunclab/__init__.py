@@ -26,7 +26,6 @@ from .engine import (
     mc_event_probability,
     origin_boundary_estimate,
     origin_radius_profile,
-    sample_and_cluster,
 )
 from .harness import (
     PipelineConfig,
@@ -75,7 +74,6 @@ __all__ = [
     "origin_boundary_estimate",
     "origin_radius_profile",
     "run_pipeline",
-    "sample_and_cluster",
     "scan_support",
     "select_scales",
     "verify_isomorphism",

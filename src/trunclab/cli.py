@@ -11,19 +11,11 @@ import json
 import sys
 
 from .embedding import EmbeddedGraph, HypothesisNotWitnessed, SlabParameters, select_scales, verify_isomorphism
-from .engine import crossing_estimate, origin_boundary_estimate
+from .engine import mc_event_probability
 from .harness import load_config, run_pipeline
 from .sequences import ProbabilitySequence
 from .thresholds import CalibrationTable, LatticeFamily, ThresholdSettings
-from .windows import (
-    ConfigError,
-    grid_crossing_window,
-    grid_radial_window,
-    long_range_crossing_window,
-    long_range_radial_window,
-    slab_crossing_window,
-    slab_radial_window,
-)
+from .windows import ConfigError, lattice_window, long_range_crossing_window, long_range_radial_window
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,23 +67,13 @@ def _estimate_command(args) -> int:
     if args.family != "z2" and args.N != 1:
         print(f"error: --N applies to the z2 family only, not {args.family}", file=sys.stderr)
         return 1
-    seq = ProbabilitySequence.constant(args.p).truncate(args.N)
-    if args.event == "crossing":
-        if args.family == "z2":
-            window = long_range_crossing_window(seq, args.L)
-        elif args.family == "zd":
-            window = grid_crossing_window(args.d, args.p, args.L)
-        else:
-            window = slab_crossing_window(args.d, args.K, args.p, args.L)
-        estimate = crossing_estimate(window, args.trials, args.seed)
+    event = "crossing" if args.event == "crossing" else "origin_boundary"
+    if args.family == "z2":
+        build = long_range_crossing_window if event == "crossing" else long_range_radial_window
+        window = build(ProbabilitySequence.constant(args.p).truncate(args.N), args.L)
     else:
-        if args.family == "z2":
-            window = long_range_radial_window(seq, args.L)
-        elif args.family == "zd":
-            window = grid_radial_window(args.d, args.p, args.L)
-        else:
-            window = slab_radial_window(args.d, args.K, args.p, args.L)
-        estimate = origin_boundary_estimate(window, args.trials, args.seed)
+        window = lattice_window(args.d, args.p, args.L, event, args.K if args.family == "slab" else None)
+    estimate = mc_event_probability(window, event, args.trials, args.seed)
     params = f"p={args.p};L={args.L};N={args.N}"
     if args.family != "z2":
         params += f";d={args.d}"

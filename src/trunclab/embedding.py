@@ -180,7 +180,10 @@ class EmbeddedGraph:
                 f"{self.params.dimension}, got {len(self.scales)}"
             )
         if self.scales.thickness != self.params.thickness:
-            raise ValueError("scale vector was validated against a different thickness")
+            raise ValueError(
+                f"scale vector was validated against thickness {self.scales.thickness}, "
+                f"not the slab's thickness {self.params.thickness}"
+            )
 
     @property
     def scale_set(self) -> frozenset[int]:

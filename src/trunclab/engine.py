@@ -11,8 +11,8 @@ into the compiled union-find kernel (:mod:`trunclab.kernel`):
 :func:`component_labels` labels an open-edge block, and the certification
 pass draws its keyed trials and labels them in the same kernel loop.  There
 is no second route in the package.  The tests keep scipy's
-``connected_components`` and the pure-Python :class:`UnionFind` (which
-:func:`sample_and_cluster` builds) as references the kernel must agree with.
+``connected_components`` and a per-trial sampler on the pure-Python
+:class:`UnionFind` as references the kernel must agree with.
 The exact oracle, :func:`exact_event_probability`, labels its enumerated
 configurations with its own vectorized label-propagation sweep, so Monte
 Carlo estimates are checked against connectivity code they do not share.
@@ -79,21 +79,6 @@ class UnionFind:
         return np.array([self.find(i) for i in range(len(self.parent))], dtype=np.int64)
 
 
-@dataclass
-class ClusterState:
-    """One sampled configuration: open-edge mask plus its union-find forest."""
-
-    window: GraphWindow
-    open_mask: np.ndarray
-    forest: UnionFind
-
-    def same_component(self, a: int, b: int) -> bool:
-        return self.forest.connected(a, b)
-
-    def open_edge_count(self) -> int:
-        return int(self.open_mask.sum())
-
-
 def trial_open_mask(window: GraphWindow, master_seed: int, trial_index: int, keyed: bool = False) -> np.ndarray:
     """Open/closed state of every edge for one trial (edge open iff u < p)."""
     if keyed:
@@ -103,20 +88,6 @@ def trial_open_mask(window: GraphWindow, master_seed: int, trial_index: int, key
     else:
         uniforms = indexed_uniforms(window.n_edges, master_seed, trial_index)
     return uniforms < window.probs
-
-
-def sample_and_cluster(
-    window: GraphWindow,
-    master_seed: int,
-    trial_index: int,
-    keyed: bool = False,
-) -> ClusterState:
-    """Sample one configuration and build its union-find forest."""
-    open_mask = trial_open_mask(window, master_seed, trial_index, keyed=keyed)
-    forest = UnionFind(window.n_vertices)
-    for e in np.nonzero(open_mask)[0]:
-        forest.union(int(window.edges_u[e]), int(window.edges_v[e]))
-    return ClusterState(window, open_mask, forest)
 
 
 def component_labels(window: GraphWindow, open_mask: np.ndarray) -> np.ndarray:

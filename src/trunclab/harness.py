@@ -98,6 +98,11 @@ class PipelineConfig:
             raise ConfigError("scale_search_limit must be positive")
         if list(self.theta_radii) != sorted(set(self.theta_radii)) or not self.theta_radii:
             raise ConfigError("theta radii must be a nonempty increasing list")
+        if min(self.theta_radii) < 1:
+            raise ConfigError(f"theta_radii entries must be >= 1, got {min(self.theta_radii)}")
+        for name in ("verify_coarse", "verify_vertical"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.positivity_floor < 0 or self.positivity_floor > 1:
             raise ConfigError("positivity floor must lie in [0, 1]")
         if self.theta_trials < 1 or self.containment_trials < 0:

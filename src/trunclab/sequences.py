@@ -90,16 +90,28 @@ class ProbabilitySequence:
 
     @staticmethod
     def from_table_file(path: str | Path, tail: float = 0.0) -> "ProbabilitySequence":
-        """Read a two-column text file of ``n p`` rows covering n = 1..max."""
+        """Read a two-column text file of ``n p`` rows covering n = 1..max.
+
+        A malformed row, a length below 1 or listed twice, or a probability
+        outside [0, 1] raises ``ValueError`` naming ``path:line``.
+        """
         rows: dict[int, float] = {}
         for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'n p', got {line!r}")
-            rows[int(fields[0])] = float(fields[1])
+            try:
+                if len(fields) != 2:
+                    raise ValueError(f"expected 'n p', got {line!r}")
+                length = int(fields[0])
+                if length < 1:
+                    raise ValueError(f"length {length} is below 1")
+                if length in rows:
+                    raise ValueError(f"length {length} is listed twice")
+                rows[length] = _check_probability(fields[1], "probability")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: no data rows")
         top = max(rows)

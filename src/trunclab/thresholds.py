@@ -30,13 +30,7 @@ from .embedding import SlabParameters
 from .engine import binomial_half_width, crossing_estimate
 from .rng import derive_seed
 from .sequences import ProbabilitySequence
-from .windows import (
-    ConfigError,
-    GraphWindow,
-    grid_crossing_window,
-    long_range_crossing_window,
-    slab_crossing_window,
-)
+from .windows import ConfigError, GraphWindow, lattice_window, long_range_crossing_window
 
 
 class ParametersNotFound(Exception):
@@ -74,9 +68,8 @@ class LatticeFamily:
     def crossing_window(self, p: float, side: int) -> GraphWindow:
         if self.kind == "z2":
             return long_range_crossing_window(ProbabilitySequence.constant(p).truncate(1), side)
-        if self.kind == "zd":
-            return grid_crossing_window(self.dimension, p, side)
-        return slab_crossing_window(self.dimension, self.thickness, p, side)
+        thickness = self.thickness if self.kind == "slab" else None
+        return lattice_window(self.dimension, p, side, "crossing", thickness)
 
 
 # Names the estimator in every ThresholdEstimate and calibration row; a

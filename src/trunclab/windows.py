@@ -1,5 +1,11 @@
 """Finite graph windows with enumerable, deterministically ordered edge lists.
 
+There are two kinds of window.  Boxes, the planar long-range ones and the
+nearest-neighbor Z^d and slab ones of :func:`lattice_window`, all come from
+one box builder, which also attaches the crossing or the origin/boundary
+terminals.  The embedded window is the embedded slab graph inside a planar
+box.
+
 Every builder lists vertices in lexicographic coordinate order and, per
 vertex, edges toward lexicographically larger endpoints in a fixed offset
 order.  Identical inputs therefore always produce identical edge orderings,
@@ -132,44 +138,74 @@ def _box_coords(ranges: list[range]) -> np.ndarray:
     return np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _box_edges(shape: tuple[int, ...], steps: list[list[tuple[int, float]]]) -> Edges:
+def _box_edges(shape: tuple[int, ...], steps: list[tuple[int, float]]) -> Edges:
     """Axis-parallel edges of a box with ``shape[a]`` points along axis ``a``.
 
-    ``steps[a]`` lists the ``(length, probability)`` steps along axis ``a``.
-    A vertex index is the row-major rank of the vertex in the box, so a step
-    of length ``n`` along axis ``a`` adds ``n`` times that axis's stride, and
-    the edge exists iff the coordinate stays inside the box.  Edges come
-    vertex by vertex, and per vertex axis by axis in the order of ``steps``,
-    which is the edge order the module docstring promises.
+    ``steps`` lists the ``(length, probability)`` steps taken along every
+    axis.  A vertex index is the row-major rank of the vertex in the box, so
+    a step of length ``n`` along axis ``a`` adds ``n`` times that axis's
+    stride, and the edge exists iff the coordinate stays inside the box.
+    Edges come vertex by vertex, and per vertex axis by axis in the order of
+    ``steps``, which is the edge order the module docstring promises.
     """
     position = np.indices(shape).reshape(len(shape), -1)
     strides = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
-    slot_axis = np.array([a for a, axis_steps in enumerate(steps) for _ in axis_steps], dtype=np.intp)
-    lengths = np.array([n for axis_steps in steps for n, _ in axis_steps], dtype=np.int64)
-    probs = np.array([p for axis_steps in steps for _, p in axis_steps], dtype=np.float64)
+    slot_axis = np.repeat(np.arange(len(shape)), len(steps))
+    lengths = np.tile(np.array([n for n, _ in steps], dtype=np.int64), len(shape))
+    probs = np.tile(np.array([p for _, p in steps], dtype=np.float64), len(shape))
     inside = position[slot_axis].T + lengths < np.asarray(shape)[slot_axis]
     edges_u, slot = np.nonzero(inside)
     edges_v = edges_u + lengths[slot] * strides[slot_axis[slot]]
     return edges_u, edges_v, probs[slot], lengths[slot]
 
 
-def _long_range_window(
-    seq: ProbabilitySequence,
-    x_range: range,
-    y_range: range,
-    max_span: int,
-) -> tuple[np.ndarray, Edges]:
-    """Coordinates and long-range edges of the planar box ``x_range x y_range``."""
-    cap = max_span if seq.truncation is None else min(seq.truncation, max_span)
-    steps = [(n, seq.probability(n)) for n in seq.supported_lengths(cap)]
-    coords = _box_coords([x_range, y_range])
-    return coords, _box_edges((len(x_range), len(y_range)), [steps, steps])
-
-
 def _origin(coords: np.ndarray) -> int | None:
     """Index of the all-zero point among ``coords``, or None."""
     hits = np.flatnonzero(~coords.any(axis=1))
     return int(hits[0]) if hits.size else None
+
+
+def _box_window(
+    family: str,
+    ranges: list[range],
+    steps: list[tuple[int, float]],
+    event: str | None,
+    meta: dict,
+    with_keys: bool,
+    free_axes: int | None = None,
+) -> GraphWindow:
+    """The box ``ranges[0] x ranges[1] x ...`` with ``steps`` along every axis.
+
+    ``event`` picks the terminals: ``"crossing"`` joins the first and the
+    last slice of axis 0; ``"origin_boundary"`` marks the origin and the rim,
+    the points whose sup-norm over the first ``free_axes`` axes (all axes by
+    default) is ``ranges[0].stop - 1``; ``None`` attaches none.
+    """
+    coords = _box_coords(ranges)
+    edges = _box_edges(tuple(len(r) for r in ranges), steps)
+    origin = None
+    if event == "crossing":
+        terminals = {
+            "left": np.flatnonzero(coords[:, 0] == ranges[0].start),
+            "right": np.flatnonzero(coords[:, 0] == ranges[0].stop - 1),
+        }
+    elif event == "origin_boundary":
+        origin = _origin(coords)
+        rim = np.abs(coords[:, :free_axes]).max(axis=1) == ranges[0].stop - 1
+        terminals = {"origin": [origin], "boundary": np.flatnonzero(rim)}
+    else:
+        terminals = {}
+    return _finish(family, coords, edges, terminals, origin, meta, with_keys)
+
+
+def _long_range_window(
+    seq: ProbabilitySequence, ranges: list[range], event: str | None, meta: dict
+) -> GraphWindow:
+    """Planar box ``ranges[0] x ranges[1]`` with an edge of every supported length that fits in it."""
+    span = max(len(r) for r in ranges) - 1
+    cap = span if seq.truncation is None else min(seq.truncation, span)
+    steps = [(n, seq.probability(n)) for n in seq.supported_lengths(cap)]
+    return _box_window("z2-long-range", ranges, steps, event, {**meta, "seq": seq.describe()}, with_keys=True)
 
 
 def long_range_box_window(
@@ -186,10 +222,8 @@ def long_range_box_window(
     (x_lo, x_hi), (y_lo, y_hi) = x_extent, y_extent
     if x_hi < x_lo or y_hi < y_lo:
         raise ConfigError("box extents must be nonempty")
-    span = max(x_hi - x_lo, y_hi - y_lo, 1)
-    coords, edges = _long_range_window(seq, range(x_lo, x_hi + 1), range(y_lo, y_hi + 1), span)
-    meta = {"x": list(x_extent), "y": list(y_extent), "seq": seq.describe()}
-    return _finish("z2-long-range", coords, edges, {}, None, meta, with_keys=True)
+    ranges = [range(x_lo, x_hi + 1), range(y_lo, y_hi + 1)]
+    return _long_range_window(seq, ranges, None, {"x": list(x_extent), "y": list(y_extent)})
 
 
 def long_range_crossing_window(seq: ProbabilitySequence, side: int) -> GraphWindow:
@@ -201,13 +235,7 @@ def long_range_crossing_window(seq: ProbabilitySequence, side: int) -> GraphWind
     """
     if side < 1:
         raise ConfigError("crossing window needs side >= 1")
-    coords, edges = _long_range_window(seq, range(side + 2), range(side + 1), side + 1)
-    terminals = {
-        "left": np.flatnonzero(coords[:, 0] == 0),
-        "right": np.flatnonzero(coords[:, 0] == side + 1),
-    }
-    meta = {"L": side, "seq": seq.describe()}
-    return _finish("z2-long-range", coords, edges, terminals, None, meta, with_keys=True)
+    return _long_range_window(seq, [range(side + 2), range(side + 1)], "crossing", {"L": side})
 
 
 def long_range_radial_window(seq: ProbabilitySequence, radius: int) -> GraphWindow:
@@ -219,99 +247,46 @@ def long_range_radial_window(seq: ProbabilitySequence, radius: int) -> GraphWind
     """
     if radius < 1:
         raise ConfigError("radial window needs radius >= 1")
-    span = range(-radius, radius + 1)
-    coords, edges = _long_range_window(seq, span, span, 2 * radius)
-    origin = _origin(coords)
-    terminals = {
-        "origin": [origin],
-        "boundary": np.flatnonzero(np.abs(coords).max(axis=1) == radius),
-    }
-    meta = {"radius": radius, "seq": seq.describe()}
-    return _finish("z2-long-range", coords, edges, terminals, origin, meta, with_keys=True)
+    return _long_range_window(seq, [range(-radius, radius + 1)] * 2, "origin_boundary", {"radius": radius})
 
 
-def grid_crossing_window(dimension: int, p: float, side: int) -> GraphWindow:
-    """Nearest-neighbor box in ``dimension`` axes, ``{0..side+1} x {0..side}^(d-1)``."""
+def lattice_window(
+    dimension: int,
+    p: float,
+    size: int,
+    event: str,
+    thickness: int | None = None,
+) -> GraphWindow:
+    """Nearest-neighbor window of Z^d, or of the slab Z^2 x {0..K-1}^(d-2) with ``thickness`` K.
+
+    Every edge has length one and open probability ``p``.  The free axes
+    (all ``dimension`` axes of Z^d, the first two of the slab) span
+    ``{0..size+1} x {0..size} x ...`` for the ``"crossing"`` event, whose
+    terminals are the two end slices of axis 0, and ``[-size, size]`` for
+    the ``"origin_boundary"`` event, whose boundary is the rim of the free
+    axes.  The slab's confined axes always span ``{0..K-1}`` in full.
+    """
     if dimension < 2:
-        raise ConfigError("grid family needs dimension >= 2")
-    if side < 1:
-        raise ConfigError("crossing window needs side >= 1")
-    ranges = [range(side + 2)] + [range(side + 1)] * (dimension - 1)
-    return _axis_box_window(
-        family=f"z{dimension}",
-        ranges=ranges,
-        p=p,
-        crossing_axis=0,
-        meta={"d": dimension, "p": p, "L": side},
-    )
-
-
-def slab_crossing_window(dimension: int, thickness: int, p: float, side: int) -> GraphWindow:
-    """Slab box: two infinite axes at crossing aspect, confined axes at full thickness."""
-    if dimension < 2:
-        raise ConfigError("slab family needs dimension >= 2")
-    if thickness < 1:
+        raise ConfigError("lattice window needs dimension >= 2")
+    if thickness is not None and thickness < 1:
         raise ConfigError("slab thickness must be >= 1")
-    if side < 1:
-        raise ConfigError("crossing window needs side >= 1")
-    ranges = [range(side + 2), range(side + 1)] + [range(thickness)] * (dimension - 2)
-    return _axis_box_window(
-        family=f"slab-d{dimension}-k{thickness}",
-        ranges=ranges,
-        p=p,
-        crossing_axis=0,
-        meta={"d": dimension, "K": thickness, "p": p, "L": side},
-    )
-
-
-def _nearest_neighbor_box(ranges: list[range], p: float) -> tuple[np.ndarray, Edges]:
-    """Coordinates and unit edges of the box ``ranges[0] x ranges[1] x ...``."""
-    coords = _box_coords(ranges)
-    return coords, _box_edges(tuple(len(r) for r in ranges), [[(1, p)]] * len(ranges))
-
-
-def _axis_box_window(family, ranges, p, crossing_axis, meta) -> GraphWindow:
+    if size < 1:
+        raise ConfigError("lattice window needs size >= 1")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability {p} outside [0, 1]")
-    coords, edges = _nearest_neighbor_box(ranges, p)
-    terminals = {
-        "left": np.flatnonzero(coords[:, crossing_axis] == ranges[crossing_axis].start),
-        "right": np.flatnonzero(coords[:, crossing_axis] == ranges[crossing_axis].stop - 1),
-    }
-    return _finish(family, coords, edges, terminals, None, meta, with_keys=False)
-
-
-def grid_radial_window(dimension: int, p: float, radius: int) -> GraphWindow:
-    """Nearest-neighbor box ``[-radius, radius]^d`` with rim boundary."""
-    if dimension < 2:
-        raise ConfigError("grid family needs dimension >= 2")
-    if radius < 1:
-        raise ConfigError("radial window needs radius >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability {p} outside [0, 1]")
-    coords, edges = _nearest_neighbor_box([range(-radius, radius + 1)] * dimension, p)
-    origin = _origin(coords)
-    boundary = np.flatnonzero(np.abs(coords).max(axis=1) == radius)
-    terminals = {"origin": [origin], "boundary": boundary}
-    meta = {"d": dimension, "p": p, "radius": radius}
-    return _finish(f"z{dimension}", coords, edges, terminals, origin, meta, with_keys=False)
-
-
-def slab_radial_window(dimension: int, thickness: int, p: float, radius: int) -> GraphWindow:
-    """Slab box radial window: infinite axes span ``[-radius, radius]``."""
-    if dimension < 2 or thickness < 1 or radius < 1:
-        raise ConfigError("slab radial window needs dimension >= 2, thickness >= 1, radius >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability {p} outside [0, 1]")
-    span = range(-radius, radius + 1)
-    coords, edges = _nearest_neighbor_box([span, span] + [range(thickness)] * (dimension - 2), p)
-    origin = _origin(coords)
-    boundary = np.flatnonzero(np.abs(coords[:, :2]).max(axis=1) == radius)
-    terminals = {"origin": [origin], "boundary": boundary}
-    meta = {"d": dimension, "K": thickness, "p": p, "radius": radius}
-    return _finish(
-        f"slab-d{dimension}-k{thickness}", coords, edges, terminals, origin, meta, with_keys=False
-    )
+    free = dimension if thickness is None else 2
+    if event == "crossing":
+        ranges, extent = [range(size + 2)] + [range(size + 1)] * (free - 1), "L"
+    elif event == "origin_boundary":
+        ranges, extent = [range(-size, size + 1)] * free, "radius"
+    else:
+        raise ConfigError(f"lattice window event must be 'crossing' or 'origin_boundary', not {event!r}")
+    if thickness is None:
+        family, meta = f"z{dimension}", {"d": dimension, "p": p, extent: size}
+    else:
+        ranges += [range(thickness)] * (dimension - 2)
+        family, meta = f"slab-d{dimension}-k{thickness}", {"d": dimension, "K": thickness, "p": p, extent: size}
+    return _box_window(family, ranges, [(1, p)], event, meta, with_keys=False, free_axes=free)
 
 
 def embedded_radial_window(

@@ -4,13 +4,16 @@ package code is checked against."""
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from trunclab.engine import UnionFind, trial_open_mask
 from trunclab.sequences import ProbabilitySequence
+from trunclab.windows import GraphWindow
 
 
 def linear_scan_oracle(seq, threshold, low, high):
@@ -58,6 +61,30 @@ def bfs_components(n_vertices, edge_list):
                     queue.append(other)
         components.add(frozenset(members))
     return components
+
+
+@dataclass
+class ClusterState:
+    """One sampled configuration: open-edge mask plus its union-find forest."""
+
+    window: GraphWindow
+    open_mask: np.ndarray
+    forest: UnionFind
+
+    def same_component(self, a: int, b: int) -> bool:
+        return self.forest.connected(a, b)
+
+    def open_edge_count(self) -> int:
+        return int(self.open_mask.sum())
+
+
+def sample_and_cluster(window: GraphWindow, master_seed: int, trial_index: int) -> ClusterState:
+    """Reference sampler: one indexed-stream trial, clustered edge by edge on a ``UnionFind``."""
+    open_mask = trial_open_mask(window, master_seed, trial_index)
+    forest = UnionFind(window.n_vertices)
+    for e in np.nonzero(open_mask)[0]:
+        forest.union(int(window.edges_u[e]), int(window.edges_v[e]))
+    return ClusterState(window, open_mask, forest)
 
 
 def scipy_union_labels(window, open_matrix):

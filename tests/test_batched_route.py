@@ -21,7 +21,6 @@ from trunclab.engine import (
     exact_event_probability,
     mc_event_probability,
     origin_radius_profile,
-    sample_and_cluster,
     trial_blocks,
     trial_open_mask,
 )
@@ -31,12 +30,12 @@ from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     GraphWindow,
     embedded_radial_window,
+    lattice_window,
     long_range_crossing_window,
     long_range_radial_window,
-    slab_crossing_window,
 )
 
-from conftest import bfs_components, scipy_union_labels
+from conftest import bfs_components, sample_and_cluster, scipy_union_labels
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
@@ -62,7 +61,7 @@ def radial_pair(graph):
 def route_windows(graph):
     truncated = PS.lacunary(0.6, base=2).truncate(graph.scales.top)
     return {
-        "slab": slab_crossing_window(3, 2, 0.37, 8),
+        "slab": lattice_window(3, 0.37, 8, "crossing", thickness=2),
         "long-range": long_range_radial_window(PS.constant(0.3).truncate(3), 6),
         "embedded": embedded_radial_window(graph, truncated, 12),
         "small-crossing": long_range_crossing_window(PS.constant(0.5).truncate(1), 1),
@@ -111,7 +110,7 @@ def test_blocks_of_an_edgeless_window_fit_the_union_indices():
 
 
 def test_block_route_agrees_with_union_find():
-    window = slab_crossing_window(3, 2, 0.4, 6)
+    window = lattice_window(3, 0.4, 6, "crossing", thickness=2)
     left, right = window.terminals["left"], window.terminals["right"]
     trials = 40
     successes = 0
@@ -122,7 +121,7 @@ def test_block_route_agrees_with_union_find():
 
 
 def test_block_with_no_open_edge():
-    window = slab_crossing_window(3, 2, 0.5, 4)
+    window = lattice_window(3, 0.5, 4, "crossing", thickness=2)
     closed = np.zeros((4, window.n_edges), dtype=bool)
     labels = component_labels(window, closed)
     assert len(np.unique(labels)) == 4 * window.n_vertices

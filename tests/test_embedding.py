@@ -47,6 +47,11 @@ class TestScaleVector:
                 total += scale
 
 
+    def test_scale_vector_for_another_thickness_rejected(self):
+        with pytest.raises(ValueError, match="thickness 2.*thickness 3"):
+            EmbeddedGraph(SlabParameters(4, 3), ScaleVector((1, 4, 13), 2))
+
+
 class TestSelectScales:
     def test_lacunary_example(self):
         seq = ProbabilitySequence.lacunary(0.4, base=10)

@@ -14,7 +14,6 @@ from trunclab.engine import (
     origin_boundary_estimate,
     origin_radius_profile,
     propagation_labels,
-    sample_and_cluster,
     trial_open_mask,
 )
 from trunclab.rng import (
@@ -27,13 +26,13 @@ from trunclab.rng import (
 from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import (
     ConfigError,
+    lattice_window,
     long_range_box_window,
     long_range_crossing_window,
     long_range_radial_window,
-    slab_crossing_window,
 )
 
-from conftest import bfs_components, scipy_union_labels
+from conftest import bfs_components, sample_and_cluster, scipy_union_labels
 
 PS = ProbabilitySequence
 
@@ -54,7 +53,7 @@ class TestWindowConstruction:
 
     def test_slab_box_matches_hand_count(self):
         # {0..2} x {0..1} x {0,1}: 8 x-edges, 6 y-edges, 6 confined edges.
-        window = slab_crossing_window(3, 2, 0.5, 1)
+        window = lattice_window(3, 0.5, 1, "crossing", thickness=2)
         assert window.n_vertices == 12
         assert window.n_edges == 20
 
@@ -84,7 +83,7 @@ class TestWindowConstruction:
 
     def test_slab_builder_rejects_dimension_one(self):
         with pytest.raises(ConfigError):
-            slab_crossing_window(1, 2, 0.5, 2)
+            lattice_window(1, 0.5, 2, "crossing", thickness=2)
 
 
 class TestStreamContract:

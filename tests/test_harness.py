@@ -112,6 +112,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(**counts)
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("theta_radii", dict(theta_radii=(0, 16))),
+            ("theta_radii", dict(theta_radii=(-4, 8))),
+            ("verify_coarse", dict(verify_coarse=0)),
+            ("verify_vertical", dict(verify_vertical=0)),
+        ],
+        ids=["zero-radius", "negative-radius", "verify-coarse", "verify-vertical"],
+    )
+    def test_radii_and_verify_bounds_rejected_at_construction(self, field, overrides):
+        # Caught later, these fail only after the slab search and leave no report.
+        with pytest.raises(ConfigError, match=field):
+            small_config(**overrides)
+
+    def test_zero_radius_in_config_file_names_the_field(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("radii = 8, 12", "radii = 0, 12"))
+        with pytest.raises(ConfigError, match="theta_radii"):
+            load_config(path)
+
     def test_sequence_section_variants(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(
@@ -250,6 +271,31 @@ class TestCli:
         assert fields[0] == "z2"
         assert fields[2] == "crossing"
         assert 0.0 <= float(fields[3]) <= 1.0
+
+    @pytest.mark.parametrize(
+        "args, row",
+        [
+            ("z2 --p 0.3 --L 4 --N 2 crossing", "z2,p=0.3;L=4;N=2,crossing,0.755,0.05960704488565089"),
+            ("z2 --p 0.3 --L 4 --N 2 theta", "z2,p=0.3;L=4;N=2,theta,0.895,0.04248613656241292"),
+            ("zd --d 2 --p 0.5 --L 4 crossing", "zd,p=0.5;L=4;N=1;d=2,crossing,0.46,0.0690743599318879"),
+            ("zd --d 2 --p 0.5 --L 4 theta", "zd,p=0.5;L=4;N=1;d=2,theta,0.83,0.05206004994235024"),
+            ("zd --d 3 --p 0.3 --L 3 crossing", "zd,p=0.3;L=3;N=1;d=3,crossing,0.595,0.06803416641658806"),
+            ("zd --d 3 --p 0.3 --L 3 theta", "zd,p=0.3;L=3;N=1;d=3,theta,0.76,0.05919070197252268"),
+            ("slab --d 3 --K 2 --p 0.4 --L 3 crossing",
+             "slab,p=0.4;L=3;N=1;d=3;K=2,crossing,0.69,0.0640982932690099"),
+            ("slab --d 3 --K 2 --p 0.4 --L 3 theta",
+             "slab,p=0.4;L=3;N=1;d=3;K=2,theta,0.82,0.053245664612248014"),
+            ("slab --d 4 --K 1 --p 0.45 --L 3 crossing",
+             "slab,p=0.45;L=3;N=1;d=4;K=1,crossing,0.385,0.06743866991570935"),
+            ("slab --d 4 --K 1 --p 0.45 --L 3 theta",
+             "slab,p=0.45;L=3;N=1;d=4;K=1,theta,0.77,0.058324409984156715"),
+        ],
+    )
+    def test_estimate_rows_are_pinned(self, args, row, capsys):
+        *options, event = args.split()
+        argv = ["estimate", "--family", *options, "--event", event, "--trials", "200", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{row},200,3\n"
 
     def test_estimate_theta_row(self, capsys):
         code = main(

@@ -28,13 +28,10 @@ from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     GraphWindow,
     embedded_radial_window,
-    grid_crossing_window,
-    grid_radial_window,
+    lattice_window,
     long_range_box_window,
     long_range_crossing_window,
     long_range_radial_window,
-    slab_crossing_window,
-    slab_radial_window,
 )
 
 from conftest import scipy_union_labels
@@ -71,10 +68,10 @@ def family_windows():
         "embedded": embedded_radial_window(graph, PS.lacunary(0.6, base=2).truncate(2), 12),
     }
     for d, side in ((2, 6), (3, 4), (4, 2)):
-        windows[f"grid-crossing-d{d}"] = grid_crossing_window(d, 0.45, side)
-        windows[f"grid-radial-d{d}"] = grid_radial_window(d, 0.45, side // 2 + 1)
-        windows[f"slab-crossing-d{d}"] = slab_crossing_window(d, 2, 0.45, side)
-        windows[f"slab-radial-d{d}"] = slab_radial_window(d, 2, 0.45, side // 2 + 1)
+        windows[f"grid-crossing-d{d}"] = lattice_window(d, 0.45, side, "crossing")
+        windows[f"grid-radial-d{d}"] = lattice_window(d, 0.45, side // 2 + 1, "origin_boundary")
+        windows[f"slab-crossing-d{d}"] = lattice_window(d, 0.45, side, "crossing", thickness=2)
+        windows[f"slab-radial-d{d}"] = lattice_window(d, 0.45, side // 2 + 1, "origin_boundary", thickness=2)
     return windows
 
 

@@ -168,6 +168,24 @@ class TestTableFile:
         with pytest.raises(ValueError):
             ProbabilitySequence.from_table_file(path)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1 0.5\n2 x\n", 2, "could not convert"),
+            ("1 0.5\ny 0.25\n", 2, "invalid literal"),
+            ("# header\n1 0.5\n1 0.7\n", 3, "listed twice"),
+            ("0 0.9\n1 0.5\n", 1, "below 1"),
+            ("1 0.5\n2 1.5\n", 2, r"\[0, 1\]"),
+        ],
+        ids=["value", "length", "duplicate", "zero-length", "out-of-range"],
+    )
+    def test_bad_row_named_by_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as excinfo:
+            ProbabilitySequence.from_table_file(path)
+        assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("1 0.5 extra\n")

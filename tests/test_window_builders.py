@@ -19,13 +19,10 @@ from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     ConfigError,
     embedded_radial_window,
-    grid_crossing_window,
-    grid_radial_window,
+    lattice_window,
     long_range_box_window,
     long_range_crossing_window,
     long_range_radial_window,
-    slab_crossing_window,
-    slab_radial_window,
 )
 
 
@@ -285,20 +282,37 @@ def test_nearest_neighbor_builders_match_loops(p):
     for dimension in (2, 3, 4):
         for size in (1, 2, 4):
             assert_same_window(
-                grid_crossing_window(dimension, p, size), reference_grid_crossing(dimension, p, size)
+                lattice_window(dimension, p, size, "crossing"),
+                reference_grid_crossing(dimension, p, size),
             )
             assert_same_window(
-                grid_radial_window(dimension, p, size), reference_grid_radial(dimension, p, size)
+                lattice_window(dimension, p, size, "origin_boundary"),
+                reference_grid_radial(dimension, p, size),
             )
             for thickness in (1, 2, 3):
                 assert_same_window(
-                    slab_crossing_window(dimension, thickness, p, size),
+                    lattice_window(dimension, p, size, "crossing", thickness),
                     reference_slab_crossing(dimension, thickness, p, size),
                 )
                 assert_same_window(
-                    slab_radial_window(dimension, thickness, p, size),
+                    lattice_window(dimension, p, size, "origin_boundary", thickness),
                     reference_slab_radial(dimension, thickness, p, size),
                 )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 0.5, 2, "crossing"), "dimension"),
+        ((3, 0.5, 2, "crossing", 0), "thickness"),
+        ((3, 0.5, 0, "origin_boundary"), "size"),
+        ((3, 1.5, 2, "crossing"), "probability"),
+        ((3, 0.5, 2, "theta"), "event"),
+    ],
+)
+def test_lattice_window_rejects_bad_arguments(args, message):
+    with pytest.raises(ConfigError, match=message):
+        lattice_window(*args)
 
 
 EMBEDDINGS = {
