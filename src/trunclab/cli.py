@@ -18,6 +18,11 @@ from .thresholds import CalibrationTable, LatticeFamily, ThresholdSettings
 from .windows import ConfigError, lattice_window, long_range_crossing_window, long_range_radial_window
 
 
+# Options of ``trunclab estimate`` that only some families read: the families,
+# and the default the others must leave the option at.
+_FAMILY_OPTIONS = {"N": (("z2",), 1), "d": (("zd", "slab"), 3), "K": (("slab",), 1)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         self.print_usage(sys.stderr)
@@ -36,9 +41,9 @@ def _build_parser() -> _Parser:
     est.add_argument("--family", choices=["z2", "zd", "slab"], required=True)
     est.add_argument("--p", type=float, required=True)
     est.add_argument("--L", type=int, required=True)
-    est.add_argument("--N", type=int, default=1, help="truncation level, z2 family only")
-    est.add_argument("--d", type=int, default=3, help="dimension for zd/slab families")
-    est.add_argument("--K", type=int, default=1, help="thickness for the slab family")
+    est.add_argument("--N", type=int, default=_FAMILY_OPTIONS["N"][1], help="truncation level, z2 family only")
+    est.add_argument("--d", type=int, default=_FAMILY_OPTIONS["d"][1], help="dimension for zd/slab families")
+    est.add_argument("--K", type=int, default=_FAMILY_OPTIONS["K"][1], help="thickness for the slab family")
     est.add_argument("--trials", type=int, default=10_000)
     est.add_argument("--seed", type=int, default=1)
     est.add_argument("--event", choices=["crossing", "theta"], default="crossing")
@@ -64,9 +69,11 @@ def _build_parser() -> _Parser:
 
 
 def _estimate_command(args) -> int:
-    if args.family != "z2" and args.N != 1:
-        print(f"error: --N applies to the z2 family only, not {args.family}", file=sys.stderr)
-        return 1
+    for name, (families, default) in _FAMILY_OPTIONS.items():
+        if args.family not in families and getattr(args, name) != default:
+            scope = " and ".join(families) + (" family" if len(families) == 1 else " families")
+            print(f"error: --{name} applies to the {scope} only, not {args.family}", file=sys.stderr)
+            return 1
     event = "crossing" if args.event == "crossing" else "origin_boundary"
     if args.family == "z2":
         build = long_range_crossing_window if event == "crossing" else long_range_radial_window

@@ -285,6 +285,16 @@ def origin_boundary_estimate(
     return mc_event_probability(window, "origin_boundary", trials, master_seed, label=label)
 
 
+def origin_reach(window: GraphWindow, labels: np.ndarray) -> np.ndarray:
+    """Largest sup-norm in the origin's cluster, per row of ``(rows, n_vertices)`` block labels.
+
+    The origin's cluster leaves the open box ``{|x| < r}`` iff the reach is
+    at least ``r``, so one reach per trial answers every radius at once.
+    """
+    cluster = labels == labels[:, [window.origin_index]]
+    return np.where(cluster, window.norms, 0).max(axis=1)
+
+
 def origin_radius_profile(
     window: GraphWindow,
     radii: list[int],
@@ -302,13 +312,10 @@ def origin_radius_profile(
     if window.origin_index is None:
         raise ValueError("window has no origin vertex")
     radii = list(radii)
-    norms = np.abs(window.coords).max(axis=1)
     indicators = np.zeros((trials, len(radii)), dtype=bool)
     for start, stop in trial_blocks(trials, window):
         labels = component_labels(window, _open_block(window, master_seed, start, stop))
-        cluster = labels == labels[:, [window.origin_index]]
-        reach = np.where(cluster, norms, 0).max(axis=1)
-        indicators[start:stop] = reach[:, None] >= np.array(radii)
+        indicators[start:stop] = origin_reach(window, labels)[:, None] >= np.array(radii)
     estimates = [
         _make_estimate(int(indicators[:, i].sum()), trials, master_seed, INDEXED_STREAM_RULE,
                        label=f"{label}r{r}" if label else f"reach-r{r}")

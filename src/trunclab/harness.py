@@ -6,10 +6,15 @@ derives its stream seeds from the master seed and a textual label, so the
 report (written as ``report.json``) is byte-identical across reruns; wall
 times live only in the manifest.
 
-Reach and containment are certified together: for each radius,
-:func:`containment_check` draws one set of keyed trials on the embedded and
-the full radial window and scores both origin-to-boundary reaches (the theta
-rows) and containment from the same clustered configurations.
+Reach and containment are certified together, in one pass on one pair of
+windows.  :func:`containment_check` draws one set of keyed trials on the
+embedded and the full radial window of radius ``R = max(theta_radii) + N``
+(``N`` the truncation level), records how far the origin's cluster reaches
+in each, and checks containment, from the same clustered configurations.
+A path that leaves the open box ``{|x| < r}`` first lands at a vertex of
+norm below ``r + N``, so the radius-``R`` windows decide that event exactly
+for every theta radius ``r``, and each theta row is read off the per-trial
+reaches.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +44,9 @@ from .embedding import (
 from .engine import (
     Estimate,
     _make_estimate,
-    _union_hits,
     component_labels,  # noqa: F401
     origin_boundary_estimate,  # noqa: F401
+    origin_reach,
     trial_blocks,
 )
 from .kernel import keyed_labels
@@ -66,6 +71,13 @@ from .windows import (
     embedded_radial_window,
     long_range_radial_window,
 )
+
+# Largest full certification window a run may build, counted by the bound
+# 2 (2R + 1)^2 m on its edges (m supported lengths, two axes).  The benchmark
+# config's bound is 112,614 edges and the sparse-support config's 432,964.  A
+# window at this bound (989,812 edges at R = 176, lengths 1..4) took 0.2 s and
+# about 115 MB to build and check, and 30 ms per trial to cluster, on 2 cores.
+MAX_CERTIFICATION_EDGES = 1_000_000
 
 
 @dataclass
@@ -197,9 +209,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 class ContainmentReport:
     """Per-trial check that the embedded process sits inside the truncated one.
 
-    ``embedded_reach`` and ``full_reach`` are the origin-to-boundary estimates
-    the same pass scored (None when it scored none); they are reported as
-    theta, not as part of this record's dictionary.
+    ``embedded_reach`` and ``full_reach`` hold, per reach trial, the largest
+    sup-norm in the origin's cluster; :meth:`reach_estimates` turns them into
+    theta rows, which are not part of this record's dictionary.
     """
 
     radius: int
@@ -207,30 +219,34 @@ class ContainmentReport:
     checked_edges: int
     edge_violations: int = 0
     cluster_violations: int = 0
+    reach_violations: int = 0
     first_violation: dict | None = None
     vacuous: bool = False
     note: str = ""
     seed: int = 0
-    embedded_reach: Estimate | None = None
-    full_reach: Estimate | None = None
+    embedded_reach: np.ndarray | None = None
+    full_reach: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
-        return self.edge_violations == 0 and self.cluster_violations == 0
+        return self.edge_violations == 0 and self.cluster_violations == 0 and self.reach_violations == 0
+
+    def reach_estimates(self, radius: int) -> tuple[Estimate, Estimate]:
+        """Embedded and full theta at ``radius``: the share of reach trials whose
+        origin cluster leaves the open box ``{|x| < radius}``.
+
+        Exact on the infinite truncated graph when ``radius`` is at most the
+        window radius minus the truncation level.
+        """
+        return tuple(
+            _make_estimate(int((reach >= radius).sum()), reach.size, self.seed, KEYED_STREAM_RULE,
+                           f"theta-{name}-r{radius}")
+            for name, reach in (("embedded", self.embedded_reach), ("full", self.full_reach))
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "trials": self.trials,
-            "checked_edges": self.checked_edges,
-            "edge_violations": self.edge_violations,
-            "cluster_violations": self.cluster_violations,
-            "first_violation": self.first_violation,
-            "vacuous": self.vacuous,
-            "note": self.note,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        names = [f.name for f in fields(self) if f.name not in ("embedded_reach", "full_reach")]
+        return {**{name: getattr(self, name) for name in names}, "passed": self.passed}
 
 
 def containment_check(
@@ -241,65 +257,65 @@ def containment_check(
     corrupt_edge: int | None = None,
     theta_trials: int = 0,
 ) -> ContainmentReport:
-    """The certification pass of one radius: both reaches and containment
-    from one set of shared keyed trials.
+    """The certification pass: both reaches and containment from one set of
+    shared keyed trials.
 
     ``embedded`` and ``full`` are the radial windows of one radius, built by
     :func:`embedded_radial_window` and :func:`long_range_radial_window` on the
     same truncated sequence.  The pass draws ``max(trials, theta_trials)``
     trials from the keyed streams, so every lattice edge the two windows
     share draws the same uniform; the kernel draws and clusters each block
-    of trials in one call per window.  On the first ``theta_trials`` trials
-    it scores both origin-to-boundary reaches
-    (``embedded_reach``/``full_reach``).  On the first ``trials`` trials it
-    asserts that every open embedded edge is open in the full truncated
-    configuration and that the origin's embedded cluster sits inside its
-    full cluster; violations are reported in trial order.
+    of trials in one call per window.
+
+    On the first ``theta_trials`` trials it records both origin reaches
+    (``embedded_reach``/``full_reach``) and checks that the embedded reach
+    never exceeds the full one.  On the first ``trials`` trials it checks
+    that every open embedded edge is open in the full truncated configuration
+    and that the origin's embedded cluster sits inside its full cluster.
+    Every violation is counted, and the first is reported with its trial;
+    within one trial an escaped edge comes before a leaking cluster, and
+    that before an inverted reach.
 
     ``corrupt_edge`` (test hook) decouples one embedded edge's uniform from
     the shared stream, which must surface as a reported violation.
     """
-    radius = embedded.meta["radius"]
     report = ContainmentReport(
-        radius=radius,
+        radius=embedded.meta["radius"],
         trials=trials,
         checked_edges=embedded.n_edges,
         seed=master_seed,
+        embedded_reach=np.zeros(theta_trials, dtype=np.int64),
+        full_reach=np.zeros(theta_trials, dtype=np.int64),
+    )
+
+    def edge(e: int) -> list:
+        return embedded.coords[[embedded.edges_u[e], embedded.edges_v[e]]].tolist()
+
+    vertex_map = _row_lookup(full.coords, embedded.coords)
+    if (vertex_map < 0).any():
+        stray = embedded.coords[np.nonzero(vertex_map < 0)[0][0]].tolist()
+        raise ValueError(f"embedded vertex {stray} lies outside the full window")
+    edge_map = _row_lookup(
+        np.stack([full.edges_u, full.edges_v], axis=1),
+        vertex_map[np.stack([embedded.edges_u, embedded.edges_v], axis=1)],
     )
     # Containment compares the first ``compared`` trials; an embedded edge
     # missing from the full window is reported and compares none.
     compared = trials
+    unmapped = np.nonzero(edge_map < 0)[0]
     if trials == 0:
         report.vacuous = True
         report.note = "no trials: containment holds vacuously"
-    else:
-        edge_map = _row_lookup(
-            np.hstack(full.edge_endpoint_coords()), np.hstack(embedded.edge_endpoint_coords())
-        )
-        unmapped = np.nonzero(edge_map < 0)[0]
-        if unmapped.size:
-            e = int(unmapped[0])
-            report.edge_violations += 1
-            report.first_violation = {
-                "kind": "unmapped-edge",
-                "edge": [
-                    embedded.coords[embedded.edges_u[e]].tolist(),
-                    embedded.coords[embedded.edges_v[e]].tolist(),
-                ],
-            }
-            compared = 0
-        else:
-            vertex_map = _row_lookup(full.coords, embedded.coords)
-            if (vertex_map < 0).any():
-                stray = embedded.coords[np.nonzero(vertex_map < 0)[0][0]].tolist()
-                raise ValueError(f"embedded vertex {stray} lies outside the full window")
+    elif unmapped.size:
+        report.edge_violations += 1
+        report.first_violation = {"kind": "unmapped-edge", "edge": edge(unmapped[0])}
+        compared = 0
 
     embedded_keys = embedded.edge_keys.copy()
     if corrupt_edge is not None:
         embedded_keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
 
     embedded_thresholds, full_thresholds = open_thresholds(embedded.probs), open_thresholds(full.probs)
-    reached = {"embedded": 0, "full": 0}
     for start, stop in trial_blocks(max(compared, theta_trials), embedded, full):
         open_embedded, labels_emb = keyed_labels(
             embedded, embedded_keys, embedded_thresholds, master_seed, start, stop
@@ -307,55 +323,45 @@ def containment_check(
         open_full, labels_full = keyed_labels(
             full, full.edge_keys, full_thresholds, master_seed, start, stop
         )
-        scored = min(stop, theta_trials) - start
-        if scored > 0:
-            for name, window, labels in (
-                ("embedded", embedded, labels_emb),
-                ("full", full, labels_full),
-            ):
-                origin, boundary = window.terminals["origin"], window.terminals["boundary"]
-                reached[name] += int(_union_hits(labels[:scored], origin, boundary).sum())
+        # Per block row: an escaped edge, a leaking cluster, an inverted reach.
+        skipped, leaking, inverted = np.zeros((3, stop - start), dtype=bool)
 
-        rows = min(stop, compared) - start
-        if rows <= 0:
-            continue
+        scored = max(min(stop, theta_trials) - start, 0)
+        reach_emb = report.embedded_reach[start : start + scored] = origin_reach(embedded, labels_emb[:scored])
+        reach_full = report.full_reach[start : start + scored] = origin_reach(full, labels_full[:scored])
+        inverted[:scored] = reach_emb > reach_full
+
+        rows = max(min(stop, compared) - start, 0)
         escaped = open_embedded[:rows] & ~open_full[:rows, edge_map]
-        skipped = escaped.any(axis=1)
-        report.edge_violations += int(escaped.sum())
+        skipped[:rows] = escaped.any(axis=1)
         # A trial with an escaped edge counts as edge violations only; its
         # clusters are not compared.
         cluster = labels_emb[:rows] == labels_emb[:rows, [embedded.origin_index]]
         outside = labels_full[:rows, vertex_map] != labels_full[:rows, [full.origin_index]]
-        leaking = (cluster & outside).any(axis=1) & ~skipped
+        leaking[:rows] = (cluster & outside).any(axis=1) & ~skipped[:rows]
+
+        report.edge_violations += int(escaped.sum())
         report.cluster_violations += int(leaking.sum())
-        if report.first_violation is not None or not (skipped.any() or leaking.any()):
+        report.reach_violations += int(inverted.sum())
+        if report.first_violation is not None or not (skipped | leaking | inverted).any():
             continue
-        first = int(np.argmax(skipped | leaking))
+        first = int(np.argmax(skipped | leaking | inverted))
+        trial = start + first
         if skipped[first]:
             e = int(np.argmax(escaped[first]))
             report.first_violation = {
-                "kind": "edge-open-only-in-embedded",
-                "trial": start + first,
-                "edge_index": e,
-                "edge": [
-                    [int(c) for c in embedded.coords[embedded.edges_u[e]]],
-                    [int(c) for c in embedded.coords[embedded.edges_v[e]]],
-                ],
+                "kind": "edge-open-only-in-embedded", "trial": trial, "edge_index": e, "edge": edge(e),
             }
-        else:
+        elif leaking[first]:
             stray = int(np.argmax(cluster[first] & outside[first]))
             report.first_violation = {
-                "kind": "cluster-vertex-escapes",
-                "trial": start + first,
-                "vertex": [int(c) for c in embedded.coords[stray]],
+                "kind": "cluster-vertex-escapes", "trial": trial, "vertex": embedded.coords[stray].tolist(),
             }
-
-    if theta_trials:
-        report.embedded_reach, report.full_reach = (
-            _make_estimate(reached[name], theta_trials, master_seed, KEYED_STREAM_RULE,
-                           f"theta-{name}-r{radius}")
-            for name in ("embedded", "full")
-        )
+        else:
+            report.first_violation = {
+                "kind": "embedded-reach-exceeds-full", "trial": trial,
+                "embedded_reach": int(reach_emb[first]), "full_reach": int(reach_full[first]),
+            }
     return report
 
 
@@ -379,24 +385,7 @@ class PipelineReport:
     stream_rules: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "margin": self.margin,
-            "master_seed": self.master_seed,
-            "passed": self.passed,
-            "failure_stage": self.failure_stage,
-            "error": self.error,
-            "slab": self.slab,
-            "threshold": self.threshold,
-            "scales": self.scales,
-            "truncation": self.truncation,
-            "embedding": self.embedding,
-            "theta": self.theta,
-            "containment": self.containment,
-            "checks": self.checks,
-            "positivity_floor": self.positivity_floor,
-            "stream_rules": self.stream_rules,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -405,20 +394,13 @@ class PipelineReport:
     def exit_code(self) -> int:
         if self.passed:
             return 0
-        if self.failure_stage in ("slab-search", "scale-selection"):
+        if self.failure_stage in ("slab-search", "scale-selection", "certification"):
             return 3
         return 2
 
 
 def _estimate_dict(estimate: Estimate) -> dict:
-    return {
-        "value": estimate.value,
-        "trials": estimate.trials,
-        "successes": estimate.successes,
-        "half_width": estimate.half_width,
-        "seed": estimate.seed,
-        "stream_rule": estimate.stream_rule,
-    }
+    return {name: value for name, value in asdict(estimate).items() if name != "label"}
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> PipelineReport:
@@ -506,28 +488,36 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
         report.error = embedding_report.counterexample
         return finish()
 
+    # The windows of radius max(radii) + top decide every theta row exactly
+    # (module docstring); a pair that could outgrow the edge budget is refused
+    # before it is built.
     truncated = config.sequence.truncate(scales.top)
-    # One keyed pass per radius scores theta and containment together; the
-    # "theta" timing covers the window builds and the passes.
-    clock = time.perf_counter()
-    floor_ok = True
-    outcomes = []
-    for radius in config.theta_radii:
-        outcome = containment_check(
-            embedded_radial_window(graph, truncated, radius),
-            long_range_radial_window(truncated, radius),
-            config.containment_trials,
-            derive_seed(config.master_seed, "containment", radius),
-            theta_trials=config.theta_trials,
+    radius = max(config.theta_radii) + scales.top
+    steps = len(truncated.supported_lengths(min(scales.top, 2 * radius)))
+    edge_bound = 2 * (2 * radius + 1) ** 2 * steps
+    if edge_bound > MAX_CERTIFICATION_EDGES:
+        report.failure_stage = "certification"
+        report.error = (
+            f"the certification windows of radius {radius} = {max(config.theta_radii)} + {scales.top} "
+            f"may hold {edge_bound} edges, above the {MAX_CERTIFICATION_EDGES} a run may build"
         )
-        outcomes.append(outcome)
-        est_embedded, est_full = outcome.embedded_reach, outcome.full_reach
+        return finish()
+
+    # One keyed pass on one window pair scores theta and containment together;
+    # the "theta" timing covers the window builds and the pass.
+    clock = time.perf_counter()
+    outcome = containment_check(
+        embedded_radial_window(graph, truncated, radius),
+        long_range_radial_window(truncated, radius),
+        config.containment_trials,
+        derive_seed(config.master_seed, "containment", radius),
+        theta_trials=config.theta_trials,
+    )
+    floor_ok = True
+    for rho in config.theta_radii:
+        est_embedded, est_full = outcome.reach_estimates(rho)
         report.theta.append(
-            {
-                "radius": radius,
-                "embedded": _estimate_dict(est_embedded),
-                "full": _estimate_dict(est_full),
-            }
+            {"radius": rho, "embedded": _estimate_dict(est_embedded), "full": _estimate_dict(est_full)}
         )
         for est, family in ((est_embedded, "embedded"), (est_full, "z2-long-range")):
             estimates_log.append({"family": family, "event": "origin_boundary", **est.as_row()})
@@ -536,12 +526,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
     report.checks["theta_floor"] = floor_ok
 
     clock = time.perf_counter()
-    containment_ok = True
-    for outcome in outcomes:
-        report.containment.append(outcome.to_dict())
-        containment_ok = containment_ok and outcome.passed
+    report.containment.append(outcome.to_dict())
     timings["containment"] = time.perf_counter() - clock
-    report.checks["containment"] = containment_ok
+    report.checks["containment"] = outcome.passed
 
     report.passed = all(report.checks.values())
     if not report.passed and report.failure_stage is None:

@@ -87,19 +87,21 @@ def mix64(values: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def coordinate_edge_keys(endpoints_a: np.ndarray, endpoints_b: np.ndarray) -> np.ndarray:
-    """64-bit keys for lattice edges, a function of endpoint coordinates only.
+def coordinate_edge_keys(coords: np.ndarray, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
+    """64-bit keys for the edges ``coords[edges_u[e]] -- coords[edges_v[e]]``,
+    a function of endpoint coordinates only.
 
-    ``endpoints_a``/``endpoints_b`` are integer coordinate arrays of shape
-    ``(n_edges, dim)``; the lexicographically smaller endpoint must come
-    first (window builders guarantee this), so the key is orientation-free.
+    ``coords`` is an integer ``(n_vertices, dim)`` array; the lexicographically
+    smaller endpoint must come first (window builders guarantee this), so the
+    key is orientation-free.  The endpoints are gathered one coordinate column
+    at a time, so no ``(n_edges, dim)`` endpoint array is ever built.
     """
-    a = np.ascontiguousarray(endpoints_a, dtype=np.int64).view(np.uint64)
-    b = np.ascontiguousarray(endpoints_b, dtype=np.int64).view(np.uint64)
-    keys = np.full(a.shape[0], np.uint64(0x8C2F1D4B5A6E7391), dtype=np.uint64)
-    for column in range(a.shape[1]):
-        keys = mix64(keys ^ a[:, column])
-        keys = mix64(keys ^ b[:, column])
+    coords = np.asarray(coords, dtype=np.int64)
+    keys = np.full(len(edges_u), np.uint64(0x8C2F1D4B5A6E7391), dtype=np.uint64)
+    for column in range(coords.shape[1]):
+        values = np.ascontiguousarray(coords[:, column]).view(np.uint64)
+        keys = mix64(keys ^ values[edges_u])
+        keys = mix64(keys ^ values[edges_v])
     return keys
 
 

@@ -9,6 +9,7 @@ sequence, so truncation composes (the effective level is the minimum).
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -115,9 +116,11 @@ class ProbabilitySequence:
         if not rows:
             raise ValueError(f"{path}: no data rows")
         top = max(rows)
-        missing = [n for n in range(1, top + 1) if n not in rows]
-        if missing:
-            raise ValueError(f"{path}: table must cover 1..{top} contiguously, missing {missing[:5]}")
+        if len(rows) != top:
+            # Lengths are distinct and at least 1, so a short count means a gap;
+            # the message names the first five, found without listing the rest.
+            missing = list(itertools.islice((n for n in range(1, top + 1) if n not in rows), 5))
+            raise ValueError(f"{path}: table must cover 1..{top} contiguously, missing {missing}")
         return ProbabilitySequence.from_table([rows[n] for n in range(1, top + 1)], tail=tail)
 
     @cached_property

@@ -21,6 +21,7 @@ heavy-tailed sequences they would dominate the edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -39,7 +40,8 @@ class GraphWindow:
     """A finite graph with per-edge open probabilities.
 
     ``terminals`` names the vertex sets events refer to: crossing windows
-    carry ``left``/``right``, radial windows carry ``origin``/``boundary``.
+    carry ``left``/``right``, box radial windows carry ``origin``/``boundary``
+    and the embedded window carries ``origin`` only.
     ``edge_keys`` are coordinate-derived 64-bit identifiers used by the keyed
     (shared-uniform) sampling mode; they exist for planar families only.
     """
@@ -63,8 +65,10 @@ class GraphWindow:
     def n_edges(self) -> int:
         return int(self.edges_u.shape[0])
 
-    def edge_endpoint_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.coords[self.edges_u], self.coords[self.edges_v]
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Sup-norm of every vertex, computed once per window."""
+        return np.abs(self.coords).max(axis=1)
 
     def edge_pairs(self) -> Iterator[tuple[tuple, tuple, float]]:
         for u, v, p in zip(self.edges_u, self.edges_v, self.probs):
@@ -128,7 +132,7 @@ def _finish(
         meta=meta,
     )
     if with_keys:
-        window.edge_keys = coordinate_edge_keys(coords[edges_u], coords[edges_v])
+        window.edge_keys = coordinate_edge_keys(coords, edges_u, edges_v)
     return window
 
 
@@ -297,10 +301,10 @@ def embedded_radial_window(
     """The embedded graph restricted to the lattice box ``[-radius, radius]^2``.
 
     Edge probabilities are inherited from the ambient sequence at each edge's
-    scale length.  The boundary terminal holds every window vertex with at
-    least one embedded-graph neighbor outside the box: a coarse vertex set
-    rarely touches the exact rim, so "about to leave the box" is the honest
-    boundary notion here.
+    scale length.  The only terminal is the origin: how far the origin's
+    cluster reaches is read off the vertex coordinates (the largest sup-norm
+    in the cluster), the same way as on the full radial window, so the two
+    reaches compare like for like.
 
     Vertices are the slab coordinates whose image under the graph's
     coordinate map lies in the box, sorted by image point; an edge joins a
@@ -316,12 +320,9 @@ def embedded_radial_window(
     confined_axes = graph.params.confined_axes
     coarse = range(-(radius // top) - 1, radius // top + 2)
     vertical = range(-(radius // smallest) - 1, radius // smallest + 2)
-    slab = _box_coords([range(thickness)] * confined_axes + [coarse, vertical])
-    points = graph.encode_array(slab)
-    inside = np.abs(points).max(axis=1) <= radius
-    slab, points = slab[inside], points[inside]
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    slab, points = slab[order], points[order]
+    points = graph.encode_array(_box_coords([range(thickness)] * confined_axes + [coarse, vertical]))
+    points = points[np.abs(points).max(axis=1) <= radius]
+    points = points[np.lexsort((points[:, 1], points[:, 0]))]
     origin = _origin(points)
     if origin is None:
         raise ConfigError("embedded window does not contain the origin")
@@ -333,18 +334,6 @@ def embedded_radial_window(
     targets = targets.reshape(points.shape[0], offsets.shape[0])
     edges_u, slot = np.nonzero(targets >= 0)
     edges = (edges_u, targets[edges_u, slot], probabilities[slot], step_lengths[slot])
-
-    # Slab-graph neighbors: a unit step along any axis, confined digits kept
-    # inside the slab.
-    escapes = np.zeros(points.shape[0], dtype=bool)
-    unit = np.eye(slab.shape[1], dtype=np.int64)
-    for move in np.vstack([unit, -unit]):
-        neighbor = slab + move
-        confined = neighbor[:, :confined_axes]
-        valid = ((confined >= 0) & (confined < thickness)).all(axis=1)
-        far = np.abs(graph.encode_array(neighbor[valid])).max(axis=1) > radius
-        escapes[np.flatnonzero(valid)[far]] = True
-    terminals = {"origin": [origin], "boundary": np.flatnonzero(escapes)}
     meta = {
         "radius": radius,
         "d": graph.params.dimension,
@@ -352,4 +341,4 @@ def embedded_radial_window(
         "scales": list(scales),
         "seq": seq.describe(),
     }
-    return _finish("embedded", points, edges, terminals, origin, meta, with_keys=True)
+    return _finish("embedded", points, edges, {"origin": [origin]}, origin, meta, with_keys=True)

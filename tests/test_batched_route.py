@@ -88,7 +88,10 @@ def test_estimates_over_ragged_blocks_match_per_trial_loop(graph, kind, monkeypa
     monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 7 * window.n_edges)
     trials = 45  # six blocks of 7 and one of 3
     assert [stop - start for start, stop in trial_blocks(trials, window)] == [7] * 6 + [3]
-    event = "crossing" if kind in ("slab", "small-crossing") else "origin_boundary"
+    # The embedded window carries no boundary set; its event joins the origin
+    # to the last vertex.
+    event = {"slab": "crossing", "small-crossing": "crossing", "long-range": "origin_boundary",
+             "embedded": ("pair", window.origin_index, window.n_vertices - 1)}[kind]
     left, right = engine.event_terminals(window, event)
     expected = 0
     for trial in range(trials):
@@ -184,10 +187,10 @@ def per_trial_containment(embedded, full, trials, seed, corrupt_edge):
     """One trial at a time, with coordinate-tuple dictionaries for the maps."""
     full_edges = {
         (tuple(u.tolist()), tuple(v.tolist())): e
-        for e, (u, v) in enumerate(zip(*full.edge_endpoint_coords()))
+        for e, (u, v) in enumerate(zip(full.coords[full.edges_u], full.coords[full.edges_v]))
     }
     edge_map = np.array([full_edges[(tuple(u.tolist()), tuple(v.tolist()))]
-                         for u, v in zip(*embedded.edge_endpoint_coords())])
+                         for u, v in zip(embedded.coords[embedded.edges_u], embedded.coords[embedded.edges_v])])
     full_vertices = {tuple(c.tolist()): i for i, c in enumerate(full.coords)}
     vertex_map = np.array([full_vertices[tuple(c.tolist())] for c in embedded.coords])
     keys = embedded.edge_keys.copy()
@@ -287,14 +290,14 @@ def test_missing_full_edge_is_unmapped(radial_pair):
 
 
 
-def per_trial_reach(window, keys, trials, seed):
-    """Origin-to-boundary successes, one keyed trial and one 1-D clustering at a time."""
-    boundary = window.terminals["boundary"]
-    successes = 0
+def per_trial_reaches(window, keys, trials, seed):
+    """Largest sup-norm in the origin's cluster, one keyed trial and one 1-D clustering at a time."""
+    norms = np.abs(window.coords).max(axis=1)
+    reaches = []
     for trial in range(trials):
         labels = component_labels(window, keyed_uniforms(keys, seed, trial) < window.probs)
-        successes += bool(np.isin(labels[window.origin_index], labels[boundary]))
-    return successes
+        reaches.append(int(norms[labels == labels[window.origin_index]].max()))
+    return np.array(reaches)
 
 
 @pytest.mark.parametrize("theta_trials", [20, 50, 77])
@@ -303,33 +306,78 @@ def test_pass_reaches_match_per_trial_loop(graph, theta_trials, monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 6 * (embedded.n_edges + full.n_edges))
     containment_trials = 50  # blocks of 6, the last one ragged in every case
     report = containment_check(embedded, full, containment_trials, 13, theta_trials=theta_trials)
-    assert report.passed
-    for window, estimate in ((embedded, report.embedded_reach), (full, report.full_reach)):
-        successes = per_trial_reach(window, window.edge_keys, theta_trials, 13)
-        assert 0 < successes < theta_trials  # neither reach is saturated
-        assert estimate.successes == successes
-        assert estimate.trials == theta_trials
-        assert estimate.seed == 13
-        assert estimate.stream_rule == KEYED_STREAM_RULE
-    assert report.embedded_reach.label == "theta-embedded-r12"
-    assert report.full_reach.label == "theta-full-r12"
+    assert report.passed and report.reach_violations == 0
+    reaches = {
+        "embedded": per_trial_reaches(embedded, embedded.edge_keys, theta_trials, 13),
+        "full": per_trial_reaches(full, full.edge_keys, theta_trials, 13),
+    }
+    assert np.array_equal(report.embedded_reach, reaches["embedded"])
+    assert np.array_equal(report.full_reach, reaches["full"])
+    # The windows have radius 12 and the truncation level is 4, so every
+    # radius up to 8 is decided exactly.
+    for rho in (1, 2, 4, 8):
+        for name, estimate in zip(("embedded", "full"), report.reach_estimates(rho)):
+            assert estimate.successes == int((reaches[name] >= rho).sum())
+            assert estimate.trials == theta_trials
+            assert estimate.seed == 13
+            assert estimate.stream_rule == KEYED_STREAM_RULE
+            assert estimate.label == f"theta-{name}-r{rho}"
+    # Neither profile is saturated at radius 4.
+    for estimate in report.reach_estimates(4):
+        assert 0 < estimate.successes < theta_trials
 
 
 def test_pass_without_theta_trials_reports_no_reach(radial_pair):
     report = containment_check(*radial_pair, 10, 9)
-    assert report.embedded_reach is None and report.full_reach is None
+    assert report.embedded_reach.size == 0 and report.full_reach.size == 0
+    assert all(estimate.trials == 0 for estimate in report.reach_estimates(4))
+
+
+def test_inverted_reach_is_reported_with_its_trial(graph):
+    embedded, full = radial_windows(graph, 0.2)
+    # The embedded origin moved to a rim vertex reaches the radius on every
+    # trial, while the full origin's cluster rarely does.
+    rim = int(np.argmax(np.abs(embedded.coords).max(axis=1)))
+    moved = dataclasses.replace(embedded, origin_index=rim)
+    report = containment_check(moved, full, 0, 13, theta_trials=40)
+    inverted = per_trial_reaches(moved, moved.edge_keys, 40, 13) > per_trial_reaches(full, full.edge_keys, 40, 13)
+    assert 0 < inverted.sum() == report.reach_violations
+    first = int(np.argmax(inverted))
+    assert report.first_violation == {
+        "kind": "embedded-reach-exceeds-full",
+        "trial": first,
+        "embedded_reach": int(report.embedded_reach[first]),
+        "full_reach": int(report.full_reach[first]),
+    }
+    assert not report.passed
 
 
 def test_pass_reaches_agree_with_exact_enumeration():
-    graph = EmbeddedGraph(SlabParameters(3, 1), ScaleVector((1, 3), 1))
-    truncated = PS.constant(0.5).truncate(graph.scales.top)
-    embedded = embedded_radial_window(graph, truncated, 1)
-    full = long_range_radial_window(truncated, 1)
-    assert full.n_edges <= engine.MAX_EXACT_EDGES
+    # (shape, scales, sequence, window radius): the full window of the first
+    # case and the embedded windows of both are small enough to enumerate.
+    cases = [
+        ((3, 1), (1, 3), PS.constant(0.5), 1),
+        ((3, 2), (1, 4), PS.lacunary(0.5, support=(1, 4)), 2),
+    ]
     trials = 10**5
-    report = containment_check(embedded, full, 0, 31, theta_trials=trials)
-    assert report.vacuous
-    for window, estimate in ((embedded, report.embedded_reach), (full, report.full_reach)):
-        exact = exact_event_probability(window, "origin_boundary")
-        sigma = (exact * (1 - exact) / trials) ** 0.5
-        assert abs(estimate.value - exact) <= 4 * sigma, (window.family, estimate.value, exact)
+    checked = []
+    for (dimension, thickness), scale_values, seq, radius in cases:
+        graph = EmbeddedGraph(SlabParameters(dimension, thickness), ScaleVector(scale_values, thickness))
+        truncated = seq.truncate(graph.scales.top)
+        embedded = embedded_radial_window(graph, truncated, radius)
+        full = long_range_radial_window(truncated, radius)
+        report = containment_check(embedded, full, 0, 31, theta_trials=trials)
+        for rho in range(1, radius + 1):
+            for window, estimate in zip((embedded, full), report.reach_estimates(rho)):
+                if window.n_edges > engine.MAX_EXACT_EDGES:
+                    continue
+                # The pass's event at rho: the origin reaches a vertex of norm >= rho.
+                far = np.flatnonzero(np.abs(window.coords).max(axis=1) >= rho)
+                target = dataclasses.replace(window, terminals={**window.terminals, "boundary": far})
+                exact = exact_event_probability(target, "origin_boundary")
+                sigma = (exact * (1 - exact) / trials) ** 0.5
+                assert abs(estimate.value - exact) <= 4 * sigma, (window.describe(), rho, estimate.value, exact)
+                checked.append((window.family, radius, rho))
+    assert checked == [
+        ("embedded", 1, 1), ("z2-long-range", 1, 1), ("embedded", 2, 1), ("embedded", 2, 2),
+    ]

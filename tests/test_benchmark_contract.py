@@ -12,6 +12,7 @@ would break every benchmark op while the rest of the suite stayed green.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import sys
@@ -59,3 +60,15 @@ def test_benchmark_pipeline_config_builds():
     config = workloads.pipeline_config(1)
     assert isinstance(config.thresholds, thresholds.ThresholdSettings)
     assert config.master_seed == 1
+
+
+def test_benchmark_accepts_the_one_row_certification_report(tmp_path):
+    workloads = load_perfbench("workloads")
+    config = golden_config()
+    op = workloads.run_pipeline_op(config, tmp_path / "run", lambda name: contextlib.nullcontext())
+    assert op.failures == []
+    assert len(op.report["containment"]) == 1
+    # Two windows per theta trial for each theta row, and per containment trial.
+    expected = 2 * config.theta_trials * len(config.theta_radii) + 2 * config.containment_trials
+    assert workloads.certification_trials(op.report) == expected
+    assert {"theta", "containment"} <= op.timings.keys()

@@ -126,8 +126,10 @@ class TestStreamContract:
         assert not np.array_equal(values, keyed_uniforms(keys, 5, 18))
 
     def test_edge_keys_orientation_free_functions_of_coordinates(self):
-        a = coordinate_edge_keys(np.array([[0, 0], [3, -2]]), np.array([[1, 0], [3, 5]]))
-        b = coordinate_edge_keys(np.array([[0, 0], [3, -2]]), np.array([[1, 0], [3, 5]]))
+        coords = np.array([[0, 0], [3, -2], [1, 0], [3, 5]])
+        a = coordinate_edge_keys(coords, np.array([0, 1]), np.array([2, 3]))
+        # The same edges over the vertex list reversed: keys follow the coordinates.
+        b = coordinate_edge_keys(coords[::-1], np.array([3, 2]), np.array([1, 0]))
         assert np.array_equal(a, b)
         assert a[0] != a[1]
 

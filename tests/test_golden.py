@@ -6,9 +6,14 @@ the theta rows (their seeds and stream rule).  The report and calibration
 digests were re-recorded when the threshold estimator moved to probes
 coupled within each window side (method ``coupled-bisection/v2``) and the
 calibration rows began to record every threshold setting; only the report's
-``threshold`` entry and the calibration rows changed.  A change that moves
-these numbers on purpose (a new stream rule, a new estimator) updates the
-digests and says why in CHANGES.md.
+``threshold`` entry and the calibration rows changed.  The report and
+estimates digests were re-recorded again when certification moved to one
+window pair of radius ``max(theta_radii) + top`` (36 here): the two
+containment rows became one, with a ``reach_violations`` count, and all
+theta rows now share that pass's seed; every theta value stayed 1.0.
+
+A change that moves these numbers on purpose (a new stream rule, a new
+estimator) updates the digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -18,8 +23,8 @@ from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
 from trunclab.thresholds import ThresholdSettings
 
 DIGESTS = {
-    "report.json": "836200281c16daf0167c743c37b2647e88b307ab52f7cc46df4ed2bb99fd3d8b",
-    "estimates.csv": "11899995e554df6d1a20a77babdda3ba5025c0fd2d27f92b83260b29d9302e5d",
+    "report.json": "02829a1510e96b2cea1b08c4fcccf5d8f3f7cee016f5c02ec2045b06b01cb67e",
+    "estimates.csv": "3ac368e022760f66a130612798ffc37fe29d03f31bbd68bddce0f9f846dd8263",
     "calibration.csv": "8db442cac2a3696dd6dee1e9503cc42c2c8204bc499d60e7bf75c88fc6dfa536",
 }
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trunclab import harness
 from trunclab.cli import main
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.harness import (
@@ -230,12 +231,52 @@ class TestPipeline:
         for row in report.theta:
             assert 0.0 <= row["embedded"]["value"] <= 1.0
             assert row["embedded"]["trials"] == 200
-            # The embedded process is a subprocess of the truncated one, so
-            # its reach probability cannot exceed the full one beyond noise.
-            slack = 3 * (row["embedded"]["half_width"] + row["full"]["half_width"])
-            assert row["full"]["value"] >= row["embedded"]["value"] - slack
-        assert len(report.containment) == 2
-        assert all(row["passed"] for row in report.containment)
+            # Both reaches come from the same trials and the embedded cluster
+            # sits inside the full one on each, so the order is exact.
+            assert row["full"]["successes"] >= row["embedded"]["successes"]
+        # Reach is nonincreasing in the radius on every trial.
+        near, far = report.theta
+        for name in ("embedded", "full"):
+            assert near[name]["successes"] >= far[name]["successes"]
+        # One pass on one window pair of radius max(theta_radii) + top.
+        assert len(report.containment) == 1
+        assert report.containment[0]["radius"] == 12 + report.truncation
+        assert report.containment[0]["passed"]
+        assert report.containment[0]["reach_violations"] == 0
+
+    def test_sparse_support_reaches_are_measured_in_order(self, tmp_path):
+        # The support selects the scales (10, 100), so the top scale exceeds
+        # both theta radii.
+        config = small_config(
+            sequence=ProbabilitySequence.lacunary(0.9, support=(10, 100, 1000, 10000)),
+            theta_radii=(32, 64),
+            theta_trials=100,
+            containment_trials=50,
+        )
+        report = run_pipeline(config, tmp_path / "out")
+        assert report.scales == [10, 100]
+        for row in report.theta:
+            assert row["embedded"]["successes"] <= row["full"]["successes"], row
+            assert row["embedded"]["value"] == row["full"]["value"] == 1.0
+        assert len(report.containment) == 1
+        assert report.containment[0]["radius"] == 64 + 100
+        assert report.containment[0]["reach_violations"] == 0
+        assert report.passed
+
+    def test_oversized_certification_is_refused_before_any_window(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "embedded_radial_window", lambda *args: built.append(args))
+        monkeypatch.setattr(harness, "long_range_radial_window", lambda *args: built.append(args))
+        config = small_config(sequence=ProbabilitySequence.lacunary(0.9, support=(10, 100000)))
+        report = run_pipeline(config, tmp_path / "out")
+        assert report.scales == [10, 100000]
+        assert report.failure_stage == "certification"
+        assert report.exit_code == 3
+        assert str(harness.MAX_CERTIFICATION_EDGES) in report.error
+        assert not built
+        assert not report.theta and not report.containment
+        saved = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert saved["failure_stage"] == "certification"
 
     def test_fully_open_sequence_gives_tight_scales_and_certain_reach(self, tmp_path):
         config = small_config(
@@ -313,6 +354,23 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert "--N" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "family, option, value, scope",
+        [
+            ("zd", "--K", "7", "slab family"),
+            ("z2", "--K", "2", "slab family"),
+            ("z2", "--d", "4", "zd and slab families"),
+        ],
+    )
+    def test_estimate_rejects_options_the_family_ignores(self, family, option, value, scope, capsys):
+        code = main(
+            ["estimate", "--family", family, "--p", "0.3", "--L", "3", option, value, "--trials", "20"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{option} applies to the {scope} only, not {family}" in captured.err
         assert captured.out == ""
 
     def test_estimate_accepts_unit_truncation_level_for_slab(self, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +187,17 @@ class TestTableFile:
         with pytest.raises(ValueError, match=message) as excinfo:
             ProbabilitySequence.from_table_file(path)
         assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
+    def test_far_gap_refused_without_listing_every_missing_length(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("1 0.5\n1000000000 0.5\n")
+        clock = time.perf_counter()
+        with pytest.raises(ValueError) as excinfo:
+            ProbabilitySequence.from_table_file(path)
+        assert time.perf_counter() - clock < 1.0
+        message = str(excinfo.value)
+        assert "1..1000000000" in message
+        assert "[2, 3, 4, 5, 6]" in message
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "seq.txt"

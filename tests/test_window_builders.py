@@ -43,7 +43,7 @@ def reference_window(family, coords, edges, terminals, origin_index, meta, with_
         "meta": meta,
     }
     if with_keys and edges:
-        window["edge_keys"] = coordinate_edge_keys(coord_array[edges_u], coord_array[edges_v])
+        window["edge_keys"] = coordinate_edge_keys(coord_array, edges_u, edges_v)
     elif with_keys:
         window["edge_keys"] = np.empty(0, dtype=np.uint64)
     return window
@@ -186,8 +186,7 @@ def reference_embedded(graph, seq, radius):
         raise ConfigError("embedded window does not contain the origin")
     probabilities = {n: seq.probability(n) for n in scales}
     edges = []
-    boundary = set()
-    for coord, point in members:
+    for _, point in members:
         i = index[point]
         x, y = point
         for n in scales:
@@ -197,12 +196,7 @@ def reference_embedded(graph, seq, radius):
         j = index.get((x, y + smallest))
         if j is not None:
             edges.append((i, j, probabilities[smallest], smallest))
-        for neighbor in graph.coord_neighbors(coord):
-            nx, ny = graph.encode(neighbor)
-            if max(abs(nx), abs(ny)) > radius:
-                boundary.add(i)
-                break
-    terminals = {"origin": [index[(0, 0)]], "boundary": sorted(boundary)}
+    terminals = {"origin": [index[(0, 0)]]}
     meta = {
         "radius": radius,
         "d": graph.params.dimension,
