@@ -9,17 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 from .embedding import EmbeddedGraph, HypothesisNotWitnessed, SlabParameters, select_scales, verify_isomorphism
 from .engine import mc_event_probability
-from .harness import load_config, run_pipeline
+from .harness import _int_list, load_config, run_pipeline
 from .sequences import ProbabilitySequence
-from .thresholds import CalibrationTable, LatticeFamily, ThresholdSettings
+from .thresholds import CalibrationTable, LatticeFamily, ThresholdSettings, estimate_pc
 from .windows import ConfigError, lattice_window, long_range_crossing_window, long_range_radial_window
 
 
-# Options of ``trunclab estimate`` that only some families read: the families,
-# and the default the others must leave the option at.
+# Options of ``trunclab estimate`` and ``trunclab pc`` that only some families
+# read: the families, and the default the others must leave the option at.
 _FAMILY_OPTIONS = {"N": (("z2",), 1), "d": (("zd", "slab"), 3), "K": (("slab",), 1)}
 
 
@@ -48,14 +49,23 @@ def _build_parser() -> _Parser:
     est.add_argument("--seed", type=int, default=1)
     est.add_argument("--event", choices=["crossing", "theta"], default="crossing")
 
+    # The threshold options' destinations are the ThresholdSettings fields
+    # they set, and their defaults are that class's.
+    settings = ThresholdSettings()
     pc = sub.add_parser("pc", help="(re)compute a critical-threshold calibration row")
     pc.add_argument("--family", choices=["z2", "zd", "slab"], required=True)
-    pc.add_argument("--d", type=int, default=3)
-    pc.add_argument("--K", type=int, default=1)
-    pc.add_argument("--L-schedule", default="8,16,32")
-    pc.add_argument("--tol", type=float, default=0.015)
-    pc.add_argument("--trials", type=int, default=3000)
-    pc.add_argument("--coarse-trials", type=int, default=600, help="trials per probe on the first side")
+    pc.add_argument("--d", type=int, default=_FAMILY_OPTIONS["d"][1], help="dimension for zd/slab families")
+    pc.add_argument("--K", type=int, default=_FAMILY_OPTIONS["K"][1], help="thickness for the slab family")
+    pc.add_argument("--L-schedule", dest="l_schedule", type=_int_list, default=settings.l_schedule)
+    pc.add_argument("--tol", dest="bracket_tol", type=float, default=settings.bracket_tol)
+    pc.add_argument("--trials", dest="trials_per_probe", type=int, default=settings.trials_per_probe)
+    pc.add_argument(
+        "--coarse-trials",
+        dest="coarse_trials",
+        type=int,
+        default=settings.coarse_trials,
+        help="trials per probe on the first side",
+    )
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--calib", default=None, help="calibration CSV to update")
 
@@ -68,12 +78,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _estimate_command(args) -> int:
-    for name, (families, default) in _FAMILY_OPTIONS.items():
+def _check_family_options(args, names: tuple[str, ...]) -> None:
+    """Refuse any of ``names`` that the family does not read but is set off its default."""
+    for name in names:
+        families, default = _FAMILY_OPTIONS[name]
         if args.family not in families and getattr(args, name) != default:
             scope = " and ".join(families) + (" family" if len(families) == 1 else " families")
-            print(f"error: --{name} applies to the {scope} only, not {args.family}", file=sys.stderr)
-            return 1
+            raise ValueError(f"--{name} applies to the {scope} only, not {args.family}")
+
+
+def _estimate_command(args) -> int:
+    _check_family_options(args, ("N", "d", "K"))
     event = "crossing" if args.event == "crossing" else "origin_boundary"
     if args.family == "z2":
         build = long_range_crossing_window if event == "crossing" else long_range_radial_window
@@ -93,25 +108,17 @@ def _estimate_command(args) -> int:
     return 0
 
 
+def _pc_settings(args) -> ThresholdSettings:
+    return ThresholdSettings(**{f.name: getattr(args, f.name) for f in fields(ThresholdSettings)})
+
+
 def _pc_command(args) -> int:
-    from .thresholds import estimate_pc
-
+    _check_family_options(args, ("d", "K"))
     family = LatticeFamily(args.family, 2 if args.family == "z2" else args.d, args.K)
-    settings = ThresholdSettings(
-        l_schedule=tuple(int(x) for x in args.L_schedule.replace(",", " ").split()),
-        bracket_tol=args.tol,
-        trials_per_probe=args.trials,
-        coarse_trials=args.coarse_trials,
-    )
-    estimate = estimate_pc(family, settings, args.seed)
-    if args.calib:
-        from .thresholds import CalibrationRow
-
-        table = CalibrationTable(args.calib)
-        table.put(CalibrationRow.from_estimate(estimate))
-    row = estimate.to_dict()
-    row.pop("probes")
-    print(json.dumps(row, sort_keys=True))
+    table = CalibrationTable(args.calib)
+    estimate = estimate_pc(family, _pc_settings(args), args.seed)
+    table.put(estimate)
+    print(json.dumps(estimate.to_dict(), sort_keys=True))
     return 0
 
 
@@ -141,7 +148,7 @@ def _verify_command(args) -> int:
         epsilon=config.certificate.epsilon,
     )
     if args.as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
     else:
         print(f"scales: {list(scales.scales)}  truncation: {scales.top}")
         for name, ok in report.checks.items():

@@ -321,17 +321,6 @@ class EmbeddingReport:
     max_edge_length: int | None = None
     min_edge_probability: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": dict(self.checks),
-            "counterexample": self.counterexample,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "max_edge_length": self.max_edge_length,
-            "min_edge_probability": self.min_edge_probability,
-        }
-
 
 def verify_isomorphism(
     graph: EmbeddedGraph,

@@ -157,6 +157,41 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
+# The experiment file's section and key for each PipelineConfig field it may
+# set, and how the key's text reads.  The [thresholds] keys are the
+# ThresholdSettings field names, each read as the type of its default.
+_CONFIG_KEYS = {
+    "margin": ("search", "margin", float),
+    "d_max": ("search", "d_max", int),
+    "k_max": ("search", "k_max", int),
+    "scale_search_limit": ("search", "scale_search_limit", int),
+    "verify_coarse": ("verify", "coarse_window", int),
+    "verify_vertical": ("verify", "vertical_window", int),
+    "theta_radii": ("theta", "radii", _int_list),
+    "theta_trials": ("theta", "trials", int),
+    "positivity_floor": ("theta", "positivity_floor", float),
+    "containment_trials": ("containment", "trials", int),
+    "master_seed": ("run", "master_seed", int),
+    "calibration_file": ("thresholds", "calibration_file", str),
+    "embedding_dimension": ("embedding", "dimension", int),
+    "embedding_thickness": ("embedding", "thickness", int),
+}
+_THRESHOLD_KEYS = {
+    f.name: ("thresholds", f.name, _int_list if isinstance(f.default, tuple) else type(f.default))
+    for f in fields(ThresholdSettings)
+}
+
+
+def _file_values(parser: configparser.ConfigParser, keys: dict) -> dict:
+    """The fields whose key the file sets, read from its text; a field the
+    file leaves out is not passed, so it keeps its dataclass default."""
+    return {
+        name: read(parser.get(section, key))
+        for name, (section, key, read) in keys.items()
+        if parser.has_option(section, key)
+    }
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse the INI-style experiment file into a validated configuration."""
     path = Path(path)
@@ -169,36 +204,15 @@ def load_config(path: str | Path) -> PipelineConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     try:
-        sequence = _sequence_from_section(parser["sequence"], path.parent)
-        certificate = EpsilonCertificate(
-            epsilon=parser.getfloat("certificate", "epsilon"),
-            evidence=parser.get("certificate", "evidence", fallback="declared by configuration"),
-        )
-        thresholds = ThresholdSettings(
-            l_schedule=_int_list(parser.get("thresholds", "l_schedule", fallback="8, 16, 32")),
-            bracket_tol=parser.getfloat("thresholds", "bracket_tol", fallback=0.015),
-            trials_per_probe=parser.getint("thresholds", "trials_per_probe", fallback=3000),
-            coarse_trials=parser.getint("thresholds", "coarse_trials", fallback=600),
-        )
         config = PipelineConfig(
-            sequence=sequence,
-            certificate=certificate,
-            margin=parser.getfloat("search", "margin", fallback=0.02),
-            d_max=parser.getint("search", "d_max", fallback=6),
-            k_max=parser.getint("search", "k_max", fallback=4),
-            scale_search_limit=parser.getint("search", "scale_search_limit", fallback=1_000_000),
-            verify_coarse=parser.getint("verify", "coarse_window", fallback=3),
-            verify_vertical=parser.getint("verify", "vertical_window", fallback=3),
-            theta_radii=_int_list(parser.get("theta", "radii", fallback="32, 64")),
-            theta_trials=parser.getint("theta", "trials", fallback=2000),
-            positivity_floor=parser.getfloat("theta", "positivity_floor", fallback=0.05),
-            containment_trials=parser.getint("containment", "trials", fallback=1000),
-            thresholds=thresholds,
-            master_seed=parser.getint("run", "master_seed", fallback=1),
-            calibration_file=parser.get("thresholds", "calibration_file", fallback=None),
-            embedding_dimension=parser.getint("embedding", "dimension", fallback=None),
-            embedding_thickness=parser.getint("embedding", "thickness", fallback=None),
+            sequence=_sequence_from_section(parser["sequence"], path.parent),
+            certificate=EpsilonCertificate(
+                epsilon=parser.getfloat("certificate", "epsilon"),
+                **_file_values(parser, {"evidence": ("certificate", "evidence", str)}),
+            ),
+            thresholds=ThresholdSettings(**_file_values(parser, _THRESHOLD_KEYS)),
             raw_text=text,
+            **_file_values(parser, _CONFIG_KEYS),
         )
     except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from None
@@ -370,6 +384,7 @@ class PipelineReport:
     epsilon: float
     margin: float
     master_seed: int
+    positivity_floor: float
     passed: bool = False
     failure_stage: str | None = None
     error: str | None = None
@@ -381,7 +396,6 @@ class PipelineReport:
     theta: list[dict] = field(default_factory=list)
     containment: list[dict] = field(default_factory=list)
     checks: dict = field(default_factory=dict)
-    positivity_floor: float = 0.05
     stream_rules: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -481,7 +495,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
         epsilon=config.certificate.epsilon,
     )
     timings["embedding-verification"] = time.perf_counter() - clock
-    report.embedding = embedding_report.to_dict()
+    report.embedding = asdict(embedding_report)
     report.checks["isomorphism"] = embedding_report.passed
     if not embedding_report.passed:
         report.failure_stage = "embedding-verification"

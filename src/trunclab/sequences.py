@@ -160,8 +160,20 @@ class ProbabilitySequence:
         return replace(self, truncation=level)
 
     def supported_lengths(self, max_length: int) -> list[int]:
-        """Lengths up to ``max_length`` with strictly positive probability."""
-        return [n for n in range(1, max_length + 1) if self.probability(n) > 0.0]
+        """Lengths up to ``max_length`` with strictly positive probability.
+
+        Found by :func:`scan_support` jumps, so a sparse support costs its
+        size, not ``max_length`` evaluations; 5e-324, the least positive
+        float, makes its ``>=`` exactly ``> 0``.
+        """
+        lengths: list[int] = []
+        low = 0
+        while low < max_length:
+            low = scan_support(self, 5e-324, low, max_length)
+            if low is None:
+                break
+            lengths.append(low)
+        return lengths
 
     def describe(self) -> str:
         if self.kind == "constant":

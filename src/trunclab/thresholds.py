@@ -16,7 +16,9 @@ cost (dimension first, then thickness) until one's estimated threshold
 clears a declared level with margin to spare -- the numeric stand-in for
 the cited existence results, which give no effective bounds.  Estimates are
 persisted in a :class:`CalibrationTable`, whose rows are reused only under
-the settings and method they were computed with.
+the settings and method they were computed with.  A row is a
+:class:`ThresholdEstimate` without its probes: the table stores, loads and
+returns estimates, and the report prints the same record.
 """
 
 from __future__ import annotations
@@ -103,13 +105,15 @@ class ProbeRecord:
     trials: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"L": self.side, "p": self.p, "value": self.value, "trials": self.trials, "seed": self.seed}
-
 
 @dataclass
 class ThresholdEstimate:
-    """Bisection outcome: midpoint, bracket, and combined uncertainty."""
+    """One family's threshold with the settings, seed and method behind it.
+
+    The bisection outcome: midpoint, bracket, and combined uncertainty, of
+    which ``stat_term`` is the statistical part.  A calibration row is an
+    estimate whose ``probes`` were not stored; probes never enter equality.
+    """
 
     family: LatticeFamily
     p_hat: float
@@ -117,25 +121,35 @@ class ThresholdEstimate:
     bracket: tuple[float, float]
     stat_term: float
     settings: ThresholdSettings
-    master_seed: int
-    probes: list[ProbeRecord] = field(default_factory=list)
+    seed: int
     method: str = METHOD
+    probes: list[ProbeRecord] = field(default_factory=list, compare=False)
 
     def to_dict(self) -> dict:
+        """The report's ``threshold`` entry, which ``trunclab pc`` also prints."""
         return {
             "family": self.family.key,
             "p_hat": self.p_hat,
             "uncertainty": self.uncertainty,
             "bracket": list(self.bracket),
-            "stat_term": self.stat_term,
-            "L_schedule": list(self.settings.l_schedule),
-            "bracket_tol": self.settings.bracket_tol,
-            "trials_per_probe": self.settings.trials_per_probe,
-            "coarse_trials": self.settings.coarse_trials,
-            "master_seed": self.master_seed,
+            **asdict(self.settings),
+            "seed": self.seed,
             "method": self.method,
-            "probes": [p.to_dict() for p in self.probes],
         }
+
+    def mismatches(self, settings: ThresholdSettings) -> list[str]:
+        """``name stored != requested`` for each setting, and the method, that differs.
+
+        The seed is provenance, not part of the key: a row computed under
+        another master seed is still reused.
+        """
+        stored, requested = asdict(self.settings), asdict(settings)
+        differing = [
+            f"{name} {stored[name]!r} != {requested[name]!r}" for name in stored if stored[name] != requested[name]
+        ]
+        if self.method != METHOD:
+            differing.append(f"method {self.method!r} != {METHOD!r}")
+        return differing
 
 
 def estimate_pc(family: LatticeFamily, settings: ThresholdSettings, master_seed: int) -> ThresholdEstimate:
@@ -192,7 +206,7 @@ def estimate_pc(family: LatticeFamily, settings: ThresholdSettings, master_seed:
         bracket=(low, high),
         stat_term=stat_term,
         settings=settings,
-        master_seed=master_seed,
+        seed=master_seed,
         probes=probes,
     )
 
@@ -216,91 +230,12 @@ CALIBRATION_COLUMNS = [
 ]
 
 
-@dataclass
-class CalibrationRow:
-    """One family's threshold with the settings, seed and method behind it."""
-
-    family_key: str
-    kind: str
-    dimension: int
-    thickness: int
-    p_hat: float
-    uncertainty: float
-    bracket_lo: float
-    bracket_hi: float
-    stat_term: float
-    settings: ThresholdSettings
-    seed: int
-    method: str
-
-    @staticmethod
-    def from_estimate(estimate: ThresholdEstimate) -> "CalibrationRow":
-        return CalibrationRow(
-            family_key=estimate.family.key,
-            kind=estimate.family.kind,
-            dimension=estimate.family.dimension,
-            thickness=estimate.family.thickness,
-            p_hat=estimate.p_hat,
-            uncertainty=estimate.uncertainty,
-            bracket_lo=estimate.bracket[0],
-            bracket_hi=estimate.bracket[1],
-            stat_term=estimate.stat_term,
-            settings=estimate.settings,
-            seed=estimate.master_seed,
-            method=estimate.method,
-        )
-
-    def to_csv_dict(self) -> dict:
-        return {
-            "family": self.family_key,
-            "kind": self.kind,
-            "dimension": self.dimension,
-            "thickness": self.thickness,
-            "p_hat": repr(self.p_hat),
-            "uncertainty": repr(self.uncertainty),
-            "bracket_lo": repr(self.bracket_lo),
-            "bracket_hi": repr(self.bracket_hi),
-            "stat_term": repr(self.stat_term),
-            "l_schedule": " ".join(str(side) for side in self.settings.l_schedule),
-            "bracket_tol": repr(self.settings.bracket_tol),
-            "trials_per_probe": self.settings.trials_per_probe,
-            "coarse_trials": self.settings.coarse_trials,
-            "seed": self.seed,
-            "method": self.method,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family_key,
-            "p_hat": self.p_hat,
-            "uncertainty": self.uncertainty,
-            "bracket": [self.bracket_lo, self.bracket_hi],
-            **asdict(self.settings),
-            "seed": self.seed,
-            "method": self.method,
-        }
-
-    def mismatches(self, settings: ThresholdSettings) -> list[str]:
-        """``name stored != requested`` for each setting, and the method, that differs.
-
-        The seed is provenance, not part of the key: a row computed under
-        another master seed is still reused.
-        """
-        stored, requested = asdict(self.settings), asdict(settings)
-        differing = [
-            f"{name} {stored[name]!r} != {requested[name]!r}" for name in stored if stored[name] != requested[name]
-        ]
-        if self.method != METHOD:
-            differing.append(f"method {self.method!r} != {METHOD!r}")
-        return differing
-
-
 class CalibrationTable:
     """Threshold rows persisted as CSV; every row replays from its seed."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.rows: dict[str, CalibrationRow] = {}
+        self.rows: dict[str, ThresholdEstimate] = {}
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -316,15 +251,16 @@ class CalibrationTable:
             if None in record or not all(record.values()):
                 raise ConfigError(f"{where}: expected {len(CALIBRATION_COLUMNS)} nonempty fields")
             try:
-                row = CalibrationRow(
-                    family_key=record["family"],
-                    kind=record["kind"],
-                    dimension=int(record["dimension"]),
-                    thickness=int(record["thickness"]),
+                family = LatticeFamily(record["kind"], int(record["dimension"]), int(record["thickness"]))
+                if record["family"] != family.key:
+                    raise ConfigError(
+                        f"family {record['family']!r} does not match kind, dimension and thickness ({family.key})"
+                    )
+                row = ThresholdEstimate(
+                    family=family,
                     p_hat=float(record["p_hat"]),
                     uncertainty=float(record["uncertainty"]),
-                    bracket_lo=float(record["bracket_lo"]),
-                    bracket_hi=float(record["bracket_hi"]),
+                    bracket=(float(record["bracket_lo"]), float(record["bracket_hi"])),
                     stat_term=float(record["stat_term"]),
                     settings=ThresholdSettings(
                         l_schedule=tuple(int(side) for side in record["l_schedule"].split()),
@@ -337,7 +273,7 @@ class CalibrationTable:
                 )
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            self.rows[row.family_key] = row
+            self.rows[family.key] = row
 
     def save(self) -> None:
         if self.path is None:
@@ -359,13 +295,28 @@ class CalibrationTable:
             writer = csv.DictWriter(handle, fieldnames=CALIBRATION_COLUMNS)
             writer.writeheader()
             for key in sorted(self.rows):
-                writer.writerow(self.rows[key].to_csv_dict())
+                row = self.rows[key]
+                writer.writerow(
+                    {
+                        "family": key,
+                        **asdict(row.family),
+                        "p_hat": row.p_hat,
+                        "uncertainty": row.uncertainty,
+                        "bracket_lo": row.bracket[0],
+                        "bracket_hi": row.bracket[1],
+                        "stat_term": row.stat_term,
+                        **asdict(row.settings),
+                        "l_schedule": " ".join(str(side) for side in row.settings.l_schedule),
+                        "seed": row.seed,
+                        "method": row.method,
+                    }
+                )
 
-    def get(self, family: LatticeFamily) -> CalibrationRow | None:
+    def get(self, family: LatticeFamily) -> ThresholdEstimate | None:
         return self.rows.get(family.key)
 
-    def put(self, row: CalibrationRow) -> None:
-        self.rows[row.family_key] = row
+    def put(self, estimate: ThresholdEstimate) -> None:
+        self.rows[estimate.family.key] = estimate
         self.save()
 
     def ensure(
@@ -373,8 +324,8 @@ class CalibrationTable:
         family: LatticeFamily,
         settings: ThresholdSettings,
         master_seed: int,
-    ) -> CalibrationRow:
-        """Return the stored row or compute, persist, and return a fresh one.
+    ) -> ThresholdEstimate:
+        """Return the stored row or compute, persist, and return a fresh estimate.
 
         A stored row computed under other settings or by another method
         raises :class:`ConfigError` naming every differing field.  The
@@ -391,11 +342,9 @@ class CalibrationTable:
                     " use another calibration file"
                 )
             return row
-        seed = derive_seed(master_seed, "threshold", family.key)
-        estimate = estimate_pc(family, settings, seed)
-        row = CalibrationRow.from_estimate(estimate)
-        self.put(row)
-        return row
+        estimate = estimate_pc(family, settings, derive_seed(master_seed, "threshold", family.key))
+        self.put(estimate)
+        return estimate
 
 
 def choose_slab_parameters(
@@ -406,7 +355,7 @@ def choose_slab_parameters(
     table: CalibrationTable,
     settings: ThresholdSettings,
     master_seed: int,
-) -> tuple[SlabParameters, CalibrationRow]:
+) -> tuple[SlabParameters, ThresholdEstimate]:
     """First slab geometry (by cost order) whose threshold clears the level.
 
     Acceptance is ``p_hat + uncertainty + margin < epsilon``, recorded as

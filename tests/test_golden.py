@@ -16,11 +16,16 @@ A change that moves these numbers on purpose (a new stream rule, a new
 estimator) updates the digests and says why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 
+import pytest
+
+import trunclab.thresholds as thresholds_module
 from trunclab.harness import PipelineConfig, run_pipeline
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
-from trunclab.thresholds import ThresholdSettings
+from trunclab.thresholds import CalibrationTable, ThresholdSettings
+from trunclab.windows import ConfigError
 
 DIGESTS = {
     "report.json": "02829a1510e96b2cea1b08c4fcccf5d8f3f7cee016f5c02ec2045b06b01cb67e",
@@ -53,3 +58,28 @@ def test_tiny_pipeline_artifacts_match_recorded_digests(tmp_path):
     assert report.passed
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS}
     assert digests == DIGESTS
+
+
+def test_calibration_round_trip(tmp_path, monkeypatch):
+    # A warm rerun reads every threshold from the cold run's table and
+    # reproduces its report byte for byte without estimating anything.
+    run_pipeline(golden_config(), tmp_path / "cold")
+    table = tmp_path / "cold" / "calibration.csv"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run estimated a threshold")
+
+    monkeypatch.setattr(thresholds_module, "estimate_pc", refuse)
+    warm = dataclasses.replace(golden_config(), calibration_file=str(table))
+    run_pipeline(warm, tmp_path / "warm")
+    assert (tmp_path / "warm" / "report.json").read_bytes() == (tmp_path / "cold" / "report.json").read_bytes()
+
+    # A row's family column must name the family its kind, dimension and
+    # thickness describe; otherwise the row would serve the wrong family.
+    lines = table.read_text().splitlines(keepends=True)
+    row = next(number for number, line in enumerate(lines) if line.startswith("slab-d3-k1,"))
+    lines[row] = lines[row].replace("slab-d3-k1,", "slab-d3-k2,", 1)
+    table.write_text("".join(lines))
+    with pytest.raises(ConfigError) as excinfo:
+        CalibrationTable(table)
+    assert f"{table}, line {row + 1}:" in str(excinfo.value)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from trunclab import harness
-from trunclab.cli import main
+from trunclab.cli import _build_parser, _pc_settings, main
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.harness import (
     PipelineConfig,
@@ -12,7 +12,7 @@ from trunclab.harness import (
     run_pipeline,
 )
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
-from trunclab.thresholds import METHOD, CalibrationRow, CalibrationTable, LatticeFamily, ThresholdSettings
+from trunclab.thresholds import METHOD, CalibrationTable, LatticeFamily, ThresholdEstimate, ThresholdSettings
 from trunclab.windows import ConfigError, embedded_radial_window, long_range_radial_window
 
 FAST_THRESHOLDS = ThresholdSettings(
@@ -93,6 +93,23 @@ class TestConfig:
         assert config.sequence.probability(4) == 0.9
         assert config.embedding_dimension == 3
         assert config.raw_text == CONFIG_TEXT
+        assert config == small_config(
+            certificate=EpsilonCertificate(0.45, evidence="geometric support at 0.9"),
+            embedding_dimension=3,
+            embedding_thickness=2,
+            raw_text=CONFIG_TEXT,
+        )
+
+    def test_unset_keys_keep_the_dataclass_defaults(self, tmp_path):
+        text = "[sequence]\nkind = lacunary\nbase = 2\nvalue = 0.9\n\n[certificate]\nepsilon = 0.45\n"
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        expected = PipelineConfig(
+            sequence=ProbabilitySequence.lacunary(0.9, base=2),
+            certificate=EpsilonCertificate(0.45),
+            raw_text=text,
+        )
+        assert load_config(path) == expected
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -296,6 +313,15 @@ class TestPipeline:
         assert all(row["full"]["value"] == 1.0 for row in outcome.theta)
 
 
+# Options a family does not read, set off their defaults: the family, the
+# option and its value, and the scope the error names.
+IGNORED_OPTIONS = [
+    ("zd", "--K", "7", "slab family"),
+    ("z2", "--K", "2", "slab family"),
+    ("z2", "--d", "4", "zd and slab families"),
+]
+
+
 class TestCli:
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -356,14 +382,7 @@ class TestCli:
         assert "--N" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "family, option, value, scope",
-        [
-            ("zd", "--K", "7", "slab family"),
-            ("z2", "--K", "2", "slab family"),
-            ("z2", "--d", "4", "zd and slab families"),
-        ],
-    )
+    @pytest.mark.parametrize("family, option, value, scope", IGNORED_OPTIONS)
     def test_estimate_rejects_options_the_family_ignores(self, family, option, value, scope, capsys):
         code = main(
             ["estimate", "--family", family, "--p", "0.3", "--L", "3", option, value, "--trials", "20"]
@@ -372,6 +391,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"{option} applies to the {scope} only, not {family}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("family, option, value, scope", IGNORED_OPTIONS)
+    def test_pc_rejects_options_the_family_ignores(self, family, option, value, scope, tmp_path, capsys):
+        calib = tmp_path / "calib.csv"
+        code = main(
+            ["pc", "--family", family, option, value, "--L-schedule", "4", "--trials", "20",
+             "--tol", "0.2", "--calib", str(calib)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{option} applies to the {scope} only, not {family}" in captured.err
+        assert captured.out == ""
+        assert not calib.exists()
 
     def test_estimate_accepts_unit_truncation_level_for_slab(self, capsys):
         code = main(
@@ -417,6 +449,10 @@ class TestCli:
         assert payload["family"] == "z2"
         assert (tmp_path / "calib.csv").exists()
 
+    def test_pc_defaults_are_the_threshold_settings(self):
+        args = _build_parser().parse_args(["pc", "--family", "z2"])
+        assert _pc_settings(args) == ThresholdSettings()
+
     def test_pc_row_is_reused_under_its_own_settings(self, tmp_path, capsys):
         calib = tmp_path / "calib.csv"
         code = main(
@@ -429,7 +465,8 @@ class TestCli:
         settings = ThresholdSettings(l_schedule=(4, 8), bracket_tol=0.05, trials_per_probe=200, coarse_trials=40)
         table = CalibrationTable(calib)
         stored = table.rows["z2"]
-        assert stored.dimension == 2
+        assert payload == json.loads(json.dumps(stored.to_dict()))
+        assert stored.family.dimension == 2
         assert stored.mismatches(settings) == []
         assert table.ensure(LatticeFamily("z2"), settings, master_seed=99) is stored
 
@@ -448,7 +485,7 @@ class TestCli:
         calib = tmp_path / "calib.csv"
         stale = ThresholdSettings(l_schedule=(6, 12, 24), bracket_tol=0.04, trials_per_probe=5000, coarse_trials=150)
         CalibrationTable(calib).put(
-            CalibrationRow("slab-d3-k1", "slab", 3, 1, 0.49, 0.01, 0.48, 0.5, 0.005, stale, 7, METHOD)
+            ThresholdEstimate(LatticeFamily("slab", 3, 1), 0.49, 0.01, (0.48, 0.5), 0.005, stale, 7, METHOD)
         )
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT.replace("coarse_trials = 150", f"coarse_trials = 150\ncalibration_file = {calib}"))

@@ -141,6 +141,20 @@ class TestScanSupport:
             assert scan_support(seq, threshold, low, high) == linear_scan_oracle(
                 seq, threshold, low, high
             )
+            assert seq.supported_lengths(high) == [n for n in range(1, high + 1) if seq.probability(n) > 0]
+
+    def test_sparse_support_is_listed_without_a_linear_scan(self, monkeypatch):
+        seq = ProbabilitySequence.lacunary(0.9, support=(10, 10**6)).truncate(10**6)
+        calls = []
+        real = ProbabilitySequence.probability
+
+        def counting(self, length):
+            calls.append(length)
+            return real(self, length)
+
+        monkeypatch.setattr(ProbabilitySequence, "probability", counting)
+        assert seq.supported_lengths(10**6) == [10, 10**6]
+        assert len(calls) <= 24
 
 
 class TestEpsilonCertificate:

@@ -9,10 +9,10 @@ from trunclab.engine import Estimate, component_labels
 from trunclab.rng import derive_seed, indexed_uniforms
 from trunclab.thresholds import (
     METHOD,
-    CalibrationRow,
     CalibrationTable,
     LatticeFamily,
     ParametersNotFound,
+    ThresholdEstimate,
     ThresholdSettings,
     choose_slab_parameters,
     estimate_pc,
@@ -68,7 +68,9 @@ class TestEstimatePc:
     def test_reproducible_from_seed(self):
         first = estimate_pc(LatticeFamily("z2"), FAST, 7)
         second = estimate_pc(LatticeFamily("z2"), FAST, 7)
-        assert first.to_dict() == second.to_dict()
+        assert first == second
+        # Probes are left out of equality, so they are compared here.
+        assert first.probes and first.probes == second.probes
 
     def test_thickness_one_slab_agrees_with_planar(self):
         plane = estimate_pc(LatticeFamily("z2"), FAST, 31)
@@ -174,16 +176,12 @@ class TestEstimatePc:
             assert probe_points(other) != probe_points(base), change
 
 
-def _fake_row(key: str, dimension: int, thickness: int, p_hat: float) -> CalibrationRow:
-    return CalibrationRow(
-        family_key=key,
-        kind="slab",
-        dimension=dimension,
-        thickness=thickness,
+def _fake_row(dimension: int, thickness: int, p_hat: float) -> ThresholdEstimate:
+    return ThresholdEstimate(
+        family=LatticeFamily("slab", dimension, thickness),
         p_hat=p_hat,
         uncertainty=0.005,
-        bracket_lo=p_hat - 0.005,
-        bracket_hi=p_hat + 0.005,
+        bracket=(p_hat - 0.005, p_hat + 0.005),
         stat_term=0.001,
         settings=FAST,
         seed=1,
@@ -195,7 +193,7 @@ class TestCalibrationTable:
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "calib.csv"
         table = CalibrationTable(path)
-        row = _fake_row("slab-d3-k2", 3, 2, 0.381234567890123)
+        row = _fake_row(3, 2, 0.381234567890123)
         table.put(row)
         reloaded = CalibrationTable(path)
         assert reloaded.rows["slab-d3-k2"] == row
@@ -242,8 +240,8 @@ class TestCalibrationTable:
     def test_truncated_row_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "calib.csv"
         table = CalibrationTable(path)
-        table.put(_fake_row("slab-d3-k1", 3, 1, 0.49))
-        table.put(_fake_row("slab-d3-k2", 3, 2, 0.44))
+        table.put(_fake_row(3, 1, 0.49))
+        table.put(_fake_row(3, 2, 0.44))
         text = path.read_text()
         last_line = len(text.splitlines())
         row_start = text.rstrip("\n").rindex("\n") + 1
@@ -258,7 +256,7 @@ class TestCalibrationTable:
 
     def test_missing_column_names_the_file_and_column(self, tmp_path):
         path = tmp_path / "calib.csv"
-        CalibrationTable(path).put(_fake_row("slab-d3-k2", 3, 2, 0.44))
+        CalibrationTable(path).put(_fake_row(3, 2, 0.44))
         lines = path.read_text().splitlines()
         kept = [line.rsplit(",", 1)[0] if not line.startswith("#") else line for line in lines]
         path.write_text("\n".join(kept) + "\n")
@@ -272,21 +270,21 @@ class TestCalibrationTable:
         family = LatticeFamily("slab", 3, 2)
         row = table.ensure(family, FAST, 77)
         replay = estimate_pc(family, FAST, row.seed)
-        assert CalibrationRow.from_estimate(replay) == row
+        assert replay == row
 
 
 class TestChooseSlabParameters:
     def test_picks_least_cost_qualifying_geometry(self, tmp_path):
         table = CalibrationTable(tmp_path / "calib.csv")
         table.rows = {
-            "slab-d3-k1": _fake_row("slab-d3-k1", 3, 1, 0.49),
-            "slab-d3-k2": _fake_row("slab-d3-k2", 3, 2, 0.44),
-            "slab-d3-k3": _fake_row("slab-d3-k3", 3, 3, 0.41),
-            "slab-d4-k1": _fake_row("slab-d4-k1", 4, 1, 0.49),
+            "slab-d3-k1": _fake_row(3, 1, 0.49),
+            "slab-d3-k2": _fake_row(3, 2, 0.44),
+            "slab-d3-k3": _fake_row(3, 3, 0.41),
+            "slab-d4-k1": _fake_row(4, 1, 0.49),
         }
         params, row = choose_slab_parameters(0.45, 0.02, 4, 3, table, FAST, 1)
         assert (params.dimension, params.thickness) == (3, 3)
-        assert row.family_key == "slab-d3-k3"
+        assert row.family.key == "slab-d3-k3"
         assert row.p_hat + row.uncertainty + 0.02 < 0.45  # inequality exactly as recorded
 
     def test_margin_validated(self, tmp_path):
@@ -299,8 +297,8 @@ class TestChooseSlabParameters:
     def test_budget_exhaustion_reports_shortfalls(self, tmp_path):
         table = CalibrationTable(tmp_path / "calib.csv")
         table.rows = {
-            "slab-d3-k1": _fake_row("slab-d3-k1", 3, 1, 0.49),
-            "slab-d3-k2": _fake_row("slab-d3-k2", 3, 2, 0.44),
+            "slab-d3-k1": _fake_row(3, 1, 0.49),
+            "slab-d3-k2": _fake_row(3, 2, 0.44),
         }
         with pytest.raises(ParametersNotFound) as excinfo:
             choose_slab_parameters(0.30, 0.02, 3, 2, table, FAST, 1)
