@@ -7,12 +7,16 @@ so estimates cannot depend on trial execution order and the same lattice
 edge can be coupled across different windows.
 
 Every Monte Carlo estimate clusters a whole block of trials with one call
-into the compiled union-find kernel (:mod:`trunclab.kernel`):
-:func:`component_labels` labels an open-edge block, and the certification
-pass draws its keyed trials and labels them in the same kernel loop.  There
-is no second route in the package.  The tests keep scipy's
-``connected_components`` and a per-trial sampler on the pure-Python
-:class:`UnionFind` as references the kernel must agree with.
+into the compiled union-find kernel (:mod:`trunclab.kernel`), which also
+draws the trials: :func:`mc_event_probability` and
+:func:`origin_radius_profile` take each block of indexed trials from
+``kernel.indexed_labels``, which computes the Philox words of the indexed
+stream in the loop that clusters them, and the certification pass does the
+same with its keyed trials.  :func:`component_labels` labels an open-edge
+block given as masks.  There is no second route in the package.  The tests
+keep scipy's ``connected_components``, a per-trial sampler on the
+pure-Python :class:`UnionFind` and numpy's Philox generator as references
+the kernel must agree with.
 The exact oracle, :func:`exact_event_probability`, labels its enumerated
 configurations with its own vectorized label-propagation sweep, so Monte
 Carlo estimates are checked against connectivity code they do not share.
@@ -26,12 +30,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernel import mask_labels
+from .kernel import indexed_labels, mask_labels
+# indexed_uniform_matrix is not called here (the kernel draws the indexed
+# trials itself), but it stays bound: the benchmark's tracer wraps it by name
+# in this namespace.
 from .rng import (
     INDEXED_STREAM_RULE,
-    indexed_uniform_matrix,
+    indexed_uniform_matrix,  # noqa: F401
     indexed_uniforms,
     keyed_uniforms,
+    open_thresholds,
 )
 from .windows import GraphWindow
 
@@ -220,14 +228,16 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
     )
 
 
-# Uniforms drawn (and edges or vertices clustered) per block of trials.  It
-# sets the block route's peak memory: 200k uniforms kept the pipeline
-# benchmark's peak RSS below the per-trial loop's, 1M did not.
+# Edges drawn (or vertices labelled) per block of trials.  It sets the size
+# of a block's open masks (a byte per edge) and labels (four bytes per
+# vertex); no block holds a matrix of uniforms, since the kernel draws each
+# word where it compares it.  200k kept the pipeline benchmark's peak RSS
+# below the per-trial loop's, 1M did not.
 BLOCK_UNIFORMS = 200_000
 
 
 def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS uniforms each
+    """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS edge draws each
     across ``windows``, and at least one trial.
 
     A window weighs its edge or its vertex count, whichever is larger: a
@@ -241,9 +251,11 @@ def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]
         yield start, min(start + rows, trials)
 
 
-def _open_block(window: GraphWindow, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """Indexed-stream open masks of trials ``start .. stop - 1``, one row each."""
-    return indexed_uniform_matrix(window.n_edges, master_seed, stop - start, start) < window.probs
+def _indexed_blocks(window: GraphWindow, trials: int, master_seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, labels)`` of each block of indexed trials, drawn and clustered by the kernel."""
+    thresholds = open_thresholds(window.probs)
+    for start, stop in trial_blocks(trials, window):
+        yield start, stop, indexed_labels(window, thresholds, master_seed, start, stop)[1]
 
 
 def mc_event_probability(
@@ -258,8 +270,7 @@ def mc_event_probability(
         raise ValueError("trials must be >= 1")
     left, right = event_terminals(window, event)
     successes = 0
-    for start, stop in trial_blocks(trials, window):
-        labels = component_labels(window, _open_block(window, master_seed, start, stop))
+    for _, _, labels in _indexed_blocks(window, trials, master_seed):
         successes += int(_union_hits(labels, left, right).sum())
     return _make_estimate(successes, trials, master_seed, INDEXED_STREAM_RULE, label)
 
@@ -313,8 +324,7 @@ def origin_radius_profile(
         raise ValueError("window has no origin vertex")
     radii = list(radii)
     indicators = np.zeros((trials, len(radii)), dtype=bool)
-    for start, stop in trial_blocks(trials, window):
-        labels = component_labels(window, _open_block(window, master_seed, start, stop))
+    for start, stop, labels in _indexed_blocks(window, trials, master_seed):
         indicators[start:stop] = origin_reach(window, labels)[:, None] >= np.array(radii)
     estimates = [
         _make_estimate(int(indicators[:, i].sum()), trials, master_seed, INDEXED_STREAM_RULE,

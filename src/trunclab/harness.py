@@ -121,6 +121,12 @@ class PipelineConfig:
             raise ConfigError("theta needs at least one trial and containment a nonnegative count")
 
 
+# Every key the [sequence] section may set, over all kinds.
+_SEQUENCE_KEYS = (
+    "kind", "value", "amplitude", "exponent", "support", "base", "background", "file", "tail", "truncation"
+)
+
+
 def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -> ProbabilitySequence:
     kind = section.get("kind", fallback=None)
     if kind is None:
@@ -192,8 +198,22 @@ def _file_values(parser: configparser.ConfigParser, keys: dict) -> dict:
     }
 
 
+def _refuse_unknown_keys(parser: configparser.ConfigParser, path: Path) -> None:
+    """A key the loader does not read would silently run its default, so it stops the load."""
+    known = {(section, key) for section, key, _ in (*_CONFIG_KEYS.values(), *_THRESHOLD_KEYS.values())}
+    known |= {("certificate", "epsilon"), ("certificate", "evidence")}
+    known |= {("sequence", key) for key in _SEQUENCE_KEYS}
+    for section in parser.sections():
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ConfigError(f"config {path}: unknown key {key!r} in [{section}]")
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse the INI-style experiment file into a validated configuration."""
+    """Parse the INI-style experiment file into a validated configuration.
+
+    A key outside the sections and names the loader reads is refused, naming
+    its section and key."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -203,6 +223,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    _refuse_unknown_keys(parser, path)
     try:
         config = PipelineConfig(
             sequence=_sequence_from_section(parser["sequence"], path.parent),

@@ -4,10 +4,12 @@ Two stream families are provided, both pure functions of integers so that
 trials can run in any order (or in parallel) without changing a single draw:
 
 * indexed streams -- trial ``t`` of a window with ``E`` edges reads its
-  uniforms from a Philox counter stream keyed by the run seed, starting at
-  counter block ``t * ceil(E / 4)`` (Philox emits four 64-bit words per
-  block).  The uniform for ``(seed, trial, edge_index)`` depends on nothing
-  else.  Threshold probes and single estimates use them.
+  uniforms from a Philox4x64-10 counter stream keyed by ``(seed, 0)``: edge
+  ``e`` takes word ``e % 4`` of counter block ``t * ceil(E / 4) + 1 + e // 4``
+  (Philox emits four 64-bit words per block, and numpy's generator steps its
+  counter before the first block).  The uniform for ``(seed, trial,
+  edge_index)`` depends on nothing else.  Threshold probes and single
+  estimates use them.
 
 * keyed streams -- one uniform per ``(seed, trial, edge_key)`` triple,
   computed with a splitmix64 finalizer chain.  Edge keys are derived from
@@ -17,12 +19,16 @@ trials can run in any order (or in parallel) without changing a single draw:
   pipeline's certification pass draws both its reach (theta) and its
   containment trials from them.
 
-A keyed uniform is ``u = (word >> 11) * 2^-53`` for a 64-bit ``word``.  Both
-that product and ``p * 2^53`` are exact in binary floating point, so for an
-integer ``k = word >> 11`` the test ``u < p`` is exactly ``k < ceil(p * 2^53)``
+Both streams turn a 64-bit ``word`` into the uniform ``u = (word >> 11) *
+2^-53`` (numpy's Philox doubles are made the same way).  That product and
+``p * 2^53`` are exact in binary floating point, so for an integer ``k =
+word >> 11`` the test ``u < p`` is exactly ``k < ceil(p * 2^53)``
 (:func:`open_thresholds`).  The compiled kernel (:mod:`trunclab.kernel`)
-draws the words itself and compares them as integers, which yields the same
-open masks as ``keyed_uniforms(...) < probs`` bit for bit.
+draws the words of either stream itself and compares them as integers, so
+its open masks equal ``keyed_uniforms(...) < probs`` and
+``indexed_uniform_matrix(...) < probs`` bit for bit.  The numpy functions
+here are the reference the kernel is tested against, and the per-trial
+route of :func:`trunclab.engine.trial_open_mask`.
 """
 
 from __future__ import annotations

@@ -58,6 +58,11 @@ class LatticeFamily:
             raise ConfigError("dimension must be >= 2")
         if self.kind == "slab" and self.thickness < 1:
             raise ConfigError("slab thickness must be >= 1")
+        # A field the kind ignores would give two unequal families one key.
+        if self.kind != "slab" and self.thickness != 1:
+            raise ConfigError(f"family {self.kind} has no thickness, got {self.thickness}")
+        if self.kind == "z2" and self.dimension != 2:
+            raise ConfigError(f"family z2 has dimension 2, got {self.dimension}")
 
     @property
     def key(self) -> str:

@@ -70,6 +70,20 @@ class GraphWindow:
         """Sup-norm of every vertex, computed once per window."""
         return np.abs(self.coords).max(axis=1)
 
+    @cached_property
+    def kernel_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``edges_u`` and ``edges_v`` as contiguous int32 arrays, checked once
+        per window to pair up and to lie among its vertices, so the compiled
+        kernel indexes only inside its arrays.  A failed check caches nothing."""
+        edges_u = np.ascontiguousarray(self.edges_u, dtype=np.int32)
+        edges_v = np.ascontiguousarray(self.edges_v, dtype=np.int32)
+        if edges_v.shape != edges_u.shape:
+            raise ValueError("edges_u and edges_v differ in length")
+        # Negative endpoints wrap to large unsigned values, so one comparison checks both ends.
+        if edges_u.size and max(edges_u.view(np.uint32).max(), edges_v.view(np.uint32).max()) >= self.n_vertices:
+            raise ValueError("an edge endpoint lies outside the window's vertices")
+        return edges_u, edges_v
+
     def edge_pairs(self) -> Iterator[tuple[tuple, tuple, float]]:
         for u, v, p in zip(self.edges_u, self.edges_v, self.probs):
             yield tuple(self.coords[u]), tuple(self.coords[v]), float(p)

@@ -151,6 +151,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="theta_radii"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            ("trials_per_probe = 400", "trials_per_prob = 400", "thresholds", "trials_per_prob"),
+            ("radii = 8, 12", "radii = 8, 12\nradius = 8", "theta", "radius"),
+            ("value = 0.9", "value = 0.9\nvalu = 0.8", "sequence", "valu"),
+            ("[run]", "[runs]\nmaster_seed = 5\n\n[run]", "runs", "master_seed"),
+        ],
+        ids=["misspelt-threshold", "theta-radius", "sequence", "unknown-section"],
+    )
+    def test_unknown_keys_are_refused_naming_section_and_key(self, tmp_path, capsys, old, new, section, key):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
+            load_config(path)
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"'{key}' in [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sequence_section_variants(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(

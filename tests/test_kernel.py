@@ -5,9 +5,11 @@ labels must give the same partitions as scipy's ``connected_components``
 (``scipy_union_labels``) and the pure-Python ``UnionFind`` on every window
 family, and they must take the documented form: the smallest vertex index of
 the component plus ``row * n_vertices``.  The keyed entry point must open
-exactly the edges ``keyed_uniforms(keys, seed, t) < probs`` opens.  The
-hand-built window with unsorted ``edges_u`` is checked against all three
-references in ``test_batched_route.py``.
+exactly the edges ``keyed_uniforms(keys, seed, t) < probs`` opens, and the
+indexed one exactly the edges numpy's Philox stream
+(``indexed_uniform_matrix``) opens.  The hand-built window with unsorted
+``edges_u`` is checked against all three references in
+``test_batched_route.py``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import pytest
 from trunclab import engine, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import UnionFind, component_labels, trial_blocks
-from trunclab.kernel import keyed_labels, mask_labels
-from trunclab.rng import indexed_uniform_matrix, keyed_uniforms, mix64, open_thresholds
+from trunclab.kernel import indexed_labels, keyed_labels, mask_labels
+from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms, mix64, open_thresholds
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     GraphWindow,
@@ -91,6 +93,10 @@ def test_kernel_scipy_and_union_find_agree_on_every_family(name):
         assert np.array_equal(labels[row] - row * window.n_vertices, smallest_member(forest))
     # Labels never repeat across the rows of a block.
     assert len(np.unique(labels)) == sum(len(np.unique(row)) for row in labels)
+    # The kernel's own draw of the same indexed trials gives the same block.
+    opened, indexed = indexed_labels(window, open_thresholds(window.probs), 5, 3, 12)
+    assert np.array_equal(opened, block)
+    assert np.array_equal(indexed, labels)
 
 
 @pytest.mark.parametrize("name", ["slab-crossing-d3", "embedded", "long-range-radial"])
@@ -122,6 +128,9 @@ def test_edgeless_window_with_many_vertices():
     opened, keyed = keyed_labels(window, keys, open_thresholds(window.probs), 3, 40, 40 + rows)
     assert opened.shape == (rows, 0)
     assert np.array_equal(keyed, labels)
+    opened, indexed = indexed_labels(window, open_thresholds(window.probs), 3, 40, 40 + rows)
+    assert opened.shape == (rows, 0)
+    assert np.array_equal(indexed, labels)
 
 
 def with_probability(window: GraphWindow, p: float) -> GraphWindow:
@@ -187,6 +196,50 @@ def test_keyed_threshold_is_exact_at_the_boundary(p):
     assert opened[0].tolist() == expected
 
 
+def chain_window(n_edges: int, probs) -> GraphWindow:
+    """A path of ``n_edges`` edges with the given edge probabilities."""
+    return GraphWindow(
+        family="hand",
+        coords=np.arange(n_edges + 1, dtype=np.int64)[:, None],
+        edges_u=np.arange(n_edges, dtype=np.int32),
+        edges_v=np.arange(1, n_edges + 1, dtype=np.int32),
+        probs=np.broadcast_to(np.asarray(probs, dtype=np.float64), (n_edges,)).copy(),
+        lengths=np.ones(n_edges, dtype=np.int32),
+    )
+
+
+@pytest.mark.parametrize("n_edges", [*range(1, 10), 54, 1000])
+@pytest.mark.parametrize("seed", [0, 2**63 + 17, 2**64 - 1])
+def test_indexed_masks_equal_numpy_philox(n_edges, seed):
+    window = chain_window(n_edges, 0.5)
+    thresholds = open_thresholds(window.probs)
+    # A start past 2^64 / ceil(E / 4) carries the Philox counter into its second word.
+    for start, stop in ((0, 7), (13, 16), (2**62 + 5, 2**62 + 8)):
+        opened, labels = indexed_labels(window, thresholds, seed, start, stop)
+        reference = indexed_uniform_matrix(n_edges, seed, stop - start, start) < window.probs
+        assert np.array_equal(opened, reference)
+        assert np.array_equal(labels, mask_labels(window, reference))
+
+
+def test_indexed_threshold_is_exact_at_the_boundary():
+    # Each edge's probability is its own uniform in trial 6 (which must stay
+    # closed) or the next multiple of 2^-53 above it (which must open).
+    seed, trial, n_edges = 23, 6, 10
+    uniforms = indexed_uniform_matrix(n_edges, seed, 1, trial)[0]
+    above = np.arange(n_edges) % 2 == 0
+    window = chain_window(n_edges, uniforms + np.where(above, 2.0**-53, 0.0))
+    thresholds = open_thresholds(window.probs)
+    assert (thresholds - (uniforms * 2.0**53).astype(np.uint64)).tolist() == above.astype(int).tolist()
+    opened, _ = indexed_labels(window, thresholds, seed, trial, trial + 1)
+    assert opened[0].tolist() == above.tolist()
+    assert (indexed_uniforms(n_edges, seed, trial) < window.probs).tolist() == above.tolist()
+    for p in (0.0, 1.0):
+        certain = chain_window(n_edges, p)
+        opened, labels = indexed_labels(certain, open_thresholds(certain.probs), seed, 0, 50)
+        assert (opened == bool(p)).all()
+        assert np.array_equal(labels, mask_labels(certain, opened))
+
+
 def test_out_of_range_inputs_are_refused():
     window = FAMILIES["grid-crossing-d2"]
     bad = dataclasses.replace(window, edges_v=window.edges_v.copy())
@@ -203,6 +256,22 @@ def test_out_of_range_inputs_are_refused():
     wide = long_range_radial_window(PS.constant(0.0), 127)  # 65,025 vertices
     with pytest.raises(ValueError, match="32-bit"):
         mask_labels(wide, np.zeros((2**31 // wide.n_vertices + 1, 0), dtype=bool))
+
+
+def test_edges_are_checked_once_per_window_and_only_when_valid():
+    window = FAMILIES["grid-crossing-d2"]
+    window = dataclasses.replace(window, edges_v=window.edges_v.copy())
+    last = window.edges_v[-1]
+    window.edges_v[-1] = window.n_vertices
+    block = np.ones((1, window.n_edges), dtype=bool)
+    with pytest.raises(ValueError, match="outside the window"):
+        mask_labels(window, block)
+    assert "kernel_edges" not in vars(window)
+    window.edges_v[-1] = last
+    labels = mask_labels(window, block)
+    checked = vars(window)["kernel_edges"]
+    assert np.array_equal(mask_labels(window, block), labels)
+    assert vars(window)["kernel_edges"] is checked
 
 
 def test_second_load_reuses_the_cached_library(monkeypatch):

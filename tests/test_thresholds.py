@@ -34,6 +34,26 @@ class TestLatticeFamily:
         with pytest.raises(ConfigError):
             LatticeFamily("slab", 3, 0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [(("zd", 3, 7), "no thickness"), (("z2", 2, 2), "no thickness"), (("z2", 3), "dimension 2")],
+    )
+    def test_fields_the_kind_ignores_are_refused(self, fields, message):
+        # Each would share a key (z3, z2) with the family it is unequal to.
+        with pytest.raises(ConfigError, match=message):
+            LatticeFamily(*fields)
+
+    def test_calibration_row_with_an_ignored_thickness_is_refused(self, tmp_path):
+        path = tmp_path / "calib.csv"
+        CalibrationTable(path).put(_fake_row(3, 2, 0.44))
+        text = path.read_text()
+        row = text.splitlines()[-1]
+        stray = row.replace("slab-d3-k2,slab,3,2,", "z3,zd,3,7,")
+        assert stray != row
+        path.write_text(text.replace(row, stray))
+        with pytest.raises(ConfigError, match=f"{path}, line {len(text.splitlines())}: family zd has no thickness"):
+            CalibrationTable(path)
+
     def test_thickness_one_slab_is_the_planar_lattice(self):
         slab = LatticeFamily("slab", 3, 1).crossing_window(0.5, 4)
         plane = LatticeFamily("z2").crossing_window(0.5, 4)
