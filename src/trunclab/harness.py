@@ -7,14 +7,18 @@ report (written as ``report.json``) is byte-identical across reruns; wall
 times live only in the manifest.
 
 Reach and containment are certified together, in one pass on one pair of
-windows.  :func:`containment_check` draws one set of keyed trials on the
-embedded and the full radial window of radius ``R = max(theta_radii) + N``
-(``N`` the truncation level), records how far the origin's cluster reaches
-in each, and checks containment, from the same clustered configurations.
-A path that leaves the open box ``{|x| < r}`` first lands at a vertex of
-norm below ``r + N``, so the radius-``R`` windows decide that event exactly
-for every theta radius ``r``, and each theta row is read off the per-trial
-reaches.
+windows, the embedded and the full radial window of radius
+``R = max(theta_radii) + N`` (``N`` the truncation level).
+:func:`containment_check` checks containment on the pair's structure:
+every embedded vertex and edge lies in the full window, with the same
+edge keys, open thresholds at most the full ones, and the same origin.
+Since each keyed draw is a pure function of (edge key, seed, trial), that
+makes the embedded cluster sit inside the truncated one on every trial.
+It then draws one set of keyed trials on both windows and records how far
+the origin's cluster reaches in each.  A path that leaves the open box
+``{|x| < r}`` first lands at a vertex of norm below ``r + N``, so the
+radius-``R`` windows decide that event exactly for every theta radius
+``r``, and each theta row is read off the per-trial reaches.
 """
 
 from __future__ import annotations
@@ -242,7 +246,20 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class ContainmentReport:
-    """Per-trial check that the embedded process sits inside the truncated one.
+    """The certification pass: containment, checked once on the window pair,
+    and the origin's reach in each window on every theta trial.
+
+    The kernel draws each keyed word as a pure function of (edge key, seed,
+    trial).  So when every embedded vertex and edge lies in the full window,
+    each embedded edge shares its image's key, no embedded open threshold
+    exceeds its image's, and the embedded origin is the full origin, every
+    open embedded edge is open in the full configuration and the origin's
+    embedded cluster sits inside its full one, on every trial of every seed.
+    ``trials`` is the count the claim is stated for (the configured
+    containment trials); the check covers every trial.  ``edge_violations``
+    counts the embedded edges that break it, ``cluster_violations`` the
+    stray vertices and a mismatched origin, and ``first_violation`` names the
+    first fault's kind and its vertex or edge.
 
     ``embedded_reach`` and ``full_reach`` hold, per reach trial, the largest
     sup-norm in the origin's cluster; :meth:`reach_estimates` turns them into
@@ -254,17 +271,14 @@ class ContainmentReport:
     checked_edges: int
     edge_violations: int = 0
     cluster_violations: int = 0
-    reach_violations: int = 0
     first_violation: dict | None = None
-    vacuous: bool = False
-    note: str = ""
     seed: int = 0
     embedded_reach: np.ndarray | None = None
     full_reach: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
-        return self.edge_violations == 0 and self.cluster_violations == 0 and self.reach_violations == 0
+        return self.edge_violations == 0 and self.cluster_violations == 0
 
     def reach_estimates(self, radius: int) -> tuple[Estimate, Estimate]:
         """Embedded and full theta at ``radius``: the share of reach trials whose
@@ -289,30 +303,25 @@ def containment_check(
     full: GraphWindow,
     trials: int,
     master_seed: int,
-    corrupt_edge: int | None = None,
     theta_trials: int = 0,
 ) -> ContainmentReport:
-    """The certification pass: both reaches and containment from one set of
-    shared keyed trials.
+    """The certification pass: containment from the structure of the window
+    pair, and both reaches from one set of shared keyed trials.
 
     ``embedded`` and ``full`` are the radial windows of one radius, built by
     :func:`embedded_radial_window` and :func:`long_range_radial_window` on the
-    same truncated sequence.  The pass draws ``max(trials, theta_trials)``
-    trials from the keyed streams, so every lattice edge the two windows
-    share draws the same uniform; the kernel draws and clusters each block
-    of trials in one call per window.
+    same truncated sequence.  The check (:class:`ContainmentReport`) fails on
+    an embedded vertex missing from the full window, an embedded origin that
+    is not the full origin, an embedded edge missing from the full window, an
+    edge key that differs from its image's, or an open threshold above its
+    image's.  ``first_violation`` names the first fault in that order: a
+    stray vertex, else the origin, else the first edge of the first edge
+    fault.
 
-    On the first ``theta_trials`` trials it records both origin reaches
-    (``embedded_reach``/``full_reach``) and checks that the embedded reach
-    never exceeds the full one.  On the first ``trials`` trials it checks
-    that every open embedded edge is open in the full truncated configuration
-    and that the origin's embedded cluster sits inside its full cluster.
-    Every violation is counted, and the first is reported with its trial;
-    within one trial an escaped edge comes before a leaking cluster, and
-    that before an inverted reach.
-
-    ``corrupt_edge`` (test hook) decouples one embedded edge's uniform from
-    the shared stream, which must surface as a reported violation.
+    The pass then draws ``theta_trials`` trials from the keyed streams, so
+    every lattice edge the two windows share draws the same uniform; the
+    kernel draws and clusters each block of trials in one call per window,
+    and each trial's origin reaches go to ``embedded_reach``/``full_reach``.
     """
     report = ContainmentReport(
         radius=embedded.meta["radius"],
@@ -322,81 +331,39 @@ def containment_check(
         embedded_reach=np.zeros(theta_trials, dtype=np.int64),
         full_reach=np.zeros(theta_trials, dtype=np.int64),
     )
-
-    def edge(e: int) -> list:
-        return embedded.coords[[embedded.edges_u[e], embedded.edges_v[e]]].tolist()
-
-    vertex_map = _row_lookup(full.coords, embedded.coords)
-    if (vertex_map < 0).any():
-        stray = embedded.coords[np.nonzero(vertex_map < 0)[0][0]].tolist()
-        raise ValueError(f"embedded vertex {stray} lies outside the full window")
-    edge_map = _row_lookup(
-        np.stack([full.edges_u, full.edges_v], axis=1),
-        vertex_map[np.stack([embedded.edges_u, embedded.edges_v], axis=1)],
-    )
-    # Containment compares the first ``compared`` trials; an embedded edge
-    # missing from the full window is reported and compares none.
-    compared = trials
-    unmapped = np.nonzero(edge_map < 0)[0]
-    if trials == 0:
-        report.vacuous = True
-        report.note = "no trials: containment holds vacuously"
-    elif unmapped.size:
-        report.edge_violations += 1
-        report.first_violation = {"kind": "unmapped-edge", "edge": edge(unmapped[0])}
-        compared = 0
-
-    embedded_keys = embedded.edge_keys.copy()
-    if corrupt_edge is not None:
-        embedded_keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
-
     embedded_thresholds, full_thresholds = open_thresholds(embedded.probs), open_thresholds(full.probs)
-    for start, stop in trial_blocks(max(compared, theta_trials), embedded, full):
-        open_embedded, labels_emb = keyed_labels(
-            embedded, embedded_keys, embedded_thresholds, master_seed, start, stop
-        )
-        open_full, labels_full = keyed_labels(
-            full, full.edge_keys, full_thresholds, master_seed, start, stop
-        )
-        # Per block row: an escaped edge, a leaking cluster, an inverted reach.
-        skipped, leaking, inverted = np.zeros((3, stop - start), dtype=bool)
 
-        scored = max(min(stop, theta_trials) - start, 0)
-        reach_emb = report.embedded_reach[start : start + scored] = origin_reach(embedded, labels_emb[:scored])
-        reach_full = report.full_reach[start : start + scored] = origin_reach(full, labels_full[:scored])
-        inverted[:scored] = reach_emb > reach_full
+    ends = np.stack([embedded.edges_u, embedded.edges_v], axis=1)
+    vertex_map = _row_lookup(full.coords, embedded.coords)
+    edge_map = _row_lookup(np.stack([full.edges_u, full.edges_v], axis=1), vertex_map[ends])
+    unmapped, image = edge_map < 0, np.maximum(edge_map, 0)
+    edge_faults = {
+        "unmapped-edge": unmapped,
+        "edge-key-differs": ~unmapped & (embedded.edge_keys != full.edge_keys[image]),
+        "edge-threshold-exceeds-full": ~unmapped & (embedded_thresholds > full_thresholds[image]),
+    }
+    stray = np.flatnonzero(vertex_map < 0)
+    moved = vertex_map[embedded.origin_index] != full.origin_index
+    report.cluster_violations = stray.size + int(moved)
+    report.edge_violations = int(np.logical_or.reduce(list(edge_faults.values())).sum())
+    faulty = [kind for kind, mask in edge_faults.items() if mask.any()]
+    if stray.size:
+        report.first_violation = {"kind": "unmapped-vertex", "vertex": embedded.coords[stray[0]].tolist()}
+    elif moved:
+        report.first_violation = {
+            "kind": "origin-mismatch",
+            "vertex": embedded.coords[embedded.origin_index].tolist(),
+            "full_origin": full.coords[full.origin_index].tolist(),
+        }
+    elif faulty:
+        e = int(np.argmax(edge_faults[faulty[0]]))
+        report.first_violation = {"kind": faulty[0], "edge_index": e, "edge": embedded.coords[ends[e]].tolist()}
 
-        rows = max(min(stop, compared) - start, 0)
-        escaped = open_embedded[:rows] & ~open_full[:rows, edge_map]
-        skipped[:rows] = escaped.any(axis=1)
-        # A trial with an escaped edge counts as edge violations only; its
-        # clusters are not compared.
-        cluster = labels_emb[:rows] == labels_emb[:rows, [embedded.origin_index]]
-        outside = labels_full[:rows, vertex_map] != labels_full[:rows, [full.origin_index]]
-        leaking[:rows] = (cluster & outside).any(axis=1) & ~skipped[:rows]
-
-        report.edge_violations += int(escaped.sum())
-        report.cluster_violations += int(leaking.sum())
-        report.reach_violations += int(inverted.sum())
-        if report.first_violation is not None or not (skipped | leaking | inverted).any():
-            continue
-        first = int(np.argmax(skipped | leaking | inverted))
-        trial = start + first
-        if skipped[first]:
-            e = int(np.argmax(escaped[first]))
-            report.first_violation = {
-                "kind": "edge-open-only-in-embedded", "trial": trial, "edge_index": e, "edge": edge(e),
-            }
-        elif leaking[first]:
-            stray = int(np.argmax(cluster[first] & outside[first]))
-            report.first_violation = {
-                "kind": "cluster-vertex-escapes", "trial": trial, "vertex": embedded.coords[stray].tolist(),
-            }
-        else:
-            report.first_violation = {
-                "kind": "embedded-reach-exceeds-full", "trial": trial,
-                "embedded_reach": int(reach_emb[first]), "full_reach": int(reach_full[first]),
-            }
+    for start, stop in trial_blocks(theta_trials, embedded, full):
+        labels_emb = keyed_labels(embedded, embedded.edge_keys, embedded_thresholds, master_seed, start, stop)[1]
+        labels_full = keyed_labels(full, full.edge_keys, full_thresholds, master_seed, start, stop)[1]
+        report.embedded_reach[start:stop] = origin_reach(embedded, labels_emb)
+        report.full_reach[start:stop] = origin_reach(full, labels_full)
     return report
 
 
@@ -566,8 +533,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
     report.checks["containment"] = outcome.passed
 
     report.passed = all(report.checks.values())
-    if not report.passed and report.failure_stage is None:
+    if not report.passed:
         report.failure_stage = "acceptance-checks"
+        failed = [name for name, ok in report.checks.items() if not ok]
+        first = outcome.first_violation
+        if first is not None:
+            failed[failed.index("containment")] += f" ({first['kind']} at {first.get('edge', first.get('vertex'))})"
+        report.error = "failed checks: " + ", ".join(failed)
     return finish()
 
 

@@ -14,10 +14,12 @@ trials can run in any order (or in parallel) without changing a single draw:
 * keyed streams -- one uniform per ``(seed, trial, edge_key)`` triple,
   computed with a splitmix64 finalizer chain.  Edge keys are derived from
   lattice coordinates, so two different windows that share a lattice edge
-  draw the *same* uniform for it.  This is what makes monotone-coupling and
-  containment assertions exact per trial instead of merely statistical.  The
-  pipeline's certification pass draws both its reach (theta) and its
-  containment trials from them.
+  draw the *same* uniform for it.  So when two windows' shared edges carry
+  the same keys and one window's open probabilities are at most the
+  other's, its open edges are open in the other on every trial of every
+  seed: the pipeline's certification pass checks containment on that
+  structure once (:func:`trunclab.harness.containment_check`), and draws
+  its reach (theta) trials from these streams.
 
 Both streams turn a 64-bit ``word`` into the uniform ``u = (word >> 11) *
 2^-53`` (numpy's Philox doubles are made the same way).  That product and

@@ -1,9 +1,12 @@
 """Route agreement for the block clustering route.
 
 The batch estimators cluster a whole block of trials in one kernel call;
-these tests pin that route to one trial at a time: 2-D against 1-D ``component_labels``, block-offset Philox matrices
-against per-trial streams, and the block-wise containment pass (reaches and
-containment) against per-trial reference loops.
+these tests pin that route to one trial at a time: 2-D against 1-D
+``component_labels``, block-offset Philox matrices against per-trial streams,
+and the certification pass's reaches against per-trial reference loops.  The
+pass checks containment on the structure of its window pair; a per-trial
+reference that compares open edges and clusters trial by trial tests that
+claim, on intact pairs and on pairs with one injected fault each.
 """
 
 from __future__ import annotations
@@ -183,80 +186,101 @@ def test_radius_profile_matches_per_trial_reach(monkeypatch):
         assert indicators[trial].tolist() == [reach >= r for r in radii]
 
 
-def per_trial_containment(embedded, full, trials, seed, corrupt_edge):
-    """One trial at a time, with coordinate-tuple dictionaries for the maps."""
+def per_trial_containment(embedded, full, trials, seed):
+    """Containment violations counted one trial at a time, with coordinate-tuple
+    dictionaries for the maps.  An embedded edge missing from the full window
+    is closed there, and an embedded vertex missing from it lies outside the
+    full origin's cluster.  A trial with an escaped edge counts its escaped
+    edges only; its clusters are not compared."""
     full_edges = {
         (tuple(u.tolist()), tuple(v.tolist())): e
         for e, (u, v) in enumerate(zip(full.coords[full.edges_u], full.coords[full.edges_v]))
     }
-    edge_map = np.array([full_edges[(tuple(u.tolist()), tuple(v.tolist()))]
+    edge_map = np.array([full_edges.get((tuple(u.tolist()), tuple(v.tolist())), -1)
                          for u, v in zip(embedded.coords[embedded.edges_u], embedded.coords[embedded.edges_v])])
     full_vertices = {tuple(c.tolist()): i for i, c in enumerate(full.coords)}
-    vertex_map = np.array([full_vertices[tuple(c.tolist())] for c in embedded.coords])
-    keys = embedded.edge_keys.copy()
-    if corrupt_edge is not None:
-        keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
+    vertex_map = np.array([full_vertices.get(tuple(c.tolist()), -1) for c in embedded.coords])
     edge_violations = cluster_violations = 0
-    first = None
     for trial in range(trials):
-        open_embedded = keyed_uniforms(keys, seed, trial) < embedded.probs
+        open_embedded = keyed_uniforms(embedded.edge_keys, seed, trial) < embedded.probs
         open_full = keyed_uniforms(full.edge_keys, seed, trial) < full.probs
-        escaped = open_embedded & ~open_full[edge_map]
+        escaped = open_embedded & ~np.append(open_full, False)[edge_map]
         if escaped.any():
             edge_violations += int(escaped.sum())
-            e = int(np.nonzero(escaped)[0][0])
-            first = first or {
-                "kind": "edge-open-only-in-embedded",
-                "trial": trial,
-                "edge_index": e,
-                "edge": [embedded.coords[embedded.edges_u[e]].tolist(),
-                         embedded.coords[embedded.edges_v[e]].tolist()],
-            }
             continue
         labels_emb = component_labels(embedded, open_embedded)
-        labels_full = component_labels(full, open_full)
+        labels_full = np.append(component_labels(full, open_full), -1)
         cluster = np.nonzero(labels_emb == labels_emb[embedded.origin_index])[0]
-        inside = labels_full[vertex_map[cluster]] == labels_full[full.origin_index]
-        if not inside.all():
+        if (labels_full[vertex_map[cluster]] != labels_full[full.origin_index]).any():
             cluster_violations += 1
-            stray = cluster[np.nonzero(~inside)[0][0]]
-            first = first or {
-                "kind": "cluster-vertex-escapes",
-                "trial": trial,
-                "vertex": embedded.coords[stray].tolist(),
-            }
-    return edge_violations, cluster_violations, first
+    return edge_violations, cluster_violations
+
+
+def check_against_reference(embedded, full, first_violation):
+    """The structural check fails naming ``first_violation``, or passes when it
+    is None.  A pass means the per-trial reference finds no violation in 80
+    trials; every fault these tests inject is one the reference sees there."""
+    report = containment_check(embedded, full, 80, 9)
+    assert report.first_violation == first_violation
+    assert report.passed == (first_violation is None)
+    assert (sum(per_trial_containment(embedded, full, 80, 9)) == 0) == report.passed
+    return report
+
+
+def edge_coords(window, e):
+    return [window.coords[window.edges_u[e]].tolist(), window.coords[window.edges_v[e]].tolist()]
 
 
 @pytest.mark.parametrize(
     "corrupt_edge, moved_origin",
     [(None, False), (3, False), (40, False), (None, True), (40, True)],
 )
-def test_containment_blocks_match_per_trial_reference(graph, corrupt_edge, moved_origin, monkeypatch):
+def test_containment_blocks_match_per_trial_reference(graph, corrupt_edge, moved_origin):
     embedded, full = radial_windows(graph, 0.4)
+    first = None
+    if corrupt_edge is not None:
+        keys = embedded.edge_keys.copy()
+        keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
+        embedded = dataclasses.replace(embedded, edge_keys=keys)
+        first = {"kind": "edge-key-differs", "edge_index": corrupt_edge, "edge": edge_coords(embedded, corrupt_edge)}
     if moved_origin:
         # A full window whose origin sits on the rim: the embedded origin's
-        # cluster escapes it whenever the two are not joined, which exercises
-        # the cluster-violation path.
+        # cluster escapes it whenever the two are not joined.
         full = dataclasses.replace(full, origin_index=int(full.terminals["boundary"][0]))
-    monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 6 * (embedded.n_edges + full.n_edges))
-    trials = 80  # thirteen blocks of 6 and one of 2
-    assert len(list(trial_blocks(trials, embedded, full))) == 14
-    edge_violations, cluster_violations, first = per_trial_containment(
-        embedded, full, trials, 9, corrupt_edge
+        first = {"kind": "origin-mismatch", "vertex": [0, 0], "full_origin": full.coords[full.origin_index].tolist()}
+    report = check_against_reference(embedded, full, first)
+    assert report.edge_violations == int(corrupt_edge is not None)
+    assert report.cluster_violations == int(moved_origin)
+
+
+def test_structural_check_ignores_trial_counts(radial_pair):
+    # The check covers every trial: neither count changes the row.
+    rows = [containment_check(*radial_pair, trials, 9, theta_trials=theta).to_dict()
+            for trials, theta in ((0, 0), (1000, 0), (0, 7))]
+    assert rows[0] == rows[2] == {**rows[1], "trials": 0}
+
+
+@pytest.mark.parametrize("change", ["raised", "lowered"])
+def test_embedded_probability_above_its_image_is_named(graph, change):
+    embedded, full = radial_windows(graph, 0.4)
+    probs = embedded.probs.copy()
+    probs[40] = 1.0 if change == "raised" else 0.1
+    first = {"kind": "edge-threshold-exceeds-full", "edge_index": 40, "edge": edge_coords(embedded, 40)}
+    # Lowering an embedded probability keeps containment: the edge opens on a
+    # subset of the trials its image opens on.
+    check_against_reference(dataclasses.replace(embedded, probs=probs), full, first if change == "raised" else None)
+
+
+def test_stray_embedded_vertex_is_named(graph):
+    embedded, full = radial_windows(graph, 0.4)
+    coords = embedded.coords.copy()
+    stray = int(embedded.edges_v[0])
+    coords[stray] = [13, 13]  # outside the radius-12 full window, with its edges
+    report = check_against_reference(
+        dataclasses.replace(embedded, coords=coords), full, {"kind": "unmapped-vertex", "vertex": [13, 13]}
     )
-    # Reach trials beyond the containment trials must not change containment.
-    for theta_trials in (0, 101):
-        report = containment_check(
-            embedded, full, trials, 9, corrupt_edge=corrupt_edge, theta_trials=theta_trials
-        )
-        assert report.edge_violations == edge_violations
-        assert report.cluster_violations == cluster_violations
-        assert report.first_violation == first
-        assert report.passed == (first is None)
-    # The reference saw the faults each case injects.
-    assert (edge_violations > 0) == (corrupt_edge is not None)
-    assert (cluster_violations > 0) == moved_origin
+    assert report.cluster_violations == 1
+    assert report.edge_violations == np.count_nonzero((embedded.edges_u == stray) | (embedded.edges_v == stray))
 
 
 def test_missing_full_edge_is_unmapped(radial_pair):
@@ -280,14 +304,12 @@ def test_missing_full_edge_is_unmapped(radial_pair):
         edge_keys=full.edge_keys[keep],
         meta=full.meta,
     )
-    report = containment_check(embedded, trimmed, 10, 9)
-    assert not report.passed
-    assert report.edge_violations == 1
-    assert report.first_violation == {
+    report = check_against_reference(embedded, trimmed, {
         "kind": "unmapped-edge",
+        "edge_index": lacking,
         "edge": [target[0].tolist(), target[1].tolist()],
-    }
-
+    })
+    assert report.edge_violations == 1
 
 
 def per_trial_reaches(window, keys, trials, seed):
@@ -304,9 +326,9 @@ def per_trial_reaches(window, keys, trials, seed):
 def test_pass_reaches_match_per_trial_loop(graph, theta_trials, monkeypatch):
     embedded, full = radial_windows(graph, 0.2)
     monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 6 * (embedded.n_edges + full.n_edges))
-    containment_trials = 50  # blocks of 6, the last one ragged in every case
-    report = containment_check(embedded, full, containment_trials, 13, theta_trials=theta_trials)
-    assert report.passed and report.reach_violations == 0
+    # Blocks of 6 trials, the last one ragged in every case.
+    report = containment_check(embedded, full, 50, 13, theta_trials=theta_trials)
+    assert report.passed
     reaches = {
         "embedded": per_trial_reaches(embedded, embedded.edge_keys, theta_trials, 13),
         "full": per_trial_reaches(full, full.edge_keys, theta_trials, 13),
@@ -333,23 +355,20 @@ def test_pass_without_theta_trials_reports_no_reach(radial_pair):
     assert all(estimate.trials == 0 for estimate in report.reach_estimates(4))
 
 
-def test_inverted_reach_is_reported_with_its_trial(graph):
+def test_moved_embedded_origin_is_named(graph):
     embedded, full = radial_windows(graph, 0.2)
     # The embedded origin moved to a rim vertex reaches the radius on every
     # trial, while the full origin's cluster rarely does.
     rim = int(np.argmax(np.abs(embedded.coords).max(axis=1)))
     moved = dataclasses.replace(embedded, origin_index=rim)
-    report = containment_check(moved, full, 0, 13, theta_trials=40)
-    inverted = per_trial_reaches(moved, moved.edge_keys, 40, 13) > per_trial_reaches(full, full.edge_keys, 40, 13)
-    assert 0 < inverted.sum() == report.reach_violations
-    first = int(np.argmax(inverted))
-    assert report.first_violation == {
-        "kind": "embedded-reach-exceeds-full",
-        "trial": first,
-        "embedded_reach": int(report.embedded_reach[first]),
-        "full_reach": int(report.full_reach[first]),
-    }
-    assert not report.passed
+    report = check_against_reference(moved, full, {
+        "kind": "origin-mismatch", "vertex": moved.coords[rim].tolist(), "full_origin": [0, 0],
+    })
+    assert report.cluster_violations == 1 and report.edge_violations == 0
+    # The reaches are still drawn, and the moved origin's exceed the full ones.
+    reaches = containment_check(moved, full, 0, 13, theta_trials=40)
+    assert np.array_equal(reaches.embedded_reach, per_trial_reaches(moved, moved.edge_keys, 40, 13))
+    assert (reaches.embedded_reach > reaches.full_reach).any()
 
 
 def test_pass_reaches_agree_with_exact_enumeration():

@@ -10,7 +10,11 @@ calibration rows began to record every threshold setting; only the report's
 estimates digests were re-recorded again when certification moved to one
 window pair of radius ``max(theta_radii) + top`` (36 here): the two
 containment rows became one, with a ``reach_violations`` count, and all
-theta rows now share that pass's seed; every theta value stayed 1.0.
+theta rows now share that pass's seed; every theta value stayed 1.0.  The
+report digest was re-recorded once more when containment became one
+structural check on that window pair instead of a per-trial scoring: the
+containment row lost its ``reach_violations``, ``vacuous`` and ``note``
+fields, whose only sources went with the scoring, and nothing else changed.
 
 A change that moves these numbers on purpose (a new stream rule, a new
 estimator) updates the digests and says why in CHANGES.md.
@@ -28,7 +32,7 @@ from trunclab.thresholds import CalibrationTable, ThresholdSettings
 from trunclab.windows import ConfigError
 
 DIGESTS = {
-    "report.json": "02829a1510e96b2cea1b08c4fcccf5d8f3f7cee016f5c02ec2045b06b01cb67e",
+    "report.json": "447ebcae5ffe44734929c80e6164107cccf8023e52a1eb0556c661418b100595",
     "estimates.csv": "3ac368e022760f66a130612798ffc37fe29d03f31bbd68bddce0f9f846dd8263",
     "calibration.csv": "8db442cac2a3696dd6dee1e9503cc42c2c8204bc499d60e7bf75c88fc6dfa536",
 }

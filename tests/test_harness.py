@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from trunclab import harness
@@ -207,20 +209,26 @@ class TestContainment:
         assert report.trials == 150
         assert report.edge_violations == 0
         assert report.cluster_violations == 0
-        assert not report.vacuous
+        assert report.first_violation is None
 
     def test_corrupted_edge_is_reported(self, windows):
-        report = containment_check(*windows, trials=150, master_seed=9, corrupt_edge=3)
+        embedded, full = windows
+        keys = embedded.edge_keys.copy()
+        keys[3] ^= np.uint64(0x5DEECE66D)
+        report = containment_check(dataclasses.replace(embedded, edge_keys=keys), full, trials=150, master_seed=9)
         assert not report.passed
-        assert report.edge_violations > 0
-        assert report.first_violation is not None
-        assert report.first_violation["kind"] == "edge-open-only-in-embedded"
+        assert report.edge_violations == 1
+        assert report.first_violation["kind"] == "edge-key-differs"
+        assert report.first_violation["edge_index"] == 3
 
-    def test_zero_trials_is_vacuous(self, windows):
-        report = containment_check(*windows, trials=0, master_seed=9)
-        assert report.vacuous
-        assert report.passed
-        assert "no trials" in report.note
+    def test_zero_trials_still_checks_the_structure(self, windows):
+        embedded, full = windows
+        assert containment_check(embedded, full, trials=0, master_seed=9).passed
+        probs = embedded.probs.copy()
+        probs[0] = 1.0
+        report = containment_check(dataclasses.replace(embedded, probs=probs), full, trials=0, master_seed=9)
+        assert not report.passed
+        assert report.first_violation["kind"] == "edge-threshold-exceeds-full"
 
 
 class TestPipeline:
@@ -278,7 +286,6 @@ class TestPipeline:
         assert len(report.containment) == 1
         assert report.containment[0]["radius"] == 12 + report.truncation
         assert report.containment[0]["passed"]
-        assert report.containment[0]["reach_violations"] == 0
 
     def test_sparse_support_reaches_are_measured_in_order(self, tmp_path):
         # The support selects the scales (10, 100), so the top scale exceeds
@@ -296,7 +303,7 @@ class TestPipeline:
             assert row["embedded"]["value"] == row["full"]["value"] == 1.0
         assert len(report.containment) == 1
         assert report.containment[0]["radius"] == 64 + 100
-        assert report.containment[0]["reach_violations"] == 0
+        assert report.containment[0]["passed"]
         assert report.passed
 
     def test_oversized_certification_is_refused_before_any_window(self, tmp_path, monkeypatch):
@@ -519,3 +526,31 @@ class TestCli:
         assert main(["pipeline", "--config", str(path), "--out", str(out_dir)]) == 0
         assert (out_dir / "report.json").exists()
         assert "PASS" in capsys.readouterr().out
+
+    def test_pipeline_names_a_stray_embedded_vertex(self, tmp_path, capsys, monkeypatch):
+        # An embedded vertex outside the full window fails the containment
+        # check with exit code 2, where it used to stop the run with 1.
+        def with_stray_vertex(graph, seq, radius):
+            window = embedded_radial_window(graph, seq, radius)
+            coords = window.coords.copy()
+            coords[-1] = [radius + 1, radius + 1]
+            return dataclasses.replace(window, coords=coords)
+
+        monkeypatch.setattr(harness, "embedded_radial_window", with_stray_vertex)
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--out", str(out_dir)]) == 2
+        report = json.loads((out_dir / "report.json").read_text())
+        stray = [report["containment"][0]["radius"] + 1] * 2
+        assert report["containment"][0]["first_violation"] == {"kind": "unmapped-vertex", "vertex": stray}
+        assert report["error"] == f"failed checks: containment (unmapped-vertex at {stray})"
+        out = capsys.readouterr().out
+        assert "FAIL (acceptance-checks)" in out and report["error"] in out
+
+    def test_pipeline_names_a_failed_theta_floor(self, tmp_path):
+        # Embedded reach at level 0.46 reads about 0.9, below a floor of 0.99.
+        config = small_config(sequence=ProbabilitySequence.lacunary(0.46, base=2), positivity_floor=0.99)
+        report = run_pipeline(config, tmp_path / "out")
+        assert report.failure_stage == "acceptance-checks" and report.exit_code == 2
+        assert report.error == "failed checks: theta_floor"
