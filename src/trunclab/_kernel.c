@@ -101,18 +101,14 @@ void mask_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_
  * thresholds[e], the keyed stream of rng.py compared as integers. */
 void keyed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                   const int32_t *edges_v, int32_t *listed, const uint64_t *keys,
-                  const uint64_t *thresholds, uint64_t seed, int64_t start, uint8_t *open,
-                  int32_t *labels)
+                  const uint64_t *thresholds, uint64_t seed, int64_t start, int32_t *labels)
 {
     for (int64_t row = 0; row < rows; row++) {
-        uint8_t *is_open = open + row * n_edges;
         uint64_t stamp = mix64(seed ^ mix64((uint64_t)(start + row) + 1));
         int64_t count = 0;
         for (int64_t e = 0; e < n_edges; e++) {
-            uint8_t opened = (mix64(keys[e] ^ stamp) >> 11) < thresholds[e];
-            is_open[e] = opened;
             listed[count] = (int32_t)e;
-            count += opened;
+            count += (mix64(keys[e] ^ stamp) >> 11) < thresholds[e];
         }
         label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
     }
@@ -124,11 +120,10 @@ void keyed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges
  * numpy computes as (word >> 11) * 2^-53, compared as integers. */
 void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                     const int32_t *edges_v, int32_t *listed, const uint64_t *thresholds,
-                    uint64_t seed, int64_t start, uint8_t *open, int32_t *labels)
+                    uint64_t seed, int64_t start, int32_t *labels)
 {
     uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
     for (int64_t row = 0; row < rows; row++) {
-        uint8_t *is_open = open + row * n_edges;
         unsigned __int128 block = (unsigned __int128)(uint64_t)(start + row) * blocks + 1;
         int64_t count = 0;
         for (int64_t e = 0; e < n_edges; e += 4, block++) {
@@ -136,10 +131,8 @@ void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edg
             philox4x64_10((uint64_t)block, (uint64_t)(block >> 64), seed, word);
             int64_t width = n_edges - e < 4 ? n_edges - e : 4;
             for (int64_t w = 0; w < width; w++) {
-                uint8_t opened = (word[w] >> 11) < thresholds[e + w];
-                is_open[e + w] = opened;
                 listed[count] = (int32_t)(e + w);
-                count += opened;
+                count += (word[w] >> 11) < thresholds[e + w];
             }
         }
         label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);

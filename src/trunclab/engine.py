@@ -9,14 +9,15 @@ edge can be coupled across different windows.
 Every Monte Carlo estimate clusters a whole block of trials with one call
 into the compiled union-find kernel (:mod:`trunclab.kernel`), which also
 draws the trials: :func:`mc_event_probability` and
-:func:`origin_radius_profile` take each block of indexed trials from
-``kernel.indexed_labels``, which computes the Philox words of the indexed
-stream in the loop that clusters them, and the certification pass does the
-same with its keyed trials.  :func:`component_labels` labels an open-edge
-block given as masks.  There is no second route in the package.  The tests
-keep scipy's ``connected_components``, a per-trial sampler on the
-pure-Python :class:`UnionFind` and numpy's Philox generator as references
-the kernel must agree with.
+:func:`origin_radius_profile` take the labels of each block of indexed
+trials from ``kernel.indexed_labels``, which computes the Philox words of
+the indexed stream in the loop that clusters them and keeps no open masks,
+and the certification pass does the same with its keyed trials.
+:func:`component_labels` labels an open-edge block given as masks.  There is
+no second route in the package.  The tests keep scipy's
+``connected_components``, a per-trial sampler on the pure-Python
+:class:`UnionFind` and numpy's Philox generator as references the kernel
+must agree with.
 The exact oracle, :func:`exact_event_probability`, labels its enumerated
 configurations with its own vectorized label-propagation sweep, so Monte
 Carlo estimates are checked against connectivity code they do not share.
@@ -39,7 +40,6 @@ from .rng import (
     indexed_uniform_matrix,  # noqa: F401
     indexed_uniforms,
     keyed_uniforms,
-    open_thresholds,
 )
 from .windows import GraphWindow
 
@@ -229,9 +229,9 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
 
 
 # Edges drawn (or vertices labelled) per block of trials.  It sets the size
-# of a block's open masks (a byte per edge) and labels (four bytes per
-# vertex); no block holds a matrix of uniforms, since the kernel draws each
-# word where it compares it.  200k kept the pipeline benchmark's peak RSS
+# of a block's labels (four bytes per vertex), the only matrix a drawn block
+# holds: the kernel draws each word where it compares it and keeps neither
+# uniforms nor open masks.  200k kept the pipeline benchmark's peak RSS
 # below the per-trial loop's, 1M did not.
 BLOCK_UNIFORMS = 200_000
 
@@ -253,9 +253,8 @@ def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]
 
 def _indexed_blocks(window: GraphWindow, trials: int, master_seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """``(start, stop, labels)`` of each block of indexed trials, drawn and clustered by the kernel."""
-    thresholds = open_thresholds(window.probs)
     for start, stop in trial_blocks(trials, window):
-        yield start, stop, indexed_labels(window, thresholds, master_seed, start, stop)[1]
+        yield start, stop, indexed_labels(window, master_seed, start, stop)
 
 
 def mc_event_probability(

@@ -59,7 +59,6 @@ from .rng import (
     KEYED_STREAM_RULE,
     derive_seed,
     keyed_uniforms,  # noqa: F401
-    open_thresholds,
 )
 from .sequences import EpsilonCertificate, ProbabilitySequence
 from .thresholds import (
@@ -125,17 +124,34 @@ class PipelineConfig:
             raise ConfigError("theta needs at least one trial and containment a nonnegative count")
 
 
-# Every key the [sequence] section may set, over all kinds.
-_SEQUENCE_KEYS = (
-    "kind", "value", "amplitude", "exponent", "support", "base", "background", "file", "tail", "truncation"
-)
+# The keys each [sequence] kind reads besides "kind" and "truncation": the
+# ones it needs, then the ones it may take.
+_SEQUENCE_KINDS = {
+    "constant": (("value",), ()),
+    "power_law": (("exponent",), ("amplitude",)),
+    "lacunary": (("value",), ("support", "base", "background")),
+    "table": (("file",), ("tail",)),
+}
+_SEQUENCE_KEYS = {"kind", "truncation"}.union(*(needed + taken for needed, taken in _SEQUENCE_KINDS.values()))
 
 
 def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -> ProbabilitySequence:
+    """The section's sequence; a stray key, a missing one or both ``support`` and ``base`` stop the load."""
     kind = section.get("kind", fallback=None)
     if kind is None:
         raise ConfigError("[sequence] needs a kind")
     kind = kind.strip().replace("-", "_")
+    if kind not in _SEQUENCE_KINDS:
+        raise ConfigError(f"unknown sequence kind {kind!r}")
+    needed, taken = _SEQUENCE_KINDS[kind]
+    for key in section:
+        if key not in ("kind", "truncation", *needed, *taken):
+            raise ConfigError(f"[sequence] kind {kind} does not read key {key!r}")
+    for key in needed:
+        if key not in section:
+            raise ConfigError(f"[sequence] kind {kind} needs key {key!r}")
+    if "support" in section and "base" in section:
+        raise ConfigError("[sequence] kind lacunary takes key 'support' or key 'base', not both")
     if kind == "constant":
         seq = ProbabilitySequence.constant(section.getfloat("value"))
     elif kind == "power_law":
@@ -145,10 +161,9 @@ def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -
     elif kind == "lacunary":
         support_text = section.get("support", fallback=None)
         support = tuple(int(s) for s in support_text.split(",")) if support_text else None
-        base = section.getint("base", fallback=None) if support is None else None
         seq = ProbabilitySequence.lacunary(
             section.getfloat("value"),
-            base=base,
+            base=section.getint("base", fallback=None),
             support=support,
             background=section.getfloat("background", fallback=0.0),
         )
@@ -157,8 +172,6 @@ def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -
         if not path.is_absolute():
             path = base_dir / path
         seq = ProbabilitySequence.from_table_file(path, tail=section.getfloat("tail", fallback=0.0))
-    else:
-        raise ConfigError(f"unknown sequence kind {kind!r}")
     truncation = section.getint("truncation", fallback=None)
     return seq.truncate(truncation) if truncation else seq
 
@@ -331,8 +344,6 @@ def containment_check(
         embedded_reach=np.zeros(theta_trials, dtype=np.int64),
         full_reach=np.zeros(theta_trials, dtype=np.int64),
     )
-    embedded_thresholds, full_thresholds = open_thresholds(embedded.probs), open_thresholds(full.probs)
-
     ends = np.stack([embedded.edges_u, embedded.edges_v], axis=1)
     vertex_map = _row_lookup(full.coords, embedded.coords)
     edge_map = _row_lookup(np.stack([full.edges_u, full.edges_v], axis=1), vertex_map[ends])
@@ -340,7 +351,7 @@ def containment_check(
     edge_faults = {
         "unmapped-edge": unmapped,
         "edge-key-differs": ~unmapped & (embedded.edge_keys != full.edge_keys[image]),
-        "edge-threshold-exceeds-full": ~unmapped & (embedded_thresholds > full_thresholds[image]),
+        "edge-threshold-exceeds-full": ~unmapped & (embedded.open_thresholds > full.open_thresholds[image]),
     }
     stray = np.flatnonzero(vertex_map < 0)
     moved = vertex_map[embedded.origin_index] != full.origin_index
@@ -360,8 +371,8 @@ def containment_check(
         report.first_violation = {"kind": faulty[0], "edge_index": e, "edge": embedded.coords[ends[e]].tolist()}
 
     for start, stop in trial_blocks(theta_trials, embedded, full):
-        labels_emb = keyed_labels(embedded, embedded.edge_keys, embedded_thresholds, master_seed, start, stop)[1]
-        labels_full = keyed_labels(full, full.edge_keys, full_thresholds, master_seed, start, stop)[1]
+        labels_emb = keyed_labels(embedded, master_seed, start, stop)
+        labels_full = keyed_labels(full, master_seed, start, stop)
         report.embedded_reach[start:stop] = origin_reach(embedded, labels_emb)
         report.full_reach[start:stop] = origin_reach(full, labels_full)
     return report

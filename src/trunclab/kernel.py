@@ -7,7 +7,8 @@ labels a ``(rows, n_vertices)`` block: a vertex's label is the smallest vertex
 index of its component plus ``row * n_vertices``, so labels never repeat
 across the rows of a block.  :func:`mask_labels` clusters given open masks;
 :func:`keyed_labels` and :func:`indexed_labels` draw each trial's edges from
-the keyed or the indexed stream of :mod:`trunclab.rng` in the same loop.
+the keyed or the indexed stream of :mod:`trunclab.rng` in the same loop,
+against the window's ``open_thresholds``, and return the labels only.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(build()))
     # rows, n, n_edges, edges_u, edges_v, listed
     edges = [ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.int32)]
-    # seed, start, open, labels
-    drawn = [ctypes.c_uint64, ctypes.c_int64, _array(np.bool_), _array(np.int32)]
+    # thresholds, seed, start, labels
+    drawn = [_array(np.uint64), ctypes.c_uint64, ctypes.c_int64, _array(np.int32)]
     lib.mask_labels.argtypes = edges + [_array(np.bool_), _array(np.int32)]
-    lib.keyed_labels.argtypes = edges + [_array(np.uint64), _array(np.uint64), *drawn]
-    lib.indexed_labels.argtypes = edges + [_array(np.uint64), *drawn]
+    lib.keyed_labels.argtypes = edges + [_array(np.uint64), *drawn]
+    lib.indexed_labels.argtypes = edges + drawn
     for entry in (lib.mask_labels, lib.keyed_labels, lib.indexed_labels):
         entry.restype = None
     return lib
@@ -95,52 +96,35 @@ def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _drawn_labels(entry: str, window: GraphWindow, stream: list, thresholds: np.ndarray,
-                  seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Open masks and labels of trials ``start .. stop - 1`` from a drawing entry point."""
-    thresholds = np.ascontiguousarray(thresholds, dtype=np.uint64)
-    if thresholds.shape != (window.n_edges,):
-        raise ValueError(f"thresholds must hold one entry per edge ({window.n_edges})")
+def _drawn_labels(entry: str, window: GraphWindow, stream: list, seed: int, start: int, stop: int) -> np.ndarray:
+    """Labels of trials ``start .. stop - 1`` from a drawing entry point."""
+    thresholds = window.open_thresholds
     rows = stop - start
     edges = _edges(window, rows)
-    open_matrix = np.empty((rows, window.n_edges), dtype=np.bool_)
     labels = np.empty((rows, window.n_vertices), dtype=np.int32)
-    getattr(library(), entry)(*edges, *stream, thresholds, seed & 0xFFFFFFFFFFFFFFFF, start, open_matrix, labels)
-    return open_matrix, labels
+    getattr(library(), entry)(*edges, *stream, thresholds, seed & 0xFFFFFFFFFFFFFFFF, start, labels)
+    return labels
 
 
-def keyed_labels(
-    window: GraphWindow,
-    keys: np.ndarray,
-    thresholds: np.ndarray,
-    seed: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Open masks and labels of keyed trials ``start .. stop - 1``, drawn and clustered in one pass.
+def keyed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """Labels of keyed trials ``start .. stop - 1``, drawn and clustered in one pass.
 
-    ``thresholds`` comes from :func:`trunclab.rng.open_thresholds`, so the
-    masks equal ``keyed_uniforms(keys, seed, t) < probs`` bit for bit.
+    Trial ``t`` opens exactly the edges ``keyed_uniforms(window.edge_keys,
+    seed, t) < window.probs`` opens.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    if keys.shape != (window.n_edges,):
-        raise ValueError(f"keys must hold one entry per edge ({window.n_edges})")
-    return _drawn_labels("keyed_labels", window, [keys], thresholds, seed, start, stop)
+    if window.edge_keys is None or window.edge_keys.shape != (window.n_edges,):
+        raise ValueError(f"window family {window.family!r} needs one edge key per edge ({window.n_edges})")
+    keys = np.ascontiguousarray(window.edge_keys, dtype=np.uint64)
+    return _drawn_labels("keyed_labels", window, [keys], seed, start, stop)
 
 
-def indexed_labels(
-    window: GraphWindow,
-    thresholds: np.ndarray,
-    seed: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Open masks and labels of indexed trials ``start .. stop - 1``, drawn and clustered in one pass.
+def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """Labels of indexed trials ``start .. stop - 1``, drawn and clustered in one pass.
 
-    The kernel computes the Philox words itself, so with ``thresholds`` from
-    :func:`trunclab.rng.open_thresholds` the masks equal
-    ``indexed_uniform_matrix(n_edges, seed, stop - start, start) < probs`` bit for bit.
+    The kernel computes the Philox words itself, so the trials open exactly
+    the edges ``indexed_uniform_matrix(n_edges, seed, stop - start, start) <
+    window.probs`` opens.
     """
     if start < 0:
         raise ValueError(f"trial indices start at 0, got {start}")
-    return _drawn_labels("indexed_labels", window, [], thresholds, seed, start, stop)
+    return _drawn_labels("indexed_labels", window, [], seed, start, stop)

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .embedding import EmbeddedGraph
-from .rng import coordinate_edge_keys
+from .rng import coordinate_edge_keys, open_thresholds
 from .sequences import ProbabilitySequence
 
 
@@ -83,6 +83,15 @@ class GraphWindow:
         if edges_u.size and max(edges_u.view(np.uint32).max(), edges_v.view(np.uint32).max()) >= self.n_vertices:
             raise ValueError("an edge endpoint lies outside the window's vertices")
         return edges_u, edges_v
+
+    @cached_property
+    def open_thresholds(self) -> np.ndarray:
+        """The kernel's integer form of ``probs`` (:func:`trunclab.rng.open_thresholds`),
+        computed once per window, after checking that ``probs`` holds one
+        entry per edge.  A failed check caches nothing."""
+        if self.probs.shape != (self.n_edges,):
+            raise ValueError(f"window family {self.family!r} needs one edge probability per edge ({self.n_edges})")
+        return open_thresholds(self.probs)
 
     def edge_pairs(self) -> Iterator[tuple[tuple, tuple, float]]:
         for u, v, p in zip(self.edges_u, self.edges_v, self.probs):

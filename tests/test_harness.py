@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,34 @@ class TestConfig:
             load_config(path)
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"'{key}' in [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            ("kind = constant\nvalue = 0.7\nexponent = 2", "kind constant does not read key 'exponent'"),
+            ("kind = power_law\nexponent = 2\nbackground = 0.1", "kind power_law does not read key 'background'"),
+            ("kind = table\nfile = table.txt\nvalue = 0.5", "kind table does not read key 'value'"),
+            ("kind = constant", "kind constant needs key 'value'"),
+            ("kind = power_law\namplitude = 0.5", "kind power_law needs key 'exponent'"),
+            (
+                "kind = lacunary\nvalue = 0.9\nsupport = 2, 4\nbase = 2",
+                "kind lacunary takes key 'support' or key 'base', not both",
+            ),
+        ],
+        ids=["constant-exponent", "power-law-background", "table-value", "constant-no-value",
+             "power-law-no-exponent", "support-and-base"],
+    )
+    def test_sequence_keys_are_checked_against_the_kind(self, tmp_path, capsys, sequence, message):
+        (tmp_path / "table.txt").write_text("1 0.5\n2 0.4\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("kind = lacunary\nbase = 2\nvalue = 0.9", sequence))
+        with pytest.raises(ConfigError, match=rf"^\[sequence\] {re.escape(message)}$"):
+            load_config(path)
+        for command in (["pipeline", "--config", str(path), "--out", str(tmp_path / "out")],
+                        ["scales", "--config", str(path)]):
+            assert main(command) == 1
+            assert f"config error: [sequence] {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sequence_section_variants(self, tmp_path):

@@ -7,7 +7,11 @@ family, and they must take the documented form: the smallest vertex index of
 the component plus ``row * n_vertices``.  The keyed entry point must open
 exactly the edges ``keyed_uniforms(keys, seed, t) < probs`` opens, and the
 indexed one exactly the edges numpy's Philox stream
-(``indexed_uniform_matrix``) opens.  The hand-built window with unsorted
+(``indexed_uniform_matrix``) opens.  The drawing entry points return labels
+only, so the draws are checked on chain and star windows, where every edge
+is a bridge and its ends share a label exactly when it is open
+(:func:`bridge_mask`), and on every family window against ``mask_labels``
+of the reference mask.  The hand-built window with unsorted
 ``edges_u`` is checked against all three references in
 ``test_batched_route.py``.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -52,6 +57,12 @@ def expected_labels(reference_block: np.ndarray) -> np.ndarray:
     return np.stack(
         [smallest_member(row) + index * n for index, row in enumerate(reference_block)]
     )
+
+
+def bridge_mask(window: GraphWindow, labels: np.ndarray) -> np.ndarray:
+    """The open mask of each labelled trial of a window whose every edge is a
+    bridge: such an edge is open iff its two ends share a label."""
+    return labels[:, window.edges_u] == labels[:, window.edges_v]
 
 
 def union_find_labels(window: GraphWindow, mask: np.ndarray) -> np.ndarray:
@@ -94,9 +105,7 @@ def test_kernel_scipy_and_union_find_agree_on_every_family(name):
     # Labels never repeat across the rows of a block.
     assert len(np.unique(labels)) == sum(len(np.unique(row)) for row in labels)
     # The kernel's own draw of the same indexed trials gives the same block.
-    opened, indexed = indexed_labels(window, open_thresholds(window.probs), 5, 3, 12)
-    assert np.array_equal(opened, block)
-    assert np.array_equal(indexed, labels)
+    assert np.array_equal(indexed_labels(window, 5, 3, 12), labels)
 
 
 @pytest.mark.parametrize("name", ["slab-crossing-d3", "embedded", "long-range-radial"])
@@ -124,13 +133,9 @@ def test_edgeless_window_with_many_vertices():
     rows = 13
     labels = mask_labels(window, np.zeros((rows, 0), dtype=bool))
     assert np.array_equal(labels.ravel(), np.arange(rows * window.n_vertices))
-    keys = np.empty(0, dtype=np.uint64)
-    opened, keyed = keyed_labels(window, keys, open_thresholds(window.probs), 3, 40, 40 + rows)
-    assert opened.shape == (rows, 0)
-    assert np.array_equal(keyed, labels)
-    opened, indexed = indexed_labels(window, open_thresholds(window.probs), 3, 40, 40 + rows)
-    assert opened.shape == (rows, 0)
-    assert np.array_equal(indexed, labels)
+    assert window.edge_keys.shape == (0,)
+    assert np.array_equal(keyed_labels(window, 3, 40, 40 + rows), labels)
+    assert np.array_equal(indexed_labels(window, 3, 40, 40 + rows), labels)
 
 
 def with_probability(window: GraphWindow, p: float) -> GraphWindow:
@@ -144,16 +149,18 @@ def test_keyed_masks_equal_keyed_uniforms(p, corrupt_edge):
     keys = window.edge_keys.copy()
     if corrupt_edge is not None:
         keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
-    thresholds = open_thresholds(window.probs)
+    window = dataclasses.replace(window, edge_keys=keys)
+    # A chain with the window's keys and probabilities draws the same mask,
+    # and on a chain the labels give it back bit for bit.
+    chain = dataclasses.replace(chain_window(window.n_edges, window.probs), edge_keys=keys)
     for seed, start, stop in ((13, 0, 6), (9223372037480117393, 57, 61)):
-        opened, labels = keyed_labels(window, keys, thresholds, seed, start, stop)
         reference = np.stack([keyed_uniforms(keys, seed, t) < window.probs for t in range(start, stop)])
-        assert np.array_equal(opened, reference)
-        assert np.array_equal(labels, mask_labels(window, reference))
+        assert np.array_equal(bridge_mask(chain, keyed_labels(chain, seed, start, stop)), reference)
+        assert np.array_equal(keyed_labels(window, seed, start, stop), mask_labels(window, reference))
     if p == 1.0:
-        assert opened.all()
+        assert reference.all()
     if p == 5e-324:
-        assert thresholds.tolist() == [1] * window.n_edges
+        assert window.open_thresholds.tolist() == [1] * window.n_edges
 
 
 def unmix64(word: int) -> int:
@@ -192,8 +199,8 @@ def test_keyed_threshold_is_exact_at_the_boundary(p):
     assert (mix64(keys ^ np.uint64(stamp)) >> np.uint64(11)).tolist() == tops
     expected = [True, False][: len(tops)]
     assert (keyed_uniforms(keys, seed, trial) < window.probs).tolist() == expected
-    opened, _ = keyed_labels(window, keys, open_thresholds(window.probs), seed, trial, trial + 1)
-    assert opened[0].tolist() == expected
+    # Every edge of the star is a bridge.
+    assert bridge_mask(window, keyed_labels(window, seed, trial, trial + 1))[0].tolist() == expected
 
 
 def chain_window(n_edges: int, probs) -> GraphWindow:
@@ -212,12 +219,11 @@ def chain_window(n_edges: int, probs) -> GraphWindow:
 @pytest.mark.parametrize("seed", [0, 2**63 + 17, 2**64 - 1])
 def test_indexed_masks_equal_numpy_philox(n_edges, seed):
     window = chain_window(n_edges, 0.5)
-    thresholds = open_thresholds(window.probs)
     # A start past 2^64 / ceil(E / 4) carries the Philox counter into its second word.
     for start, stop in ((0, 7), (13, 16), (2**62 + 5, 2**62 + 8)):
-        opened, labels = indexed_labels(window, thresholds, seed, start, stop)
+        labels = indexed_labels(window, seed, start, stop)
         reference = indexed_uniform_matrix(n_edges, seed, stop - start, start) < window.probs
-        assert np.array_equal(opened, reference)
+        assert np.array_equal(bridge_mask(window, labels), reference)
         assert np.array_equal(labels, mask_labels(window, reference))
 
 
@@ -228,14 +234,15 @@ def test_indexed_threshold_is_exact_at_the_boundary():
     uniforms = indexed_uniform_matrix(n_edges, seed, 1, trial)[0]
     above = np.arange(n_edges) % 2 == 0
     window = chain_window(n_edges, uniforms + np.where(above, 2.0**-53, 0.0))
-    thresholds = open_thresholds(window.probs)
+    thresholds = window.open_thresholds
     assert (thresholds - (uniforms * 2.0**53).astype(np.uint64)).tolist() == above.astype(int).tolist()
-    opened, _ = indexed_labels(window, thresholds, seed, trial, trial + 1)
+    opened = bridge_mask(window, indexed_labels(window, seed, trial, trial + 1))
     assert opened[0].tolist() == above.tolist()
     assert (indexed_uniforms(n_edges, seed, trial) < window.probs).tolist() == above.tolist()
     for p in (0.0, 1.0):
         certain = chain_window(n_edges, p)
-        opened, labels = indexed_labels(certain, open_thresholds(certain.probs), seed, 0, 50)
+        labels = indexed_labels(certain, seed, 0, 50)
+        opened = bridge_mask(certain, labels)
         assert (opened == bool(p)).all()
         assert np.array_equal(labels, mask_labels(certain, opened))
 
@@ -251,8 +258,6 @@ def test_out_of_range_inputs_are_refused():
         mask_labels(bad, np.ones((1, window.n_edges), dtype=bool))
     with pytest.raises(ValueError, match="does not fit"):
         mask_labels(window, np.ones((1, window.n_edges + 1), dtype=bool))
-    with pytest.raises(ValueError, match="one entry per edge"):
-        keyed_labels(window, np.zeros(3, dtype=np.uint64), np.zeros(3, dtype=np.uint64), 1, 0, 1)
     wide = long_range_radial_window(PS.constant(0.0), 127)  # 65,025 vertices
     with pytest.raises(ValueError, match="32-bit"):
         mask_labels(wide, np.zeros((2**31 // wide.n_vertices + 1, 0), dtype=bool))
@@ -272,6 +277,50 @@ def test_edges_are_checked_once_per_window_and_only_when_valid():
     checked = vars(window)["kernel_edges"]
     assert np.array_equal(mask_labels(window, block), labels)
     assert vars(window)["kernel_edges"] is checked
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("slab-crossing-d3", None),
+        ("long-range-radial", "probs"),
+        ("embedded", "probs"),
+        ("long-range-radial", "edge_keys"),
+        ("embedded", "edge_keys"),
+    ],
+    ids=["keyless", "probs-long-range", "probs-embedded", "keys-long-range", "keys-embedded"],
+)
+def test_draws_refuse_a_window_whose_arrays_do_not_fit_naming_its_family(name, fault):
+    window = FAMILIES[name]
+    if fault is not None:
+        window = dataclasses.replace(window, **{fault: getattr(window, fault)[:-1]})
+    with pytest.raises(ValueError, match=re.escape(repr(window.family))):
+        keyed_labels(window, 1, 0, 2)
+    if fault == "probs":
+        with pytest.raises(ValueError, match=re.escape(repr(window.family))):
+            indexed_labels(window, 1, 0, 2)
+
+
+def test_thresholds_are_computed_once_per_window_and_only_when_valid():
+    valid = FAMILIES["long-range-radial"]
+    window = dataclasses.replace(valid, probs=valid.probs[:-1])
+    with pytest.raises(ValueError, match="one edge probability per edge"):
+        indexed_labels(window, 1, 0, 2)
+    assert "open_thresholds" not in vars(window)
+    window.probs = valid.probs
+    labels = keyed_labels(window, 1, 0, 2)
+    cached = vars(window)["open_thresholds"]
+    assert np.array_equal(cached, open_thresholds(valid.probs))
+    assert np.array_equal(keyed_labels(window, 1, 0, 2), labels)
+    indexed_labels(window, 1, 0, 2)
+    assert vars(window)["open_thresholds"] is cached
+
+
+def test_kernel_source_compiles_without_warnings():
+    # A parameter left unused, such as a dropped output array, fails here.
+    command = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(kernel.SOURCE)]
+    result = subprocess.run(command, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_second_load_reuses_the_cached_library(monkeypatch):
