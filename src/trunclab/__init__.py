@@ -14,7 +14,6 @@ from .embedding import (
     ScaleVector,
     SlabCoord,
     SlabParameters,
-    block_set,
     select_scales,
     verify_isomorphism,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SlabParameters",
     "ThresholdSettings",
     "UnionFind",
-    "block_set",
     "choose_slab_parameters",
     "containment_check",
     "crossing_estimate",

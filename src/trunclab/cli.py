@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--calib", default=None, help="calibration CSV to update")
 
-    ver = sub.add_parser("verify-embedding", help="brute-force check of the slab embedding")
+    ver = sub.add_parser("verify-embedding", help="exhaustive check of the slab embedding")
     ver.add_argument("--config", required=True)
     ver.add_argument("--json", action="store_true", dest="as_json")
 

@@ -8,21 +8,51 @@ Given edge lengths ``n_1 < ... < n_{d-1}`` in which each scale exceeds
 together with axis-aligned edges whose horizontal length is one of the
 ``n_j`` (and vertical length ``n_1``) forms a graph isomorphic to the slab
 ``{0..K-1}^(d-2) x Z^2``.  The spacing bound makes the digit decomposition of
-``x`` unique, so the coordinate map can be inverted greedily; a brute-force
-window verifier checks the whole claim exhaustively instead of trusting the
-arithmetic argument.
+``x`` unique, so the coordinate map can be inverted greedily.
+
+One method, :meth:`EmbeddedGraph.edges_among`, says which image points are
+joined.  The certification window is built from it, and the window verifier
+checks, by exact lookup of integer rows, that its edges are exactly the slab's
+unit steps instead of trusting the arithmetic argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .sequences import ProbabilitySequence, scan_support
 
 Point = tuple[int, int]
+
+
+def _row_codes(rows: np.ndarray, low: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Exact mixed-radix int64 code of each integer row, given per-column ranges."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in range(rows.shape[1]):
+        codes = codes * spans[column] + (rows[:, column] - low[column])
+    return codes
+
+
+def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query row among the rows of ``table``, or -1 where absent.
+
+    Both are integer arrays with the same number of columns; rows are compared
+    exactly, through sorted mixed-radix codes.
+    """
+    if table.shape[0] == 0 or queries.shape[0] == 0:
+        return np.full(queries.shape[0], -1, dtype=np.int64)
+    low = np.minimum(table.min(axis=0), queries.min(axis=0))
+    spans = np.maximum(table.max(axis=0), queries.max(axis=0)) - low + 1
+    if np.prod(spans.astype(object)) >= 2**63:
+        raise ValueError("coordinate range too wide for exact 64-bit row codes")
+    table_codes = _row_codes(table, low, spans)
+    order = np.argsort(table_codes, kind="stable")
+    ranked = table_codes[order]
+    query_codes = _row_codes(queries, low, spans)
+    slot = np.minimum(np.searchsorted(ranked, query_codes), ranked.shape[0] - 1)
+    return np.where(ranked[slot] == query_codes, order[slot], -1)
 
 
 class HypothesisNotWitnessed(Exception):
@@ -111,13 +141,6 @@ class SlabCoord:
         return self.confined + (self.coarse, self.vertical)
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    orientation: str  # "horizontal" or "vertical"
-    scale_index: int  # 1-based index into the scale vector
-    length: int
-
-
 def select_scales(
     seq: ProbabilitySequence,
     epsilon: float,
@@ -149,23 +172,6 @@ def select_scales(
     return ScaleVector(tuple(scales), params.thickness)
 
 
-def block_set(scales: ScaleVector, params: SlabParameters, level: int) -> frozenset[Point]:
-    """Recursive block set at the given level: all digit sums over the first
-    ``level`` scales, as points on the horizontal axis.
-
-    Level 0 is the origin alone; level ``j`` has exactly ``thickness ** j``
-    points (spacing guarantees the digit sums are distinct).
-    """
-    if not 0 <= level <= params.dimension - 2:
-        raise ValueError(f"block level must lie in [0, {params.dimension - 2}], got {level}")
-    points = frozenset(
-        (sum(digit * scale for digit, scale in zip(digits, scales.scales)), 0)
-        for digits in product(range(params.thickness), repeat=level)
-    )
-    assert len(points) == params.thickness**level
-    return points
-
-
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """The embedded vertex/edge structure plus its coordinate maps."""
@@ -184,10 +190,6 @@ class EmbeddedGraph:
                 f"scale vector was validated against thickness {self.scales.thickness}, "
                 f"not the slab's thickness {self.params.thickness}"
             )
-
-    @property
-    def scale_set(self) -> frozenset[int]:
-        return frozenset(self.scales.scales)
 
     @property
     def max_edge_length(self) -> int:
@@ -250,63 +252,23 @@ class EmbeddedGraph:
         digits.reverse()
         return SlabCoord(tuple(digits), coarse, vertical)
 
-    def classify_edge(self, u: Point, v: Point) -> EdgeClass | None:
-        """Edge class of the pair, or None.
+    def edges_among(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The embedded edges among ``(n, 2)`` distinct image points.
 
-        An edge needs both endpoints to be vertices and the displacement to
-        be a single axis step by one of the scales (vertically, only the
-        smallest).  The displacement test runs first: it is cheap and failing
-        it already settles the answer.
+        Each point is joined to the point one scale to its right, and to the
+        point ``n_1`` above, when that point is among ``points`` too.  Returns
+        ``(edges_u, edges_v, lengths)``: indices into ``points`` and each
+        edge's length.  Edges come point by point, per point the scales in
+        order and then the vertical step.
         """
-        dx = u[0] - v[0]
-        dy = u[1] - v[1]
+        points = np.asarray(points, dtype=np.int64)
         scales = self.scales.scales
-        if dy == 0:
-            length = abs(dx)
-            if length not in self.scale_set:
-                return None
-            proposed = EdgeClass("horizontal", self.scales.scales.index(length) + 1, length)
-        elif dx == 0 and abs(dy) == scales[0]:
-            proposed = EdgeClass("vertical", 1, scales[0])
-        else:
-            return None
-        if self.decode(u) is None or self.decode(v) is None:
-            return None
-        return proposed
-
-    def slab_adjacent(self, a: SlabCoord, b: SlabCoord) -> bool:
-        """Product-graph adjacency: unit step in exactly one coordinate."""
-        distance = abs(a.coarse - b.coarse) + abs(a.vertical - b.vertical)
-        for da, db in zip(a.confined, b.confined):
-            distance += abs(da - db)
-            if distance > 1:
-                return False
-        return distance == 1
-
-    def coord_neighbors(self, coord: SlabCoord) -> list[SlabCoord]:
-        """All product-graph neighbors (confined steps stay inside the slab)."""
-        neighbors = [
-            SlabCoord(coord.confined, coord.coarse + 1, coord.vertical),
-            SlabCoord(coord.confined, coord.coarse - 1, coord.vertical),
-            SlabCoord(coord.confined, coord.coarse, coord.vertical + 1),
-            SlabCoord(coord.confined, coord.coarse, coord.vertical - 1),
-        ]
-        for axis in range(self.params.confined_axes):
-            for step in (1, -1):
-                digit = coord.confined[axis] + step
-                if 0 <= digit < self.params.thickness:
-                    confined = coord.confined[:axis] + (digit,) + coord.confined[axis + 1 :]
-                    neighbors.append(SlabCoord(confined, coord.coarse, coord.vertical))
-        return neighbors
-
-    def window_coords(self, coarse_bound: int, vertical_bound: int) -> list[SlabCoord]:
-        """All coordinates with ``|coarse| <= coarse_bound``, ``|vertical| <= vertical_bound``."""
-        return [
-            SlabCoord(confined, coarse, vertical)
-            for coarse in range(-coarse_bound, coarse_bound + 1)
-            for vertical in range(-vertical_bound, vertical_bound + 1)
-            for confined in product(range(self.params.thickness), repeat=self.params.confined_axes)
-        ]
+        lengths = np.array(scales + scales[:1], dtype=np.int64)
+        offsets = np.array([(n, 0) for n in scales] + [(0, scales[0])], dtype=np.int64)
+        targets = _row_lookup(points, (points[:, None, :] + offsets).reshape(-1, 2))
+        targets = targets.reshape(points.shape[0], offsets.shape[0])
+        edges_u, slot = np.nonzero(targets >= 0)
+        return edges_u, targets[edges_u, slot], lengths[slot]
 
 
 @dataclass
@@ -331,91 +293,87 @@ def verify_isomorphism(
 ) -> EmbeddingReport:
     """Exhaustively compare the embedded window with the slab product graph.
 
-    Over every pair of coordinates in the window this confirms that (a) the
-    coordinate map is injective, (b) product-graph adjacency holds exactly
-    when the encoded points form an embedded edge, (c) distinct slab edges
-    land on distinct lattice edges, and (d) every embedded edge uses one of
-    the selected scales, the largest scale being attained.  When a sequence
-    and level are supplied it also checks that each scale's probability
-    reaches the level, both untruncated and truncated at the top scale.
+    The window is every slab coordinate with ``|coarse| <= coarse_bound`` and
+    ``|vertical| <= vertical_bound``.  This confirms that (a) its image under
+    :meth:`EmbeddedGraph.encode_array` is injective, (b) the edges
+    :meth:`EmbeddedGraph.edges_among` finds among the image points, which are
+    the edges :func:`trunclab.windows.embedded_radial_window` is built from,
+    are exactly the slab's unit steps, found independently by looking up
+    ``coord + e_axis`` for every axis, (c) no lattice edge is listed twice, and
+    (d) every embedded edge spans one of the selected scales, the largest
+    being attained.  Every pair of vertices is decided: a pair in neither edge
+    set is a non-edge on both sides.  When a sequence and level are supplied
+    it also checks that each scale's probability reaches the level, both
+    untruncated and truncated at the top scale.
     """
     if coarse_bound < 1 or vertical_bound < 1:
         raise ValueError("window bounds must be >= 1 so that every edge class occurs")
     report = EmbeddingReport(passed=False)
-    coords = graph.window_coords(coarse_bound, vertical_bound)
-    points = [graph.encode(c) for c in coords]
-    report.vertex_count = len(coords)
+    shape = (2 * coarse_bound + 1, 2 * vertical_bound + 1)
+    shape += (graph.params.thickness,) * graph.params.confined_axes
+    grid = np.indices(shape).reshape(len(shape), -1).T
+    grid[:, :2] -= (coarse_bound, vertical_bound)
+    coords = np.roll(grid, -2, axis=1)  # rows laid out as SlabCoord.as_tuple
+    points = graph.encode_array(coords)
+    report.vertex_count = coords.shape[0]
 
-    report.checks["injective"] = len(set(points)) == len(points)
-    if not report.checks["injective"]:
-        seen: dict[Point, SlabCoord] = {}
-        for coord, point in zip(coords, points):
-            if point in seen:
-                report.counterexample = f"{seen[point]} and {coord} both map to {point}"
-                break
-            seen[point] = coord
+    def coord(i: int) -> SlabCoord:
+        row = [int(value) for value in coords[i]]
+        return SlabCoord(tuple(row[:-2]), row[-2], row[-1])
+
+    def point(i: int) -> Point:
+        return (int(points[i, 0]), int(points[i, 1]))
+
+    def pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+
+    first = _row_lookup(points, points)
+    repeats = np.flatnonzero(first != np.arange(report.vertex_count))
+    report.checks["injective"] = repeats.size == 0
+    if repeats.size:
+        later = int(repeats[0])
+        report.counterexample = f"{coord(int(first[later]))} and {coord(later)} both map to {point(later)}"
         return report
 
-    # Every unordered pair is compared.  The displacement test (axis-aligned,
-    # length among the scales) is vectorized; it mirrors the cheap-reject
-    # stage of classify_edge, whose outcome it therefore determines for every
-    # non-candidate pair.  Candidate and disagreeing pairs go through the
-    # real classify_edge, decoding included.
-    coord_matrix = np.array([c.as_tuple() for c in coords], dtype=np.int64)
-    point_matrix = np.array(points, dtype=np.int64)
-    scale_array = np.array(graph.scales.scales, dtype=np.int64)
-    smallest = graph.scales.scales[0]
-    lattice_edges: set[frozenset[Point]] = set()
-    slab_edge_count = 0
-    max_length = 0
-    adjacency_ok = True
-    lengths_ok = True
-    for i in range(len(coords) - 1):
-        rest = slice(i + 1, None)
-        adjacent = np.abs(coord_matrix[rest] - coord_matrix[i]).sum(axis=1) == 1
-        dx = point_matrix[rest, 0] - point_matrix[i, 0]
-        dy = point_matrix[rest, 1] - point_matrix[i, 1]
-        displaced = ((dy == 0) & np.isin(np.abs(dx), scale_array)) | (
-            (dx == 0) & (np.abs(dy) == smallest)
+    axes = coords.shape[1]
+    steps = _row_lookup(coords, (coords[:, None, :] + np.eye(axes, dtype=np.int64)).reshape(-1, axes))
+    found = np.flatnonzero(steps >= 0)
+    slab = pairs(found // axes, steps[found])
+    edges_u, edges_v, lengths = graph.edges_among(points)
+    embedded = pairs(edges_u, edges_v)
+    slab_only = slab[_row_lookup(embedded, slab) < 0].tolist()
+    embedded_only = embedded[_row_lookup(slab, embedded) < 0].tolist()
+    spans = np.abs(points[edges_v] - points[edges_u]).sum(axis=1)
+    scale_length = (lengths[:, None] == np.array(graph.scales.scales)).any(axis=1)
+    off_scale = np.flatnonzero((spans != lengths) | ~scale_length)
+    report.checks["adjacency_equivalence"] = not (slab_only or embedded_only)
+    report.checks["edge_lengths_are_scales"] = off_scale.size == 0
+    if slab_only or embedded_only:
+        i, j = min(slab_only + embedded_only)
+        adjacent = [i, j] in slab_only
+        report.counterexample = (
+            f"pair {coord(i)} / {coord(j)}: slab adjacency {adjacent} "
+            f"but embedded edge {not adjacent} between {point(i)} and {point(j)}"
         )
-        for offset in np.nonzero(adjacent | displaced)[0]:
-            j = i + 1 + int(offset)
-            edge = graph.classify_edge(points[i], points[j])
-            if graph.slab_adjacent(coords[i], coords[j]) != (edge is not None):
-                adjacency_ok = False
-                report.counterexample = (
-                    f"pair {coords[i]} / {coords[j]}: slab adjacency {bool(adjacent[offset])} "
-                    f"but embedded edge {edge} between {points[i]} and {points[j]}"
-                )
-                break
-            if edge is None:
-                continue
-            slab_edge_count += 1
-            lattice_edges.add(frozenset((points[i], points[j])))
-            max_length = max(max_length, edge.length)
-            if edge.length not in graph.scale_set:
-                lengths_ok = False
-                report.counterexample = (
-                    f"edge {points[i]}-{points[j]} has non-scale length {edge.length}"
-                )
-                break
-        if report.counterexample:
-            break
-    report.checks["adjacency_equivalence"] = adjacency_ok
-    report.checks["edge_lengths_are_scales"] = lengths_ok
-    if report.counterexample:
+        return report
+    if off_scale.size:
+        e = int(off_scale[0])
+        report.counterexample = (
+            f"edge {point(edges_u[e])}-{point(edges_v[e])} spans {spans[e]} "
+            f"but has length {lengths[e]}, scales {list(graph.scales.scales)}"
+        )
         return report
 
-    report.edge_count = slab_edge_count
-    report.max_edge_length = max_length
-    report.checks["distinct_lattice_edges"] = len(lattice_edges) == slab_edge_count
+    report.edge_count = len(slab)
+    report.max_edge_length = int(lengths.max())
+    report.checks["distinct_lattice_edges"] = edges_u.size == report.edge_count
     if not report.checks["distinct_lattice_edges"]:
-        report.counterexample = "two slab edges share a lattice edge"
+        report.counterexample = "two embedded edges share a lattice edge"
         return report
-    report.checks["top_scale_attained"] = max_length == graph.max_edge_length
+    report.checks["top_scale_attained"] = report.max_edge_length == graph.max_edge_length
     if not report.checks["top_scale_attained"]:
         report.counterexample = (
-            f"largest embedded edge length {max_length} != top scale {graph.max_edge_length}"
+            f"largest embedded edge length {report.max_edge_length} != top scale {graph.max_edge_length}"
         )
         return report
 

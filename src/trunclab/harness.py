@@ -38,6 +38,7 @@ from . import __version__
 from .embedding import (
     EmbeddedGraph,
     HypothesisNotWitnessed,
+    _row_lookup,
     select_scales,
     verify_isomorphism,
 )
@@ -70,7 +71,6 @@ from .thresholds import (
 from .windows import (
     ConfigError,
     GraphWindow,
-    _row_lookup,
     embedded_radial_window,
     long_range_radial_window,
 )
@@ -173,7 +173,7 @@ def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -
             path = base_dir / path
         seq = ProbabilitySequence.from_table_file(path, tail=section.getfloat("tail", fallback=0.0))
     truncation = section.getint("truncation", fallback=None)
-    return seq.truncate(truncation) if truncation else seq
+    return seq if truncation is None else seq.truncate(truncation)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -11,8 +11,8 @@ vertex, edges toward lexicographically larger endpoints in a fixed offset
 order.  Identical inputs therefore always produce identical edge orderings,
 which is what ties the per-edge random streams down.  Builders work by index
 arithmetic on numpy arrays: in a box window a vertex index is the row-major
-rank of its coordinates, and the embedded window finds edge endpoints with an
-exact sorted lookup of coordinate rows.
+rank of its coordinates, and the embedded window takes its edges from
+:meth:`trunclab.embedding.EmbeddedGraph.edges_among`.
 
 Edges carrying probability zero are omitted: they can never open, and for
 heavy-tailed sequences they would dominate the edge list.
@@ -100,34 +100,6 @@ class GraphWindow:
     def describe(self) -> str:
         parts = [f"{key}={value}" for key, value in sorted(self.meta.items())]
         return f"{self.family}({', '.join(parts)})"
-
-
-def _row_codes(rows: np.ndarray, low: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Exact mixed-radix int64 code of each integer row, given per-column ranges."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for column in range(rows.shape[1]):
-        codes = codes * spans[column] + (rows[:, column] - low[column])
-    return codes
-
-
-def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of each query row among the rows of ``table``, or -1 where absent.
-
-    Both are integer arrays with the same number of columns; rows are compared
-    exactly, through sorted mixed-radix codes.
-    """
-    if table.shape[0] == 0 or queries.shape[0] == 0:
-        return np.full(queries.shape[0], -1, dtype=np.int64)
-    low = np.minimum(table.min(axis=0), queries.min(axis=0))
-    spans = np.maximum(table.max(axis=0), queries.max(axis=0)) - low + 1
-    if np.prod(spans.astype(object)) >= 2**63:
-        raise ValueError("coordinate range too wide for exact 64-bit row codes")
-    table_codes = _row_codes(table, low, spans)
-    order = np.argsort(table_codes, kind="stable")
-    ranked = table_codes[order]
-    query_codes = _row_codes(queries, low, spans)
-    slot = np.minimum(np.searchsorted(ranked, query_codes), ranked.shape[0] - 1)
-    return np.where(ranked[slot] == query_codes, order[slot], -1)
 
 
 Edges = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -330,9 +302,8 @@ def embedded_radial_window(
     reaches compare like for like.
 
     Vertices are the slab coordinates whose image under the graph's
-    coordinate map lies in the box, sorted by image point; an edge joins a
-    vertex to the image point one scale to its right, or the smallest scale
-    above it, when that point is a vertex too.
+    coordinate map lies in the box, sorted by image point; the edges are
+    those :meth:`EmbeddedGraph.edges_among` finds among them.
     """
     if radius < 1:
         raise ConfigError("radial window needs radius >= 1")
@@ -350,13 +321,9 @@ def embedded_radial_window(
     if origin is None:
         raise ConfigError("embedded window does not contain the origin")
 
-    step_lengths = np.array(list(scales) + [smallest], dtype=np.int64)
-    offsets = np.array([(n, 0) for n in scales] + [(0, smallest)], dtype=np.int64)
-    probabilities = np.array([seq.probability(n) for n in step_lengths.tolist()], dtype=np.float64)
-    targets = _row_lookup(points, (points[:, None, :] + offsets).reshape(-1, 2))
-    targets = targets.reshape(points.shape[0], offsets.shape[0])
-    edges_u, slot = np.nonzero(targets >= 0)
-    edges = (edges_u, targets[edges_u, slot], probabilities[slot], step_lengths[slot])
+    edges_u, edges_v, lengths = graph.edges_among(points)
+    probabilities = np.array([seq.probability(n) for n in scales], dtype=np.float64)
+    edges = (edges_u, edges_v, probabilities[np.searchsorted(scales, lengths)], lengths)
     meta = {
         "radius": radius,
         "d": graph.params.dimension,

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from trunclab.embedding import EmbeddingReport, SlabCoord
 from trunclab.engine import UnionFind, trial_open_mask
 from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import GraphWindow
@@ -36,6 +38,87 @@ def recursion_oracle(seq, epsilon, thickness, dimension, limit):
         scales.append(found)
         previous = found
     return scales
+
+
+def pairwise_verify_isomorphism(graph, coarse_bound, vertical_bound, seq=None, epsilon=None):
+    """Reference for ``verify_isomorphism`` that decides every pair of window
+    coordinates one row at a time: slab L1-adjacency against the
+    scale-displacement rule (horizontal by any scale, vertical by the
+    smallest) with both endpoints decodable, through the scalar
+    ``encode``/``decode``."""
+    if coarse_bound < 1 or vertical_bound < 1:
+        raise ValueError("window bounds must be >= 1 so that every edge class occurs")
+    report = EmbeddingReport(passed=False)
+    coords = [
+        SlabCoord(confined, coarse, vertical)
+        for coarse in range(-coarse_bound, coarse_bound + 1)
+        for vertical in range(-vertical_bound, vertical_bound + 1)
+        for confined in product(range(graph.params.thickness), repeat=graph.params.confined_axes)
+    ]
+    points = [graph.encode(c) for c in coords]
+    report.vertex_count = len(coords)
+    seen = {}
+    for coord, point in zip(coords, points):
+        if point in seen:
+            report.checks["injective"] = False
+            report.counterexample = f"{seen[point]} and {coord} both map to {point}"
+            return report
+        seen[point] = coord
+    report.checks["injective"] = True
+
+    coord_matrix = np.array([c.as_tuple() for c in coords], dtype=np.int64)
+    point_matrix = np.array(points, dtype=np.int64)
+    decodable = np.array([graph.decode(p) is not None for p in points])
+    scales = np.array(graph.scales.scales, dtype=np.int64)
+    lengths = []
+    lattice_edges = set()
+    for i in range(len(coords) - 1):
+        rest = slice(i + 1, None)
+        adjacent = np.abs(coord_matrix[rest] - coord_matrix[i]).sum(axis=1) == 1
+        dx = np.abs(point_matrix[rest, 0] - point_matrix[i, 0])
+        dy = np.abs(point_matrix[rest, 1] - point_matrix[i, 1])
+        displaced = ((dy == 0) & np.isin(dx, scales)) | ((dx == 0) & (dy == scales[0]))
+        edge = displaced & decodable[i] & decodable[rest]
+        wrong = np.flatnonzero(adjacent != edge)
+        if wrong.size:
+            j = i + 1 + int(wrong[0])
+            report.checks["adjacency_equivalence"] = False
+            report.checks["edge_lengths_are_scales"] = True
+            report.counterexample = (
+                f"pair {coords[i]} / {coords[j]}: slab adjacency {bool(adjacent[wrong[0]])} "
+                f"but embedded edge {bool(edge[wrong[0]])} between {points[i]} and {points[j]}"
+            )
+            return report
+        for offset in np.flatnonzero(edge):
+            lengths.append(int(dx[offset] + dy[offset]))
+            lattice_edges.add(frozenset((points[i], points[i + 1 + int(offset)])))
+    report.checks["adjacency_equivalence"] = True
+    report.checks["edge_lengths_are_scales"] = True
+
+    report.edge_count = len(lengths)
+    report.max_edge_length = max(lengths)
+    report.checks["distinct_lattice_edges"] = len(lattice_edges) == len(lengths)
+    if not report.checks["distinct_lattice_edges"]:
+        report.counterexample = "two slab edges share a lattice edge"
+        return report
+    report.checks["top_scale_attained"] = report.max_edge_length == graph.scales.top
+    if not report.checks["top_scale_attained"]:
+        report.counterexample = (
+            f"largest embedded edge length {report.max_edge_length} != top scale {graph.scales.top}"
+        )
+        return report
+    if seq is not None and epsilon is not None:
+        truncated = seq.truncate(graph.scales.top)
+        probabilities = [s.probability(n) for s in (seq, truncated) for n in graph.scales.scales]
+        report.min_edge_probability = min(probabilities)
+        report.checks["edge_probabilities_reach_level"] = report.min_edge_probability >= epsilon
+        if not report.checks["edge_probabilities_reach_level"]:
+            report.counterexample = (
+                f"minimum scale probability {report.min_edge_probability} below level {epsilon}"
+            )
+            return report
+    report.passed = all(report.checks.values())
+    return report
 
 
 def bfs_components(n_vertices, edge_list):

@@ -4,10 +4,11 @@
 them (``vars(owner)[name]``), ``perfbench/run.py`` divides certification
 trials by the ``theta`` plus ``containment`` timings of ``manifest.json``, and
 ``perfbench/workloads.py`` builds its pipeline config from names it imports,
-``ThresholdSettings`` fields among them.  A cleanup that unbinds a traced
-name, such as ``origin_boundary_estimate`` in ``trunclab.harness`` (imported
-there but no longer called), drops a timing key, or drops a settings field
-would break every benchmark op while the rest of the suite stayed green.
+``ThresholdSettings`` fields among them, and reads per-layer inputs from
+``report.json`` fields by name.  A cleanup that unbinds a traced name, such as
+``origin_boundary_estimate`` in ``trunclab.harness`` (imported there but no
+longer called), drops a timing key, drops a settings field or renames a report
+field would break every benchmark op while the rest of the suite stayed green.
 """
 
 from __future__ import annotations
@@ -72,3 +73,9 @@ def test_benchmark_accepts_the_one_row_certification_report(tmp_path):
     expected = 2 * config.theta_trials * len(config.theta_radii) + 2 * config.containment_trials
     assert workloads.certification_trials(op.report) == expected
     assert {"theta", "containment"} <= op.timings.keys()
+    # The per-layer inputs read report fields by name, the embedding's vertex count among them.
+    layer = workloads.pipeline_layer_inputs(op, config)
+    slab = op.report["slab"]
+    vertices = (2 * config.verify_coarse + 1) * (2 * config.verify_vertical + 1)
+    vertices *= slab["thickness"] ** (slab["dimension"] - 2)
+    assert layer["embedding.pairs_checked"] == vertices * (vertices - 1) // 2

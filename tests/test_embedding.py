@@ -1,3 +1,7 @@
+from dataclasses import asdict
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +12,55 @@ from trunclab.embedding import (
     ScaleVector,
     SlabCoord,
     SlabParameters,
-    block_set,
     select_scales,
     verify_isomorphism,
 )
 from trunclab.sequences import ProbabilitySequence
+from trunclab.windows import embedded_radial_window
 
-from conftest import recursion_oracle
+from conftest import pairwise_verify_isomorphism, recursion_oracle
 
 
 def graph_1_4_13() -> EmbeddedGraph:
     return EmbeddedGraph(SlabParameters(4, 2), ScaleVector((1, 4, 13), 2))
+
+
+def window_coords(graph: EmbeddedGraph, bound: int) -> list[SlabCoord]:
+    return [
+        SlabCoord(confined, coarse, vertical)
+        for coarse in range(-bound, bound + 1)
+        for vertical in range(-bound, bound + 1)
+        for confined in product(range(graph.params.thickness), repeat=graph.params.confined_axes)
+    ]
+
+
+def edge_list(graph: EmbeddedGraph, points) -> list[tuple[int, int, int]]:
+    edges_u, edges_v, lengths = graph.edges_among(np.array(points, dtype=np.int64).reshape(-1, 2))
+    return [(int(u), int(v), int(n)) for u, v, n in zip(edges_u, edges_v, lengths)]
+
+
+class MovedVertexGraph(EmbeddedGraph):
+    """``graph_1_4_13`` with the image of ``((0, 0), 1, 1)``, the point
+    ``(13, 1)``, moved ``shift`` steps right through both coordinate maps."""
+
+    shift = 0
+
+    def encode(self, coord):
+        x, y = super().encode(coord)
+        return (x + self.shift, y) if coord.as_tuple() == (0, 0, 1, 1) else (x, y)
+
+    def encode_array(self, coords):
+        points = super().encode_array(coords)
+        points[(np.asarray(coords) == (0, 0, 1, 1)).all(axis=1), 0] += self.shift
+        return points
+
+
+class KnockedOffGraph(MovedVertexGraph):
+    shift = 2  # (15, 1) is no image point: 15 is not a digit sum of 1, 4, 13
+
+
+class MergedGraph(MovedVertexGraph):
+    shift = 1  # (14, 1) is the image of ((1, 0), 1, 1)
 
 
 class TestScaleVector:
@@ -92,33 +134,6 @@ class TestSelectScales:
             assert list(got.scales) == expected
 
 
-class TestBlockSets:
-    def test_level_zero_is_origin(self):
-        assert block_set(ScaleVector((1, 4, 13), 2), SlabParameters(4, 2), 0) == {(0, 0)}
-
-    def test_level_one(self):
-        points = block_set(ScaleVector((1, 4, 13), 2), SlabParameters(4, 2), 1)
-        assert points == {(0, 0), (1, 0)}
-
-    def test_level_two(self):
-        points = block_set(ScaleVector((1, 4, 13), 2), SlabParameters(4, 2), 2)
-        assert points == {(0, 0), (1, 0), (4, 0), (5, 0)}
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            block_set(ScaleVector((1, 4, 13), 2), SlabParameters(4, 2), 3)
-
-    def test_cardinality(self, rng):
-        for _ in range(30):
-            thickness = int(rng.integers(1, 4))
-            dimension = int(rng.integers(2, 6))
-            vec = select_scales(
-                ProbabilitySequence.constant(1.0), 0.5, SlabParameters(dimension, thickness), 10**6
-            )
-            for level in range(dimension - 1):
-                assert len(block_set(vec, SlabParameters(dimension, thickness), level)) == thickness**level
-
-
 class TestCoordinateMaps:
     def test_encode_origin(self):
         assert graph_1_4_13().encode(SlabCoord((0, 0), 0, 0)) == (0, 0)
@@ -168,31 +183,46 @@ class TestCoordinateMaps:
 
 class TestEdgeClassification:
     def test_horizontal_second_scale(self):
-        edge = graph_1_4_13().classify_edge((0, 0), (4, 0))
-        assert edge is not None and edge.orientation == "horizontal"
-        assert edge.scale_index == 2 and edge.length == 4
+        assert edge_list(graph_1_4_13(), [(0, 0), (4, 0)]) == [(0, 1, 4)]
 
     def test_sum_of_scales_is_not_an_edge(self):
-        assert graph_1_4_13().classify_edge((0, 0), (5, 0)) is None
+        assert edge_list(graph_1_4_13(), [(0, 0), (5, 0)]) == []
 
     def test_vertical_smallest_scale(self):
-        edge = graph_1_4_13().classify_edge((0, 0), (0, 1))
-        assert edge is not None and edge.orientation == "vertical" and edge.length == 1
+        assert edge_list(graph_1_4_13(), [(0, 0), (0, 1)]) == [(0, 1, 1)]
 
     def test_self_pair_is_not_an_edge(self):
-        assert graph_1_4_13().classify_edge((0, 0), (0, 0)) is None
+        assert edge_list(graph_1_4_13(), [(0, 0)]) == []
 
-    def test_slab_adjacency_matches_neighbor_enumeration(self, rng):
+    def test_slab_adjacency_matches_neighbor_enumeration(self):
         graph = graph_1_4_13()
-        coords = graph.window_coords(2, 2)
-        for _ in range(300):
-            a = coords[rng.integers(0, len(coords))]
-            b = coords[rng.integers(0, len(coords))]
-            assert graph.slab_adjacent(a, b) == (b in graph.coord_neighbors(a))
+        window = window_coords(graph, 2)
+        edges = edge_list(graph, [graph.encode(c) for c in window])
+        embedded = {frozenset((u, v)) for u, v, _ in edges}
+        slab = {
+            frozenset((i, j))
+            for i, a in enumerate(window)
+            for j, b in enumerate(window)
+            if sum(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())) == 1
+        }
+        assert len(edges) == len(embedded) == len(slab)
+        assert embedded == slab
 
     def test_non_vertex_endpoint_is_not_an_edge(self):
-        # (2, 0) is not a vertex, so the displacement alone is not enough.
-        assert graph_1_4_13().classify_edge((2, 0), (6, 0)) is None
+        # Once (4, 0) is not among the points, no edge reaches it: the origin
+        # loses its edge of length 4, and nothing else changes.
+        graph = graph_1_4_13()
+        points = graph.encode_array(np.array([c.as_tuple() for c in window_coords(graph, 2)]))
+        kept = points[(points != (4, 0)).any(axis=1)]
+
+        def point_pairs(pts):
+            return {
+                (tuple(pts[u].tolist()), tuple(pts[v].tolist()), n) for u, v, n in edge_list(graph, pts)
+            }
+
+        everything = point_pairs(points)
+        assert ((0, 0), (4, 0), 4) in everything
+        assert point_pairs(kept) == {edge for edge in everything if (4, 0) not in edge[:2]}
 
 
 class TestVerifyIsomorphism:
@@ -221,11 +251,10 @@ class TestVerifyIsomorphism:
 
     def test_detects_broken_coordinate_map(self):
         class BrokenGraph(EmbeddedGraph):
-            def encode(self, coord):
-                x, y = EmbeddedGraph.encode(self, coord)
-                if coord.coarse == 1 and coord.vertical == 1 and coord.confined == (0, 0):
-                    return (x + 1, y)  # knock one vertex off its slot
-                return (x, y)
+            def encode_array(self, coords):
+                points = super().encode_array(coords)
+                points[(np.asarray(coords) == (0, 0, 1, 1)).all(axis=1), 0] += 1  # knock one vertex off its slot
+                return points
 
         broken = BrokenGraph(SlabParameters(4, 2), ScaleVector((1, 4, 13), 2))
         report = verify_isomorphism(broken, 2, 2)
@@ -245,6 +274,49 @@ class TestVerifyIsomorphism:
                 vec = select_scales(seq, 0.3, params, 10**7)
                 report = verify_isomorphism(EmbeddedGraph(params, vec), 2, 2)
                 assert report.passed, (dimension, thickness, vec.scales, report.counterexample)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("thickness", [1, 2, 3])
+@pytest.mark.parametrize("dimension", [2, 3, 4, 5])
+def test_matches_pairwise_reference(dimension, thickness, bound):
+    seq = ProbabilitySequence.lacunary(0.8, base=2 + (dimension + thickness) % 4)
+    params = SlabParameters(dimension, thickness)
+    graph = EmbeddedGraph(params, select_scales(seq, 0.3, params, 10**7))
+    # Unequal bounds catch a coarse/vertical mix-up; 5 - bound runs over 4..1.
+    for level in ({}, {"seq": seq, "epsilon": 0.3}, {"seq": seq, "epsilon": 0.9}):
+        report = asdict(verify_isomorphism(graph, bound, 5 - bound, **level))
+        reference = asdict(pairwise_verify_isomorphism(graph, bound, 5 - bound, **level))
+        assert list(report["checks"]) == list(reference["checks"])
+        assert report == reference
+
+
+@pytest.mark.parametrize(
+    ("graph_class", "failing"), [(KnockedOffGraph, "adjacency_equivalence"), (MergedGraph, "injective")]
+)
+def test_broken_maps_fail_the_same_first_check_as_the_reference(graph_class, failing):
+    graph = graph_class(SlabParameters(4, 2), ScaleVector((1, 4, 13), 2))
+    for verifier in (verify_isomorphism, pairwise_verify_isomorphism):
+        report = verifier(graph, 2, 2)
+        assert not report.passed and report.counterexample
+        assert [name for name, ok in report.checks.items() if not ok][:1] == [failing]
+    assert asdict(verify_isomorphism(graph, 2, 2)) == asdict(pairwise_verify_isomorphism(graph, 2, 2))
+
+
+def test_one_edge_rule_serves_verifier_and_window():
+    class NoVerticalGraph(EmbeddedGraph):
+        def edges_among(self, points):
+            edges_u, edges_v, lengths = super().edges_among(points)
+            level = points[edges_u, 1] == points[edges_v, 1]
+            return edges_u[level], edges_v[level], lengths[level]
+
+    graph = NoVerticalGraph(SlabParameters(4, 2), ScaleVector((1, 4, 13), 2))
+    report = verify_isomorphism(graph, 2, 2)
+    assert not report.passed
+    assert report.checks["adjacency_equivalence"] is False
+    window = embedded_radial_window(graph, ProbabilitySequence.constant(0.5), 20)
+    assert window.n_edges > 0
+    assert (window.coords[window.edges_u, 1] == window.coords[window.edges_v, 1]).all()
 
 
 def test_embedded_process_is_truncation_measurable(rng):

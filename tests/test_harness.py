@@ -213,6 +213,18 @@ class TestConfig:
         assert config.sequence.probability(2) == 0.7
         assert config.sequence.probability(4) == 0.0
 
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_truncation_level_below_one_is_refused(self, tmp_path, level):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            CONFIG_TEXT.replace(
+                "kind = lacunary\nbase = 2\nvalue = 0.9",
+                f"kind = constant\nvalue = 0.7\ntruncation = {level}",
+            )
+        )
+        with pytest.raises(ConfigError, match="truncation level"):
+            load_config(path)
+
 
 @pytest.fixture(scope="module")
 def graph():
