@@ -9,19 +9,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from .embedding import EmbeddedGraph, HypothesisNotWitnessed, SlabParameters, select_scales, verify_isomorphism
 from .engine import mc_event_probability
-from .harness import _int_list, load_config, run_pipeline
+from .harness import load_config, run_pipeline
 from .sequences import ProbabilitySequence
-from .thresholds import CalibrationTable, LatticeFamily, ThresholdSettings, estimate_pc
+from .thresholds import SETTING_READERS, CalibrationTable, LatticeFamily, ThresholdSettings, estimate_pc
 from .windows import ConfigError, lattice_window, long_range_crossing_window, long_range_radial_window
 
 
 # Options of ``trunclab estimate`` and ``trunclab pc`` that only some families
 # read: the families, and the default the others must leave the option at.
 _FAMILY_OPTIONS = {"N": (("z2",), 1), "d": (("zd", "slab"), 3), "K": (("slab",), 1)}
+
+# The `trunclab pc` flag and help text of each ThresholdSettings field.
+_SETTING_FLAGS = {
+    "l_schedule": ("--L-schedule", None),
+    "bracket_tol": ("--tol", None),
+    "trials_per_probe": ("--trials", None),
+    "coarse_trials": ("--coarse-trials", "trials per probe on the first side"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,22 +58,15 @@ def _build_parser() -> _Parser:
     est.add_argument("--event", choices=["crossing", "theta"], default="crossing")
 
     # The threshold options' destinations are the ThresholdSettings fields
-    # they set, and their defaults are that class's.
+    # they set; their defaults are that class's and their types its readers.
     settings = ThresholdSettings()
     pc = sub.add_parser("pc", help="(re)compute a critical-threshold calibration row")
     pc.add_argument("--family", choices=["z2", "zd", "slab"], required=True)
     pc.add_argument("--d", type=int, default=_FAMILY_OPTIONS["d"][1], help="dimension for zd/slab families")
     pc.add_argument("--K", type=int, default=_FAMILY_OPTIONS["K"][1], help="thickness for the slab family")
-    pc.add_argument("--L-schedule", dest="l_schedule", type=_int_list, default=settings.l_schedule)
-    pc.add_argument("--tol", dest="bracket_tol", type=float, default=settings.bracket_tol)
-    pc.add_argument("--trials", dest="trials_per_probe", type=int, default=settings.trials_per_probe)
-    pc.add_argument(
-        "--coarse-trials",
-        dest="coarse_trials",
-        type=int,
-        default=settings.coarse_trials,
-        help="trials per probe on the first side",
-    )
+    for name, read in SETTING_READERS.items():
+        flag, help_text = _SETTING_FLAGS[name]
+        pc.add_argument(flag, dest=name, type=read, default=getattr(settings, name), help=help_text)
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--calib", default=None, help="calibration CSV to update")
 
@@ -109,7 +110,7 @@ def _estimate_command(args) -> int:
 
 
 def _pc_settings(args) -> ThresholdSettings:
-    return ThresholdSettings(**{f.name: getattr(args, f.name) for f in fields(ThresholdSettings)})
+    return ThresholdSettings(**{name: getattr(args, name) for name in SETTING_READERS})
 
 
 def _pc_command(args) -> int:
@@ -134,11 +135,7 @@ def _embedding_inputs(config):
 
 def _verify_command(args) -> int:
     config = load_config(args.config)
-    try:
-        params, scales = _embedding_inputs(config)
-    except HypothesisNotWitnessed as exc:
-        print(f"scale selection failed: {exc}", file=sys.stderr)
-        return 3
+    params, scales = _embedding_inputs(config)
     graph = EmbeddedGraph(params, scales)
     report = verify_isomorphism(
         graph,
@@ -160,12 +157,7 @@ def _verify_command(args) -> int:
 
 
 def _scales_command(args) -> int:
-    config = load_config(args.config)
-    try:
-        _, scales = _embedding_inputs(config)
-    except HypothesisNotWitnessed as exc:
-        print(f"scale selection failed: {exc}", file=sys.stderr)
-        return 3
+    _, scales = _embedding_inputs(load_config(args.config))
     for index, value in enumerate(scales.scales, start=1):
         print(f"n_{index} = {value}")
     print(f"N = {scales.top}")
@@ -209,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except HypothesisNotWitnessed as exc:
+        print(f"scale selection failed: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

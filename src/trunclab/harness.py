@@ -63,9 +63,11 @@ from .rng import (
 )
 from .sequences import EpsilonCertificate, ProbabilitySequence
 from .thresholds import (
+    SETTING_READERS,
     CalibrationTable,
     ParametersNotFound,
     ThresholdSettings,
+    _int_list,
     choose_slab_parameters,
 )
 from .windows import (
@@ -176,13 +178,9 @@ def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -
     return seq if truncation is None else seq.truncate(truncation)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(",", " ").split())
-
-
 # The experiment file's section and key for each PipelineConfig field it may
 # set, and how the key's text reads.  The [thresholds] keys are the
-# ThresholdSettings field names, each read as the type of its default.
+# ThresholdSettings field names, each read by its SETTING_READERS entry.
 _CONFIG_KEYS = {
     "margin": ("search", "margin", float),
     "d_max": ("search", "d_max", int),
@@ -199,10 +197,7 @@ _CONFIG_KEYS = {
     "embedding_dimension": ("embedding", "dimension", int),
     "embedding_thickness": ("embedding", "thickness", int),
 }
-_THRESHOLD_KEYS = {
-    f.name: ("thresholds", f.name, _int_list if isinstance(f.default, tuple) else type(f.default))
-    for f in fields(ThresholdSettings)
-}
+_THRESHOLD_KEYS = {name: ("thresholds", name, read) for name, read in SETTING_READERS.items()}
 
 
 def _file_values(parser: configparser.ConfigParser, keys: dict) -> dict:

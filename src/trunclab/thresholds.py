@@ -18,7 +18,10 @@ the cited existence results, which give no effective bounds.  Estimates are
 persisted in a :class:`CalibrationTable`, whose rows are reused only under
 the settings and method they were computed with.  A row is a
 :class:`ThresholdEstimate` without its probes: the table stores, loads and
-returns estimates, and the report prints the same record.
+returns estimates, and the report prints the same record.  Its columns are
+``family``, the family's fields, the estimate, the settings' fields, ``seed``
+and ``method``; one reader per setting (:data:`SETTING_READERS`) reads its
+column, its ``[thresholds]`` key and its ``trunclab pc`` flag.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_origin, get_type_hints
 
 from .embedding import SlabParameters
 from .engine import binomial_half_width, crossing_estimate
 from .rng import derive_seed
-from .sequences import ProbabilitySequence
-from .windows import ConfigError, GraphWindow, lattice_window, long_range_crossing_window
+from .windows import ConfigError, GraphWindow, lattice_window
 
 
 class ParametersNotFound(Exception):
@@ -73,10 +75,7 @@ class LatticeFamily:
         return f"slab-d{self.dimension}-k{self.thickness}"
 
     def crossing_window(self, p: float, side: int) -> GraphWindow:
-        if self.kind == "z2":
-            return long_range_crossing_window(ProbabilitySequence.constant(p).truncate(1), side)
-        thickness = self.thickness if self.kind == "slab" else None
-        return lattice_window(self.dimension, p, side, "crossing", thickness)
+        return lattice_window(self.dimension, p, side, "crossing", self.thickness if self.kind == "slab" else None)
 
 
 # Names the estimator in every ThresholdEstimate and calibration row; a
@@ -100,6 +99,22 @@ class ThresholdSettings:
             raise ConfigError("bracket tolerance must be positive")
         if self.trials_per_probe < 1 or self.coarse_trials < 1:
             raise ConfigError("trial counts must be positive")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Integers separated by commas or spaces."""
+    return tuple(int(part) for part in text.replace(",", " ").split())
+
+
+def _text_readers(record: type) -> dict[str, Callable[[str], object]]:
+    """Each field's text reader: :func:`_int_list` for a tuple, else its annotated type."""
+    return {name: _int_list if get_origin(hint) is tuple else hint for name, hint in get_type_hints(record).items()}
+
+
+# The one text reader of each family field and setting: calibration columns
+# read through both, [thresholds] keys and `trunclab pc` flags through SETTING_READERS.
+_FAMILY_READERS = _text_readers(LatticeFamily)
+SETTING_READERS = _text_readers(ThresholdSettings)
 
 
 @dataclass
@@ -216,22 +231,10 @@ def estimate_pc(family: LatticeFamily, settings: ThresholdSettings, master_seed:
     )
 
 
+# family, the LatticeFamily fields, the estimate, the ThresholdSettings fields, seed, method.
 CALIBRATION_COLUMNS = [
-    "family",
-    "kind",
-    "dimension",
-    "thickness",
-    "p_hat",
-    "uncertainty",
-    "bracket_lo",
-    "bracket_hi",
-    "stat_term",
-    "l_schedule",
-    "bracket_tol",
-    "trials_per_probe",
-    "coarse_trials",
-    "seed",
-    "method",
+    "family", *_FAMILY_READERS, "p_hat", "uncertainty", "bracket_lo", "bracket_hi", "stat_term",
+    *SETTING_READERS, "seed", "method",
 ]
 
 
@@ -251,12 +254,14 @@ class CalibrationTable:
         missing = [column for column in CALIBRATION_COLUMNS if column not in (reader.fieldnames or ())]
         if reader.fieldnames and missing:
             raise ConfigError(f"calibration file {self.path}: missing column(s) {', '.join(missing)}")
+        first_line: dict[str, int] = {}
         for record in reader:
-            where = f"calibration file {self.path}, line {lines[reader.line_num - 1][0]}"
+            line = lines[reader.line_num - 1][0]
+            where = f"calibration file {self.path}, line {line}"
             if None in record or not all(record.values()):
                 raise ConfigError(f"{where}: expected {len(CALIBRATION_COLUMNS)} nonempty fields")
             try:
-                family = LatticeFamily(record["kind"], int(record["dimension"]), int(record["thickness"]))
+                family = LatticeFamily(**{name: read(record[name]) for name, read in _FAMILY_READERS.items()})
                 if record["family"] != family.key:
                     raise ConfigError(
                         f"family {record['family']!r} does not match kind, dimension and thickness ({family.key})"
@@ -268,16 +273,16 @@ class CalibrationTable:
                     bracket=(float(record["bracket_lo"]), float(record["bracket_hi"])),
                     stat_term=float(record["stat_term"]),
                     settings=ThresholdSettings(
-                        l_schedule=tuple(int(side) for side in record["l_schedule"].split()),
-                        bracket_tol=float(record["bracket_tol"]),
-                        trials_per_probe=int(record["trials_per_probe"]),
-                        coarse_trials=int(record["coarse_trials"]),
+                        **{name: read(record[name]) for name, read in SETTING_READERS.items()}
                     ),
                     seed=int(record["seed"]),
                     method=record["method"],
                 )
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{where}: {exc}") from None
+            if family.key in first_line:
+                raise ConfigError(f"{where}: family {family.key} already listed on line {first_line[family.key]}")
+            first_line[family.key] = line
             self.rows[family.key] = row
 
     def save(self) -> None:

@@ -44,6 +44,8 @@ class GraphWindow:
     and the embedded window carries ``origin`` only.
     ``edge_keys`` are coordinate-derived 64-bit identifiers used by the keyed
     (shared-uniform) sampling mode; they exist for planar families only.
+    ``free_axes`` counts the leading coordinate columns distance is measured on
+    (not a slab's confined axes); None means all of them.
     """
 
     family: str
@@ -56,6 +58,7 @@ class GraphWindow:
     origin_index: int | None = None
     edge_keys: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    free_axes: int | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -67,8 +70,8 @@ class GraphWindow:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Sup-norm of every vertex, computed once per window."""
-        return np.abs(self.coords).max(axis=1)
+        """Sup-norm of every vertex over the free axes, computed once per window."""
+        return np.abs(self.coords[:, : self.free_axes]).max(axis=1)
 
     @cached_property
     def kernel_edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -177,24 +180,24 @@ def _box_window(
 
     ``event`` picks the terminals: ``"crossing"`` joins the first and the
     last slice of axis 0; ``"origin_boundary"`` marks the origin and the rim,
-    the points whose sup-norm over the first ``free_axes`` axes (all axes by
-    default) is ``ranges[0].stop - 1``; ``None`` attaches none.
+    the points whose :attr:`GraphWindow.norms` (over the first ``free_axes``
+    axes, all by default) reads ``ranges[0].stop - 1``; ``None`` attaches none.
     """
     coords = _box_coords(ranges)
-    edges = _box_edges(tuple(len(r) for r in ranges), steps)
-    origin = None
+    window = _finish(family, coords, _box_edges(tuple(len(r) for r in ranges), steps), {}, None, meta, with_keys)
+    window.free_axes = free_axes
     if event == "crossing":
-        terminals = {
+        window.terminals = {
             "left": np.flatnonzero(coords[:, 0] == ranges[0].start),
             "right": np.flatnonzero(coords[:, 0] == ranges[0].stop - 1),
         }
     elif event == "origin_boundary":
-        origin = _origin(coords)
-        rim = np.abs(coords[:, :free_axes]).max(axis=1) == ranges[0].stop - 1
-        terminals = {"origin": [origin], "boundary": np.flatnonzero(rim)}
-    else:
-        terminals = {}
-    return _finish(family, coords, edges, terminals, origin, meta, with_keys)
+        window.origin_index = _origin(coords)
+        window.terminals = {
+            "origin": np.array([window.origin_index], dtype=np.int64),
+            "boundary": np.flatnonzero(window.norms == ranges[0].stop - 1),
+        }
+    return window
 
 
 def _long_range_window(

@@ -13,12 +13,14 @@ field would break every benchmark op while the rest of the suite stayed green.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import trunclab
 from trunclab import engine, harness, thresholds
 from trunclab.harness import run_pipeline
 
@@ -48,6 +50,37 @@ def test_every_traced_name_is_bound():
     assert all(vars(owner).get(name) is value for (owner, name), value in before.items())
     assert ("trunclab.harness", "origin_boundary_estimate") in wrapped
     assert ("trunclab.harness", "containment_check") in wrapped
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names a module's imports bind that it never loads."""
+    tree = ast.parse(source)
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - loaded
+
+
+def test_only_the_traced_names_are_imported_unused():
+    # No linter is installed, so this is the gate: an import the module never
+    # uses is kept only where the tracer wraps it by name.
+    package = Path(trunclab.__file__).parent
+    unused = {
+        f"{path.stem}.{name}"
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+        for name in unused_imports(path.read_text())
+    }
+    assert unused == {
+        "harness.component_labels",
+        "harness.origin_boundary_estimate",
+        "harness.keyed_uniforms",
+        "engine.indexed_uniform_matrix",
+    }
 
 
 def test_manifest_times_theta_and_containment(tmp_path):

@@ -293,6 +293,27 @@ class TestMonotoneCoupling:
 
 
 class TestOriginBoundary:
+    @pytest.mark.parametrize(
+        "build, p",
+        [
+            (lambda p: lattice_window(3, p, 3, "origin_boundary"), 0.3),
+            (lambda p: lattice_window(3, p, 3, "origin_boundary", thickness=2), 0.3),
+            (lambda p: long_range_radial_window(PS.constant(p).truncate(2), 6), 0.3),
+            (lambda p: lattice_window(3, p, 2, "origin_boundary", thickness=3), 0.3),
+            (lambda p: lattice_window(4, p, 2, "origin_boundary", thickness=4), 0.3),
+            (lambda p: lattice_window(3, p, 1, "origin_boundary", thickness=3), 1.0),
+        ],
+        ids=["z3-r3", "slab-d3-k2-r3", "long-range-r6", "slab-d3-k3-r2", "slab-d4-k4-r2", "open-slab-d3-k3-r1"],
+    )
+    def test_reach_is_measured_on_the_free_axes_like_the_rim(self, build, p):
+        # A slab's confined axes are no distance: on the same draws, reaching
+        # the window radius is touching the rim, and nothing reaches beyond it.
+        window = build(p)
+        radius = window.meta["radius"]
+        (at_rim, beyond), _ = origin_radius_profile(window, [radius, radius + 1], 4000, 11)
+        assert at_rim.successes == origin_boundary_estimate(window, 4000, 11).successes
+        assert beyond.successes == 0
+
     def test_certain_and_impossible(self):
         window = long_range_radial_window(nn(1.0), 3)
         assert origin_boundary_estimate(window, 50, 3).value == 1.0

@@ -491,6 +491,13 @@ class TestCli:
         path.write_text(CONFIG_TEXT.replace("base = 2", "support = 5"))
         assert main(["scales", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("command", ["scales", "verify-embedding"])
+    def test_failed_scale_selection_exits_three_naming_the_stage(self, tmp_path, capsys, command):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("base = 2", "support = 5"))
+        assert main([command, "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("scale selection failed: ")
+
     def test_verify_embedding(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import trunclab.thresholds as thresholds_module
+from trunclab.cli import _build_parser, _pc_settings
 from trunclab.engine import Estimate, component_labels
+from trunclab.harness import load_config
 from trunclab.rng import derive_seed, indexed_uniforms
+from trunclab.sequences import ProbabilitySequence
 from trunclab.thresholds import (
     METHOD,
     CalibrationTable,
@@ -17,7 +20,7 @@ from trunclab.thresholds import (
     choose_slab_parameters,
     estimate_pc,
 )
-from trunclab.windows import ConfigError
+from trunclab.windows import ConfigError, long_range_crossing_window
 
 FAST = ThresholdSettings(l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=500, coarse_trials=200)
 
@@ -54,6 +57,18 @@ class TestLatticeFamily:
         with pytest.raises(ConfigError, match=f"{path}, line {len(text.splitlines())}: family zd has no thickness"):
             CalibrationTable(path)
 
+    @pytest.mark.parametrize("side", [1, 4, 8, 32])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.99])
+    def test_planar_probe_window_is_the_nearest_neighbour_long_range_window(self, p, side):
+        window = LatticeFamily("z2").crossing_window(p, side)
+        reference = long_range_crossing_window(ProbabilitySequence.constant(p).truncate(1), side)
+        for name in ("coords", "edges_u", "edges_v", "probs", "lengths"):
+            assert np.array_equal(getattr(window, name), getattr(reference, name)), name
+        assert window.terminals.keys() == reference.terminals.keys()
+        for name, vertices in reference.terminals.items():
+            assert np.array_equal(window.terminals[name], vertices), name
+        assert window.origin_index == reference.origin_index
+
     def test_thickness_one_slab_is_the_planar_lattice(self):
         slab = LatticeFamily("slab", 3, 1).crossing_window(0.5, 4)
         plane = LatticeFamily("z2").crossing_window(0.5, 4)
@@ -74,6 +89,31 @@ class TestSettings:
     def test_tolerance_positive(self):
         with pytest.raises(ConfigError):
             ThresholdSettings(bracket_tol=0.0)
+
+    @pytest.mark.parametrize("separator", [",", " "])
+    def test_calibration_file_config_keys_and_pc_flags_read_alike(self, tmp_path, separator):
+        settings = ThresholdSettings(l_schedule=(5, 9, 17), bracket_tol=0.0125, trials_per_probe=321, coarse_trials=45)
+        schedule = separator.join(str(side) for side in settings.l_schedule)
+
+        path = tmp_path / "calib.csv"
+        CalibrationTable(path).put(dataclasses.replace(_fake_row(3, 2, 0.44), settings=settings))
+        if separator == ",":
+            # The file writes the side list with spaces; a quoted comma list reads the same.
+            text = path.read_text()
+            quoted = text.replace(",5 9 17,", ',"5,9,17",')
+            assert quoted != text
+            path.write_text(quoted)
+        assert CalibrationTable(path).rows["slab-d3-k2"].settings == settings
+
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            "[sequence]\nkind = constant\nvalue = 0.9\n\n[certificate]\nepsilon = 0.45\n\n[thresholds]\n"
+            f"l_schedule = {schedule}\nbracket_tol = 0.0125\ntrials_per_probe = 321\ncoarse_trials = 45\n"
+        )
+        assert load_config(config).thresholds == settings
+
+        flags = ["pc", "--family", "z2", "--L-schedule", schedule, "--tol", "0.0125", "--trials", "321"]
+        assert _pc_settings(_build_parser().parse_args([*flags, "--coarse-trials", "45"])) == settings
 
 
 class TestEstimatePc:
@@ -273,6 +313,21 @@ class TestCalibrationTable:
                 CalibrationTable(path)
             message = str(excinfo.value)
             assert str(path) in message and f"line {last_line}:" in message, text[:cut]
+
+    def test_family_listed_twice_is_refused_naming_both_lines(self, tmp_path):
+        path = tmp_path / "calib.csv"
+        table = CalibrationTable(path)
+        table.put(_fake_row(3, 1, 0.49))
+        table.put(_fake_row(3, 2, 0.44))
+        text = path.read_text()
+        row = text.splitlines()[-1]
+        first = len(text.splitlines())
+        path.write_text(text + row.replace(",0.44,", ",0.2,") + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            CalibrationTable(path)
+        assert str(excinfo.value) == (
+            f"calibration file {path}, line {first + 1}: family slab-d3-k2 already listed on line {first}"
+        )
 
     def test_missing_column_names_the_file_and_column(self, tmp_path):
         path = tmp_path / "calib.csv"
