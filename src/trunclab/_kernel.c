@@ -1,4 +1,5 @@
-/* Union-find clustering of a block of percolation trials.
+/* Union-find clustering of a block of percolation trials, and a search for
+ * the origin's reach that draws only the edges it examines (keyed_reach).
  *
  * Built and loaded by kernel.py.  A block holds `rows` trials of one window
  * with `n` vertices and `n_edges` edges.  Each trial is clustered with a
@@ -136,5 +137,89 @@ void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edg
             }
         }
         label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
+    }
+}
+
+/* Fills the incidence lists of a window's `n` vertices: the edges at vertex
+ * v are incident[offsets[v] .. offsets[v + 1] - 1], in increasing edge
+ * order.  `offsets` holds n + 1 zeros on entry and `incident` has two slots
+ * per edge.  A counting sort: it allocates nothing. */
+void incidence(int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
+               int32_t *offsets, int32_t *incident)
+{
+    for (int64_t e = 0; e < n_edges; e++) {
+        offsets[edges_u[e] + 1]++;
+        offsets[edges_v[e] + 1]++;
+    }
+    for (int32_t v = 0; v < n; v++)
+        offsets[v + 1] += offsets[v];
+    /* offsets[v] walks through v's slots, ending at the start of v + 1's. */
+    for (int64_t e = 0; e < n_edges; e++) {
+        incident[offsets[edges_u[e]]++] = (int32_t)e;
+        incident[offsets[edges_v[e]]++] = (int32_t)e;
+    }
+    for (int32_t v = n; v > 0; v--)
+        offsets[v] = offsets[v - 1];
+    offsets[0] = 0;
+}
+
+/* ceil(p * 2^53) for p in [0, 1], rng.open_thresholds of one edge: p * 2^53
+ * is exact, and so is its integer part, which is at most 2^53. */
+static inline uint64_t open_threshold(double p)
+{
+    double scaled = p * 9007199254740992.0;
+    uint64_t whole = (uint64_t)scaled;
+    return whole + ((double)whole < scaled);
+}
+
+/* Reach of the origin's cluster on keyed trials start .. start + rows - 1,
+ * as the largest level in it (levels[v] ranks vertex v's norm among the
+ * window's norms; top is the largest rank).  A best-first search from the
+ * origin: it always expands a frontier vertex of the largest level, kept in
+ * a bucket queue (heads[k] starts a list of frontier vertices of level k,
+ * linked through next), and stops when the frontier is empty or a vertex
+ * of level top is found.  An edge to an unvisited vertex is drawn when the
+ * search examines it, with the keyed_labels test against the threshold of
+ * its probability, so the reach is exact and no threshold array is held.
+ * visited[v] holds the last row that reached v, so no mark is cleared
+ * between trials. */
+void keyed_reach(int64_t rows, int32_t n, const int32_t *edges_u, const int32_t *edges_v,
+                 const int32_t *offsets, const int32_t *incident, const uint64_t *keys,
+                 const double *probs, const int32_t *levels, int32_t top, int32_t origin,
+                 uint64_t seed, int64_t start, int64_t *visited, int32_t *next, int32_t *heads,
+                 int32_t *reach)
+{
+    for (int32_t v = 0; v < n; v++)
+        visited[v] = -1;
+    for (int64_t row = 0; row < rows; row++) {
+        uint64_t stamp = mix64(seed ^ mix64((uint64_t)(start + row) + 1));
+        for (int32_t k = 0; k <= top; k++)
+            heads[k] = -1;
+        int32_t level = levels[origin], best = level;
+        visited[origin] = row;
+        next[origin] = -1;
+        heads[level] = origin;
+        while (best < top) {
+            while (level >= 0 && heads[level] < 0)
+                level--;
+            if (level < 0)
+                break;
+            int32_t x = heads[level];
+            heads[level] = next[x];
+            for (int32_t i = offsets[x]; i < offsets[x + 1]; i++) {
+                int32_t e = incident[i];
+                int32_t y = edges_u[e] ^ edges_v[e] ^ x;
+                if (visited[y] == row || (mix64(keys[e] ^ stamp) >> 11) >= open_threshold(probs[e]))
+                    continue;
+                visited[y] = row;
+                next[y] = heads[levels[y]];
+                heads[levels[y]] = y;
+                if (levels[y] > level)
+                    level = levels[y];
+                if (levels[y] > best)
+                    best = levels[y];
+            }
+        }
+        reach[row] = best;
     }
 }

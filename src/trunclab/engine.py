@@ -236,16 +236,16 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
 BLOCK_UNIFORMS = 200_000
 
 
-def trial_blocks(trials: int, *windows: GraphWindow) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS edge draws each
-    across ``windows``, and at least one trial.
+def trial_blocks(trials: int, window: GraphWindow) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS edge draws
+    each of ``window``, and at least one trial.
 
-    A window weighs its edge or its vertex count, whichever is larger: a
-    block's labels hold an entry per vertex of every trial, so a window with
-    many vertices and few edges must not get a block that overflows the
-    kernel's 32-bit labels.
+    A trial weighs the window's edge or its vertex count, whichever is
+    larger: a block's labels hold an entry per vertex of every trial, so a
+    window with many vertices and few edges must not get a block that
+    overflows the kernel's 32-bit labels.
     """
-    per_trial = max(1, sum(max(window.n_edges, window.n_vertices) for window in windows))
+    per_trial = max(1, window.n_edges, window.n_vertices)
     rows = max(1, BLOCK_UNIFORMS // per_trial)
     for start in range(0, trials, rows):
         yield start, min(start + rows, trials)

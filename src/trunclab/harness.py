@@ -14,8 +14,11 @@ every embedded vertex and edge lies in the full window, with the same
 edge keys, open thresholds at most the full ones, and the same origin.
 Since each keyed draw is a pure function of (edge key, seed, trial), that
 makes the embedded cluster sit inside the truncated one on every trial.
-It then draws one set of keyed trials on both windows and records how far
-the origin's cluster reaches in each.  A path that leaves the open box
+It then runs one set of keyed trials on both windows and records how far
+the origin's cluster reaches in each.  No window is clustered whole: per
+trial, :func:`trunclab.kernel.keyed_reach` searches from the origin and
+draws only the edges it examines, which draws can do in any order, so the
+reach is exact.  A path that leaves the open box
 ``{|x| < r}`` first lands at a vertex of norm below ``r + N``, so the
 radius-``R`` windows decide that event exactly for every theta radius
 ``r``, and each theta row is read off the per-trial reaches.
@@ -43,23 +46,22 @@ from .embedding import (
     verify_isomorphism,
 )
 # component_labels, origin_boundary_estimate and keyed_uniforms are not
-# called here (the certification pass draws and clusters its trials in the
-# kernel's keyed_labels), but they stay bound: the benchmark's tracer wraps
+# called here (the certification pass searches each trial's reach in the
+# kernel's keyed_reach), but they stay bound: the benchmark's tracer wraps
 # each by name in this namespace.
 from .engine import (
     Estimate,
     _make_estimate,
     component_labels,  # noqa: F401
     origin_boundary_estimate,  # noqa: F401
-    origin_reach,
-    trial_blocks,
 )
-from .kernel import keyed_labels
+from .kernel import keyed_reach
 from .rng import (
     INDEXED_STREAM_RULE,
     KEYED_STREAM_RULE,
     derive_seed,
     keyed_uniforms,  # noqa: F401
+    open_thresholds,
 )
 from .sequences import EpsilonCertificate, ProbabilitySequence
 from .thresholds import (
@@ -80,8 +82,9 @@ from .windows import (
 # Largest full certification window a run may build, counted by the bound
 # 2 (2R + 1)^2 m on its edges (m supported lengths, two axes).  The benchmark
 # config's bound is 112,614 edges and the sparse-support config's 432,964.  A
-# window at this bound (989,812 edges at R = 176, lengths 1..4) took 0.2 s and
-# about 115 MB to build and check, and 30 ms per trial to cluster, on 2 cores.
+# window pair at this bound (989,812 full edges at R = 176, lengths 1..4)
+# took 0.25 s and about 57 MB to build and check, and under 0.1 ms per trial
+# and window to search, on 2 cores.
 MAX_CERTIFICATION_EDGES = 1_000_000
 
 
@@ -270,8 +273,10 @@ class ContainmentReport:
     first fault's kind and its vertex or edge.
 
     ``embedded_reach`` and ``full_reach`` hold, per reach trial, the largest
-    sup-norm in the origin's cluster; :meth:`reach_estimates` turns them into
-    theta rows, which are not part of this record's dictionary.
+    sup-norm in the origin's cluster, found by the kernel's search from the
+    origin (:func:`trunclab.kernel.keyed_reach`); :meth:`reach_estimates`
+    turns them into theta rows, which are not part of this record's
+    dictionary.
     """
 
     radius: int
@@ -306,6 +311,37 @@ class ContainmentReport:
         return {**{name: getattr(self, name) for name in names}, "passed": self.passed}
 
 
+# Edges sorted at a time by _edge_index: a chunk's codes and sort order take
+# 0.4 MB, where sorting all of a large full window's edges takes several MB.
+_LOOKUP_CHUNK = 1 << 14
+
+
+def _edge_index(window: GraphWindow, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Index of the first edge ``heads[i] -> tails[i]`` of ``window``, or -1
+    where it has none (as where an end is -1).
+
+    Edges are compared exactly by their code ``u * n_vertices + v``, sorted
+    one chunk at a time and searched in edge order.
+    """
+    n = np.int64(window.n_vertices)
+    queries = heads * n
+    queries += tails
+    queries[(heads < 0) | (tails < 0)] = -1
+    found = np.full(queries.shape, -1, dtype=np.int64)
+    for start in range(0, window.n_edges, _LOOKUP_CHUNK):
+        stop = min(start + _LOOKUP_CHUNK, window.n_edges)
+        codes = window.edges_u[start:stop] * n
+        codes += window.edges_v[start:stop]
+        order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
+        slot = np.searchsorted(ranked, queries)
+        np.minimum(slot, ranked.size - 1, out=slot)
+        hit = ranked[slot] == queries
+        hit &= found < 0
+        found[hit] = start + order[slot[hit]]
+    return found
+
+
 def containment_check(
     embedded: GraphWindow,
     full: GraphWindow,
@@ -326,51 +362,51 @@ def containment_check(
     stray vertex, else the origin, else the first edge of the first edge
     fault.
 
-    The pass then draws ``theta_trials`` trials from the keyed streams, so
-    every lattice edge the two windows share draws the same uniform; the
-    kernel draws and clusters each block of trials in one call per window,
-    and each trial's origin reaches go to ``embedded_reach``/``full_reach``.
+    The pass then runs ``theta_trials`` trials on the keyed streams, so
+    every lattice edge the two windows share draws the same uniform.  One
+    kernel call per window searches each trial's reach from the origin,
+    drawing only the edges it examines, and the reaches go to
+    ``embedded_reach``/``full_reach``.
     """
     report = ContainmentReport(
-        radius=embedded.meta["radius"],
-        trials=trials,
-        checked_edges=embedded.n_edges,
-        seed=master_seed,
-        embedded_reach=np.zeros(theta_trials, dtype=np.int64),
-        full_reach=np.zeros(theta_trials, dtype=np.int64),
+        radius=embedded.meta["radius"], trials=trials, checked_edges=embedded.n_edges, seed=master_seed
     )
-    ends = np.stack([embedded.edges_u, embedded.edges_v], axis=1)
+    report.edge_violations, report.cluster_violations, report.first_violation = _containment_faults(embedded, full)
+    report.embedded_reach = keyed_reach(embedded, master_seed, 0, theta_trials)
+    report.full_reach = keyed_reach(full, master_seed, 0, theta_trials)
+    return report
+
+
+def _containment_faults(embedded: GraphWindow, full: GraphWindow) -> tuple[int, int, dict | None]:
+    """The structural check of :func:`containment_check`: edge violations,
+    cluster violations and the first violation.  Its lookups are freed when
+    it returns, before the reach search."""
     vertex_map = _row_lookup(full.coords, embedded.coords)
-    edge_map = _row_lookup(np.stack([full.edges_u, full.edges_v], axis=1), vertex_map[ends])
+    edge_map = _edge_index(full, vertex_map[embedded.edges_u], vertex_map[embedded.edges_v])
     unmapped, image = edge_map < 0, np.maximum(edge_map, 0)
     edge_faults = {
         "unmapped-edge": unmapped,
         "edge-key-differs": ~unmapped & (embedded.edge_keys != full.edge_keys[image]),
-        "edge-threshold-exceeds-full": ~unmapped & (embedded.open_thresholds > full.open_thresholds[image]),
+        "edge-threshold-exceeds-full": ~unmapped & (embedded.open_thresholds > open_thresholds(full.probs[image])),
     }
     stray = np.flatnonzero(vertex_map < 0)
     moved = vertex_map[embedded.origin_index] != full.origin_index
-    report.cluster_violations = stray.size + int(moved)
-    report.edge_violations = int(np.logical_or.reduce(list(edge_faults.values())).sum())
+    edge_violations = int(np.logical_or.reduce(list(edge_faults.values())).sum())
     faulty = [kind for kind, mask in edge_faults.items() if mask.any()]
+    first = None
     if stray.size:
-        report.first_violation = {"kind": "unmapped-vertex", "vertex": embedded.coords[stray[0]].tolist()}
+        first = {"kind": "unmapped-vertex", "vertex": embedded.coords[stray[0]].tolist()}
     elif moved:
-        report.first_violation = {
+        first = {
             "kind": "origin-mismatch",
             "vertex": embedded.coords[embedded.origin_index].tolist(),
             "full_origin": full.coords[full.origin_index].tolist(),
         }
     elif faulty:
         e = int(np.argmax(edge_faults[faulty[0]]))
-        report.first_violation = {"kind": faulty[0], "edge_index": e, "edge": embedded.coords[ends[e]].tolist()}
-
-    for start, stop in trial_blocks(theta_trials, embedded, full):
-        labels_emb = keyed_labels(embedded, master_seed, start, stop)
-        labels_full = keyed_labels(full, master_seed, start, stop)
-        report.embedded_reach[start:stop] = origin_reach(embedded, labels_emb)
-        report.full_reach[start:stop] = origin_reach(full, labels_full)
-    return report
+        ends = [embedded.edges_u[e], embedded.edges_v[e]]
+        first = {"kind": faulty[0], "edge_index": e, "edge": embedded.coords[ends].tolist()}
+    return edge_violations, stray.size + int(moved), first
 
 
 @dataclass

@@ -1,29 +1,35 @@
-"""The compiled clustering kernel: union-find over a block of trials.
+"""The compiled kernel: union-find over a block of trials, and the origin's reach by search.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
-``__pycache__/_kernel-<sha256 of the source>.so`` next to it, and loaded with
-:mod:`ctypes`; later processes reuse the cached library.  Every entry point
-labels a ``(rows, n_vertices)`` block: a vertex's label is the smallest vertex
-index of its component plus ``row * n_vertices``, so labels never repeat
-across the rows of a block.  :func:`mask_labels` clusters given open masks;
-:func:`keyed_labels` and :func:`indexed_labels` draw each trial's edges from
-the keyed or the indexed stream of :mod:`trunclab.rng` in the same loop,
-against the window's ``open_thresholds``, and return the labels only.
+``__pycache__/_kernel-<blake2b of the source>.so`` next to it, and loaded with
+:mod:`ctypes`; later processes reuse the cached library.  The labelling
+entry points label a ``(rows, n_vertices)`` block: a vertex's label is the
+smallest vertex index of its component plus ``row * n_vertices``, so labels
+never repeat across the rows of a block.  :func:`mask_labels` clusters given
+open masks; :func:`keyed_labels` and :func:`indexed_labels` draw each
+trial's edges from the keyed or the indexed stream of :mod:`trunclab.rng` in
+the same loop, against the window's ``open_thresholds``, and return the
+labels only.  :func:`keyed_reach` returns only the origin's reach on keyed
+trials: a best-first search from the origin draws the edges it examines,
+usually a few hundred, where ``keyed_labels`` draws every edge of the window.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .windows import GraphWindow
+from .rng import blake2b
+
+if TYPE_CHECKING:  # windows builds its incidence lists here
+    from .windows import GraphWindow
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = ("cc", "-O2", "-shared", "-fPIC")
@@ -31,7 +37,7 @@ COMPILER = ("cc", "-O2", "-shared", "-fPIC")
 
 def build(source: Path = SOURCE) -> Path:
     """Path of the compiled ``source``, compiling it unless a build of the same text exists."""
-    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    digest = blake2b(source.read_bytes(), digest_size=32).hexdigest()
     target = source.parent / "__pycache__" / f"{source.stem}-{digest}.so"
     if target.exists():
         return target
@@ -70,7 +76,16 @@ def library() -> ctypes.CDLL:
     lib.mask_labels.argtypes = edges + [_array(np.bool_), _array(np.int32)]
     lib.keyed_labels.argtypes = edges + [_array(np.uint64), *drawn]
     lib.indexed_labels.argtypes = edges + drawn
-    for entry in (lib.mask_labels, lib.keyed_labels, lib.indexed_labels):
+    # n, n_edges, edges_u, edges_v, offsets, incident
+    lib.incidence.argtypes = [ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4]
+    # rows, n, edges_u, edges_v, offsets, incident, keys, probs, levels, top, origin,
+    # seed, start, visited, next, heads, reach
+    lib.keyed_reach.argtypes = [
+        ctypes.c_int64, ctypes.c_int32, *[_array(np.int32)] * 4, _array(np.uint64), _array(np.float64),
+        _array(np.int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,
+        _array(np.int64), _array(np.int32), _array(np.int32), _array(np.int32),
+    ]
+    for entry in (lib.mask_labels, lib.keyed_labels, lib.indexed_labels, lib.incidence, lib.keyed_reach):
         entry.restype = None
     return lib
 
@@ -106,16 +121,64 @@ def _drawn_labels(entry: str, window: GraphWindow, stream: list, seed: int, star
     return labels
 
 
+def _keys(window: GraphWindow) -> np.ndarray:
+    if window.edge_keys is None or window.edge_keys.shape != (window.n_edges,):
+        raise ValueError(f"window family {window.family!r} needs one edge key per edge ({window.n_edges})")
+    return np.ascontiguousarray(window.edge_keys, dtype=np.uint64)
+
+
 def keyed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
     """Labels of keyed trials ``start .. stop - 1``, drawn and clustered in one pass.
 
     Trial ``t`` opens exactly the edges ``keyed_uniforms(window.edge_keys,
     seed, t) < window.probs`` opens.
     """
-    if window.edge_keys is None or window.edge_keys.shape != (window.n_edges,):
-        raise ValueError(f"window family {window.family!r} needs one edge key per edge ({window.n_edges})")
-    keys = np.ascontiguousarray(window.edge_keys, dtype=np.uint64)
-    return _drawn_labels("keyed_labels", window, [keys], seed, start, stop)
+    return _drawn_labels("keyed_labels", window, [_keys(window)], seed, start, stop)
+
+
+def incidence(window: GraphWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The window's incidence lists in CSR form, as int32 ``(offsets, incident)``:
+    the edges at vertex ``v`` are ``incident[offsets[v]:offsets[v + 1]]``, in
+    increasing order.  Cached per window as :attr:`GraphWindow.incidence`."""
+    edges_u, edges_v = window.kernel_edges
+    if 2 * window.n_edges > np.iinfo(np.int32).max:
+        raise ValueError(f"{window.n_edges} edges overflow the kernel's 32-bit incidence lists")
+    offsets = np.zeros(window.n_vertices + 1, dtype=np.int32)
+    incident = np.empty(2 * window.n_edges, dtype=np.int32)
+    library().incidence(window.n_vertices, window.n_edges, edges_u, edges_v, offsets, incident)
+    return offsets, incident
+
+
+def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """The origin's reach, the largest :attr:`GraphWindow.norms` entry in its
+    cluster, on each keyed trial ``start .. stop - 1``.
+
+    Equal to ``engine.origin_reach(window, keyed_labels(window, seed, start,
+    stop))``, but found by a best-first search from the origin that draws
+    only the edges it examines, and stops at the window's largest norm.  The
+    kernel computes each examined edge's ``open_thresholds`` entry from its
+    probability, so a window's search holds no threshold array.
+    """
+    if window.origin_index is None:
+        raise ValueError(f"window family {window.family!r} has no origin to search from")
+    if not 0 <= window.origin_index < window.n_vertices:
+        raise ValueError(f"origin {window.origin_index} lies outside the window's {window.n_vertices} vertices")
+    if window.probs.shape != (window.n_edges,):
+        raise ValueError(f"window family {window.family!r} needs one edge probability per edge ({window.n_edges})")
+    keys, probs = _keys(window), np.ascontiguousarray(window.probs, dtype=np.float64)
+    edges_u, edges_v = window.kernel_edges
+    offsets, incident = window.incidence
+    # The search ranks norms, so its bucket queue has one list per distinct norm.
+    norms = np.unique(window.norms)
+    levels = np.searchsorted(norms, window.norms).astype(np.int32)
+    n = window.n_vertices
+    reach = np.empty(stop - start, dtype=np.int32)
+    library().keyed_reach(
+        reach.size, n, edges_u, edges_v, offsets, incident, keys, probs,
+        levels, norms.size - 1, window.origin_index, seed & 0xFFFFFFFFFFFFFFFF, start,
+        np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(norms.size, dtype=np.int32), reach,
+    )
+    return norms[reach]
 
 
 def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:

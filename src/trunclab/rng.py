@@ -18,8 +18,11 @@ trials can run in any order (or in parallel) without changing a single draw:
   the same keys and one window's open probabilities are at most the
   other's, its open edges are open in the other on every trial of every
   seed: the pipeline's certification pass checks containment on that
-  structure once (:func:`trunclab.harness.containment_check`), and draws
-  its reach (theta) trials from these streams.
+  structure once (:func:`trunclab.harness.containment_check`).  Its reach
+  (theta) trials come from these streams too: since a draw depends on
+  nothing else, the kernel's search from the origin
+  (:func:`trunclab.kernel.keyed_reach`) draws each edge only when it
+  examines it, in any order.
 
 Both streams turn a 64-bit ``word`` into the uniform ``u = (word >> 11) *
 2^-53`` (numpy's Philox doubles are made the same way).  That product and
@@ -36,7 +39,9 @@ and the per-trial route of :func:`trunclab.engine.trial_open_mask`.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib's blake2b is this built-in module's; importing hashlib would also
+# load OpenSSL, about 3.5 MB resident in every process, which nothing here uses.
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -54,7 +59,7 @@ def derive_seed(master_seed: int, *parts: object) -> int:
     Stable across platforms and runs (blake2b of the textual path), so every
     estimate's seed can be recorded and replayed.
     """
-    digest = hashlib.blake2b(digest_size=8)
+    digest = blake2b(digest_size=8)
     digest.update(str(int(master_seed)).encode())
     for part in parts:
         digest.update(b"\x1f")
@@ -87,13 +92,18 @@ def indexed_uniform_matrix(n_edges: int, seed: int, trials: int, start: int = 0)
     return np.ascontiguousarray(block[:, :n_edges])
 
 
-def mix64(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
+def mix64(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized splitmix64 finalizer over a uint64 array, into ``out`` if given
+    (which may be ``values``)."""
     with np.errstate(over="ignore"):
-        z = values + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        # In place after the first step, so the mix holds one temporary at a time.
+        z = np.add(values, _GOLDEN, out=out)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def coordinate_edge_keys(coords: np.ndarray, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
@@ -109,8 +119,9 @@ def coordinate_edge_keys(coords: np.ndarray, edges_u: np.ndarray, edges_v: np.nd
     keys = np.full(len(edges_u), np.uint64(0x8C2F1D4B5A6E7391), dtype=np.uint64)
     for column in range(coords.shape[1]):
         values = np.ascontiguousarray(coords[:, column]).view(np.uint64)
-        keys = mix64(keys ^ values[edges_u])
-        keys = mix64(keys ^ values[edges_v])
+        for ends in (edges_u, edges_v):
+            keys ^= values[ends]
+            mix64(keys, out=keys)
     return keys
 
 
@@ -124,4 +135,5 @@ def keyed_uniforms(edge_keys: np.ndarray, seed: int, trial_index: int) -> np.nda
 def open_thresholds(probs: np.ndarray) -> np.ndarray:
     """``ceil(p * 2^53)`` per edge: keyed word ``w`` opens the edge iff ``(w >> 11)``
     is below it, exactly when the edge's keyed uniform is below ``p``."""
-    return np.ceil(np.asarray(probs, dtype=np.float64) * 2.0**53).astype(np.uint64)
+    scaled = np.asarray(probs, dtype=np.float64) * 2.0**53
+    return np.ceil(scaled, out=scaled).astype(np.uint64)

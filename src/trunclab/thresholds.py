@@ -133,6 +133,9 @@ class ThresholdEstimate:
     The bisection outcome: midpoint, bracket, and combined uncertainty, of
     which ``stat_term`` is the statistical part.  A calibration row is an
     estimate whose ``probes`` were not stored; probes never enter equality.
+    An estimate out of range is refused: the slab search would read a
+    negative uncertainty, or a ``p_hat`` its bracket does not hold, as a
+    threshold below the level.
     """
 
     family: LatticeFamily
@@ -144,6 +147,17 @@ class ThresholdEstimate:
     seed: int
     method: str = METHOD
     probes: list[ProbeRecord] = field(default_factory=list, compare=False)
+
+    def __post_init__(self) -> None:
+        # Written as "not (...)" so that a NaN is refused too.
+        if not 0.0 <= self.p_hat <= 1.0:
+            raise ConfigError(f"p_hat {self.p_hat} outside [0, 1]")
+        if not self.uncertainty >= 0.0:
+            raise ConfigError(f"uncertainty {self.uncertainty} must be >= 0")
+        if not self.bracket[0] <= self.p_hat <= self.bracket[1]:
+            raise ConfigError(f"bracket [{self.bracket[0]}, {self.bracket[1]}] does not hold p_hat {self.p_hat}")
+        if not 0.0 <= self.stat_term <= self.uncertainty:
+            raise ConfigError(f"stat_term {self.stat_term} outside [0, uncertainty {self.uncertainty}]")
 
     def to_dict(self) -> dict:
         """The report's ``threshold`` entry, which ``trunclab pc`` also prints."""
@@ -266,6 +280,8 @@ class CalibrationTable:
                     raise ConfigError(
                         f"family {record['family']!r} does not match kind, dimension and thickness ({family.key})"
                     )
+                if family.key in first_line:
+                    raise ConfigError(f"family {family.key} already listed on line {first_line[family.key]}")
                 row = ThresholdEstimate(
                     family=family,
                     p_hat=float(record["p_hat"]),
@@ -280,8 +296,6 @@ class CalibrationTable:
                 )
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            if family.key in first_line:
-                raise ConfigError(f"{where}: family {family.key} already listed on line {first_line[family.key]}")
             first_line[family.key] = line
             self.rows[family.key] = row
 

@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import kernel
 from .embedding import EmbeddedGraph
 from .rng import coordinate_edge_keys, open_thresholds
 from .sequences import ProbabilitySequence
@@ -88,6 +89,13 @@ class GraphWindow:
         return edges_u, edges_v
 
     @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's edges as int32 CSR ``(offsets, incident)``
+        (:func:`trunclab.kernel.incidence`), built once per window for the
+        kernel's search from the origin."""
+        return kernel.incidence(self)
+
+    @cached_property
     def open_thresholds(self) -> np.ndarray:
         """The kernel's integer form of ``probs`` (:func:`trunclab.rng.open_thresholds`),
         computed once per window, after checking that ``probs`` holds one
@@ -121,10 +129,10 @@ def _finish(
     window = GraphWindow(
         family=family,
         coords=coords,
-        edges_u=edges_u.astype(np.int32),
-        edges_v=edges_v.astype(np.int32),
-        probs=probs.astype(np.float64),
-        lengths=lengths.astype(np.int32),
+        edges_u=edges_u.astype(np.int32, copy=False),
+        edges_v=edges_v.astype(np.int32, copy=False),
+        probs=probs.astype(np.float64, copy=False),
+        lengths=lengths.astype(np.int32, copy=False),
         terminals={name: np.asarray(idx, dtype=np.int64) for name, idx in terminals.items()},
         origin_index=origin_index,
         meta=meta,
@@ -156,9 +164,14 @@ def _box_edges(shape: tuple[int, ...], steps: list[tuple[int, float]]) -> Edges:
     lengths = np.tile(np.array([n for n, _ in steps], dtype=np.int64), len(shape))
     probs = np.tile(np.array([p for _, p in steps], dtype=np.float64), len(shape))
     inside = position[slot_axis].T + lengths < np.asarray(shape)[slot_axis]
-    edges_u, slot = np.nonzero(inside)
-    edges_v = edges_u + lengths[slot] * strides[slot_axis[slot]]
-    return edges_u, edges_v, probs[slot], lengths[slot]
+    # Endpoints, slots and lengths go straight to int32, as the window keeps
+    # them, so a large window's build holds few int64 arrays per edge at once.
+    flat = np.flatnonzero(inside)
+    edges_u = (flat // slot_axis.size).astype(np.int32)
+    slot = (flat % slot_axis.size).astype(np.int32)
+    del flat
+    edges_v = edges_u + (lengths * strides[slot_axis]).astype(np.int32)[slot]
+    return edges_u, edges_v, probs[slot], lengths.astype(np.int32)[slot]
 
 
 def _origin(coords: np.ndarray) -> int | None:

@@ -18,11 +18,42 @@ from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import GraphWindow
 
 
+def term_probabilities(seq, lengths):
+    """``seq.probability(n)`` for every ``n`` of the int64 array ``lengths``,
+    each kind's rule written out over the array: a lacunary sequence is on
+    its support at the listed lengths or at the powers of its base."""
+    if seq.kind == "constant":
+        values = np.full(lengths.shape, seq.value)
+    elif seq.kind == "power_law":
+        # Python's float power, term by term: numpy's vectorised power can differ in the last bit.
+        values = np.array([min(1.0, seq.amplitude * float(n) ** -seq.exponent) for n in lengths.tolist()])
+    elif seq.kind == "lacunary":
+        if seq.base is not None:
+            powers = [seq.base**k for k in range(int(lengths.max()).bit_length() + 1)]
+            on_support = np.isin(lengths, powers)
+        else:
+            on_support = np.isin(lengths, seq.support)
+        values = np.where(on_support, seq.value, seq.background)
+    elif seq.kind == "table":
+        table = np.append(np.asarray(seq.table, dtype=np.float64), seq.tail)
+        values = table[np.minimum(lengths, table.size) - 1]
+    else:
+        raise ValueError(f"unknown sequence kind {seq.kind!r}")
+    if seq.truncation is not None:
+        values[lengths > seq.truncation] = 0.0
+    return values
+
+
 def linear_scan_oracle(seq, threshold, low, high):
-    """Term-by-term reference for scan_support."""
-    for length in range(low + 1, high + 1):
-        if seq.probability(length) >= threshold:
-            return length
+    """Term-by-term reference for scan_support: every length of ``(low,
+    high]`` in order, evaluated a chunk at a time."""
+    chunk = 256
+    while low < high:
+        lengths = np.arange(low + 1, min(low + chunk, high) + 1, dtype=np.int64)
+        hits = np.flatnonzero(term_probabilities(seq, lengths) >= threshold)
+        if hits.size:
+            return int(lengths[hits[0]])
+        low, chunk = int(lengths[-1]), min(2 * chunk, 1 << 16)
     return None
 
 

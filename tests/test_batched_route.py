@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trunclab import engine
+from trunclab import engine, harness
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import (
     UnionFind,
@@ -253,6 +253,27 @@ def test_containment_blocks_match_per_trial_reference(graph, corrupt_edge, moved
     assert report.cluster_violations == int(moved_origin)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_edge_lookup_finds_the_first_directed_edge_in_every_chunk(radial_pair, chunk, monkeypatch):
+    monkeypatch.setattr(harness, "_LOOKUP_CHUNK", chunk)
+    _, full = radial_pair
+    # Repeating the first edges at the end gives those pairs two indices.
+    window = dataclasses.replace(
+        full, edges_u=np.concatenate([full.edges_u, full.edges_u[:20]]),
+        edges_v=np.concatenate([full.edges_v, full.edges_v[:20]]),
+    )
+    rng = np.random.default_rng(5)
+    picks = rng.integers(0, window.n_edges, size=200)
+    heads = np.concatenate([window.edges_u[picks], window.edges_v[picks], rng.integers(-1, window.n_vertices, 200)])
+    tails = np.concatenate([window.edges_v[picks], window.edges_u[picks], rng.integers(-1, window.n_vertices, 200)])
+    first = {}
+    for e, pair in enumerate(zip(window.edges_u.tolist(), window.edges_v.tolist())):
+        first.setdefault(pair, e)
+    expected = [first.get(pair, -1) for pair in zip(heads.tolist(), tails.tolist())]
+    assert harness._edge_index(window, heads, tails).tolist() == expected
+    assert expected[:20] != [-1] * 20 and expected[200:220] == [-1] * 20  # found forward, never reversed
+
+
 def test_structural_check_ignores_trial_counts(radial_pair):
     # The check covers every trial: neither count changes the row.
     rows = [containment_check(*radial_pair, trials, 9, theta_trials=theta).to_dict()
@@ -323,10 +344,8 @@ def per_trial_reaches(window, keys, trials, seed):
 
 
 @pytest.mark.parametrize("theta_trials", [20, 50, 77])
-def test_pass_reaches_match_per_trial_loop(graph, theta_trials, monkeypatch):
+def test_pass_reaches_match_per_trial_loop(graph, theta_trials):
     embedded, full = radial_windows(graph, 0.2)
-    monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 6 * (embedded.n_edges + full.n_edges))
-    # Blocks of 6 trials, the last one ragged in every case.
     report = containment_check(embedded, full, 50, 13, theta_trials=theta_trials)
     assert report.passed
     reaches = {

@@ -13,7 +13,9 @@ is a bridge and its ends share a label exactly when it is open
 (:func:`bridge_mask`), and on every family window against ``mask_labels``
 of the reference mask.  The hand-built window with unsorted
 ``edges_u`` is checked against all three references in
-``test_batched_route.py``.
+``test_batched_route.py``.  The search from the origin (``keyed_reach``)
+must give, on every trial, the reach that ``origin_reach`` reads off the
+whole window's keyed labels.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunclab import engine, kernel
-from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
-from trunclab.engine import UnionFind, component_labels, trial_blocks
-from trunclab.kernel import indexed_labels, keyed_labels, mask_labels
+from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
+from trunclab.engine import UnionFind, component_labels, origin_reach, trial_blocks
+from trunclab.kernel import indexed_labels, keyed_labels, keyed_reach, mask_labels
 from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms, mix64, open_thresholds
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
@@ -201,6 +205,9 @@ def test_keyed_threshold_is_exact_at_the_boundary(p):
     assert (keyed_uniforms(keys, seed, trial) < window.probs).tolist() == expected
     # Every edge of the star is a bridge.
     assert bridge_mask(window, keyed_labels(window, seed, trial, trial + 1))[0].tolist() == expected
+    # The search computes each threshold itself: from the centre, it reaches
+    # the first leaf (norm 1) and not the second (norm 2).
+    assert keyed_reach(dataclasses.replace(window, origin_index=0), seed, trial, trial + 1).tolist() == [1]
 
 
 def chain_window(n_edges: int, probs) -> GraphWindow:
@@ -316,9 +323,11 @@ def test_thresholds_are_computed_once_per_window_and_only_when_valid():
     assert vars(window)["open_thresholds"] is cached
 
 
-def test_kernel_source_compiles_without_warnings():
-    # A parameter left unused, such as a dropped output array, fails here.
-    command = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(kernel.SOURCE)]
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # A parameter left unused, such as a dropped output array, or a signed
+    # and unsigned comparison fails here; the full optimising build also
+    # runs the warnings that need the optimiser's analysis.
+    command = [*kernel.COMPILER, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
     result = subprocess.run(command, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
@@ -355,3 +364,121 @@ def test_failing_compiler_names_the_command(tmp_path, monkeypatch, compiler):
     with pytest.raises(RuntimeError, match=f"{compiler[0]} -o .* {re.escape(str(source))}"):
         kernel.build(source)
     assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def reference_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """The origin's reach from the whole window's keyed labels, one trial per block."""
+    return np.array(
+        [origin_reach(window, keyed_labels(window, seed, t, t + 1))[0] for t in range(start, stop)], dtype=np.int64
+    )
+
+
+def without_origin_edges(window: GraphWindow) -> GraphWindow:
+    kept = (window.edges_u != window.origin_index) & (window.edges_v != window.origin_index)
+    return dataclasses.replace(
+        window, edges_u=window.edges_u[kept], edges_v=window.edges_v[kept], probs=window.probs[kept],
+        lengths=window.lengths[kept], edge_keys=window.edge_keys[kept],
+    )
+
+
+@st.composite
+def searched_windows(draw):
+    """A small keyed window with an origin: long-range radial or embedded,
+    at p 0, 1 or between, sometimes with its origin isolated or, for an
+    embedded window, moved to another vertex."""
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95)))
+    radius = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        window = long_range_radial_window(PS.constant(p).truncate(draw(st.integers(1, 3))), radius)
+    else:
+        dimension, thickness = draw(st.sampled_from([(3, 1), (3, 2), (4, 1)]))
+        scales = (1, thickness + 2) if dimension == 3 else (1, 3, 7)
+        graph = EmbeddedGraph(SlabParameters(dimension, thickness), ScaleVector(scales, thickness))
+        window = embedded_radial_window(graph, PS.constant(p).truncate(scales[-1]), radius)
+        if draw(st.booleans()):
+            window = dataclasses.replace(window, origin_index=draw(st.integers(0, window.n_vertices - 1)))
+    if draw(st.booleans()):
+        window = without_origin_edges(window)
+    return window
+
+
+@given(
+    window=searched_windows(),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    trials=st.integers(0, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_search_reach_equals_the_whole_window_reference(window, seed, start, trials):
+    reach = keyed_reach(window, seed, start, start + trials)
+    assert reach.shape == (trials,)
+    assert np.array_equal(reach, reference_reach(window, seed, start, start + trials))
+
+
+def certification_pair(seq: PS, params: SlabParameters, scales: ScaleVector, radius: int):
+    truncated = seq.truncate(scales.top)
+    return embedded_radial_window(EmbeddedGraph(params, scales), truncated, radius), long_range_radial_window(
+        truncated, radius
+    )
+
+
+def criterion_seven_pair():
+    seq, params = PS.lacunary(0.9, base=2), SlabParameters(3, 2)
+    scales = select_scales(seq, 0.45, params, 10**6)
+    return certification_pair(seq, params, scales, 64 + scales.top)
+
+
+SEARCHED_PAIRS = {
+    # (the window pair, trials, whether only some trials reach the largest norm)
+    "criterion-7": (criterion_seven_pair, 200, False),
+    "sparse-support": (
+        lambda: certification_pair(
+            PS.lacunary(0.9, support=(10, 100, 1000, 10000)), SlabParameters(3, 2), ScaleVector((10, 100), 2), 164
+        ),
+        12,
+        False,
+    ),
+    "near-critical-lacunary": (
+        lambda: certification_pair(PS.lacunary(0.42, base=2), SlabParameters(3, 2), ScaleVector((1, 4), 2), 12),
+        300,
+        True,
+    ),
+    "near-critical-constant": (
+        lambda: (long_range_radial_window(PS.constant(0.22).truncate(3), 12),) * 2,
+        300,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED_PAIRS))
+def test_search_reach_equals_the_reference_on_the_certification_windows(name):
+    build, trials, partial = SEARCHED_PAIRS[name]
+    for window in build():
+        reach = keyed_reach(window, 7, 0, trials)
+        assert np.array_equal(reach, reference_reach(window, 7, 0, trials)), window.describe()
+        if partial:
+            # A search that stopped one norm early would still agree on every
+            # trial that reaches the largest norm; here some trials do not.
+            assert 0 < (reach == window.norms.max()).sum() < trials, window.describe()
+
+
+@pytest.mark.parametrize("name", ["long-range-box", "long-range-crossing"])
+def test_search_refuses_a_window_without_an_origin_naming_its_family(name):
+    window = FAMILIES[name]
+    assert window.origin_index is None and window.edge_keys is not None
+    with pytest.raises(ValueError, match=re.escape(repr(window.family))):
+        keyed_reach(window, 1, 0, 2)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_incidence_lists_each_vertex_edges_in_order(name):
+    window = FAMILIES[name]
+    offsets, incident = window.incidence
+    assert offsets.dtype == incident.dtype == np.int32
+    ends = np.concatenate([window.edges_u, window.edges_v])
+    edges = np.tile(np.arange(window.n_edges), 2)
+    order = np.lexsort((edges, ends))
+    assert np.array_equal(incident, edges[order])
+    assert np.array_equal(offsets, np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=window.n_vertices))]))
+    assert window.incidence is vars(window)["incidence"]

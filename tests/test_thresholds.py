@@ -329,6 +329,31 @@ class TestCalibrationTable:
             f"calibration file {path}, line {first + 1}: family slab-d3-k2 already listed on line {first}"
         )
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"p_hat": "1.2", "bracket_lo": "1.195", "bracket_hi": "1.205"}, "p_hat 1.2 outside [0, 1]"),
+            # With this row the slab search would certify d3 K1 at level 0.45:
+            # 0.49 - 0.3 + 0.02 < 0.45.
+            ({"uncertainty": "-0.3"}, "uncertainty -0.3 must be >= 0"),
+            ({"bracket_lo": "0.5", "bracket_hi": "0.6"}, "bracket [0.5, 0.6] does not hold p_hat 0.49"),
+            ({"stat_term": "0.01"}, "stat_term 0.01 outside [0, uncertainty 0.005]"),
+        ],
+        ids=["p_hat", "uncertainty", "bracket", "stat_term"],
+    )
+    def test_out_of_range_row_names_the_file_and_line(self, tmp_path, changes, message):
+        path = tmp_path / "calib.csv"
+        CalibrationTable(path).put(_fake_row(3, 1, 0.49))
+        lines = path.read_text().splitlines()
+        header = lines.index(next(line for line in lines if line.startswith("family,")))
+        columns = lines[header].split(",")
+        values = dict(zip(columns, lines[-1].split(",")))
+        lines[-1] = ",".join({**values, **changes}[name] for name in columns)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            CalibrationTable(path)
+        assert str(excinfo.value) == f"calibration file {path}, line {len(lines)}: {message}"
+
     def test_missing_column_names_the_file_and_column(self, tmp_path):
         path = tmp_path / "calib.csv"
         CalibrationTable(path).put(_fake_row(3, 2, 0.44))
