@@ -1,5 +1,6 @@
-/* Union-find clustering of a block of percolation trials, and a search for
- * the origin's reach that draws only the edges it examines (keyed_reach).
+/* Union-find clustering of a block of percolation trials, a search for the
+ * origin's reach that draws only the edges it examines (keyed_reach), and
+ * each trial's crossing bottleneck (indexed_bottlenecks).
  *
  * Built and loaded by kernel.py.  A block holds `rows` trials of one window
  * with `n` vertices and `n_edges` edges.  Each trial is clustered with a
@@ -8,10 +9,10 @@
  * under the smaller, path halving only moves pointers down), so the final
  * label of a vertex is that index plus `row * n`, unique across the block.
  *
- * Every entry point first lists a trial's open edges in the caller's scratch
- * array `listed` (one slot per edge; an index is always written and the
- * count advances only when the edge is open, so the draw loop has no
- * data-dependent branch), then unites the endpoints of the listed edges.
+ * The labelling entry points first list a trial's open edges in the caller's
+ * scratch array `listed` (one slot per edge; an index is always written and
+ * the count advances only when the edge is open, so the draw loop has no
+ * data-dependent branch), then unite the endpoints of the listed edges.
  */
 #include <stdint.h>
 
@@ -98,45 +99,100 @@ void mask_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_
     }
 }
 
-/* Trial `start + row` opens edge e iff (mix64(keys[e] ^ stamp) >> 11) <
- * thresholds[e], the keyed stream of rng.py compared as integers. */
-void keyed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
-                  const int32_t *edges_v, int32_t *listed, const uint64_t *keys,
-                  const uint64_t *thresholds, uint64_t seed, int64_t start, int32_t *labels)
+/* The 53-bit words (word >> 11) of indexed trial t over n_edges edges:
+ * edge e takes word e % 4 of the Philox4x64-10 block t * ceil(n_edges / 4) +
+ * 1 + e / 4 under key (seed, 0), the indexed stream of rng.py, whose uniforms
+ * numpy computes as (word >> 11) * 2^-53. */
+static void indexed_words(uint64_t seed, int64_t t, int64_t n_edges, uint64_t *words)
+{
+    uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
+    unsigned __int128 block = (unsigned __int128)(uint64_t)t * blocks + 1;
+    for (int64_t e = 0; e < n_edges; e += 4, block++) {
+        uint64_t word[4];
+        philox4x64_10((uint64_t)block, (uint64_t)(block >> 64), seed, word);
+        int64_t width = n_edges - e < 4 ? n_edges - e : 4;
+        for (int64_t w = 0; w < width; w++)
+            words[e + w] = word[w] >> 11;
+    }
+}
+
+/* Trial t = start + row opens edge e iff its indexed word is below
+ * thresholds[e]: the edges numpy's uniforms open with u < p, compared as
+ * integers.  `words` is scratch of one slot per edge. */
+void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
+                    const int32_t *edges_v, int32_t *listed, const uint64_t *thresholds,
+                    uint64_t seed, int64_t start, uint64_t *words, int32_t *labels)
 {
     for (int64_t row = 0; row < rows; row++) {
-        uint64_t stamp = mix64(seed ^ mix64((uint64_t)(start + row) + 1));
+        indexed_words(seed, start + row, n_edges, words);
         int64_t count = 0;
         for (int64_t e = 0; e < n_edges; e++) {
             listed[count] = (int32_t)e;
-            count += (mix64(keys[e] ^ stamp) >> 11) < thresholds[e];
+            count += words[e] < thresholds[e];
         }
         label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
     }
 }
 
-/* Trial t = start + row opens edge e iff (word >> 11) < thresholds[e], where
- * word is word e % 4 of the Philox4x64-10 block t * ceil(n_edges / 4) + 1 +
- * e / 4 under key (seed, 0): the indexed stream of rng.py, whose uniforms
- * numpy computes as (word >> 11) * 2^-53, compared as integers. */
-void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
-                    const int32_t *edges_v, int32_t *listed, const uint64_t *thresholds,
-                    uint64_t seed, int64_t start, int32_t *labels)
+/* The bottleneck of indexed trial t = start + row: the word at which the
+ * window's left and right terminals first join when its edges open in
+ * increasing word order, a Kruskal sweep (Newman and Ziff, Phys. Rev. Lett.
+ * 85, 4104, 2000); 0 if a vertex is in both sets, 2^53 if they never join.
+ * So the trial crosses at p exactly when its bottleneck is below
+ * ceil(p * 2^53), the indexed_labels test.  sides[v] has bit 1 set for a left
+ * terminal and bit 2 for a right one; reached[r] holds the bits of the
+ * members of root r.  A counting sort on the top `bits` of the words puts
+ * the edges into 2^bits buckets in `order` (`counts` has 2^bits + 1 slots);
+ * only the bucket being consumed is put in exact order, by insertion sort.
+ * `words`, `order`, `counts`, `parent` and `reached` are scratch. */
+void indexed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
+                         const int32_t *edges_v, const uint8_t *sides, uint64_t seed, int64_t start,
+                         int32_t bits, uint64_t *words, int32_t *order, int64_t *counts,
+                         int32_t *parent, uint8_t *reached, uint64_t *bottleneck)
 {
-    uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
+    const uint64_t never = (uint64_t)1 << 53;
+    const int64_t buckets = (int64_t)1 << bits;
+    const int shift = 53 - bits;
     for (int64_t row = 0; row < rows; row++) {
-        unsigned __int128 block = (unsigned __int128)(uint64_t)(start + row) * blocks + 1;
-        int64_t count = 0;
-        for (int64_t e = 0; e < n_edges; e += 4, block++) {
-            uint64_t word[4];
-            philox4x64_10((uint64_t)block, (uint64_t)(block >> 64), seed, word);
-            int64_t width = n_edges - e < 4 ? n_edges - e : 4;
-            for (int64_t w = 0; w < width; w++) {
-                listed[count] = (int32_t)(e + w);
-                count += (word[w] >> 11) < thresholds[e + w];
+        indexed_words(seed, start + row, n_edges, words);
+        for (int64_t k = 0; k <= buckets; k++)
+            counts[k] = 0;
+        for (int64_t e = 0; e < n_edges; e++)
+            counts[(words[e] >> shift) + 1]++;
+        for (int64_t k = 0; k < buckets; k++)
+            counts[k + 1] += counts[k];
+        /* counts[k] walks through bucket k, ending at the start of bucket k + 1. */
+        for (int64_t e = 0; e < n_edges; e++)
+            order[counts[words[e] >> shift]++] = (int32_t)e;
+
+        uint64_t found = never;
+        for (int32_t v = 0; v < n; v++) {
+            parent[v] = v;
+            reached[v] = sides[v];
+            if (sides[v] == 3)
+                found = 0;
+        }
+        for (int64_t k = 0, begin = 0; k < buckets && found == never; begin = counts[k++]) {
+            for (int64_t i = begin + 1; i < counts[k]; i++) {
+                int32_t e = order[i];
+                int64_t j = i;
+                for (; j > begin && words[order[j - 1]] > words[e]; j--)
+                    order[j] = order[j - 1];
+                order[j] = e;
+            }
+            for (int64_t i = begin; i < counts[k]; i++) {
+                /* The smaller root takes the other (itself, if a == b). */
+                int32_t a = find(parent, edges_u[order[i]]), b = find(parent, edges_v[order[i]]);
+                int32_t root = a < b ? a : b;
+                parent[a] = parent[b] = root;
+                reached[root] = reached[a] | reached[b];
+                if (reached[root] == 3) {
+                    found = words[order[i]];
+                    break;
+                }
             }
         }
-        label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
+        bottleneck[row] = found;
     }
 }
 
@@ -179,8 +235,10 @@ static inline uint64_t open_threshold(double p)
  * a bucket queue (heads[k] starts a list of frontier vertices of level k,
  * linked through next), and stops when the frontier is empty or a vertex
  * of level top is found.  An edge to an unvisited vertex is drawn when the
- * search examines it, with the keyed_labels test against the threshold of
- * its probability, so the reach is exact and no threshold array is held.
+ * search examines it: trial t opens edge e iff (mix64(keys[e] ^ stamp) >> 11)
+ * is below the threshold of its probability, with stamp = mix64(seed ^
+ * mix64(t + 1)), the keyed stream of rng.py compared as integers.  So the
+ * reach is exact and no threshold array is held.
  * visited[v] holds the last row that reached v, so no mark is cleared
  * between trials. */
 void keyed_reach(int64_t rows, int32_t n, const int32_t *edges_u, const int32_t *edges_v,

@@ -26,9 +26,9 @@ _FAMILY_OPTIONS = {"N": (("z2",), 1), "d": (("zd", "slab"), 3), "K": (("slab",),
 # The `trunclab pc` flag and help text of each ThresholdSettings field.
 _SETTING_FLAGS = {
     "l_schedule": ("--L-schedule", None),
-    "bracket_tol": ("--tol", None),
-    "trials_per_probe": ("--trials", None),
-    "coarse_trials": ("--coarse-trials", "trials per probe on the first side"),
+    "bracket_tol": ("--tol", "widest top-side median interval with which a slab may be certified"),
+    "trials_per_probe": ("--trials", "trials on every side but the first of several"),
+    "coarse_trials": ("--coarse-trials", "trials on the first of several sides"),
 }
 
 

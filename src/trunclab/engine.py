@@ -6,13 +6,15 @@ the uniform for edge ``e`` of trial ``t`` is a pure function of
 so estimates cannot depend on trial execution order and the same lattice
 edge can be coupled across different windows.
 
-Every Monte Carlo estimate clusters a whole block of trials with one call
-into the compiled union-find kernel (:mod:`trunclab.kernel`), which also
-draws the trials: :func:`mc_event_probability` and
+Every Monte Carlo estimate here clusters a whole block of trials with one
+call into the compiled union-find kernel (:mod:`trunclab.kernel`), which
+also draws the trials: :func:`mc_event_probability` and
 :func:`origin_radius_profile` take the labels of each block of indexed
 trials from ``kernel.indexed_labels``, which computes the Philox words of
-the indexed stream in the loop that clusters them and keeps no open masks,
-and the certification pass does the same with its keyed trials.
+the indexed stream in the loop that clusters them and keeps no open masks.
+The certification pass reads its keyed trials' reach from
+``kernel.keyed_reach``, and the threshold estimates read each trial's
+crossing bottleneck from ``kernel.indexed_bottlenecks``.
 :func:`component_labels` labels an open-edge block given as masks.  There is
 no second route in the package.  The tests keep scipy's
 ``connected_components``, a per-trial sampler on the pure-Python
@@ -314,14 +316,17 @@ def origin_radius_profile(
 ) -> tuple[list[Estimate], np.ndarray]:
     """Shared-trial estimates of reaching sup-norm distance >= r for several r.
 
-    All radii are evaluated on the same sampled configurations, so the
-    per-trial indicator matrix (second return value) is nonincreasing along
-    the radius axis by construction; the estimates inherit exact monotone
-    coupling rather than merely statistical ordering.
+    All radii are evaluated on the same sampled configurations, and they
+    must be at least 1 and strictly increasing, so the per-trial indicator
+    matrix (second return value) is nonincreasing along the radius axis by
+    construction; the estimates inherit exact monotone coupling rather than
+    merely statistical ordering.
     """
     if window.origin_index is None:
         raise ValueError("window has no origin vertex")
     radii = list(radii)
+    if any(r < 1 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be at least 1 and strictly increasing, got {radii}")
     indicators = np.zeros((trials, len(radii)), dtype=bool)
     for start, stop, labels in _indexed_blocks(window, trials, master_seed):
         indicators[start:stop] = origin_reach(window, labels)[:, None] >= np.array(radii)

@@ -165,7 +165,7 @@ def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -
         )
     elif kind == "lacunary":
         support_text = section.get("support", fallback=None)
-        support = tuple(int(s) for s in support_text.split(",")) if support_text else None
+        support = _int_list(support_text) if support_text else None
         seq = ProbabilitySequence.lacunary(
             section.getfloat("value"),
             base=section.getint("base", fallback=None),

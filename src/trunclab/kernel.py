@@ -1,4 +1,5 @@
-"""The compiled kernel: union-find over a block of trials, and the origin's reach by search.
+"""The compiled kernel: union-find over a block of trials, the origin's reach
+by search, and each trial's crossing bottleneck.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of the source>.so`` next to it, and loaded with
@@ -6,12 +7,14 @@
 entry points label a ``(rows, n_vertices)`` block: a vertex's label is the
 smallest vertex index of its component plus ``row * n_vertices``, so labels
 never repeat across the rows of a block.  :func:`mask_labels` clusters given
-open masks; :func:`keyed_labels` and :func:`indexed_labels` draw each
-trial's edges from the keyed or the indexed stream of :mod:`trunclab.rng` in
-the same loop, against the window's ``open_thresholds``, and return the
-labels only.  :func:`keyed_reach` returns only the origin's reach on keyed
-trials: a best-first search from the origin draws the edges it examines,
-usually a few hundred, where ``keyed_labels`` draws every edge of the window.
+open masks; :func:`indexed_labels` draws each trial's edges from the indexed
+stream of :mod:`trunclab.rng` in the same loop, against the window's
+``open_thresholds``, and returns the labels only.  :func:`keyed_reach`
+returns only the origin's reach on keyed trials: a best-first search from
+the origin draws the edges it examines, usually a few hundred of the
+window's.  :func:`indexed_bottlenecks` returns, per indexed trial of a
+crossing window, the least open probability at which it crosses, as a
+53-bit word.
 """
 
 from __future__ import annotations
@@ -71,11 +74,11 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(build()))
     # rows, n, n_edges, edges_u, edges_v, listed
     edges = [ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.int32)]
-    # thresholds, seed, start, labels
-    drawn = [_array(np.uint64), ctypes.c_uint64, ctypes.c_int64, _array(np.int32)]
     lib.mask_labels.argtypes = edges + [_array(np.bool_), _array(np.int32)]
-    lib.keyed_labels.argtypes = edges + [_array(np.uint64), *drawn]
-    lib.indexed_labels.argtypes = edges + drawn
+    # thresholds, seed, start, words, labels
+    lib.indexed_labels.argtypes = edges + [
+        _array(np.uint64), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32),
+    ]
     # n, n_edges, edges_u, edges_v, offsets, incident
     lib.incidence.argtypes = [ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4]
     # rows, n, edges_u, edges_v, offsets, incident, keys, probs, levels, top, origin,
@@ -85,7 +88,14 @@ def library() -> ctypes.CDLL:
         _array(np.int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,
         _array(np.int64), _array(np.int32), _array(np.int32), _array(np.int32),
     ]
-    for entry in (lib.mask_labels, lib.keyed_labels, lib.indexed_labels, lib.incidence, lib.keyed_reach):
+    # rows, n, n_edges, edges_u, edges_v, sides, seed, start, bits, words, order, counts,
+    # parent, reached, bottleneck
+    lib.indexed_bottlenecks.argtypes = [
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.uint8),
+        ctypes.c_uint64, ctypes.c_int64, ctypes.c_int32, _array(np.uint64), _array(np.int32), _array(np.int64),
+        _array(np.int32), _array(np.uint8), _array(np.uint64),
+    ]
+    for entry in (lib.mask_labels, lib.indexed_labels, lib.incidence, lib.keyed_reach, lib.indexed_bottlenecks):
         entry.restype = None
     return lib
 
@@ -111,29 +121,10 @@ def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _drawn_labels(entry: str, window: GraphWindow, stream: list, seed: int, start: int, stop: int) -> np.ndarray:
-    """Labels of trials ``start .. stop - 1`` from a drawing entry point."""
-    thresholds = window.open_thresholds
-    rows = stop - start
-    edges = _edges(window, rows)
-    labels = np.empty((rows, window.n_vertices), dtype=np.int32)
-    getattr(library(), entry)(*edges, *stream, thresholds, seed & 0xFFFFFFFFFFFFFFFF, start, labels)
-    return labels
-
-
 def _keys(window: GraphWindow) -> np.ndarray:
     if window.edge_keys is None or window.edge_keys.shape != (window.n_edges,):
         raise ValueError(f"window family {window.family!r} needs one edge key per edge ({window.n_edges})")
     return np.ascontiguousarray(window.edge_keys, dtype=np.uint64)
-
-
-def keyed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
-    """Labels of keyed trials ``start .. stop - 1``, drawn and clustered in one pass.
-
-    Trial ``t`` opens exactly the edges ``keyed_uniforms(window.edge_keys,
-    seed, t) < window.probs`` opens.
-    """
-    return _drawn_labels("keyed_labels", window, [_keys(window)], seed, start, stop)
 
 
 def incidence(window: GraphWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +144,13 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     """The origin's reach, the largest :attr:`GraphWindow.norms` entry in its
     cluster, on each keyed trial ``start .. stop - 1``.
 
-    Equal to ``engine.origin_reach(window, keyed_labels(window, seed, start,
-    stop))``, but found by a best-first search from the origin that draws
-    only the edges it examines, and stops at the window's largest norm.  The
-    kernel computes each examined edge's ``open_thresholds`` entry from its
-    probability, so a window's search holds no threshold array.
+    Trial ``t`` opens the edges ``keyed_uniforms(window.edge_keys, seed, t)
+    < window.probs`` opens, so the reach equals ``engine.origin_reach`` of
+    those masks' labels; but it is found by a best-first search from the
+    origin that draws only the edges it examines, and stops at the window's
+    largest norm.  The kernel computes each examined edge's
+    ``open_thresholds`` entry from its probability, so a window's search
+    holds no threshold array.
     """
     if window.origin_index is None:
         raise ValueError(f"window family {window.family!r} has no origin to search from")
@@ -181,6 +174,11 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     return norms[reach]
 
 
+def _first_trial(start: int) -> None:
+    if start < 0:
+        raise ValueError(f"trial indices start at 0, got {start}")
+
+
 def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
     """Labels of indexed trials ``start .. stop - 1``, drawn and clustered in one pass.
 
@@ -188,6 +186,43 @@ def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.
     the edges ``indexed_uniform_matrix(n_edges, seed, stop - start, start) <
     window.probs`` opens.
     """
-    if start < 0:
-        raise ValueError(f"trial indices start at 0, got {start}")
-    return _drawn_labels("indexed_labels", window, [], seed, start, stop)
+    _first_trial(start)
+    thresholds = window.open_thresholds
+    rows = stop - start
+    edges = _edges(window, rows)
+    labels = np.empty((rows, window.n_vertices), dtype=np.int32)
+    words = np.empty(window.n_edges, dtype=np.uint64)
+    library().indexed_labels(*edges, thresholds, seed & 0xFFFFFFFFFFFFFFFF, start, words, labels)
+    return labels
+
+
+def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """Each indexed trial's bottleneck, for trials ``start .. stop - 1`` of a crossing window.
+
+    A trial's bottleneck is the least ``b`` such that the edges whose 53-bit
+    Philox words (those of :func:`indexed_labels`) are at most ``b`` join
+    the left and right terminals, as uint64; ``2^53`` if all the window's
+    edges together leave them apart.
+    So trial ``t`` crosses at ``p`` exactly when its bottleneck is below
+    ``ceil(p * 2^53)``, the kernel's integer open test, whatever
+    ``window.probs`` holds, and ``bottleneck * 2^-53`` is the least of its
+    ``indexed_uniforms`` at which it crosses.
+    """
+    _first_trial(start)
+    if not {"left", "right"} <= window.terminals.keys():
+        raise ValueError(f"window family {window.family!r} has no crossing terminals")
+    edges_u, edges_v = window.kernel_edges
+    n, n_edges = window.n_vertices, window.n_edges
+    sides = np.zeros(n, dtype=np.uint8)
+    sides[window.terminals["left"]] |= 1
+    sides[window.terminals["right"]] |= 2
+    # About one edge per bucket of the counting sort; int32 edge indices keep bits below 32.
+    bits = max(1, n_edges.bit_length())
+    bottleneck = np.empty(stop - start, dtype=np.uint64)
+    library().indexed_bottlenecks(
+        bottleneck.size, n, n_edges, edges_u, edges_v, sides, seed & 0xFFFFFFFFFFFFFFFF, start, bits,
+        np.empty(n_edges, dtype=np.uint64), np.empty(n_edges, dtype=np.int32),
+        np.empty((1 << bits) + 1, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8),
+        bottleneck,
+    )
+    return bottleneck

@@ -8,7 +8,7 @@ trials can run in any order (or in parallel) without changing a single draw:
   ``e`` takes word ``e % 4`` of counter block ``t * ceil(E / 4) + 1 + e // 4``
   (Philox emits four 64-bit words per block, and numpy's generator steps its
   counter before the first block).  The uniform for ``(seed, trial,
-  edge_index)`` depends on nothing else.  Threshold probes and single
+  edge_index)`` depends on nothing else.  Threshold bottlenecks and single
   estimates use them.
 
 * keyed streams -- one uniform per ``(seed, trial, edge_key)`` triple,

@@ -1,27 +1,32 @@
 """Critical-threshold estimation and slab-geometry selection.
 
 The threshold proxy is the open probability at which the left-right crossing
-of the ``(L+1) x L`` sponge reaches one-half.  All probes at one window side
-share one seed, so the crossing fraction there is the empirical distribution
-function of the trials' bottleneck values and exactly nondecreasing in the
-probability; bisection on it cannot fail, and it is carried through a
-schedule of sides to the largest.  On the planar lattice this proxy equals
-the true threshold exactly (self-duality), which is the calibration anchor;
-elsewhere it is an estimate whose bracket and statistical uncertainty are
-reported rather than hidden.  The finite-size drift between sides is not yet
-part of the uncertainty.
+of the ``(L+1) x L`` sponge reaches one-half.  A trial's bottleneck is the
+least ``p`` at which it crosses, read exactly by a Kruskal sweep in the
+kernel (:func:`trunclab.kernel.indexed_bottlenecks`), so at one side the
+crossing fraction at every ``p`` is the empirical distribution function of
+the trials' bottlenecks and the proxy is their median.  One kernel call per
+side of the schedule gives them all.  The estimate is the largest side's
+sample median; its bracket is the distribution-free 95% order-statistic
+interval for the median (:func:`median_interval_rank`), and its uncertainty
+adds that interval's half-width to the finite-size drift, the distance
+between the medians of the two largest sides.  On the planar lattice the
+proxy equals the true threshold exactly (self-duality), which is the
+calibration anchor; elsewhere it is an estimate whose interval and drift
+are reported rather than hidden.
 
 ``choose_slab_parameters`` scans slab geometries in increasing simulation
 cost (dimension first, then thickness) until one's estimated threshold
-clears a declared level with margin to spare -- the numeric stand-in for
-the cited existence results, which give no effective bounds.  Estimates are
-persisted in a :class:`CalibrationTable`, whose rows are reused only under
-the settings and method they were computed with.  A row is a
-:class:`ThresholdEstimate` without its probes: the table stores, loads and
-returns estimates, and the report prints the same record.  Its columns are
-``family``, the family's fields, the estimate, the settings' fields, ``seed``
-and ``method``; one reader per setting (:data:`SETTING_READERS`) reads its
-column, its ``[thresholds]`` key and its ``trunclab pc`` flag.
+clears a declared level with margin to spare, on an interval no wider than
+``bracket_tol`` -- the numeric stand-in for the cited existence results,
+which give no effective bounds.  Estimates are persisted in a
+:class:`CalibrationTable`, whose rows are reused only under the settings
+and method they were computed with.  A row is a :class:`ThresholdEstimate`
+without its probes: the table stores, loads and returns estimates, and the
+report prints the same record.  Its columns are ``family``, the family's
+fields, the estimate, the settings' fields, ``seed`` and ``method``; one
+reader per setting (:data:`SETTING_READERS`) reads its column, its
+``[thresholds]`` key and its ``trunclab pc`` flag.
 """
 
 from __future__ import annotations
@@ -31,8 +36,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, get_origin, get_type_hints
 
+import numpy as np
+
 from .embedding import SlabParameters
-from .engine import binomial_half_width, crossing_estimate
+# crossing_estimate is not called here (each side's bottlenecks give the
+# crossing fraction at every p), but it stays bound: the benchmark's tracer
+# wraps it by name in this namespace.
+from .engine import crossing_estimate  # noqa: F401
+from .kernel import indexed_bottlenecks
 from .rng import derive_seed
 from .windows import ConfigError, GraphWindow, lattice_window
 
@@ -80,12 +91,18 @@ class LatticeFamily:
 
 # Names the estimator in every ThresholdEstimate and calibration row; a
 # stored row computed by another method is never reused.
-METHOD = "coupled-bisection/v2"
+METHOD = "bottleneck-median/v3"
 
 
 @dataclass(frozen=True)
 class ThresholdSettings:
-    """Schedule and budgets shared by every threshold estimate in a run."""
+    """Schedule and budgets shared by every threshold estimate in a run.
+
+    ``l_schedule`` lists the window sides; the first of several draws
+    ``coarse_trials`` trials and every other side ``trials_per_probe``.
+    ``bracket_tol`` is the widest top-side interval with which a family may
+    certify a slab in :func:`choose_slab_parameters`.
+    """
 
     l_schedule: tuple[int, ...] = (8, 16, 32)
     bracket_tol: float = 0.015
@@ -119,9 +136,11 @@ SETTING_READERS = _text_readers(ThresholdSettings)
 
 @dataclass
 class ProbeRecord:
+    """One side's bottlenecks: their median, its 95% interval, trials and seed."""
+
     side: int
-    p: float
-    value: float
+    median: float
+    interval: tuple[float, float]
     trials: int
     seed: int
 
@@ -130,12 +149,14 @@ class ProbeRecord:
 class ThresholdEstimate:
     """One family's threshold with the settings, seed and method behind it.
 
-    The bisection outcome: midpoint, bracket, and combined uncertainty, of
-    which ``stat_term`` is the statistical part.  A calibration row is an
-    estimate whose ``probes`` were not stored; probes never enter equality.
-    An estimate out of range is refused: the slab search would read a
-    negative uncertainty, or a ``p_hat`` its bracket does not hold, as a
-    threshold below the level.
+    ``p_hat`` is the median of the top side's bottlenecks and ``bracket``
+    its 95% order-statistic interval; ``stat_term``, the interval's
+    half-width ``max(p_hat - lo, hi - p_hat)``, is the statistical part of
+    ``uncertainty``, which adds the drift between the medians of the two
+    largest sides.  A calibration row is an estimate whose ``probes`` were
+    not stored; probes never enter equality.  An estimate out of range is
+    refused: the slab search would read a negative uncertainty, or a
+    ``p_hat`` its bracket does not hold, as a threshold below the level.
     """
 
     family: LatticeFamily
@@ -186,58 +207,66 @@ class ThresholdEstimate:
         return differing
 
 
-def estimate_pc(family: LatticeFamily, settings: ThresholdSettings, master_seed: int) -> ThresholdEstimate:
-    """Locate the probability where the largest window's crossing hits one-half.
+def median_interval_rank(trials: int) -> int:
+    """The rank ``j`` of the distribution-free 95% interval for a median.
 
-    Every probe at side ``L`` uses the seed ``derive_seed(master_seed, "pc",
-    key, L)``, so the crossing fraction there is exactly nondecreasing in
-    ``p``, with the known values 0 at ``p = 0`` and 1 at ``p = 1``, which are
-    never probed.  Side by side, the bracket carried over (at first
-    ``[0, 1]``) widens in doubling steps until it straddles one-half and is
-    then bisected to ``bracket_tol``; the first of several sides probes with
-    ``coarse_trials``, every other side with ``trials_per_probe``.  The final
-    bracket holds the median of the top side's per-trial bottleneck values,
-    and the slope across it (their density) turns the probe noise at
-    one-half into ``stat_term``.
+    Of ``n = trials`` independent draws, sorted as ``b_(1) <= ... <= b_(n)``,
+    the interval ``[b_(j), b_(n-j+1)]`` misses the median with probability
+    ``2 P(Binomial(n, 1/2) < j)``, whatever the distribution.  ``j`` is the
+    largest rank with ``P(Binomial(n, 1/2) <= j - 1) <= 0.025``, summed
+    exactly in integers: ``scipy.stats.binom.ppf(0.025, n, 0.5)``, without
+    importing scipy.stats.  For ``n <= 5`` even ``[b_(1), b_(n)]`` covers
+    less than 95% (``1 - 2^(1-n)``), so the rank is 0, and the interval is
+    the whole range of the bottlenecks, ``[0, 1]``.
     """
-    probes: list[ProbeRecord] = []
+    rank, below, term, total = 0, 0, 1, 1 << trials  # term = C(n, rank)
+    while 40 * (below + term) <= total:
+        below += term
+        rank += 1
+        term = term * (trials - rank + 1) // rank
+    return rank
 
-    def response(side: int, trials: int) -> Callable[[float], float]:
-        seed = derive_seed(master_seed, "pc", family.key, side)
-        values = {0.0: 0.0, 1.0: 1.0}
 
-        def value(p: float) -> float:
-            if p not in values:
-                window = family.crossing_window(p, side)
-                label = f"pc-probe:{family.key}:L{side}:p{p!r}"
-                values[p] = crossing_estimate(window, trials, seed, label=label).value
-                probes.append(ProbeRecord(side, p, values[p], trials, seed))
-            return values[p]
+def _side_probe(family: LatticeFamily, side: int, trials: int, master_seed: int) -> ProbeRecord:
+    """The median of one side's bottlenecks, with its interval, as probabilities."""
+    seed = derive_seed(master_seed, "pc", family.key, side)
+    # The bottlenecks read the window's edges and terminals, not its edge probability.
+    window = family.crossing_window(0.5, side)
+    ranked = np.sort(indexed_bottlenecks(window, seed, 0, trials))
+    # b_(0) = 0 and b_(n+1) = 2^53 close the interval when no rank gives 95%.
+    padded = [0, *ranked.tolist(), 1 << 53]
+    rank = median_interval_rank(trials)
+    lo, median, hi = (padded[index] * 2.0**-53 for index in (rank, (trials + 1) // 2, trials + 1 - rank))
+    return ProbeRecord(side, median, (lo, hi), trials, seed)
 
-        return value
 
+def estimate_pc(family: LatticeFamily, settings: ThresholdSettings, master_seed: int) -> ThresholdEstimate:
+    """The median of the largest side's per-trial bottlenecks, with its uncertainty.
+
+    Side ``L`` draws its trials under the seed ``derive_seed(master_seed,
+    "pc", key, L)``.  A trial crosses at ``p`` exactly when its bottleneck
+    is below ``p``, so ``p_hat``, the ``ceil(n/2)``-th smallest top-side
+    bottleneck, is where the crossing fraction reaches one-half.  The
+    drift, ``|median(top side) - median(second largest side)|``, is 0 for a
+    schedule of one side.
+    """
     schedule = settings.l_schedule
-    low, high = 0.0, 1.0
-    for index, side in enumerate(schedule):
-        coarse = index == 0 and len(schedule) > 1
-        value = response(side, settings.coarse_trials if coarse else settings.trials_per_probe)
-        step = high - low
-        while value(high) < 0.5:
-            low, high, step = high, min(high + step, 1.0), 2.0 * step
-        while value(low) >= 0.5:
-            low, high, step = max(low - step, 0.0), low, 2.0 * step
-        while high - low > settings.bracket_tol:
-            mid = 0.5 * (low + high)
-            low, high = (low, mid) if value(mid) >= 0.5 else (mid, high)
-
-    # A slope floor of 1/2 keeps a flat response from exploding the term.
-    slope = max((value(high) - value(low)) / (high - low), 0.5)
-    stat_term = min(binomial_half_width(0.5, settings.trials_per_probe) / slope, 0.1)
+    probes = [
+        _side_probe(
+            family, side, settings.coarse_trials if index == 0 and len(schedule) > 1 else settings.trials_per_probe,
+            master_seed,
+        )
+        for index, side in enumerate(schedule)
+    ]
+    top = probes[-1]
+    lo, hi = top.interval
+    stat_term = max(top.median - lo, hi - top.median)
+    drift = abs(top.median - probes[-2].median) if len(probes) > 1 else 0.0
     return ThresholdEstimate(
         family=family,
-        p_hat=0.5 * (low + high),
-        uncertainty=0.5 * (high - low) + stat_term,
-        bracket=(low, high),
+        p_hat=top.median,
+        uncertainty=stat_term + drift,
+        bracket=top.interval,
         stat_term=stat_term,
         settings=settings,
         seed=master_seed,
@@ -305,8 +334,9 @@ class CalibrationTable:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w", newline="") as handle:
             handle.write(
-                "# threshold calibration: coupled bisection on sponge-crossing probability 1/2;"
-                " the bracket holds the median of the top side's per-trial bottleneck values\n"
+                "# threshold calibration: p_hat is the median of the top side's per-trial crossing"
+                " bottlenecks, the bracket its 95% order-statistic interval and stat_term the"
+                " interval's half-width; the uncertainty adds the drift between the two largest sides' medians\n"
             )
             handle.write(
                 "# rows replay bit-exactly from their recorded seed and settings, and are"
@@ -382,11 +412,14 @@ def choose_slab_parameters(
 ) -> tuple[SlabParameters, ThresholdEstimate]:
     """First slab geometry (by cost order) whose threshold clears the level.
 
-    Acceptance is ``p_hat + uncertainty + margin < epsilon``, recorded as
-    stated.  Dimension 2 never qualifies (the planar threshold is one-half
-    and epsilon cannot exceed one-half), so the scan starts at dimension 3.
-    Raises :class:`ParametersNotFound` with every candidate's shortfall when
-    the budget is exhausted.
+    Acceptance is ``p_hat + uncertainty + margin < epsilon`` on a bracket no
+    wider than ``settings.bracket_tol``, recorded as stated.  A candidate's
+    shortfall is the larger of ``p_hat + uncertainty + margin - epsilon``
+    and ``bracket width - bracket_tol``, so a failed candidate's is at least
+    0.  Dimension 2 never qualifies (the planar threshold
+    is one-half and epsilon cannot exceed one-half), so the scan starts at
+    dimension 3.  Raises :class:`ParametersNotFound` with every candidate's
+    shortfall when the budget is exhausted.
     """
     if not 0.0 < margin < epsilon:
         raise ConfigError(f"margin must lie strictly between 0 and epsilon, got {margin}")
@@ -396,7 +429,8 @@ def choose_slab_parameters(
             family = LatticeFamily("slab", dimension, thickness)
             row = table.ensure(family, settings, master_seed)
             score = row.p_hat + row.uncertainty + margin
-            if score < epsilon:
+            width = row.bracket[1] - row.bracket[0]
+            if score < epsilon and width <= settings.bracket_tol:
                 return SlabParameters(dimension, thickness), row
             shortfalls.append(
                 {
@@ -404,7 +438,8 @@ def choose_slab_parameters(
                     "p_hat": row.p_hat,
                     "uncertainty": row.uncertainty,
                     "required_below": epsilon - margin,
-                    "shortfall": score - epsilon,
+                    "bracket_width": width,
+                    "shortfall": max(score - epsilon, width - settings.bracket_tol),
                 }
             )
     best = min(shortfalls, key=lambda s: s["shortfall"]) if shortfalls else None

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from trunclab.embedding import EmbeddingReport, SlabCoord
 from trunclab.engine import UnionFind, trial_open_mask
+from trunclab.rng import indexed_uniforms
 from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import GraphWindow
 
@@ -229,6 +230,29 @@ def scipy_union_labels(window, open_matrix):
     data = np.ones(indices.shape[0], dtype=np.float64)
     graph = csr_matrix((data, indices, indptr), shape=(batch * n, batch * n))
     return connected_components(graph, directed=False)[1].reshape(batch, n)
+
+
+def bisection_bottleneck(window: GraphWindow, seed: int, trial: int) -> float:
+    """The least of indexed trial ``trial``'s uniforms at which its crossing
+    window crosses, or 1.0 if it never does: the trial's sorted uniforms
+    bisected, each step opening the edges at or below one and clustering
+    them with :func:`scipy_union_labels`."""
+    uniforms = indexed_uniforms(window.n_edges, seed, trial)
+    left, right = window.terminals["left"], window.terminals["right"]
+
+    def crosses(open_mask):
+        labels = scipy_union_labels(window, open_mask[None, :])[0]
+        return np.intersect1d(labels[left], labels[right]).size > 0
+
+    ranked = np.append(np.sort(uniforms), 1.0)  # the last slot stands for "never"
+    lo, hi = 0, uniforms.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if crosses(uniforms <= ranked[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(ranked[lo])
 
 
 def random_sequence(rng: np.random.Generator) -> ProbabilitySequence:

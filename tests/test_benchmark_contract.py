@@ -80,6 +80,7 @@ def test_only_the_traced_names_are_imported_unused():
         "harness.origin_boundary_estimate",
         "harness.keyed_uniforms",
         "engine.indexed_uniform_matrix",
+        "thresholds.crossing_estimate",
     }
 
 

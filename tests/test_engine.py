@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,13 @@ class TestMonotoneCoupling:
         estimates, indicators = origin_radius_profile(window, [2, 4, 6], 300, 77)
         assert (np.diff(indicators.astype(int), axis=1) <= 0).all()
         assert estimates[0].value >= estimates[1].value >= estimates[2].value
+
+    @pytest.mark.parametrize("radii", [[16, 4], [4, 4], [0, 4], [-1]])
+    def test_radii_below_one_or_out_of_order_are_refused(self, radii):
+        # Decreasing radii would give indicator rows that increase along the radius axis.
+        window = long_range_radial_window(PS.constant(0.2).truncate(2), 16)
+        with pytest.raises(ValueError, match=re.escape(f"got {radii}")):
+            origin_radius_profile(window, radii, 500, 3)
 
 
 class TestOriginBoundary:

@@ -15,6 +15,13 @@ report digest was re-recorded once more when containment became one
 structural check on that window pair instead of a per-trial scoring: the
 containment row lost its ``reach_violations``, ``vacuous`` and ``note``
 fields, whose only sources went with the scoring, and nothing else changed.
+The report and calibration digests were re-recorded again when thresholds
+became the median of each trial's crossing bottleneck (method
+``bottleneck-median/v3``) instead of a bisection on the crossing fraction:
+the calibration rows and the report's ``threshold`` object (its ``p_hat``,
+``uncertainty``, ``bracket`` and ``method``) changed, the uncertainty now
+holding the drift between sides; the slab (d3 K2), the report's other
+fields and ``estimates.csv`` stayed as they were.
 
 A change that moves these numbers on purpose (a new stream rule, a new
 estimator) updates the digests and says why in CHANGES.md.
@@ -32,9 +39,9 @@ from trunclab.thresholds import CalibrationTable, ThresholdSettings
 from trunclab.windows import ConfigError
 
 DIGESTS = {
-    "report.json": "447ebcae5ffe44734929c80e6164107cccf8023e52a1eb0556c661418b100595",
+    "report.json": "f118a94d7c4db8368a005c9e078f49cd86e839229aee6388513fa92bd18d257c",
     "estimates.csv": "3ac368e022760f66a130612798ffc37fe29d03f31bbd68bddce0f9f846dd8263",
-    "calibration.csv": "8db442cac2a3696dd6dee1e9503cc42c2c8204bc499d60e7bf75c88fc6dfa536",
+    "calibration.csv": "04b4a36a3ed9b0c34de8c883d1993725a243247bb1ccb6e320d6644943722e64",
 }
 
 

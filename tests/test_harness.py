@@ -213,6 +213,12 @@ class TestConfig:
         assert config.sequence.probability(2) == 0.7
         assert config.sequence.probability(4) == 0.0
 
+    @pytest.mark.parametrize("support", ["10 100 1000", "10, 100, 1000", "10,100 1000"])
+    def test_support_reads_like_the_other_integer_lists(self, tmp_path, support):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("base = 2", f"support = {support}"))
+        assert load_config(path).sequence.support == (10, 100, 1000)
+
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_truncation_level_below_one_is_refused(self, tmp_path, level):
         path = tmp_path / "exp.ini"

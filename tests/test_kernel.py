@@ -4,18 +4,19 @@ Every Monte Carlo estimate clusters through :mod:`trunclab.kernel`.  Its
 labels must give the same partitions as scipy's ``connected_components``
 (``scipy_union_labels``) and the pure-Python ``UnionFind`` on every window
 family, and they must take the documented form: the smallest vertex index of
-the component plus ``row * n_vertices``.  The keyed entry point must open
-exactly the edges ``keyed_uniforms(keys, seed, t) < probs`` opens, and the
-indexed one exactly the edges numpy's Philox stream
-(``indexed_uniform_matrix``) opens.  The drawing entry points return labels
-only, so the draws are checked on chain and star windows, where every edge
-is a bridge and its ends share a label exactly when it is open
-(:func:`bridge_mask`), and on every family window against ``mask_labels``
-of the reference mask.  The hand-built window with unsorted
-``edges_u`` is checked against all three references in
-``test_batched_route.py``.  The search from the origin (``keyed_reach``)
-must give, on every trial, the reach that ``origin_reach`` reads off the
-whole window's keyed labels.
+the component plus ``row * n_vertices``.  The indexed drawing entry point
+must open exactly the edges numpy's Philox stream
+(``indexed_uniform_matrix``) opens.  It returns labels only, so the draws
+are checked on chain windows, where every edge is a bridge and its ends
+share a label exactly when it is open (:func:`bridge_mask`), and on every
+family window against ``mask_labels`` of the reference mask.  The
+hand-built window with unsorted ``edges_u`` is checked against all three
+references in ``test_batched_route.py``.  The search from the origin
+(``keyed_reach``) must give, on every trial, the reach that
+``origin_reach`` reads off the labels of the masks ``keyed_uniforms(keys,
+seed, t) < probs``, a draw it does not share.  Each trial's crossing
+bottleneck (``indexed_bottlenecks``) must equal the least of its uniforms
+at which a bisection over them, clustered by scipy, finds a crossing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 from trunclab import engine, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
 from trunclab.engine import UnionFind, component_labels, origin_reach, trial_blocks
-from trunclab.kernel import indexed_labels, keyed_labels, keyed_reach, mask_labels
+from trunclab.kernel import indexed_bottlenecks, indexed_labels, keyed_reach, mask_labels
 from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms, mix64, open_thresholds
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
@@ -45,7 +46,7 @@ from trunclab.windows import (
     long_range_radial_window,
 )
 
-from conftest import scipy_union_labels
+from conftest import bisection_bottleneck, scipy_union_labels
 
 
 def smallest_member(reference: np.ndarray) -> np.ndarray:
@@ -138,7 +139,7 @@ def test_edgeless_window_with_many_vertices():
     labels = mask_labels(window, np.zeros((rows, 0), dtype=bool))
     assert np.array_equal(labels.ravel(), np.arange(rows * window.n_vertices))
     assert window.edge_keys.shape == (0,)
-    assert np.array_equal(keyed_labels(window, 3, 40, 40 + rows), labels)
+    assert np.array_equal(keyed_reach(window, 3, 40, 40 + rows), np.zeros(rows))
     assert np.array_equal(indexed_labels(window, 3, 40, 40 + rows), labels)
 
 
@@ -148,19 +149,20 @@ def with_probability(window: GraphWindow, p: float) -> GraphWindow:
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 5e-324, None])
 @pytest.mark.parametrize("corrupt_edge", [None, 7])
-def test_keyed_masks_equal_keyed_uniforms(p, corrupt_edge):
+def test_keyed_search_draws_the_keyed_uniforms(p, corrupt_edge):
     window = FAMILIES["embedded"] if p is None else with_probability(FAMILIES["long-range-radial"], p)
     keys = window.edge_keys.copy()
     if corrupt_edge is not None:
         keys[corrupt_edge] ^= np.uint64(0x5DEECE66D)
     window = dataclasses.replace(window, edge_keys=keys)
-    # A chain with the window's keys and probabilities draws the same mask,
-    # and on a chain the labels give it back bit for bit.
-    chain = dataclasses.replace(chain_window(window.n_edges, window.probs), edge_keys=keys)
+    # A chain searched from its first vertex reaches exactly as far as its
+    # first closed edge, so each trial's search reads the keyed draws in order.
+    chain = dataclasses.replace(chain_window(window.n_edges, window.probs), edge_keys=keys, origin_index=0)
     for seed, start, stop in ((13, 0, 6), (9223372037480117393, 57, 61)):
         reference = np.stack([keyed_uniforms(keys, seed, t) < window.probs for t in range(start, stop)])
-        assert np.array_equal(bridge_mask(chain, keyed_labels(chain, seed, start, stop)), reference)
-        assert np.array_equal(keyed_labels(window, seed, start, stop), mask_labels(window, reference))
+        prefix = np.where(reference.all(axis=1), window.n_edges, np.argmin(reference, axis=1))
+        assert np.array_equal(keyed_reach(chain, seed, start, stop), prefix)
+        assert np.array_equal(keyed_reach(window, seed, start, stop), origin_reach(window, mask_labels(window, reference)))
     if p == 1.0:
         assert reference.all()
     if p == 5e-324:
@@ -203,8 +205,6 @@ def test_keyed_threshold_is_exact_at_the_boundary(p):
     assert (mix64(keys ^ np.uint64(stamp)) >> np.uint64(11)).tolist() == tops
     expected = [True, False][: len(tops)]
     assert (keyed_uniforms(keys, seed, trial) < window.probs).tolist() == expected
-    # Every edge of the star is a bridge.
-    assert bridge_mask(window, keyed_labels(window, seed, trial, trial + 1))[0].tolist() == expected
     # The search computes each threshold itself: from the centre, it reaches
     # the first leaf (norm 1) and not the second (norm 2).
     assert keyed_reach(dataclasses.replace(window, origin_index=0), seed, trial, trial + 1).tolist() == [1]
@@ -289,7 +289,7 @@ def test_edges_are_checked_once_per_window_and_only_when_valid():
 @pytest.mark.parametrize(
     "name, fault",
     [
-        ("slab-crossing-d3", None),
+        ("slab-radial-d3", None),
         ("long-range-radial", "probs"),
         ("embedded", "probs"),
         ("long-range-radial", "edge_keys"),
@@ -302,7 +302,7 @@ def test_draws_refuse_a_window_whose_arrays_do_not_fit_naming_its_family(name, f
     if fault is not None:
         window = dataclasses.replace(window, **{fault: getattr(window, fault)[:-1]})
     with pytest.raises(ValueError, match=re.escape(repr(window.family))):
-        keyed_labels(window, 1, 0, 2)
+        keyed_reach(window, 1, 0, 2)
     if fault == "probs":
         with pytest.raises(ValueError, match=re.escape(repr(window.family))):
             indexed_labels(window, 1, 0, 2)
@@ -315,11 +315,10 @@ def test_thresholds_are_computed_once_per_window_and_only_when_valid():
         indexed_labels(window, 1, 0, 2)
     assert "open_thresholds" not in vars(window)
     window.probs = valid.probs
-    labels = keyed_labels(window, 1, 0, 2)
+    labels = indexed_labels(window, 1, 0, 2)
     cached = vars(window)["open_thresholds"]
     assert np.array_equal(cached, open_thresholds(valid.probs))
-    assert np.array_equal(keyed_labels(window, 1, 0, 2), labels)
-    indexed_labels(window, 1, 0, 2)
+    assert np.array_equal(indexed_labels(window, 1, 0, 2), labels)
     assert vars(window)["open_thresholds"] is cached
 
 
@@ -367,10 +366,11 @@ def test_failing_compiler_names_the_command(tmp_path, monkeypatch, compiler):
 
 
 def reference_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
-    """The origin's reach from the whole window's keyed labels, one trial per block."""
-    return np.array(
-        [origin_reach(window, keyed_labels(window, seed, t, t + 1))[0] for t in range(start, stop)], dtype=np.int64
-    )
+    """The origin's reach from the whole window's labels of the numpy keyed draws."""
+    masks = [keyed_uniforms(window.edge_keys, seed, t) < window.probs for t in range(start, stop)]
+    if not masks:
+        return np.zeros(0, dtype=np.int64)
+    return origin_reach(window, mask_labels(window, np.stack(masks)))
 
 
 def without_origin_edges(window: GraphWindow) -> GraphWindow:
@@ -482,3 +482,53 @@ def test_incidence_lists_each_vertex_edges_in_order(name):
     assert np.array_equal(incident, edges[order])
     assert np.array_equal(offsets, np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=window.n_vertices))]))
     assert window.incidence is vars(window)["incidence"]
+
+
+BOTTLENECK_FAMILIES = {
+    "z2": lambda side: lattice_window(2, 0.5, side, "crossing"),
+    "z3": lambda side: lattice_window(3, 0.5, side, "crossing"),
+    **{f"slab-d3-k{k}": (lambda side, k=k: lattice_window(3, 0.5, side, "crossing", thickness=k)) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("side", [1, 2, 5, 16, 32])
+@pytest.mark.parametrize("name", sorted(BOTTLENECK_FAMILIES))
+def test_bottlenecks_equal_the_bisection_reference(name, side):
+    window = BOTTLENECK_FAMILIES[name](side)
+    seed, start, stop = 29 + side, 11, 14
+    bottlenecks = indexed_bottlenecks(window, seed, start, stop)
+    assert bottlenecks.dtype == np.uint64
+    reference = [bisection_bottleneck(window, seed, t) for t in range(start, stop)]
+    assert (bottlenecks * 2.0**-53).tolist() == reference
+    # A trial range is a slice of any range that holds it.
+    assert np.array_equal(indexed_bottlenecks(window, seed, 0, stop)[start:], bottlenecks)
+
+
+@pytest.mark.parametrize("n_edges", [1, 4, 7, 54])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_chain_bottleneck_is_the_largest_word(n_edges, seed):
+    # Every edge of a chain lies on its one crossing path, so the bottleneck
+    # is the trial's largest word, read off numpy's Philox stream.
+    window = dataclasses.replace(
+        chain_window(n_edges, 0.5), terminals={"left": np.array([0]), "right": np.array([n_edges])}
+    )
+    for start, stop in ((0, 9), (2**62 + 5, 2**62 + 8)):
+        uniforms = indexed_uniform_matrix(n_edges, seed, stop - start, start)
+        expected = (uniforms.max(axis=1) * 2.0**53).astype(np.uint64)
+        assert np.array_equal(indexed_bottlenecks(window, seed, start, stop), expected)
+
+
+def test_bottleneck_of_joined_and_of_separated_terminals():
+    chain = chain_window(3, 0.5)
+    joined = dataclasses.replace(chain, terminals={"left": np.array([0, 2]), "right": np.array([2, 3])})
+    assert indexed_bottlenecks(joined, 5, 0, 4).tolist() == [0] * 4
+    cut = dataclasses.replace(chain, edges_u=chain.edges_u[:2], edges_v=chain.edges_v[:2], probs=chain.probs[:2],
+                              lengths=chain.lengths[:2], terminals={"left": np.array([0]), "right": np.array([3])})
+    assert indexed_bottlenecks(cut, 5, 0, 4).tolist() == [2**53] * 4
+
+
+@pytest.mark.parametrize("name", ["grid-radial-d2", "long-range-box"])
+def test_bottlenecks_refuse_a_window_without_crossing_terminals_naming_its_family(name):
+    window = FAMILIES[name]
+    with pytest.raises(ValueError, match=re.escape(repr(window.family))):
+        indexed_bottlenecks(window, 1, 0, 2)

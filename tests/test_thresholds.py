@@ -1,14 +1,16 @@
 import dataclasses
-import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import trunclab.thresholds as thresholds_module
 from trunclab.cli import _build_parser, _pc_settings
-from trunclab.engine import Estimate, component_labels
+from trunclab.engine import crossing_estimate
 from trunclab.harness import load_config
-from trunclab.rng import derive_seed, indexed_uniforms
+from trunclab.kernel import indexed_bottlenecks
+from trunclab.rng import derive_seed
 from trunclab.sequences import ProbabilitySequence
 from trunclab.thresholds import (
     METHOD,
@@ -19,8 +21,11 @@ from trunclab.thresholds import (
     ThresholdSettings,
     choose_slab_parameters,
     estimate_pc,
+    median_interval_rank,
 )
 from trunclab.windows import ConfigError, long_range_crossing_window
+
+from conftest import bisection_bottleneck
 
 FAST = ThresholdSettings(l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=500, coarse_trials=200)
 
@@ -122,8 +127,7 @@ class TestEstimatePc:
         assert 0.42 <= estimate.p_hat <= 0.58
         lo, hi = estimate.bracket
         assert lo <= estimate.p_hat <= hi
-        assert hi - lo <= FAST.bracket_tol
-        assert estimate.uncertainty > 0
+        assert estimate.uncertainty >= estimate.stat_term > 0
 
     def test_reproducible_from_seed(self):
         first = estimate_pc(LatticeFamily("z2"), FAST, 7)
@@ -149,91 +153,107 @@ class TestEstimatePc:
         plane = estimate_pc(LatticeFamily("z2"), FAST, 42)
         assert cubic.p_hat <= plane.p_hat + cubic.uncertainty + plane.uncertainty
 
-    def test_probes_are_coupled_within_each_side(self):
+    def test_one_probe_per_side_and_the_estimate_from_the_top_two(self):
         family = LatticeFamily("slab", 3, 2)
-        estimate = estimate_pc(family, FAST, 11)
-        values_at_top = {0.0: 0.0, 1.0: 1.0}
-        for side in FAST.l_schedule:
-            probes = sorted((pr for pr in estimate.probes if pr.side == side), key=lambda pr: pr.p)
-            assert probes
-            assert {pr.seed for pr in probes} == {derive_seed(11, "pc", family.key, side)}
-            assert all(a.value <= b.value for a, b in zip(probes, probes[1:]))
-            assert all(0.0 < pr.p < 1.0 for pr in probes)
-            if side == FAST.l_schedule[-1]:
-                values_at_top.update((pr.p, pr.value) for pr in probes)
-        assert {pr.trials for pr in estimate.probes if pr.side == 6} == {FAST.coarse_trials}
-        assert {pr.trials for pr in estimate.probes if pr.side == 12} == {FAST.trials_per_probe}
-        low, high = estimate.bracket
-        assert values_at_top[low] < 0.5 <= values_at_top[high]
-        assert high - low <= FAST.bracket_tol
+        settings = dataclasses.replace(FAST, l_schedule=(4, 6, 12))
+        estimate = estimate_pc(family, settings, 11)
+        assert [pr.side for pr in estimate.probes] == [4, 6, 12]
+        assert [pr.seed for pr in estimate.probes] == [derive_seed(11, "pc", family.key, side) for side in (4, 6, 12)]
+        assert [pr.trials for pr in estimate.probes] == [FAST.coarse_trials, FAST.trials_per_probe, FAST.trials_per_probe]
+        for probe in estimate.probes:
+            assert probe.interval[0] <= probe.median <= probe.interval[1]
+        second, top = estimate.probes[1:]
+        assert (estimate.p_hat, estimate.bracket) == (top.median, top.interval)
+        assert estimate.stat_term == max(top.median - top.interval[0], top.interval[1] - top.median)
+        assert estimate.uncertainty == estimate.stat_term + abs(top.median - second.median)
 
-    @pytest.mark.parametrize("first, second", [(0.2, 0.8), (0.8, 0.2)])
-    def test_drifted_response_is_transported(self, monkeypatch, first, second):
-        # The step of a monotone stub response moves between the sides: the
-        # carried bracket must widen until it straddles the new step, never
-        # probing 0 or 1.
-        steps = {6: first, 12: second}
-        probed = []
+    @pytest.mark.parametrize("first, second", [(0.25, 0.75), (0.75, 0.25)])
+    def test_drift_between_sides_enters_the_uncertainty(self, monkeypatch, first, second):
+        # Stub bottlenecks, one value per side: the interval is a point, so
+        # the whole uncertainty is the drift between the sides' medians.
+        medians = {6: first, 12: second}
 
-        def drifting(window, trials, seed, label=""):
-            p = float(window.probs[0])
-            probed.append(p)
-            value = 1.0 if p >= steps[window.meta["L"]] else 0.0
-            return Estimate(value, trials, int(value * trials), 0.0, seed, "stub", label)
+        def stub(window, seed, start, stop):
+            return np.full(stop - start, int(medians[window.meta["L"]] * 2**53), dtype=np.uint64)
 
-        monkeypatch.setattr(thresholds_module, "crossing_estimate", drifting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimate probed a crossing probability")
+
+        monkeypatch.setattr(thresholds_module, "indexed_bottlenecks", stub)
+        monkeypatch.setattr(thresholds_module, "crossing_estimate", refuse)
         estimate = estimate_pc(LatticeFamily("z2"), FAST, 1)
-        low, high = estimate.bracket
-        assert low < second <= high
-        assert high - low <= FAST.bracket_tol
-        assert all(0.0 < p < 1.0 for p in probed)
-        # Doubling steps cross the drift in logarithmically many probes.
-        assert sum(pr.side == 12 for pr in estimate.probes) <= 12
+        assert estimate.p_hat == second and estimate.bracket == (second, second)
+        assert estimate.stat_term == 0.0
+        assert estimate.uncertainty == abs(second - first)
+        # A schedule of one side has no drift.
+        alone = estimate_pc(LatticeFamily("z2"), dataclasses.replace(FAST, l_schedule=(12,)), 1)
+        assert alone.uncertainty == 0.0
 
-    def test_bracket_holds_the_median_bottleneck_value(self):
-        # Trial t crosses at p iff its bottleneck value b_t < p, so the final
-        # bracket [low, high) must hold the ceil(n/2)-th smallest b_t.
+    def test_estimate_is_the_median_of_the_reference_bottlenecks(self):
+        # Trial t crosses at p iff its bottleneck b_t < p, so p_hat is the
+        # ceil(n/2)-th smallest b_t and the bracket holds its order statistics.
         settings = ThresholdSettings(l_schedule=(4, 8), bracket_tol=0.01, trials_per_probe=101, coarse_trials=50)
         family = LatticeFamily("slab", 3, 2)
         estimate = estimate_pc(family, settings, 3)
         window = family.crossing_window(0.5, 8)
-        left, right = window.terminals["left"], window.terminals["right"]
         seed = derive_seed(3, "pc", family.key, 8)
+        ranked = sorted(bisection_bottleneck(window, seed, t) for t in range(settings.trials_per_probe))
+        rank = median_interval_rank(settings.trials_per_probe)
+        assert rank == 41
+        assert estimate.p_hat == ranked[50]
+        assert estimate.bracket == (ranked[rank - 1], ranked[101 - rank])
 
-        def crosses(open_mask):
-            labels = component_labels(window, open_mask)
-            return np.intersect1d(labels[left], labels[right]).size > 0
+    @pytest.mark.parametrize("family", [LatticeFamily("slab", 3, k) for k in (1, 2, 3)], ids=lambda f: f.key)
+    def test_bottlenecks_give_every_crossing_probe_bit_for_bit(self, family):
+        # Bisection from [0, 1] to a tolerance of 0.015 or more, widened in
+        # doubling steps, probes only multiples of 1/128: at each, the share
+        # of bottlenecks below ceil(p * 2^53) is the crossing estimate itself.
+        side, trials, seed = 16, 250, 5
+        bottlenecks = indexed_bottlenecks(family.crossing_window(0.5, side), seed, 0, trials)
+        for k in range(1, 128):
+            window = family.crossing_window(k / 128, side)
+            fraction = int((bottlenecks < window.open_thresholds[0]).sum()) / trials
+            assert fraction == crossing_estimate(window, trials, seed).value, k
 
-        bottlenecks = []
-        for trial in range(settings.trials_per_probe):
-            uniforms = indexed_uniforms(window.n_edges, seed, trial)
-            ranked = np.sort(uniforms)
-            lo, hi = 0, len(ranked) - 1  # the all-open graph crosses
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if crosses(uniforms <= ranked[mid]):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            bottlenecks.append(ranked[lo])
-        median = sorted(bottlenecks)[math.ceil(settings.trials_per_probe / 2) - 1]
-        low, high = estimate.bracket
-        assert low <= median < high
-
-    def test_every_setting_changes_the_probes(self):
-        def probe_points(estimate):
-            return [(pr.side, pr.p, pr.value) for pr in estimate.probes]
-
+    def test_every_setting_changes_the_estimate_or_the_verdict(self, tmp_path):
         family = LatticeFamily("z2")
         base = estimate_pc(family, FAST, 9)
-        for change in (
-            {"l_schedule": (6, 10)},
-            {"bracket_tol": 0.02},
-            {"trials_per_probe": 400},
-            {"coarse_trials": 100},
-        ):
+        # coarse_trials moves the estimate through the first side's median,
+        # which 100 trials happen to share with 200 at this seed.
+        for change in ({"l_schedule": (6, 10)}, {"trials_per_probe": 400}, {"coarse_trials": 150}):
             other = estimate_pc(family, dataclasses.replace(FAST, **change), 9)
-            assert probe_points(other) != probe_points(base), change
+            assert (other.p_hat, other.uncertainty, other.bracket) != (base.p_hat, base.uncertainty, base.bracket)
+        # bracket_tol leaves the estimate alone and decides whether it may certify.
+        narrow = dataclasses.replace(FAST, bracket_tol=0.005)
+        params, row = choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(tmp_path / "a.csv"), FAST, 1)
+        width = row.bracket[1] - row.bracket[0]
+        assert (params.thickness, row.family.key) == (2, "slab-d3-k2") and narrow.bracket_tol < width <= FAST.bracket_tol
+        with pytest.raises(ParametersNotFound) as excinfo:
+            choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(tmp_path / "b.csv"), narrow, 1)
+        shortfall = excinfo.value.shortfalls[-1]
+        assert shortfall["family"] == "slab-d3-k2" and shortfall["bracket_width"] == width
+        assert shortfall["shortfall"] == width - narrow.bracket_tol
+        assert row.p_hat + row.uncertainty + 0.02 < 0.45
+
+
+class TestMedianIntervalRank:
+    def test_ranks_match_the_binomial_quantile(self):
+        binom = pytest.importorskip("scipy.stats").binom
+        for n in [*range(1, 301), 1000, 2500, 3000, 10**4]:
+            assert median_interval_rank(n) == int(binom.ppf(0.025, n, 0.5)), n
+
+    def test_no_interval_below_six_trials(self):
+        # 2 P(Binomial(n, 1/2) = 0) = 2^(1-n) exceeds 5% up to n = 5.
+        assert [median_interval_rank(n) for n in range(1, 8)] == [0, 0, 0, 0, 0, 1, 1]
+        settings = ThresholdSettings(l_schedule=(4,), trials_per_probe=5)
+        assert estimate_pc(LatticeFamily("z2"), settings, 1).bracket == (0.0, 1.0)
+
+    def test_the_package_never_imports_scipy_stats(self):
+        # scipy.stats takes over a second to import, several times the
+        # pipeline's own setup.
+        code = "import sys, trunclab, trunclab.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 def _fake_row(dimension: int, thickness: int, p_hat: float) -> ThresholdEstimate:
