@@ -20,8 +20,9 @@ became the median of each trial's crossing bottleneck (method
 ``bottleneck-median/v3``) instead of a bisection on the crossing fraction:
 the calibration rows and the report's ``threshold`` object (its ``p_hat``,
 ``uncertainty``, ``bracket`` and ``method``) changed, the uncertainty now
-holding the drift between sides; the slab (d3 K2), the report's other
-fields and ``estimates.csv`` stayed as they were.
+holding the largest drift of a smaller side's median from the top side's,
+and the calibration file's first comment line says so; the slab (d3 K2),
+the report's other fields and ``estimates.csv`` stayed as they were.
 
 A change that moves these numbers on purpose (a new stream rule, a new
 estimator) updates the digests and says why in CHANGES.md.
@@ -41,7 +42,7 @@ from trunclab.windows import ConfigError
 DIGESTS = {
     "report.json": "f118a94d7c4db8368a005c9e078f49cd86e839229aee6388513fa92bd18d257c",
     "estimates.csv": "3ac368e022760f66a130612798ffc37fe29d03f31bbd68bddce0f9f846dd8263",
-    "calibration.csv": "04b4a36a3ed9b0c34de8c883d1993725a243247bb1ccb6e320d6644943722e64",
+    "calibration.csv": "17134d3fe66ae905a43f131d98a73d151cc83d83239757141d0f55d75d05007d",
 }
 
 

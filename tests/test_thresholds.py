@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,7 +155,7 @@ class TestEstimatePc:
         plane = estimate_pc(LatticeFamily("z2"), FAST, 42)
         assert cubic.p_hat <= plane.p_hat + cubic.uncertainty + plane.uncertainty
 
-    def test_one_probe_per_side_and_the_estimate_from_the_top_two(self):
+    def test_one_probe_per_side_and_the_drift_over_every_side(self):
         family = LatticeFamily("slab", 3, 2)
         settings = dataclasses.replace(FAST, l_schedule=(4, 6, 12))
         estimate = estimate_pc(family, settings, 11)
@@ -162,17 +164,20 @@ class TestEstimatePc:
         assert [pr.trials for pr in estimate.probes] == [FAST.coarse_trials, FAST.trials_per_probe, FAST.trials_per_probe]
         for probe in estimate.probes:
             assert probe.interval[0] <= probe.median <= probe.interval[1]
-        second, top = estimate.probes[1:]
+        first, second, top = estimate.probes
         assert (estimate.p_hat, estimate.bracket) == (top.median, top.interval)
         assert estimate.stat_term == max(top.median - top.interval[0], top.interval[1] - top.median)
-        assert estimate.uncertainty == estimate.stat_term + abs(top.median - second.median)
+        drift = max(abs(top.median - first.median), abs(top.median - second.median))
+        assert estimate.uncertainty == estimate.stat_term + drift
 
-    @pytest.mark.parametrize("first, second", [(0.25, 0.75), (0.75, 0.25)])
-    def test_drift_between_sides_enters_the_uncertainty(self, monkeypatch, first, second):
+    @pytest.mark.parametrize(
+        "medians",
+        [{6: 0.25, 12: 0.75}, {6: 0.75, 12: 0.25}, {4: 0.0625, 6: 0.375, 12: 0.25}, {4: 0.375, 6: 0.625, 12: 0.25}],
+        ids=["rising", "falling", "first-farthest", "second-farthest"],
+    )
+    def test_drift_between_sides_enters_the_uncertainty(self, monkeypatch, medians):
         # Stub bottlenecks, one value per side: the interval is a point, so
-        # the whole uncertainty is the drift between the sides' medians.
-        medians = {6: first, 12: second}
-
+        # the whole uncertainty is the largest drift of a side's median from the top's.
         def stub(window, seed, start, stop):
             return np.full(stop - start, int(medians[window.meta["L"]] * 2**53), dtype=np.uint64)
 
@@ -181,10 +186,12 @@ class TestEstimatePc:
 
         monkeypatch.setattr(thresholds_module, "indexed_bottlenecks", stub)
         monkeypatch.setattr(thresholds_module, "crossing_estimate", refuse)
-        estimate = estimate_pc(LatticeFamily("z2"), FAST, 1)
-        assert estimate.p_hat == second and estimate.bracket == (second, second)
+        settings = dataclasses.replace(FAST, l_schedule=tuple(medians))
+        estimate = estimate_pc(LatticeFamily("z2"), settings, 1)
+        top = medians[12]
+        assert estimate.p_hat == top and estimate.bracket == (top, top)
         assert estimate.stat_term == 0.0
-        assert estimate.uncertainty == abs(second - first)
+        assert estimate.uncertainty == max(abs(top - median) for median in medians.values())
         # A schedule of one side has no drift.
         alone = estimate_pc(LatticeFamily("z2"), dataclasses.replace(FAST, l_schedule=(12,)), 1)
         assert alone.uncertainty == 0.0
@@ -215,25 +222,28 @@ class TestEstimatePc:
             fraction = int((bottlenecks < window.open_thresholds[0]).sum()) / trials
             assert fraction == crossing_estimate(window, trials, seed).value, k
 
-    def test_every_setting_changes_the_estimate_or_the_verdict(self, tmp_path):
+    @pytest.mark.parametrize("schedule", [(6, 12), (8, 16, 32)], ids=["two-sides", "default-sides"])
+    def test_every_setting_changes_the_estimate_or_the_verdict(self, tmp_path, schedule):
+        # Under the default three-side shape the first side, and with it
+        # coarse_trials, reaches the estimate only through the drift.
         family = LatticeFamily("z2")
-        base = estimate_pc(family, FAST, 9)
-        # coarse_trials moves the estimate through the first side's median,
-        # which 100 trials happen to share with 200 at this seed.
-        for change in ({"l_schedule": (6, 10)}, {"trials_per_probe": 400}, {"coarse_trials": 150}):
-            other = estimate_pc(family, dataclasses.replace(FAST, **change), 9)
+        settings = dataclasses.replace(FAST, l_schedule=schedule)
+        base = estimate_pc(family, settings, 9)
+        top_moved = (*schedule[:-1], schedule[-1] - 2)
+        for change in ({"l_schedule": top_moved}, {"trials_per_probe": 400}, {"coarse_trials": 400}):
+            other = estimate_pc(family, dataclasses.replace(settings, **change), 9)
             assert (other.p_hat, other.uncertainty, other.bracket) != (base.p_hat, base.uncertainty, base.bracket)
         # bracket_tol leaves the estimate alone and decides whether it may certify.
-        narrow = dataclasses.replace(FAST, bracket_tol=0.005)
-        params, row = choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(tmp_path / "a.csv"), FAST, 1)
+        params, row = choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(tmp_path / "a.csv"), settings, 1)
         width = row.bracket[1] - row.bracket[0]
-        assert (params.thickness, row.family.key) == (2, "slab-d3-k2") and narrow.bracket_tol < width <= FAST.bracket_tol
+        assert (params.thickness, row.family.key) == (2, "slab-d3-k2") and width <= settings.bracket_tol
+        assert row.p_hat + row.uncertainty + 0.02 < 0.45
+        narrow = dataclasses.replace(settings, bracket_tol=width / 2)
         with pytest.raises(ParametersNotFound) as excinfo:
             choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(tmp_path / "b.csv"), narrow, 1)
         shortfall = excinfo.value.shortfalls[-1]
         assert shortfall["family"] == "slab-d3-k2" and shortfall["bracket_width"] == width
         assert shortfall["shortfall"] == width - narrow.bracket_tol
-        assert row.p_hat + row.uncertainty + 0.02 < 0.45
 
 
 class TestMedianIntervalRank:
@@ -241,6 +251,20 @@ class TestMedianIntervalRank:
         binom = pytest.importorskip("scipy.stats").binom
         for n in [*range(1, 301), 1000, 2500, 3000, 10**4]:
             assert median_interval_rank(n) == int(binom.ppf(0.025, n, 0.5)), n
+
+    def test_ranks_equal_the_sum_from_zero(self):
+        # The sum that starts eight standard deviations low, against the
+        # term-by-term tail from 0 it shortens.
+        def summed_from_zero(trials):
+            rank, below, term, total = 0, 0, 1, 1 << trials
+            while 40 * (below + term) <= total:
+                below += term
+                rank += 1
+                term = term * (trials - rank + 1) // rank
+            return rank
+
+        for n in [*range(1, 1201), 2500, 4099, 10**4]:
+            assert median_interval_rank(n) == summed_from_zero(n), n
 
     def test_no_interval_below_six_trials(self):
         # 2 P(Binomial(n, 1/2) = 0) = 2^(1-n) exceeds 5% up to n = 5.
@@ -252,7 +276,10 @@ class TestMedianIntervalRank:
         # scipy.stats takes over a second to import, several times the
         # pipeline's own setup.
         code = "import sys, trunclab, trunclab.cli; print('scipy.stats' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        # The package's own directory first, so a run without PYTHONPATH finds it too.
+        package_root = str(Path(thresholds_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert result.stdout.strip() == "False"
 
 
