@@ -1,6 +1,8 @@
 /* Union-find clustering of a block of percolation trials, a search for the
  * origin's reach that draws only the edges it examines (keyed_reach), and
- * each trial's crossing bottleneck (indexed_bottlenecks).
+ * each trial's crossing bottleneck by a sweep that sorts only the edges
+ * whose words lie in the band of the call's earlier bottlenecks
+ * (indexed_bottlenecks).
  *
  * Built and loaded by kernel.py.  A block holds `rows` trials of one window
  * with `n` vertices and `n_edges` edges.  Each trial is clustered with a
@@ -13,6 +15,8 @@
  * scratch array `listed` (one slot per edge; an index is always written and
  * the count advances only when the edge is open, so the draw loop has no
  * data-dependent branch), then unite the endpoints of the listed edges.
+ * The bottleneck sweep lists a trial's edges in the same way, by where
+ * their words lie against the band.
  */
 #include <stdint.h>
 
@@ -134,65 +138,125 @@ void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edg
     }
 }
 
+/* Unites the components of u and v, the smaller root taking the other
+ * (itself, if they are one), and returns whether the united component holds
+ * a left and a right terminal: reached[r] holds the side bits of root r's
+ * members. */
+static inline int joins(int32_t *parent, uint8_t *reached, int32_t u, int32_t v)
+{
+    int32_t a = find(parent, u), b = find(parent, v);
+    int32_t root = a < b ? a : b;
+    parent[a] = parent[b] = root;
+    reached[root] = reached[a] | reached[b];
+    return reached[root] == 3;
+}
+
+/* The bottleneck of one trial, whose words are `words`, if it lies in the
+ * band [cut, top); otherwise some value outside the band.  The edges whose
+ * words lie below cut are united in index order, unsorted: if they already
+ * join the terminals, the bottleneck lies below the band and 0 is returned.
+ * Otherwise the edges whose words lie in the band are put into 2^bits
+ * buckets of (word - cut) >> shift by a counting sort, about one edge per
+ * bucket (`counts` has 2^bits + 1 slots); only the bucket being consumed is
+ * put in exact order, by insertion sort.  They are united in that order
+ * until the terminals join, and the joining edge's word is returned; if the
+ * band is used up first, 2^53 is returned, which lies in the band only when
+ * the band holds every word.  The full band [0, 2^53 + 1) is the plain
+ * sweep.  `listed` takes the edges below the band from its front and those
+ * in the band from its back: each edge is written at both ends but counted
+ * at most at one, so the listing loop has no data-dependent branch. */
+static uint64_t band_bottleneck(int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
+                                const uint8_t *sides, const uint64_t *words, uint64_t cut, uint64_t top,
+                                int32_t *listed, int32_t *order, int64_t *counts, int32_t *parent,
+                                uint8_t *reached)
+{
+    const uint64_t never = (uint64_t)1 << 53;
+    for (int32_t v = 0; v < n; v++) {
+        parent[v] = v;
+        reached[v] = sides[v];
+    }
+    int64_t below = 0, inside = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        listed[below] = (int32_t)e;
+        listed[n_edges - 1 - inside] = (int32_t)e;
+        below += words[e] < cut;
+        inside += words[e] - cut < top - cut; /* wraps past the band below cut */
+    }
+    for (int64_t i = 0; i < below; i++)
+        if (joins(parent, reached, edges_u[listed[i]], edges_v[listed[i]]))
+            return 0;
+
+    const int32_t *band = listed + n_edges - inside;
+    int32_t bits = 1;
+    while (((int64_t)1 << bits) <= inside)
+        bits++;
+    const int64_t buckets = (int64_t)1 << bits;
+    /* Every word lies below 2^53, so the band's words span at most last + 1 values. */
+    const uint64_t last = (top < never ? top : never) - cut - 1;
+    int shift = 0;
+    while (inside > 0 && (last >> shift) >= (uint64_t)buckets)
+        shift++;
+    for (int64_t k = 0; k <= buckets; k++)
+        counts[k] = 0;
+    for (int64_t i = 0; i < inside; i++)
+        counts[((words[band[i]] - cut) >> shift) + 1]++;
+    for (int64_t k = 0; k < buckets; k++)
+        counts[k + 1] += counts[k];
+    /* counts[k] walks through bucket k, ending at the start of bucket k + 1. */
+    for (int64_t i = 0; i < inside; i++)
+        order[counts[(words[band[i]] - cut) >> shift]++] = band[i];
+
+    for (int64_t k = 0, begin = 0; k < buckets; begin = counts[k++]) {
+        for (int64_t i = begin + 1; i < counts[k]; i++) {
+            int32_t e = order[i];
+            int64_t j = i;
+            for (; j > begin && words[order[j - 1]] > words[e]; j--)
+                order[j] = order[j - 1];
+            order[j] = e;
+        }
+        for (int64_t i = begin; i < counts[k]; i++)
+            if (joins(parent, reached, edges_u[order[i]], edges_v[order[i]]))
+                return words[order[i]];
+    }
+    return never;
+}
+
 /* The bottleneck of indexed trial t = start + row: the word at which the
  * window's left and right terminals first join when its edges open in
  * increasing word order, a Kruskal sweep (Newman and Ziff, Phys. Rev. Lett.
  * 85, 4104, 2000); 0 if a vertex is in both sets, 2^53 if they never join.
  * So the trial crosses at p exactly when its bottleneck is below
- * ceil(p * 2^53), the indexed_labels test.  sides[v] has bit 1 set for a left
- * terminal and bit 2 for a right one; reached[r] holds the bits of the
- * members of root r.  A counting sort on the top `bits` of the words puts
- * the edges into 2^bits buckets in `order` (`counts` has 2^bits + 1 slots);
- * only the bucket being consumed is put in exact order, by insertion sort.
- * `words`, `order`, `counts`, `parent` and `reached` are scratch. */
+ * ceil(p * 2^53), the indexed_labels test.  sides[v] has bit 1 set for a
+ * left terminal and bit 2 for a right one.  Each trial is swept over the
+ * band [cut, top) of the bottlenecks found so far in the call (cut the
+ * least, top one above the largest), so only the edges inside the band are
+ * sorted; a trial whose bottleneck falls outside the band, about 2 ln(rows)
+ * record lows and highs, is swept again over the full band, as the first
+ * trial is.  The value does not depend on the band.  `words`, `listed`,
+ * `order`, `counts`, `parent` and `reached` are scratch. */
 void indexed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                          const int32_t *edges_v, const uint8_t *sides, uint64_t seed, int64_t start,
-                         int32_t bits, uint64_t *words, int32_t *order, int64_t *counts,
-                         int32_t *parent, uint8_t *reached, uint64_t *bottleneck)
+                         uint64_t *words, int32_t *listed, int32_t *order, int64_t *counts, int32_t *parent,
+                         uint8_t *reached, uint64_t *bottleneck)
 {
     const uint64_t never = (uint64_t)1 << 53;
-    const int64_t buckets = (int64_t)1 << bits;
-    const int shift = 53 - bits;
+    int joined = 0;
+    for (int32_t v = 0; v < n; v++)
+        joined |= sides[v] == 3;
+    uint64_t cut = 0, top = never + 1;
     for (int64_t row = 0; row < rows; row++) {
-        indexed_words(seed, start + row, n_edges, words);
-        for (int64_t k = 0; k <= buckets; k++)
-            counts[k] = 0;
-        for (int64_t e = 0; e < n_edges; e++)
-            counts[(words[e] >> shift) + 1]++;
-        for (int64_t k = 0; k < buckets; k++)
-            counts[k + 1] += counts[k];
-        /* counts[k] walks through bucket k, ending at the start of bucket k + 1. */
-        for (int64_t e = 0; e < n_edges; e++)
-            order[counts[words[e] >> shift]++] = (int32_t)e;
-
-        uint64_t found = never;
-        for (int32_t v = 0; v < n; v++) {
-            parent[v] = v;
-            reached[v] = sides[v];
-            if (sides[v] == 3)
-                found = 0;
-        }
-        for (int64_t k = 0, begin = 0; k < buckets && found == never; begin = counts[k++]) {
-            for (int64_t i = begin + 1; i < counts[k]; i++) {
-                int32_t e = order[i];
-                int64_t j = i;
-                for (; j > begin && words[order[j - 1]] > words[e]; j--)
-                    order[j] = order[j - 1];
-                order[j] = e;
-            }
-            for (int64_t i = begin; i < counts[k]; i++) {
-                /* The smaller root takes the other (itself, if a == b). */
-                int32_t a = find(parent, edges_u[order[i]]), b = find(parent, edges_v[order[i]]);
-                int32_t root = a < b ? a : b;
-                parent[a] = parent[b] = root;
-                reached[root] = reached[a] | reached[b];
-                if (reached[root] == 3) {
-                    found = words[order[i]];
-                    break;
-                }
-            }
+        uint64_t found = 0;
+        if (!joined) {
+            indexed_words(seed, start + row, n_edges, words);
+            found = band_bottleneck(n, n_edges, edges_u, edges_v, sides, words, cut, top, listed, order,
+                                    counts, parent, reached);
+            if (found < cut || found >= top)
+                found = band_bottleneck(n, n_edges, edges_u, edges_v, sides, words, 0, never + 1, listed,
+                                        order, counts, parent, reached);
         }
         bottleneck[row] = found;
+        cut = row == 0 || found < cut ? found : cut;
+        top = row == 0 || found >= top ? found + 1 : top;
     }
 }
 

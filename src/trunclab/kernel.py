@@ -14,7 +14,8 @@ returns only the origin's reach on keyed trials: a best-first search from
 the origin draws the edges it examines, usually a few hundred of the
 window's.  :func:`indexed_bottlenecks` returns, per indexed trial of a
 crossing window, the least open probability at which it crosses, as a
-53-bit word.
+53-bit word; within one call it sorts only the edges whose words lie in the
+band of the bottlenecks of the trials before.
 """
 
 from __future__ import annotations
@@ -88,11 +89,11 @@ def library() -> ctypes.CDLL:
         _array(np.int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,
         _array(np.int64), _array(np.int32), _array(np.int32), _array(np.int32),
     ]
-    # rows, n, n_edges, edges_u, edges_v, sides, seed, start, bits, words, order, counts,
+    # rows, n, n_edges, edges_u, edges_v, sides, seed, start, words, listed, order, counts,
     # parent, reached, bottleneck
     lib.indexed_bottlenecks.argtypes = [
         ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.uint8),
-        ctypes.c_uint64, ctypes.c_int64, ctypes.c_int32, _array(np.uint64), _array(np.int32), _array(np.int64),
+        ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32), _array(np.int32), _array(np.int64),
         _array(np.int32), _array(np.uint8), _array(np.uint64),
     ]
     for entry in (lib.mask_labels, lib.indexed_labels, lib.incidence, lib.keyed_reach, lib.indexed_bottlenecks):
@@ -140,6 +141,16 @@ def incidence(window: GraphWindow) -> tuple[np.ndarray, np.ndarray]:
     return offsets, incident
 
 
+def _trial_count(start: int, stop: int) -> int:
+    """The number of trials ``start .. stop - 1``; a negative first trial or a
+    range that ends before it starts is refused."""
+    if start < 0:
+        raise ValueError(f"trial indices start at 0, got {start}")
+    if stop < start:
+        raise ValueError(f"trial range [{start}, {stop}) ends before it starts")
+    return stop - start
+
+
 def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
     """The origin's reach, the largest :attr:`GraphWindow.norms` entry in its
     cluster, on each keyed trial ``start .. stop - 1``.
@@ -152,6 +163,7 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     ``open_thresholds`` entry from its probability, so a window's search
     holds no threshold array.
     """
+    rows = _trial_count(start, stop)
     if window.origin_index is None:
         raise ValueError(f"window family {window.family!r} has no origin to search from")
     if not 0 <= window.origin_index < window.n_vertices:
@@ -165,18 +177,13 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     norms = np.unique(window.norms)
     levels = np.searchsorted(norms, window.norms).astype(np.int32)
     n = window.n_vertices
-    reach = np.empty(stop - start, dtype=np.int32)
+    reach = np.empty(rows, dtype=np.int32)
     library().keyed_reach(
         reach.size, n, edges_u, edges_v, offsets, incident, keys, probs,
         levels, norms.size - 1, window.origin_index, seed & 0xFFFFFFFFFFFFFFFF, start,
         np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(norms.size, dtype=np.int32), reach,
     )
     return norms[reach]
-
-
-def _first_trial(start: int) -> None:
-    if start < 0:
-        raise ValueError(f"trial indices start at 0, got {start}")
 
 
 def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
@@ -186,9 +193,8 @@ def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.
     the edges ``indexed_uniform_matrix(n_edges, seed, stop - start, start) <
     window.probs`` opens.
     """
-    _first_trial(start)
+    rows = _trial_count(start, stop)
     thresholds = window.open_thresholds
-    rows = stop - start
     edges = _edges(window, rows)
     labels = np.empty((rows, window.n_vertices), dtype=np.int32)
     words = np.empty(window.n_edges, dtype=np.uint64)
@@ -207,8 +213,14 @@ def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -
     ``ceil(p * 2^53)``, the kernel's integer open test, whatever
     ``window.probs`` holds, and ``bottleneck * 2^-53`` is the least of its
     ``indexed_uniforms`` at which it crosses.
+
+    The kernel unites, unsorted, the edges whose words lie below the least
+    bottleneck found so far in the call, and sorts only those up to the
+    largest; a trial whose bottleneck lies outside that band is swept again
+    over every word, as the first trial is.  So a trial's value does not
+    depend on the range it is drawn in.
     """
-    _first_trial(start)
+    rows = _trial_count(start, stop)
     if not {"left", "right"} <= window.terminals.keys():
         raise ValueError(f"window family {window.family!r} has no crossing terminals")
     edges_u, edges_v = window.kernel_edges
@@ -216,12 +228,12 @@ def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -
     sides = np.zeros(n, dtype=np.uint8)
     sides[window.terminals["left"]] |= 1
     sides[window.terminals["right"]] |= 2
-    # About one edge per bucket of the counting sort; int32 edge indices keep bits below 32.
+    # The counting sort takes about one bucket per edge it sorts, at most 2^bits.
     bits = max(1, n_edges.bit_length())
-    bottleneck = np.empty(stop - start, dtype=np.uint64)
+    bottleneck = np.empty(rows, dtype=np.uint64)
     library().indexed_bottlenecks(
-        bottleneck.size, n, n_edges, edges_u, edges_v, sides, seed & 0xFFFFFFFFFFFFFFFF, start, bits,
-        np.empty(n_edges, dtype=np.uint64), np.empty(n_edges, dtype=np.int32),
+        bottleneck.size, n, n_edges, edges_u, edges_v, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
+        np.empty(n_edges, dtype=np.uint64), np.empty(n_edges, dtype=np.int32), np.empty(n_edges, dtype=np.int32),
         np.empty((1 << bits) + 1, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8),
         bottleneck,
     )

@@ -521,10 +521,71 @@ def test_chain_bottleneck_is_the_largest_word(n_edges, seed):
 def test_bottleneck_of_joined_and_of_separated_terminals():
     chain = chain_window(3, 0.5)
     joined = dataclasses.replace(chain, terminals={"left": np.array([0, 2]), "right": np.array([2, 3])})
-    assert indexed_bottlenecks(joined, 5, 0, 4).tolist() == [0] * 4
     cut = dataclasses.replace(chain, edges_u=chain.edges_u[:2], edges_v=chain.edges_v[:2], probs=chain.probs[:2],
                               lengths=chain.lengths[:2], terminals={"left": np.array([0]), "right": np.array([3])})
-    assert indexed_bottlenecks(cut, 5, 0, 4).tolist() == [2**53] * 4
+    # Long calls too: after the first trial the band is [0, 1) or [2^53, 2^53 + 1).
+    for stop in (4, 600):
+        assert indexed_bottlenecks(joined, 5, 0, stop).tolist() == [0] * stop
+        assert indexed_bottlenecks(cut, 5, 0, stop).tolist() == [2**53] * stop
+
+
+# Windows on which a call sweeps each trial over the band of the bottlenecks before it.
+BANDED = {
+    **{f"slab-d3-k{k}-L{side}": (f"slab-d3-k{k}", side) for k in (1, 2, 3) for side in (16, 32)},
+    "z2-L64": ("z2", 64),
+}
+
+
+def banded_call(name: str, trials: int = 500):
+    """A window of :data:`BANDED`, its seed and first trial, and one call's bottlenecks."""
+    family, side = BANDED[name]
+    window = BOTTLENECK_FAMILIES[family](side)
+    seed, start = 41 + side, 3
+    return window, seed, start, indexed_bottlenecks(window, seed, start, start + trials)
+
+
+def records(bottlenecks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trials after the first whose bottleneck lies below every earlier
+    one, and those whose bottleneck lies above: the trials a call sweeps
+    again, as it sweeps its first."""
+    low, high = np.minimum.accumulate(bottlenecks), np.maximum.accumulate(bottlenecks)
+    return 1 + np.flatnonzero(low[1:] < low[:-1]), 1 + np.flatnonzero(high[1:] > high[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(BANDED))
+def test_a_long_call_equals_its_one_trial_calls(name):
+    window, seed, start, bottlenecks = banded_call(name)
+    # A one-trial call sweeps its trial over the full band.
+    alone = [indexed_bottlenecks(window, seed, t, t + 1)[0] for t in range(start, start + bottlenecks.size)]
+    assert bottlenecks.tolist() == alone
+    assert 0 < bottlenecks.min() and bottlenecks.max() < 2**53
+
+
+@pytest.mark.parametrize("name", sorted(BANDED))
+def test_record_trials_equal_the_bisection_reference(name):
+    window, seed, start, bottlenecks = banded_call(name)
+    lows, highs = records(bottlenecks)
+    assert lows.size and highs.size  # both ways out of the band are taken
+    redone = np.concatenate([[0], lows, highs])
+    reference = [bisection_bottleneck(window, seed, start + int(t)) for t in redone]
+    assert (bottlenecks[redone] * 2.0**-53).tolist() == reference
+
+
+def test_per_trial_entry_points_refuse_a_reversed_trial_range():
+    radial, crossing = FAMILIES["long-range-radial"], FAMILIES["grid-crossing-d2"]
+    for draw, window in ((keyed_reach, radial), (indexed_labels, radial), (indexed_bottlenecks, crossing)):
+        with pytest.raises(ValueError, match=re.escape("trial range [5, 3) ends before it starts")):
+            draw(window, 1, 5, 3)
+        assert draw(window, 1, 5, 5).shape[0] == 0
+
+
+def test_keyed_search_refuses_a_negative_first_trial():
+    window = FAMILIES["long-range-radial"]
+    # The numpy keyed stream has no trial -3 either.
+    with pytest.raises(OverflowError):
+        keyed_uniforms(window.edge_keys, 5, -3)
+    with pytest.raises(ValueError, match="trial indices start at 0, got -3"):
+        keyed_reach(window, 5, -3, -1)
 
 
 @pytest.mark.parametrize("name", ["grid-radial-d2", "long-range-box"])
