@@ -1,4 +1,5 @@
-/* Union-find clustering of a block of percolation trials, a search for the
+/* Union-find clustering of a block of percolation trials, whether each
+ * indexed trial joins two terminal sets (indexed_hits), a search for the
  * origin's reach that draws only the edges it examines (keyed_reach), and
  * each trial's crossing bottleneck by a sweep that sorts only the edges
  * whose words lie in the band of the call's earlier bottlenecks
@@ -15,8 +16,11 @@
  * scratch array `listed` (one slot per edge; an index is always written and
  * the count advances only when the edge is open, so the draw loop has no
  * data-dependent branch), then unite the endpoints of the listed edges.
- * The bottleneck sweep lists a trial's edges in the same way, by where
- * their words lie against the band.
+ * indexed_hits lists an indexed trial's open edges in the same loop as
+ * indexed_labels, but keeps no labels: it unites the listed edges, carrying
+ * each root's terminal side bits, only until the two sets join.  The
+ * bottleneck sweep lists a trial's edges in the same way, by where their
+ * words lie against the band.
  */
 #include <stdint.h>
 
@@ -120,20 +124,30 @@ static void indexed_words(uint64_t seed, int64_t t, int64_t n_edges, uint64_t *w
     }
 }
 
-/* Trial t = start + row opens edge e iff its indexed word is below
- * thresholds[e]: the edges numpy's uniforms open with u < p, compared as
- * integers.  `words` is scratch of one slot per edge. */
+/* Draws indexed trial t into `words` and lists its open edges in `listed`,
+ * returning their count.  The trial opens edge e iff its indexed word is
+ * below thresholds[e]: the edges numpy's uniforms open with u < p, compared
+ * as integers. */
+static int64_t list_indexed(uint64_t seed, int64_t t, int64_t n_edges, const uint64_t *thresholds,
+                            uint64_t *words, int32_t *listed)
+{
+    indexed_words(seed, t, n_edges, words);
+    int64_t count = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        listed[count] = (int32_t)e;
+        count += words[e] < thresholds[e];
+    }
+    return count;
+}
+
+/* Labels of indexed trials start .. start + rows - 1.  `words` is scratch
+ * of one slot per edge. */
 void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                     const int32_t *edges_v, int32_t *listed, const uint64_t *thresholds,
                     uint64_t seed, int64_t start, uint64_t *words, int32_t *labels)
 {
     for (int64_t row = 0; row < rows; row++) {
-        indexed_words(seed, start + row, n_edges, words);
-        int64_t count = 0;
-        for (int64_t e = 0; e < n_edges; e++) {
-            listed[count] = (int32_t)e;
-            count += words[e] < thresholds[e];
-        }
+        int64_t count = list_indexed(seed, start + row, n_edges, thresholds, words, listed);
         label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
     }
 }
@@ -149,6 +163,46 @@ static inline int joins(int32_t *parent, uint8_t *reached, int32_t u, int32_t v)
     parent[a] = parent[b] = root;
     reached[root] = reached[a] | reached[b];
     return reached[root] == 3;
+}
+
+/* Makes every vertex its own root, carrying its side bits. */
+static inline void reset_sides(int32_t n, const uint8_t *sides, int32_t *parent, uint8_t *reached)
+{
+    for (int32_t v = 0; v < n; v++) {
+        parent[v] = v;
+        reached[v] = sides[v];
+    }
+}
+
+/* Whether some vertex is both a left and a right terminal: then every trial
+ * joins the sets, with no edge open. */
+static int shared_terminal(int32_t n, const uint8_t *sides)
+{
+    int joined = 0;
+    for (int32_t v = 0; v < n; v++)
+        joined |= sides[v] == 3;
+    return joined;
+}
+
+/* hits[row] = whether indexed trial start + row joins the left terminals
+ * (bit 1 of sides[v]) to the right ones (bit 2): its open edges, listed as
+ * indexed_labels lists them, are united in index order until a union holds
+ * both sides.  `words`, `parent` and `reached` are scratch. */
+void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
+                  int32_t *listed, const uint64_t *thresholds, const uint8_t *sides, uint64_t seed,
+                  int64_t start, uint64_t *words, int32_t *parent, uint8_t *reached, uint8_t *hits)
+{
+    const int joined = shared_terminal(n, sides);
+    for (int64_t row = 0; row < rows; row++) {
+        int hit = joined;
+        if (!hit) {
+            int64_t count = list_indexed(seed, start + row, n_edges, thresholds, words, listed);
+            reset_sides(n, sides, parent, reached);
+            for (int64_t i = 0; i < count && !hit; i++)
+                hit = joins(parent, reached, edges_u[listed[i]], edges_v[listed[i]]);
+        }
+        hits[row] = (uint8_t)hit;
+    }
 }
 
 /* The bottleneck of one trial, whose words are `words`, if it lies in the
@@ -171,10 +225,7 @@ static uint64_t band_bottleneck(int32_t n, int64_t n_edges, const int32_t *edges
                                 uint8_t *reached)
 {
     const uint64_t never = (uint64_t)1 << 53;
-    for (int32_t v = 0; v < n; v++) {
-        parent[v] = v;
-        reached[v] = sides[v];
-    }
+    reset_sides(n, sides, parent, reached);
     int64_t below = 0, inside = 0;
     for (int64_t e = 0; e < n_edges; e++) {
         listed[below] = (int32_t)e;
@@ -240,9 +291,7 @@ void indexed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t
                          uint8_t *reached, uint64_t *bottleneck)
 {
     const uint64_t never = (uint64_t)1 << 53;
-    int joined = 0;
-    for (int32_t v = 0; v < n; v++)
-        joined |= sides[v] == 3;
+    const int joined = shared_terminal(n, sides);
     uint64_t cut = 0, top = never + 1;
     for (int64_t row = 0; row < rows; row++) {
         uint64_t found = 0;

@@ -8,10 +8,12 @@ edge can be coupled across different windows.
 
 Every Monte Carlo estimate here clusters a whole block of trials with one
 call into the compiled union-find kernel (:mod:`trunclab.kernel`), which
-also draws the trials: :func:`mc_event_probability` and
-:func:`origin_radius_profile` take the labels of each block of indexed
-trials from ``kernel.indexed_labels``, which computes the Philox words of
-the indexed stream in the loop that clusters them and keeps no open masks.
+also draws the trials, computing the Philox words of the indexed stream in
+the loop that clusters them and keeping no open masks.
+:func:`mc_event_probability` sums ``kernel.indexed_hits``, which unites each
+trial's open edges only until the event's terminal sets meet and keeps no
+labels; only :func:`origin_radius_profile` takes the labels of each block
+of indexed trials, from ``kernel.indexed_labels``.
 The certification pass reads its keyed trials' reach from
 ``kernel.keyed_reach``, and the threshold estimates read each trial's
 crossing bottleneck from ``kernel.indexed_bottlenecks``.
@@ -21,8 +23,9 @@ no second route in the package.  The tests keep scipy's
 :class:`UnionFind` and numpy's Philox generator as references the kernel
 must agree with.
 The exact oracle, :func:`exact_event_probability`, labels its enumerated
-configurations with its own vectorized label-propagation sweep, so Monte
-Carlo estimates are checked against connectivity code they do not share.
+configurations with its own vectorized label-propagation sweep, vertex by
+vertex over the whole batch, so Monte Carlo estimates are checked against
+connectivity code they do not share.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernel import indexed_labels, mask_labels
+from .kernel import indexed_hits, indexed_labels, mask_labels
 # indexed_uniform_matrix is not called here (the kernel draws the indexed
 # trials itself), but it stays bound: the benchmark's tracer wraps it by name
 # in this namespace.
@@ -123,50 +126,52 @@ def propagation_labels(
 ) -> np.ndarray:
     """Component labels for a whole batch of configurations at once.
 
-    ``open_matrix`` is boolean with shape ``(batch, n_edges)``.  Minimum-label
-    propagation sweeps every edge until no label changes; on the small
-    windows the exact oracle enumerates, a handful of sweeps suffice.
+    ``open_matrix`` is boolean with shape ``(batch, n_edges)``; the result has
+    shape ``(batch, n_vertices)`` and labels every vertex with the smallest
+    vertex index of its component.  Minimum-label propagation sweeps every
+    edge, giving both ends the smaller label in the rows where the edge is
+    open and the labels differ, until no open edge joins two labels.  Each
+    sweep settles at least one more step of every shortest path from a
+    component's least vertex, so at most ``n_vertices`` sweeps change
+    anything; on the small windows the exact oracle enumerates, a handful
+    suffice.  The labels are kept vertex by vertex, as ``(n_vertices,
+    batch)`` rows, so an edge updates two contiguous rows in place; the
+    result is their transpose, a view.  An ``open_matrix`` that is itself
+    the transpose of an ``(n_edges, batch)`` block is read one contiguous
+    row per edge.
     """
     batch = open_matrix.shape[0]
-    labels = np.broadcast_to(np.arange(n_vertices, dtype=np.int32), (batch, n_vertices)).copy()
-    rows = np.arange(batch)
-    while True:
+    labels = np.repeat(np.arange(n_vertices, dtype=np.int32)[:, None], batch, axis=1)
+    low = np.empty(batch, dtype=np.int32)
+    differ = np.empty(batch, dtype=bool)
+    for _ in range(n_vertices + 1):
         changed = False
         for e in range(edges_u.shape[0]):
-            mask = open_matrix[:, e]
-            if not mask.any():
+            lu, lv = labels[edges_u[e]], labels[edges_v[e]]
+            np.not_equal(lu, lv, out=differ)
+            differ &= open_matrix[:, e]
+            if not differ.any():
                 continue
-            lu = labels[:, edges_u[e]]
-            lv = labels[:, edges_v[e]]
-            low = np.minimum(lu, lv)
-            update = mask & ((lu != low) | (lv != low))
-            if update.any():
-                changed = True
-                idx = rows[update]
-                labels[idx, edges_u[e]] = low[update]
-                labels[idx, edges_v[e]] = low[update]
+            changed = True
+            np.minimum(lu, lv, out=low)
+            np.copyto(lu, low, where=differ)
+            np.copyto(lv, low, where=differ)
         if not changed:
-            return labels
+            return labels.T
+    raise RuntimeError(f"label propagation did not settle within {n_vertices + 1} sweeps")
 
 
 def _connected_batch(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row connection test over ``(batch, n_vertices)`` label rows; terminal sets are small."""
+    """Per-row connection test over ``(batch, n_vertices)`` label rows; terminal sets are small.
+
+    On :func:`propagation_labels`' vertex-major result each vertex's column
+    is a contiguous row.
+    """
     hit = np.zeros(labels.shape[0], dtype=bool)
     for s in left:
         for t in right:
             hit |= labels[:, s] == labels[:, t]
     return hit
-
-
-def _union_hits(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row connection test on block labels (unique across rows).
-
-    Marks the labels of every left terminal, then asks whether any right
-    terminal carries a marked label.
-    """
-    marked = np.zeros(int(labels.max()) + 1, dtype=bool)
-    marked[labels[:, left]] = True
-    return marked[labels[:, right]].any(axis=1)
 
 
 def event_terminals(window: GraphWindow, event) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +186,9 @@ def event_terminals(window: GraphWindow, event) -> tuple[np.ndarray, np.ndarray]
             raise ValueError("window has no origin/boundary terminals")
         return window.terminals["origin"], window.terminals["boundary"]
     if isinstance(event, tuple) and len(event) == 3 and event[0] == "pair":
+        for vertex in event[1:]:
+            if not 0 <= vertex < window.n_vertices:
+                raise ValueError(f"pair vertex {vertex} lies outside the window's {window.n_vertices} vertices")
         return (
             np.array([event[1]], dtype=np.int64),
             np.array([event[2]], dtype=np.int64),
@@ -231,10 +239,11 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
 
 
 # Edges drawn (or vertices labelled) per block of trials.  It sets the size
-# of a block's labels (four bytes per vertex), the only matrix a drawn block
-# holds: the kernel draws each word where it compares it and keeps neither
-# uniforms nor open masks.  200k kept the pipeline benchmark's peak RSS
-# below the per-trial loop's, 1M did not.
+# of a labelled block's labels (four bytes per vertex), the only matrix a
+# drawn block holds: the kernel draws each word where it compares it and
+# keeps neither uniforms nor open masks, and a block of hits holds one byte
+# per trial.  200k kept the pipeline benchmark's peak RSS below the
+# per-trial loop's, 1M did not.
 BLOCK_UNIFORMS = 200_000
 
 
@@ -253,12 +262,6 @@ def trial_blocks(trials: int, window: GraphWindow) -> Iterator[tuple[int, int]]:
         yield start, min(start + rows, trials)
 
 
-def _indexed_blocks(window: GraphWindow, trials: int, master_seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, labels)`` of each block of indexed trials, drawn and clustered by the kernel."""
-    for start, stop in trial_blocks(trials, window):
-        yield start, stop, indexed_labels(window, master_seed, start, stop)
-
-
 def mc_event_probability(
     window: GraphWindow,
     event,
@@ -271,8 +274,8 @@ def mc_event_probability(
         raise ValueError("trials must be >= 1")
     left, right = event_terminals(window, event)
     successes = 0
-    for _, _, labels in _indexed_blocks(window, trials, master_seed):
-        successes += int(_union_hits(labels, left, right).sum())
+    for start, stop in trial_blocks(trials, window):
+        successes += int(indexed_hits(window, left, right, master_seed, start, stop).sum())
     return _make_estimate(successes, trials, master_seed, INDEXED_STREAM_RULE, label)
 
 
@@ -328,7 +331,8 @@ def origin_radius_profile(
     if any(r < 1 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be at least 1 and strictly increasing, got {radii}")
     indicators = np.zeros((trials, len(radii)), dtype=bool)
-    for start, stop, labels in _indexed_blocks(window, trials, master_seed):
+    for start, stop in trial_blocks(trials, window):
+        labels = indexed_labels(window, master_seed, start, stop)
         indicators[start:stop] = origin_reach(window, labels)[:, None] >= np.array(radii)
     estimates = [
         _make_estimate(int(indicators[:, i].sum()), trials, master_seed, INDEXED_STREAM_RULE,
@@ -356,13 +360,14 @@ def exact_event_probability(window: GraphWindow, event) -> float:
     batch_totals = []
     for start in range(0, total_configs, batch_size):
         configs = np.arange(start, min(start + batch_size, total_configs), dtype=np.uint32)
-        open_matrix = np.zeros((configs.size, m), dtype=bool)
+        # Edge-major: row e opens edge e, so propagation reads contiguous rows.
+        open_rows = np.empty((m, configs.size), dtype=bool)
         weights = np.ones(configs.size, dtype=np.float64)
         for e in range(m):
             bit = (configs >> np.uint32(e)) & np.uint32(1)
-            open_matrix[:, e] = bit.astype(bool)
-            weights *= np.where(open_matrix[:, e], probs[e], 1.0 - probs[e])
-        labels = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_matrix)
+            open_rows[e] = bit.astype(bool)
+            weights *= np.where(open_rows[e], probs[e], 1.0 - probs[e])
+        labels = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_rows.T)
         hit = _connected_batch(labels, left, right)
         batch_totals.append(float(weights[hit].sum()))
     return math.fsum(batch_totals)

@@ -1,5 +1,6 @@
-"""The compiled kernel: union-find over a block of trials, the origin's reach
-by search, and each trial's crossing bottleneck.
+"""The compiled kernel: union-find over a block of trials, whether each trial
+joins two terminal sets, the origin's reach by search, and each trial's
+crossing bottleneck.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of the source>.so`` next to it, and loaded with
@@ -9,7 +10,10 @@ smallest vertex index of its component plus ``row * n_vertices``, so labels
 never repeat across the rows of a block.  :func:`mask_labels` clusters given
 open masks; :func:`indexed_labels` draws each trial's edges from the indexed
 stream of :mod:`trunclab.rng` in the same loop, against the window's
-``open_thresholds``, and returns the labels only.  :func:`keyed_reach`
+``open_thresholds``, and returns the labels only.  :func:`indexed_hits`
+draws and lists the same edges but returns only whether each trial joins two
+terminal sets: it unites a trial's open edges until the sets meet and keeps
+no labels.  :func:`keyed_reach`
 returns only the origin's reach on keyed trials: a best-first search from
 the origin draws the edges it examines, usually a few hundred of the
 window's.  :func:`indexed_bottlenecks` returns, per indexed trial of a
@@ -80,6 +84,11 @@ def library() -> ctypes.CDLL:
     lib.indexed_labels.argtypes = edges + [
         _array(np.uint64), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32),
     ]
+    # thresholds, sides, seed, start, words, parent, reached, hits
+    lib.indexed_hits.argtypes = edges + [
+        _array(np.uint64), _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64),
+        _array(np.int32), _array(np.uint8), _array(np.bool_),
+    ]
     # n, n_edges, edges_u, edges_v, offsets, incident
     lib.incidence.argtypes = [ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4]
     # rows, n, edges_u, edges_v, offsets, incident, keys, probs, levels, top, origin,
@@ -96,7 +105,8 @@ def library() -> ctypes.CDLL:
         ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32), _array(np.int32), _array(np.int64),
         _array(np.int32), _array(np.uint8), _array(np.uint64),
     ]
-    for entry in (lib.mask_labels, lib.indexed_labels, lib.incidence, lib.keyed_reach, lib.indexed_bottlenecks):
+    for entry in (lib.mask_labels, lib.indexed_labels, lib.indexed_hits, lib.incidence, lib.keyed_reach,
+                  lib.indexed_bottlenecks):
         entry.restype = None
     return lib
 
@@ -105,10 +115,16 @@ def _edges(window: GraphWindow, rows: int) -> list:
     """The leading kernel arguments: the window's checked edge arrays and a
     scratch list of one slot per edge, owned by this call."""
     edges_u, edges_v = window.kernel_edges
-    if rows * max(window.n_vertices, window.n_edges) > np.iinfo(np.int32).max:
-        raise ValueError(f"a block of {rows} trials overflows the kernel's 32-bit labels")
     listed = np.empty(window.n_edges, dtype=np.int32)
     return [rows, window.n_vertices, window.n_edges, edges_u, edges_v, listed]
+
+
+def _label_block(window: GraphWindow, rows: int) -> np.ndarray:
+    """An empty ``(rows, n_vertices)`` block of the kernel's labels, refused
+    when its labels would overflow 32 bits."""
+    if rows * max(window.n_vertices, window.n_edges) > np.iinfo(np.int32).max:
+        raise ValueError(f"a block of {rows} trials overflows the kernel's 32-bit labels")
+    return np.empty((rows, window.n_vertices), dtype=np.int32)
 
 
 def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
@@ -117,7 +133,7 @@ def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     if open_matrix.ndim != 2 or open_matrix.shape[1] != window.n_edges:
         raise ValueError(f"open block of shape {open_matrix.shape} does not fit {window.n_edges} edges")
     edges = _edges(window, open_matrix.shape[0])
-    labels = np.empty((open_matrix.shape[0], window.n_vertices), dtype=np.int32)
+    labels = _label_block(window, open_matrix.shape[0])
     library().mask_labels(*edges, open_matrix, labels)
     return labels
 
@@ -196,10 +212,47 @@ def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.
     rows = _trial_count(start, stop)
     thresholds = window.open_thresholds
     edges = _edges(window, rows)
-    labels = np.empty((rows, window.n_vertices), dtype=np.int32)
+    labels = _label_block(window, rows)
     words = np.empty(window.n_edges, dtype=np.uint64)
     library().indexed_labels(*edges, thresholds, seed & 0xFFFFFFFFFFFFFFFF, start, words, labels)
     return labels
+
+
+def _sides(window: GraphWindow, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per vertex, bit 1 for a ``left`` terminal and bit 2 for a ``right``
+    one; a terminal outside the window is refused, not wrapped."""
+    n = window.n_vertices
+    for terminals in (left, right):
+        outside = terminals[(terminals < 0) | (terminals >= n)]
+        if outside.size:
+            raise ValueError(f"terminal {outside[0]} lies outside the window's {n} vertices")
+    sides = np.zeros(n, dtype=np.uint8)
+    sides[left] |= 1
+    sides[right] |= 2
+    return sides
+
+
+def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed: int, start: int,
+                 stop: int) -> np.ndarray:
+    """Whether each indexed trial ``start .. stop - 1`` joins a ``left``
+    terminal to a ``right`` one, as bools.
+
+    The trials open the edges :func:`indexed_labels` opens, so trial ``t``
+    hits exactly when a left and a right terminal share a label in its row;
+    but the kernel unites its open edges only until the sets meet and keeps
+    no labels.  A vertex in both sets makes every trial hit.
+    """
+    rows = _trial_count(start, stop)
+    sides = _sides(window, np.asarray(left), np.asarray(right))
+    thresholds = window.open_thresholds
+    edges = _edges(window, rows)
+    n = window.n_vertices
+    hits = np.empty(rows, dtype=np.bool_)
+    library().indexed_hits(
+        *edges, thresholds, sides, seed & 0xFFFFFFFFFFFFFFFF, start, np.empty(window.n_edges, dtype=np.uint64),
+        np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8), hits,
+    )
+    return hits
 
 
 def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
@@ -225,9 +278,7 @@ def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -
         raise ValueError(f"window family {window.family!r} has no crossing terminals")
     edges_u, edges_v = window.kernel_edges
     n, n_edges = window.n_vertices, window.n_edges
-    sides = np.zeros(n, dtype=np.uint8)
-    sides[window.terminals["left"]] |= 1
-    sides[window.terminals["right"]] |= 2
+    sides = _sides(window, window.terminals["left"], window.terminals["right"])
     # The counting sort takes about one bucket per edge it sorts, at most 2^bits.
     bits = max(1, n_edges.bit_length())
     bottleneck = np.empty(rows, dtype=np.uint64)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -233,6 +234,16 @@ class TestExactOracle:
         window = long_range_crossing_window(nn(0.5), 1)
         assert exact_event_probability(window, "crossing") == 0.5
 
+    def test_pair_vertices_outside_the_window_are_refused(self):
+        window = long_range_box_window(ProbabilitySequence.constant(0.5).truncate(1), (0, 3), (0, 1))
+        assert window.n_vertices == 8
+        for event, vertex in ((("pair", -1, 0), -1), (("pair", 0, 8), 8)):
+            message = re.escape(f"pair vertex {vertex} lies outside the window's 8 vertices")
+            with pytest.raises(ValueError, match=message):
+                mc_event_probability(window, event, 100, 3)
+            with pytest.raises(ValueError, match=message):
+                exact_event_probability(window, event)
+
     def test_refuses_large_windows(self):
         window = long_range_crossing_window(nn(0.5), 3)
         assert window.n_edges > MAX_EXACT_EDGES
@@ -336,11 +347,24 @@ class TestOriginBoundary:
 
 def test_propagation_labels_match_scipy(rng):
     window = long_range_box_window(PS.constant(0.5).truncate(3), (0, 3), (0, 2))
-    trials = 64
+    # Two isolated vertices after the box's own.
+    window = dataclasses.replace(window, coords=np.vstack([window.coords, [[9, 9], [9, 10]]]))
+    n, trials = window.n_vertices, 64
     uniforms = indexed_uniform_matrix(window.n_edges, 7, trials)
     open_matrix = uniforms < window.probs
-    batch = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_matrix)
+    open_matrix[5] = False
+    open_matrix[6] = True
+    batch = propagation_labels(n, window.edges_u, window.edges_v, open_matrix)
+    assert batch.shape == (trials, n)
+    # The exact oracle's edge-major block, passed transposed, gives the same labels.
+    edge_major = np.ascontiguousarray(open_matrix.T)
+    assert np.array_equal(propagation_labels(n, window.edges_u, window.edges_v, edge_major.T), batch)
+    reference = scipy_union_labels(window, open_matrix)
     for t in range(trials):
-        reference = scipy_union_labels(window, open_matrix[t : t + 1])[0]
-        pairs = set(zip(batch[t].tolist(), reference.tolist()))
-        assert len(pairs) == len(set(reference.tolist()))
+        # Every vertex carries the smallest vertex index of its scipy component.
+        least = {}
+        for vertex, component in enumerate(reference[t].tolist()):
+            least.setdefault(component, vertex)
+        assert batch[t].tolist() == [least[component] for component in reference[t].tolist()]
+    assert batch[5].tolist() == list(range(n))
+    assert batch[6].tolist() == [0] * (n - 2) + [n - 2, n - 1]

@@ -17,6 +17,8 @@ references in ``test_batched_route.py``.  The search from the origin
 seed, t) < probs``, a draw it does not share.  Each trial's crossing
 bottleneck (``indexed_bottlenecks``) must equal the least of its uniforms
 at which a bisection over them, clustered by scipy, finds a crossing.
+Each trial's hit (``indexed_hits``) must equal whether scipy's labels of the
+numpy Philox masks join the event's terminal sets.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from hypothesis import strategies as st
 from trunclab import engine, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
 from trunclab.engine import UnionFind, component_labels, origin_reach, trial_blocks
-from trunclab.kernel import indexed_bottlenecks, indexed_labels, keyed_reach, mask_labels
+from trunclab.kernel import indexed_bottlenecks, indexed_hits, indexed_labels, keyed_reach, mask_labels
 from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms, mix64, open_thresholds
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
@@ -571,9 +573,14 @@ def test_record_trials_equal_the_bisection_reference(name):
     assert (bottlenecks[redone] * 2.0**-53).tolist() == reference
 
 
+def crossing_hits(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    return indexed_hits(window, window.terminals["left"], window.terminals["right"], seed, start, stop)
+
+
 def test_per_trial_entry_points_refuse_a_reversed_trial_range():
     radial, crossing = FAMILIES["long-range-radial"], FAMILIES["grid-crossing-d2"]
-    for draw, window in ((keyed_reach, radial), (indexed_labels, radial), (indexed_bottlenecks, crossing)):
+    for draw, window in ((keyed_reach, radial), (indexed_labels, radial), (indexed_bottlenecks, crossing),
+                         (crossing_hits, crossing)):
         with pytest.raises(ValueError, match=re.escape("trial range [5, 3) ends before it starts")):
             draw(window, 1, 5, 3)
         assert draw(window, 1, 5, 5).shape[0] == 0
@@ -593,3 +600,89 @@ def test_bottlenecks_refuse_a_window_without_crossing_terminals_naming_its_famil
     window = FAMILIES[name]
     with pytest.raises(ValueError, match=re.escape(repr(window.family))):
         indexed_bottlenecks(window, 1, 0, 2)
+
+
+# Every oracle slot shape of the benchmark's oracle-small workload, and a slab
+# crossing window, each with its event's terminal sets.
+def hit_windows():
+    constant, lacunary = PS.constant(0.5), PS.lacunary(0.5, base=2)
+    windows = {
+        **{f"crossing-{side}": (long_range_crossing_window(constant.truncate(1), side), "crossing")
+           for side in (1, 2, 4)},
+        **{f"radial-{radius}": (long_range_radial_window(constant.truncate(1), radius), "origin_boundary")
+           for radius in (1, 2)},
+        "box-3x1": (long_range_box_window(constant.truncate(2), (0, 3), (0, 1)), None),
+        "box-5x2": (long_range_box_window(constant.truncate(1), (0, 5), (0, 2)), None),
+        "lacunary-box-6x2": (long_range_box_window(lacunary.truncate(2), (0, 6), (0, 2)), None),
+        "slab-crossing-d3": (lattice_window(3, 0.45, 4, "crossing", thickness=2), "crossing"),
+    }
+    events = {}
+    for name, (window, event) in windows.items():
+        n = window.n_vertices
+        pairs = [("pair", 0, n - 1), ("pair", n // 2, 1), ("pair", n - 2, n // 3)]
+        events[name] = (window, [event] if event else pairs)
+    return events
+
+
+HIT_WINDOWS = hit_windows()
+
+
+@pytest.mark.parametrize("p", [0.0, None, 1.0], ids=["p0", "own-p", "p1"])
+@pytest.mark.parametrize("name", sorted(HIT_WINDOWS))
+def test_hits_equal_scipy_connections_of_the_numpy_draws(name, p):
+    window, events = HIT_WINDOWS[name]
+    if p is not None:
+        window = with_probability(window, p)
+    seed, start, trials = 29, 5, 300
+    labels = scipy_union_labels(window, indexed_uniform_matrix(window.n_edges, seed, trials, start) < window.probs)
+    for event in events:
+        left, right = engine.event_terminals(window, event)
+        expected = (labels[:, left][:, :, None] == labels[:, right][:, None, :]).any(axis=(1, 2))
+        hits = indexed_hits(window, left, right, seed, start, start + trials)
+        assert hits.dtype == np.bool_
+        assert np.array_equal(hits, expected)
+        if p == 0.0:
+            assert not hits.any()
+        if p is None:
+            assert 0 < hits.sum() < trials
+
+
+@pytest.mark.parametrize("name", ["box-5x2", "slab-crossing-d3"])
+def test_a_pair_of_one_vertex_hits_on_every_trial(name):
+    window, _ = HIT_WINDOWS[name]
+    for p in (0.0, 0.5):
+        at_p = with_probability(window, p)
+        for vertex in (0, window.n_vertices - 1):
+            assert indexed_hits(at_p, [vertex], [vertex], 3, 0, 40).all()
+        # A vertex shared by two larger sets too.
+        assert indexed_hits(at_p, [1, 2], [2, 3], 3, 0, 40).all()
+
+
+@pytest.mark.parametrize("name", ["box-3x1", "crossing-2", "slab-crossing-d3"])
+def test_a_long_hit_call_equals_its_one_trial_calls(name):
+    window, events = HIT_WINDOWS[name]
+    left, right = engine.event_terminals(window, events[0])
+    seed, start = 61, 9
+    hits = indexed_hits(window, left, right, seed, start, start + 500)
+    alone = [indexed_hits(window, left, right, seed, t, t + 1)[0] for t in range(start, start + 500)]
+    assert hits.tolist() == alone
+    assert 0 < hits.sum() < 500
+
+
+def test_hits_keep_no_labels_so_a_block_may_outgrow_the_32_bit_labels():
+    wide = long_range_radial_window(PS.constant(0.0), 127)  # 65,025 vertices
+    rows = 2**31 // wide.n_vertices + 1
+    with pytest.raises(ValueError, match="32-bit"):
+        indexed_labels(wide, 1, 0, rows)
+    # A vertex in both sets: every trial hits without touching the window.
+    assert indexed_hits(wide, [0], [0], 1, 0, rows).all()
+
+
+def test_hits_refuse_a_negative_start_and_a_terminal_outside_the_window():
+    window = FAMILIES["grid-crossing-d2"]
+    with pytest.raises(ValueError, match="trial indices start at 0, got -3"):
+        crossing_hits(window, 5, -3, 2)
+    n = window.n_vertices
+    for outside in (-1, n):
+        with pytest.raises(ValueError, match=f"terminal {outside} lies outside the window's {n} vertices"):
+            indexed_hits(window, [0], [outside], 5, 0, 2)
