@@ -3,7 +3,8 @@
 Builds heavy-tailed edge-probability sequences, truncates them, embeds a
 supercritical slab into the planar lattice at selected scales, and certifies
 percolation of the truncated process numerically with a reproducible
-Monte Carlo engine that clusters whole blocks of trials at once.
+Monte Carlo engine whose compiled kernel draws and clusters a range of
+trials in one call.
 """
 
 __version__ = "0.1.0"

@@ -1,26 +1,26 @@
-/* Union-find clustering of a block of percolation trials, whether each
- * indexed trial joins two terminal sets (indexed_hits), a search for the
+/* Union-find labels of a block of given open masks (mask_labels), whether
+ * each indexed trial joins two terminal sets (indexed_hits), a search for the
  * origin's reach that draws only the edges it examines (keyed_reach), and
  * each trial's crossing bottleneck by a sweep that sorts only the edges
  * whose words lie in the band of the call's earlier bottlenecks
  * (indexed_bottlenecks).
  *
  * Built and loaded by kernel.py.  A block holds `rows` trials of one window
- * with `n` vertices and `n_edges` edges.  Each trial is clustered with a
- * union-find forest that lives in its own row of `labels`: the root of a
- * component is always its smallest vertex index (unions hang the larger root
- * under the smaller, path halving only moves pointers down), so the final
- * label of a vertex is that index plus `row * n`, unique across the block.
+ * with `n` vertices and `n_edges` edges.  mask_labels clusters each trial
+ * with a union-find forest that lives in its own row of `labels`: the root of
+ * a component is always its smallest vertex index (unions hang the larger
+ * root under the smaller, path halving only moves pointers down), so the
+ * final label of a vertex is that index plus `row * n`, unique across the
+ * block.
  *
- * The labelling entry points first list a trial's open edges in the caller's
- * scratch array `listed` (one slot per edge; an index is always written and
- * the count advances only when the edge is open, so the draw loop has no
- * data-dependent branch), then unite the endpoints of the listed edges.
- * indexed_hits lists an indexed trial's open edges in the same loop as
- * indexed_labels, but keeps no labels: it unites the listed edges, carrying
- * each root's terminal side bits, only until the two sets join.  The
- * bottleneck sweep lists a trial's edges in the same way, by where their
- * words lie against the band.
+ * mask_labels and indexed_hits first list a trial's open edges in the
+ * caller's scratch array `listed` (one slot per edge; an index is always
+ * written and the count advances only when the edge is open, so the listing
+ * loop has no data-dependent branch), then unite the endpoints of the listed
+ * edges.  indexed_hits draws the trial's words first and keeps no labels: it
+ * unites the listed edges, carrying each root's terminal side bits, only
+ * until the two sets join.  The bottleneck sweep lists a trial's edges in
+ * the same way, by where their words lie against the band.
  */
 #include <stdint.h>
 
@@ -79,31 +79,27 @@ static inline void unite(int32_t *parent, int32_t a, int32_t b)
         parent[a] = b;
 }
 
-/* Labels one trial's row from its `count` listed open edges.  parent[i] <= i
- * holds for every vertex, so in increasing order each parent already
- * carries its root's final label when it is read. */
-static inline void label_row(int32_t *parent, int32_t n, int32_t offset, const int32_t *edges_u,
-                             const int32_t *edges_v, const int32_t *listed, int64_t count)
-{
-    for (int32_t i = 0; i < n; i++)
-        parent[i] = i;
-    for (int64_t i = 0; i < count; i++)
-        unite(parent, edges_u[listed[i]], edges_v[listed[i]]);
-    for (int32_t i = 0; i < n; i++)
-        parent[i] = parent[i] == i ? i + offset : parent[parent[i]];
-}
-
+/* Labels each row of a block of open masks.  parent[i] <= i holds for every
+ * vertex, so in increasing order each parent already carries its root's
+ * final label when it is read. */
 void mask_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                  const int32_t *edges_v, int32_t *listed, const uint8_t *open, int32_t *labels)
 {
     for (int64_t row = 0; row < rows; row++) {
         const uint8_t *is_open = open + row * n_edges;
+        int32_t *parent = labels + row * n;
+        const int32_t offset = (int32_t)(row * n);
         int64_t count = 0;
         for (int64_t e = 0; e < n_edges; e++) {
             listed[count] = (int32_t)e;
             count += is_open[e];
         }
-        label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
+        for (int32_t i = 0; i < n; i++)
+            parent[i] = i;
+        for (int64_t i = 0; i < count; i++)
+            unite(parent, edges_u[listed[i]], edges_v[listed[i]]);
+        for (int32_t i = 0; i < n; i++)
+            parent[i] = parent[i] == i ? i + offset : parent[parent[i]];
     }
 }
 
@@ -121,34 +117,6 @@ static void indexed_words(uint64_t seed, int64_t t, int64_t n_edges, uint64_t *w
         int64_t width = n_edges - e < 4 ? n_edges - e : 4;
         for (int64_t w = 0; w < width; w++)
             words[e + w] = word[w] >> 11;
-    }
-}
-
-/* Draws indexed trial t into `words` and lists its open edges in `listed`,
- * returning their count.  The trial opens edge e iff its indexed word is
- * below thresholds[e]: the edges numpy's uniforms open with u < p, compared
- * as integers. */
-static int64_t list_indexed(uint64_t seed, int64_t t, int64_t n_edges, const uint64_t *thresholds,
-                            uint64_t *words, int32_t *listed)
-{
-    indexed_words(seed, t, n_edges, words);
-    int64_t count = 0;
-    for (int64_t e = 0; e < n_edges; e++) {
-        listed[count] = (int32_t)e;
-        count += words[e] < thresholds[e];
-    }
-    return count;
-}
-
-/* Labels of indexed trials start .. start + rows - 1.  `words` is scratch
- * of one slot per edge. */
-void indexed_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
-                    const int32_t *edges_v, int32_t *listed, const uint64_t *thresholds,
-                    uint64_t seed, int64_t start, uint64_t *words, int32_t *labels)
-{
-    for (int64_t row = 0; row < rows; row++) {
-        int64_t count = list_indexed(seed, start + row, n_edges, thresholds, words, listed);
-        label_row(labels + row * n, n, (int32_t)(row * n), edges_u, edges_v, listed, count);
     }
 }
 
@@ -185,9 +153,11 @@ static int shared_terminal(int32_t n, const uint8_t *sides)
 }
 
 /* hits[row] = whether indexed trial start + row joins the left terminals
- * (bit 1 of sides[v]) to the right ones (bit 2): its open edges, listed as
- * indexed_labels lists them, are united in index order until a union holds
- * both sides.  `words`, `parent` and `reached` are scratch. */
+ * (bit 1 of sides[v]) to the right ones (bit 2): its open edges are united
+ * in index order until a union holds both sides.  The trial opens edge e iff
+ * its indexed word is below thresholds[e]: the edges numpy's uniforms open
+ * with u < p, compared as integers.  `words`, `parent` and `reached` are
+ * scratch. */
 void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
                   int32_t *listed, const uint64_t *thresholds, const uint8_t *sides, uint64_t seed,
                   int64_t start, uint64_t *words, int32_t *parent, uint8_t *reached, uint8_t *hits)
@@ -196,7 +166,12 @@ void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges
     for (int64_t row = 0; row < rows; row++) {
         int hit = joined;
         if (!hit) {
-            int64_t count = list_indexed(seed, start + row, n_edges, thresholds, words, listed);
+            indexed_words(seed, start + row, n_edges, words);
+            int64_t count = 0;
+            for (int64_t e = 0; e < n_edges; e++) {
+                listed[count] = (int32_t)e;
+                count += words[e] < thresholds[e];
+            }
             reset_sides(n, sides, parent, reached);
             for (int64_t i = 0; i < count && !hit; i++)
                 hit = joins(parent, reached, edges_u[listed[i]], edges_v[listed[i]]);
@@ -277,14 +252,14 @@ static uint64_t band_bottleneck(int32_t n, int64_t n_edges, const int32_t *edges
  * increasing word order, a Kruskal sweep (Newman and Ziff, Phys. Rev. Lett.
  * 85, 4104, 2000); 0 if a vertex is in both sets, 2^53 if they never join.
  * So the trial crosses at p exactly when its bottleneck is below
- * ceil(p * 2^53), the indexed_labels test.  sides[v] has bit 1 set for a
- * left terminal and bit 2 for a right one.  Each trial is swept over the
- * band [cut, top) of the bottlenecks found so far in the call (cut the
- * least, top one above the largest), so only the edges inside the band are
- * sorted; a trial whose bottleneck falls outside the band, about 2 ln(rows)
- * record lows and highs, is swept again over the full band, as the first
- * trial is.  The value does not depend on the band.  `words`, `listed`,
- * `order`, `counts`, `parent` and `reached` are scratch. */
+ * ceil(p * 2^53), the integer form of u < p on its rng.indexed_uniforms.
+ * sides[v] has bit 1 set for a left terminal and bit 2 for a right one.
+ * Each trial is swept over the band [cut, top) of the bottlenecks found so
+ * far in the call (cut the least, top one above the largest), so only the
+ * edges inside the band are sorted; a trial whose bottleneck falls outside
+ * the band, about 2 ln(rows) record lows and highs, is swept again over the
+ * full band, as the first trial is.  The value does not depend on the band.
+ * `words`, `listed`, `order`, `counts`, `parent` and `reached` are scratch. */
 void indexed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                          const int32_t *edges_v, const uint8_t *sides, uint64_t seed, int64_t start,
                          uint64_t *words, int32_t *listed, int32_t *order, int64_t *counts, int32_t *parent,

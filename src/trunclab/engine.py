@@ -6,14 +6,14 @@ the uniform for edge ``e`` of trial ``t`` is a pure function of
 so estimates cannot depend on trial execution order and the same lattice
 edge can be coupled across different windows.
 
-Every Monte Carlo estimate here clusters a whole block of trials with one
-call into the compiled union-find kernel (:mod:`trunclab.kernel`), which
-also draws the trials, computing the Philox words of the indexed stream in
-the loop that clusters them and keeping no open masks.
-:func:`mc_event_probability` sums ``kernel.indexed_hits``, which unites each
-trial's open edges only until the event's terminal sets meet and keeps no
-labels; only :func:`origin_radius_profile` takes the labels of each block
-of indexed trials, from ``kernel.indexed_labels``.
+Every indexed Monte Carlo estimate here reads ``kernel.indexed_hits``:
+one call into the compiled union-find kernel (:mod:`trunclab.kernel`) draws
+a range of trials, computing the Philox words of the indexed stream in the
+loop that clusters them, and returns only whether each trial joins two
+terminal sets, uniting its open edges until they meet and keeping no masks
+and no labels.  :func:`mc_event_probability` sums those hits, and
+:func:`origin_radius_profile` takes one call per radius, from the origin to
+the vertices at that sup-norm or beyond.
 The certification pass reads its keyed trials' reach from
 ``kernel.keyed_reach``, and the threshold estimates read each trial's
 crossing bottleneck from ``kernel.indexed_bottlenecks``.
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .kernel import indexed_hits, indexed_labels, mask_labels
+from .kernel import indexed_hits, mask_labels
 # indexed_uniform_matrix is not called here (the kernel draws the indexed
 # trials itself), but it stays bound: the benchmark's tracer wraps it by name
 # in this namespace.
@@ -238,28 +237,10 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
     )
 
 
-# Edges drawn (or vertices labelled) per block of trials.  It sets the size
-# of a labelled block's labels (four bytes per vertex), the only matrix a
-# drawn block holds: the kernel draws each word where it compares it and
-# keeps neither uniforms nor open masks, and a block of hits holds one byte
-# per trial.  200k kept the pipeline benchmark's peak RSS below the
-# per-trial loop's, 1M did not.
-BLOCK_UNIFORMS = 200_000
-
-
-def trial_blocks(trials: int, window: GraphWindow) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` trial ranges holding about BLOCK_UNIFORMS edge draws
-    each of ``window``, and at least one trial.
-
-    A trial weighs the window's edge or its vertex count, whichever is
-    larger: a block's labels hold an entry per vertex of every trial, so a
-    window with many vertices and few edges must not get a block that
-    overflows the kernel's 32-bit labels.
-    """
-    per_trial = max(1, window.n_edges, window.n_vertices)
-    rows = max(1, BLOCK_UNIFORMS // per_trial)
-    for start in range(0, trials, rows):
-        yield start, min(start + rows, trials)
+# Trials per ``indexed_hits`` call.  It only caps the hits array (one byte
+# per trial) at 1 MB, since the trial count is user input; the kernel keeps
+# no other per-trial state.
+HITS_PER_CALL = 1 << 20
 
 
 def mc_event_probability(
@@ -274,7 +255,8 @@ def mc_event_probability(
         raise ValueError("trials must be >= 1")
     left, right = event_terminals(window, event)
     successes = 0
-    for start, stop in trial_blocks(trials, window):
+    for start in range(0, trials, HITS_PER_CALL):
+        stop = min(start + HITS_PER_CALL, trials)
         successes += int(indexed_hits(window, left, right, master_seed, start, stop).sum())
     return _make_estimate(successes, trials, master_seed, INDEXED_STREAM_RULE, label)
 
@@ -300,16 +282,6 @@ def origin_boundary_estimate(
     return mc_event_probability(window, "origin_boundary", trials, master_seed, label=label)
 
 
-def origin_reach(window: GraphWindow, labels: np.ndarray) -> np.ndarray:
-    """Largest sup-norm in the origin's cluster, per row of ``(rows, n_vertices)`` block labels.
-
-    The origin's cluster leaves the open box ``{|x| < r}`` iff the reach is
-    at least ``r``, so one reach per trial answers every radius at once.
-    """
-    cluster = labels == labels[:, [window.origin_index]]
-    return np.where(cluster, window.norms, 0).max(axis=1)
-
-
 def origin_radius_profile(
     window: GraphWindow,
     radii: list[int],
@@ -319,21 +291,25 @@ def origin_radius_profile(
 ) -> tuple[list[Estimate], np.ndarray]:
     """Shared-trial estimates of reaching sup-norm distance >= r for several r.
 
-    All radii are evaluated on the same sampled configurations, and they
-    must be at least 1 and strictly increasing, so the per-trial indicator
-    matrix (second return value) is nonincreasing along the radius axis by
-    construction; the estimates inherit exact monotone coupling rather than
-    merely statistical ordering.
+    Trial ``t`` reaches ``r`` when its origin's cluster holds a vertex of
+    sup-norm at least ``r``: a hit from the origin to those vertices.  All
+    radii are evaluated on the same sampled configurations, and they must be
+    at least 1 and strictly increasing, so each radius's target set holds
+    the next one's and the per-trial indicator matrix (second return value)
+    is nonincreasing along the radius axis; the estimates inherit exact
+    monotone coupling rather than merely statistical ordering.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if window.origin_index is None:
         raise ValueError("window has no origin vertex")
     radii = list(radii)
     if any(r < 1 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be at least 1 and strictly increasing, got {radii}")
-    indicators = np.zeros((trials, len(radii)), dtype=bool)
-    for start, stop in trial_blocks(trials, window):
-        labels = indexed_labels(window, master_seed, start, stop)
-        indicators[start:stop] = origin_reach(window, labels)[:, None] >= np.array(radii)
+    indicators = np.empty((trials, len(radii)), dtype=bool)
+    for i, r in enumerate(radii):
+        far = np.flatnonzero(window.norms >= r)
+        indicators[:, i] = indexed_hits(window, [window.origin_index], far, master_seed, 0, trials)
     estimates = [
         _make_estimate(int(indicators[:, i].sum()), trials, master_seed, INDEXED_STREAM_RULE,
                        label=f"{label}r{r}" if label else f"reach-r{r}")

@@ -1,19 +1,17 @@
-"""The compiled kernel: union-find over a block of trials, whether each trial
-joins two terminal sets, the origin's reach by search, and each trial's
-crossing bottleneck.
+"""The compiled kernel: union-find over a block of open masks, whether each
+indexed trial joins two terminal sets, the origin's reach by search, and
+each trial's crossing bottleneck.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of the source>.so`` next to it, and loaded with
-:mod:`ctypes`; later processes reuse the cached library.  The labelling
-entry points label a ``(rows, n_vertices)`` block: a vertex's label is the
-smallest vertex index of its component plus ``row * n_vertices``, so labels
-never repeat across the rows of a block.  :func:`mask_labels` clusters given
-open masks; :func:`indexed_labels` draws each trial's edges from the indexed
-stream of :mod:`trunclab.rng` in the same loop, against the window's
-``open_thresholds``, and returns the labels only.  :func:`indexed_hits`
-draws and lists the same edges but returns only whether each trial joins two
-terminal sets: it unites a trial's open edges until the sets meet and keeps
-no labels.  :func:`keyed_reach`
+:mod:`ctypes`; later processes reuse the cached library.  :func:`mask_labels`
+labels a ``(rows, n_vertices)`` block of given open masks: a vertex's label
+is the smallest vertex index of its component plus ``row * n_vertices``, so
+labels never repeat across the rows of a block.  :func:`indexed_hits` draws
+each trial's edges from the indexed stream of :mod:`trunclab.rng` in the
+loop that lists them, against the window's ``open_thresholds``, and returns
+only whether each trial joins two terminal sets: it unites a trial's open
+edges until the sets meet and keeps no labels.  :func:`keyed_reach`
 returns only the origin's reach on keyed trials: a best-first search from
 the origin draws the edges it examines, usually a few hundred of the
 window's.  :func:`indexed_bottlenecks` returns, per indexed trial of a
@@ -80,10 +78,6 @@ def library() -> ctypes.CDLL:
     # rows, n, n_edges, edges_u, edges_v, listed
     edges = [ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.int32)]
     lib.mask_labels.argtypes = edges + [_array(np.bool_), _array(np.int32)]
-    # thresholds, seed, start, words, labels
-    lib.indexed_labels.argtypes = edges + [
-        _array(np.uint64), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32),
-    ]
     # thresholds, sides, seed, start, words, parent, reached, hits
     lib.indexed_hits.argtypes = edges + [
         _array(np.uint64), _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64),
@@ -105,8 +99,7 @@ def library() -> ctypes.CDLL:
         ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32), _array(np.int32), _array(np.int64),
         _array(np.int32), _array(np.uint8), _array(np.uint64),
     ]
-    for entry in (lib.mask_labels, lib.indexed_labels, lib.indexed_hits, lib.incidence, lib.keyed_reach,
-                  lib.indexed_bottlenecks):
+    for entry in (lib.mask_labels, lib.indexed_hits, lib.incidence, lib.keyed_reach, lib.indexed_bottlenecks):
         entry.restype = None
     return lib
 
@@ -119,22 +112,16 @@ def _edges(window: GraphWindow, rows: int) -> list:
     return [rows, window.n_vertices, window.n_edges, edges_u, edges_v, listed]
 
 
-def _label_block(window: GraphWindow, rows: int) -> np.ndarray:
-    """An empty ``(rows, n_vertices)`` block of the kernel's labels, refused
-    when its labels would overflow 32 bits."""
-    if rows * max(window.n_vertices, window.n_edges) > np.iinfo(np.int32).max:
-        raise ValueError(f"a block of {rows} trials overflows the kernel's 32-bit labels")
-    return np.empty((rows, window.n_vertices), dtype=np.int32)
-
-
 def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     """Labels of each row of a boolean ``(rows, n_edges)`` open-edge block."""
     open_matrix = np.ascontiguousarray(open_matrix, dtype=np.bool_)
     if open_matrix.ndim != 2 or open_matrix.shape[1] != window.n_edges:
         raise ValueError(f"open block of shape {open_matrix.shape} does not fit {window.n_edges} edges")
-    edges = _edges(window, open_matrix.shape[0])
-    labels = _label_block(window, open_matrix.shape[0])
-    library().mask_labels(*edges, open_matrix, labels)
+    rows = open_matrix.shape[0]
+    if rows * max(window.n_vertices, window.n_edges) > np.iinfo(np.int32).max:
+        raise ValueError(f"a block of {rows} trials overflows the kernel's 32-bit labels")
+    labels = np.empty((rows, window.n_vertices), dtype=np.int32)
+    library().mask_labels(*_edges(window, rows), open_matrix, labels)
     return labels
 
 
@@ -172,12 +159,12 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     cluster, on each keyed trial ``start .. stop - 1``.
 
     Trial ``t`` opens the edges ``keyed_uniforms(window.edge_keys, seed, t)
-    < window.probs`` opens, so the reach equals ``engine.origin_reach`` of
-    those masks' labels; but it is found by a best-first search from the
-    origin that draws only the edges it examines, and stops at the window's
-    largest norm.  The kernel computes each examined edge's
-    ``open_thresholds`` entry from its probability, so a window's search
-    holds no threshold array.
+    < window.probs`` opens, so the reach is the largest norm that shares the
+    origin's label in :func:`mask_labels` of those masks; but it is found by
+    a best-first search from the origin that draws only the edges it
+    examines, and stops at the window's largest norm.  The kernel computes
+    each examined edge's ``open_thresholds`` entry from its probability, so
+    a window's search holds no threshold array.
     """
     rows = _trial_count(start, stop)
     if window.origin_index is None:
@@ -202,22 +189,6 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     return norms[reach]
 
 
-def indexed_labels(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
-    """Labels of indexed trials ``start .. stop - 1``, drawn and clustered in one pass.
-
-    The kernel computes the Philox words itself, so the trials open exactly
-    the edges ``indexed_uniform_matrix(n_edges, seed, stop - start, start) <
-    window.probs`` opens.
-    """
-    rows = _trial_count(start, stop)
-    thresholds = window.open_thresholds
-    edges = _edges(window, rows)
-    labels = _label_block(window, rows)
-    words = np.empty(window.n_edges, dtype=np.uint64)
-    library().indexed_labels(*edges, thresholds, seed & 0xFFFFFFFFFFFFFFFF, start, words, labels)
-    return labels
-
-
 def _sides(window: GraphWindow, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Per vertex, bit 1 for a ``left`` terminal and bit 2 for a ``right``
     one; a terminal outside the window is refused, not wrapped."""
@@ -237,10 +208,12 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     """Whether each indexed trial ``start .. stop - 1`` joins a ``left``
     terminal to a ``right`` one, as bools.
 
-    The trials open the edges :func:`indexed_labels` opens, so trial ``t``
-    hits exactly when a left and a right terminal share a label in its row;
-    but the kernel unites its open edges only until the sets meet and keeps
-    no labels.  A vertex in both sets makes every trial hit.
+    The kernel computes the Philox words itself, so the trials open exactly
+    the edges ``indexed_uniform_matrix(n_edges, seed, stop - start, start) <
+    window.probs`` opens, and trial ``t`` hits exactly when a left and a
+    right terminal share a label in :func:`mask_labels` of its mask; but the
+    kernel unites its open edges only until the sets meet and keeps no
+    labels.  A vertex in both sets makes every trial hit.
     """
     rows = _trial_count(start, stop)
     sides = _sides(window, np.asarray(left), np.asarray(right))
@@ -259,7 +232,7 @@ def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -
     """Each indexed trial's bottleneck, for trials ``start .. stop - 1`` of a crossing window.
 
     A trial's bottleneck is the least ``b`` such that the edges whose 53-bit
-    Philox words (those of :func:`indexed_labels`) are at most ``b`` join
+    Philox words (those of ``rng.indexed_uniforms``) are at most ``b`` join
     the left and right terminals, as uint64; ``2^53`` if all the window's
     edges together leave them apart.
     So trial ``t`` crosses at ``p`` exactly when its bottleneck is below

@@ -232,6 +232,13 @@ def scipy_union_labels(window, open_matrix):
     return connected_components(graph, directed=False)[1].reshape(batch, n)
 
 
+def origin_reach(window: GraphWindow, labels: np.ndarray) -> np.ndarray:
+    """Largest sup-norm in the origin's cluster, per row of ``(rows, n_vertices)`` block labels:
+    the reference for ``kernel.keyed_reach``."""
+    cluster = labels == labels[:, [window.origin_index]]
+    return np.where(cluster, window.norms, 0).max(axis=1)
+
+
 def bisection_bottleneck(window: GraphWindow, seed: int, trial: int) -> float:
     """The least of indexed trial ``trial``'s uniforms at which its crossing
     window crosses, or 1.0 if it never does: the trial's sorted uniforms

@@ -24,7 +24,6 @@ from trunclab.engine import (
     exact_event_probability,
     mc_event_probability,
     origin_radius_profile,
-    trial_blocks,
     trial_open_mask,
 )
 from trunclab.harness import containment_check
@@ -88,9 +87,8 @@ def test_block_labels_match_per_trial_labels(graph, kind):
 @pytest.mark.parametrize("kind", ["slab", "long-range", "embedded", "small-crossing"])
 def test_estimates_over_ragged_blocks_match_per_trial_loop(graph, kind, monkeypatch):
     window = route_windows(graph)[kind]
-    monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 7 * window.n_edges)
-    trials = 45  # six blocks of 7 and one of 3
-    assert [stop - start for start, stop in trial_blocks(trials, window)] == [7] * 6 + [3]
+    monkeypatch.setattr(engine, "HITS_PER_CALL", 7)
+    trials = 45  # six calls of 7 trials and one of 3
     # The embedded window carries no boundary set; its event joins the origin
     # to the last vertex.
     event = {"slab": "crossing", "small-crossing": "crossing", "long-range": "origin_boundary",
@@ -103,15 +101,9 @@ def test_estimates_over_ragged_blocks_match_per_trial_loop(graph, kind, monkeypa
     assert mc_event_probability(window, event, trials, 23).successes == expected
 
 
-def test_blocks_of_an_edgeless_window_fit_the_union_indices():
-    # 14,641 vertices and no edge: a block is sized by its vertices, so the
-    # labels of a block stay inside the kernel's 32-bit labels.
+def test_an_edgeless_window_never_reaches_its_boundary():
     window = long_range_radial_window(PS.constant(0.0), 60)
-    assert window.n_edges == 0
-    blocks = list(trial_blocks(200_000, window))
-    assert blocks[0][0] == 0 and blocks[-1][1] == 200_000
-    assert all(stop == next_start for (_, stop), (next_start, _) in zip(blocks, blocks[1:]))
-    assert all((stop - start) * window.n_vertices <= engine.BLOCK_UNIFORMS for start, stop in blocks)
+    assert window.n_edges == 0 and window.n_vertices == 14_641
     assert mc_event_probability(window, "origin_boundary", 30, 1).successes == 0
 
 
@@ -174,9 +166,8 @@ def test_matrix_start_offsets_per_trial_streams():
         assert np.array_equal(matrix, indexed_uniform_matrix(n_edges, 97, 23)[17:])
 
 
-def test_radius_profile_matches_per_trial_reach(monkeypatch):
+def test_radius_profile_matches_per_trial_reach():
     window = long_range_radial_window(PS.constant(0.55).truncate(2), 8)
-    monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 9 * window.n_edges)
     radii = [2, 4, 8]
     _, indicators = origin_radius_profile(window, radii, 50, 3)
     norms = np.abs(window.coords).max(axis=1)

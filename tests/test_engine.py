@@ -310,6 +310,15 @@ class TestMonotoneCoupling:
         with pytest.raises(ValueError, match=re.escape(f"got {radii}")):
             origin_radius_profile(window, radii, 500, 3)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_refused(self, trials):
+        # Zero trials would give estimates of 0/0, reported as 0.0 +- 0.0.
+        window = long_range_radial_window(PS.constant(0.2).truncate(2), 6)
+        with pytest.raises(ValueError, match=re.escape("trials must be >= 1")):
+            origin_radius_profile(window, [2, 4], trials, 3)
+        with pytest.raises(ValueError, match=re.escape("trials must be >= 1")):
+            origin_boundary_estimate(window, trials, 3)
+
 
 class TestOriginBoundary:
     @pytest.mark.parametrize(

@@ -4,12 +4,12 @@ Every Monte Carlo estimate clusters through :mod:`trunclab.kernel`.  Its
 labels must give the same partitions as scipy's ``connected_components``
 (``scipy_union_labels``) and the pure-Python ``UnionFind`` on every window
 family, and they must take the documented form: the smallest vertex index of
-the component plus ``row * n_vertices``.  The indexed drawing entry point
-must open exactly the edges numpy's Philox stream
-(``indexed_uniform_matrix``) opens.  It returns labels only, so the draws
-are checked on chain windows, where every edge is a bridge and its ends
-share a label exactly when it is open (:func:`bridge_mask`), and on every
-family window against ``mask_labels`` of the reference mask.  The
+the component plus ``row * n_vertices``.  The indexed hits must open exactly
+the edges numpy's Philox stream (``indexed_uniform_matrix``) opens.  A hit
+says only whether two terminal sets join, so the draws are checked on chain
+windows, where every edge is a bridge and a hit from one of its ends to the
+other says whether it is open (:func:`bridge_hits`), and on every family
+window against the labels of the reference mask.  The
 hand-built window with unsorted ``edges_u`` is checked against all three
 references in ``test_batched_route.py``.  The search from the origin
 (``keyed_reach``) must give, on every trial, the reach that
@@ -35,8 +35,8 @@ from hypothesis import strategies as st
 
 from trunclab import engine, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
-from trunclab.engine import UnionFind, component_labels, origin_reach, trial_blocks
-from trunclab.kernel import indexed_bottlenecks, indexed_hits, indexed_labels, keyed_reach, mask_labels
+from trunclab.engine import UnionFind, component_labels
+from trunclab.kernel import indexed_bottlenecks, indexed_hits, keyed_reach, mask_labels
 from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms, mix64, open_thresholds
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
@@ -48,7 +48,7 @@ from trunclab.windows import (
     long_range_radial_window,
 )
 
-from conftest import bisection_bottleneck, scipy_union_labels
+from conftest import bisection_bottleneck, origin_reach, scipy_union_labels
 
 
 def smallest_member(reference: np.ndarray) -> np.ndarray:
@@ -66,10 +66,12 @@ def expected_labels(reference_block: np.ndarray) -> np.ndarray:
     )
 
 
-def bridge_mask(window: GraphWindow, labels: np.ndarray) -> np.ndarray:
-    """The open mask of each labelled trial of a window whose every edge is a
-    bridge: such an edge is open iff its two ends share a label."""
-    return labels[:, window.edges_u] == labels[:, window.edges_v]
+def bridge_hits(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """The open mask of indexed trials ``start .. stop - 1`` of a window whose
+    every edge is a bridge: such an edge is open iff its two ends join."""
+    return np.stack(
+        [indexed_hits(window, [u], [v], seed, start, stop) for u, v in zip(window.edges_u, window.edges_v)], axis=1
+    )
 
 
 def union_find_labels(window: GraphWindow, mask: np.ndarray) -> np.ndarray:
@@ -111,22 +113,20 @@ def test_kernel_scipy_and_union_find_agree_on_every_family(name):
         assert np.array_equal(labels[row] - row * window.n_vertices, smallest_member(forest))
     # Labels never repeat across the rows of a block.
     assert len(np.unique(labels)) == sum(len(np.unique(row)) for row in labels)
-    # The kernel's own draw of the same indexed trials gives the same block.
-    assert np.array_equal(indexed_labels(window, 5, 3, 12), labels)
+    # The kernel's own draw of the same indexed trials joins the pairs these labels join.
+    n = window.n_vertices
+    for a, b in ((0, n - 1), (n // 2, 1)):
+        assert np.array_equal(indexed_hits(window, [a], [b], 5, 3, 12), labels[:, a] == labels[:, b])
 
 
 @pytest.mark.parametrize("name", ["slab-crossing-d3", "embedded", "long-range-radial"])
-def test_ragged_blocks_match_scipy(name, monkeypatch):
+def test_ragged_blocks_match_scipy(name):
     window = FAMILIES[name]
-    monkeypatch.setattr(engine, "BLOCK_UNIFORMS", 4 * window.n_edges)
-    trials = 11  # blocks of 4, 4 and 3
+    trials = 11
     opened = indexed_uniform_matrix(window.n_edges, 17, trials) < window.probs
-    sizes = []
-    for start, stop in trial_blocks(trials, window):
-        sizes.append(stop - start)
+    for start, stop in ((0, 4), (4, 8), (8, 11)):
         block = opened[start:stop]
         assert np.array_equal(mask_labels(window, block), expected_labels(scipy_union_labels(window, block)))
-    assert sizes == [4, 4, 3]
     for trial in range(trials):
         assert np.array_equal(
             component_labels(window, opened[trial]),
@@ -142,7 +142,7 @@ def test_edgeless_window_with_many_vertices():
     assert np.array_equal(labels.ravel(), np.arange(rows * window.n_vertices))
     assert window.edge_keys.shape == (0,)
     assert np.array_equal(keyed_reach(window, 3, 40, 40 + rows), np.zeros(rows))
-    assert np.array_equal(indexed_labels(window, 3, 40, 40 + rows), labels)
+    assert not indexed_hits(window, [window.origin_index], window.terminals["boundary"], 3, 40, 40 + rows).any()
 
 
 def with_probability(window: GraphWindow, p: float) -> GraphWindow:
@@ -230,10 +230,8 @@ def test_indexed_masks_equal_numpy_philox(n_edges, seed):
     window = chain_window(n_edges, 0.5)
     # A start past 2^64 / ceil(E / 4) carries the Philox counter into its second word.
     for start, stop in ((0, 7), (13, 16), (2**62 + 5, 2**62 + 8)):
-        labels = indexed_labels(window, seed, start, stop)
         reference = indexed_uniform_matrix(n_edges, seed, stop - start, start) < window.probs
-        assert np.array_equal(bridge_mask(window, labels), reference)
-        assert np.array_equal(labels, mask_labels(window, reference))
+        assert np.array_equal(bridge_hits(window, seed, start, stop), reference)
 
 
 def test_indexed_threshold_is_exact_at_the_boundary():
@@ -245,15 +243,11 @@ def test_indexed_threshold_is_exact_at_the_boundary():
     window = chain_window(n_edges, uniforms + np.where(above, 2.0**-53, 0.0))
     thresholds = window.open_thresholds
     assert (thresholds - (uniforms * 2.0**53).astype(np.uint64)).tolist() == above.astype(int).tolist()
-    opened = bridge_mask(window, indexed_labels(window, seed, trial, trial + 1))
+    opened = bridge_hits(window, seed, trial, trial + 1)
     assert opened[0].tolist() == above.tolist()
     assert (indexed_uniforms(n_edges, seed, trial) < window.probs).tolist() == above.tolist()
     for p in (0.0, 1.0):
-        certain = chain_window(n_edges, p)
-        labels = indexed_labels(certain, seed, 0, 50)
-        opened = bridge_mask(certain, labels)
-        assert (opened == bool(p)).all()
-        assert np.array_equal(labels, mask_labels(certain, opened))
+        assert (bridge_hits(chain_window(n_edges, p), seed, 0, 50) == bool(p)).all()
 
 
 def test_out_of_range_inputs_are_refused():
@@ -307,20 +301,20 @@ def test_draws_refuse_a_window_whose_arrays_do_not_fit_naming_its_family(name, f
         keyed_reach(window, 1, 0, 2)
     if fault == "probs":
         with pytest.raises(ValueError, match=re.escape(repr(window.family))):
-            indexed_labels(window, 1, 0, 2)
+            indexed_hits(window, [0], [1], 1, 0, 2)
 
 
 def test_thresholds_are_computed_once_per_window_and_only_when_valid():
     valid = FAMILIES["long-range-radial"]
     window = dataclasses.replace(valid, probs=valid.probs[:-1])
     with pytest.raises(ValueError, match="one edge probability per edge"):
-        indexed_labels(window, 1, 0, 2)
+        indexed_hits(window, [0], [1], 1, 0, 2)
     assert "open_thresholds" not in vars(window)
     window.probs = valid.probs
-    labels = indexed_labels(window, 1, 0, 2)
+    hits = indexed_hits(window, [0], [1], 1, 0, 2)
     cached = vars(window)["open_thresholds"]
     assert np.array_equal(cached, open_thresholds(valid.probs))
-    assert np.array_equal(indexed_labels(window, 1, 0, 2), labels)
+    assert np.array_equal(indexed_hits(window, [0], [1], 1, 0, 2), hits)
     assert vars(window)["open_thresholds"] is cached
 
 
@@ -331,6 +325,17 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     command = [*kernel.COMPILER, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
     result = subprocess.run(command, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_exported_kernel_function_is_declared():
+    # ctypes calls an entry point without argtypes by its default int
+    # conversion, which silently truncates int64 arguments.
+    exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", kernel.SOURCE.read_text(), re.MULTILINE))
+    lib = kernel.library()
+    declared = {name for name, entry in vars(lib).items() if isinstance(entry, lib._FuncPtr)}
+    assert exported == declared
+    for name in declared:
+        assert getattr(lib, name).argtypes is not None and getattr(lib, name).restype is None, name
 
 
 def test_second_load_reuses_the_cached_library(monkeypatch):
@@ -579,8 +584,7 @@ def crossing_hits(window: GraphWindow, seed: int, start: int, stop: int) -> np.n
 
 def test_per_trial_entry_points_refuse_a_reversed_trial_range():
     radial, crossing = FAMILIES["long-range-radial"], FAMILIES["grid-crossing-d2"]
-    for draw, window in ((keyed_reach, radial), (indexed_labels, radial), (indexed_bottlenecks, crossing),
-                         (crossing_hits, crossing)):
+    for draw, window in ((keyed_reach, radial), (indexed_bottlenecks, crossing), (crossing_hits, crossing)):
         with pytest.raises(ValueError, match=re.escape("trial range [5, 3) ends before it starts")):
             draw(window, 1, 5, 3)
         assert draw(window, 1, 5, 5).shape[0] == 0
@@ -673,7 +677,7 @@ def test_hits_keep_no_labels_so_a_block_may_outgrow_the_32_bit_labels():
     wide = long_range_radial_window(PS.constant(0.0), 127)  # 65,025 vertices
     rows = 2**31 // wide.n_vertices + 1
     with pytest.raises(ValueError, match="32-bit"):
-        indexed_labels(wide, 1, 0, rows)
+        mask_labels(wide, np.zeros((rows, 0), dtype=bool))
     # A vertex in both sets: every trial hits without touching the window.
     assert indexed_hits(wide, [0], [0], 1, 0, rows).all()
 
