@@ -13,14 +13,15 @@
  * final label of a vertex is that index plus `row * n`, unique across the
  * block.
  *
- * mask_labels and indexed_hits first list a trial's open edges in the
- * caller's scratch array `listed` (one slot per edge; an index is always
- * written and the count advances only when the edge is open, so the listing
- * loop has no data-dependent branch), then unite the endpoints of the listed
- * edges.  indexed_hits draws the trial's words first and keeps no labels: it
- * unites the listed edges, carrying each root's terminal side bits, only
- * until the two sets join.  The bottleneck sweep lists a trial's edges in
- * the same way, by where their words lie against the band.
+ * mask_labels first lists a trial's open edges in the caller's scratch array
+ * `listed` (one slot per edge; an index is always written and the count
+ * advances only when the edge is open, so the listing loop has no
+ * data-dependent branch), then unites the endpoints of the listed edges.
+ * The bottleneck sweep lists a trial's edges in the same way, by where their
+ * words lie against the band.  indexed_hits keeps no labels: it runs 64
+ * trials to a machine word, one bit (lane) each, drawing their open edges as
+ * bit planes and searching from the left terminals over the window's
+ * incidence lists, in all 64 lanes at once, until every lane has hit.
  */
 #include <stdint.h>
 
@@ -152,31 +153,91 @@ static int shared_terminal(int32_t n, const uint8_t *sides)
     return joined;
 }
 
+/* planes[e] = the lanes 0 .. lanes - 1 whose indexed trial, first + lane,
+ * opens edge e: its word (as in indexed_words) is below thresholds[e], the
+ * edges numpy's uniforms open with u < p, compared as integers.  Each Philox
+ * block is drawn for every lane in turn, and its four words are compared as
+ * they come, so no word is stored and the four plane words stay in
+ * registers; a block's slots past the last edge compare against 0. */
+static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_edges, const uint64_t *thresholds,
+                           uint64_t *planes)
+{
+    const uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
+    for (int64_t e = 0; e < n_edges; e += 4) {
+        const int64_t width = n_edges - e < 4 ? n_edges - e : 4;
+        uint64_t below[4] = {0, 0, 0, 0}, plane[4] = {0, 0, 0, 0};
+        for (int64_t w = 0; w < width; w++)
+            below[w] = thresholds[e + w];
+        unsigned __int128 block = (unsigned __int128)(uint64_t)first * blocks + 1 + (uint64_t)e / 4;
+        for (int lane = 0; lane < lanes; lane++, block += blocks) {
+            uint64_t word[4];
+            philox4x64_10((uint64_t)block, (uint64_t)(block >> 64), seed, word);
+            for (int w = 0; w < 4; w++)
+                plane[w] |= (uint64_t)((word[w] >> 11) < below[w]) << lane;
+        }
+        for (int64_t w = 0; w < width; w++)
+            planes[e + w] = plane[w];
+    }
+}
+
 /* hits[row] = whether indexed trial start + row joins the left terminals
- * (bit 1 of sides[v]) to the right ones (bit 2): its open edges are united
- * in index order until a union holds both sides.  The trial opens edge e iff
- * its indexed word is below thresholds[e]: the edges numpy's uniforms open
- * with u < p, compared as integers.  `words`, `parent` and `reached` are
- * scratch. */
+ * (bit 1 of sides[v]) to the right ones (bit 2).  The trials go 64 to a
+ * machine word, one bit (lane) each, the multi-spin coding of lattice Monte
+ * Carlo (Zorn, Herrmann and Rebbi, Comput. Phys. Commun. 23, 1981):
+ * planes[e] holds the lanes that open edge e, and reach[v] the lanes in
+ * which v joins a left terminal.  A frontier search from the left terminals
+ * over the incidence lists (offsets, incident) moves the lanes that newly
+ * reached x, pending[x], across each edge e to its other end y, adding
+ * pending[x] & planes[e] & ~reach[y] to reach[y]; y is queued (a ring of n
+ * slots: a vertex is queued at most once, while its pending word is
+ * nonzero) only when its word grows.  So every lane crosses every edge at
+ * most once.  Lanes that have hit spread no further, and a group's search
+ * stops once every lane has hit; the vertices are reset once per group.
+ * `planes`, `reach`, `pending` and `queue` are scratch. */
 void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
-                  int32_t *listed, const uint64_t *thresholds, const uint8_t *sides, uint64_t seed,
-                  int64_t start, uint64_t *words, int32_t *parent, uint8_t *reached, uint8_t *hits)
+                  const int32_t *offsets, const int32_t *incident, const uint64_t *thresholds,
+                  const uint8_t *sides, uint64_t seed, int64_t start, uint64_t *planes, uint64_t *reach,
+                  uint64_t *pending, int32_t *queue, uint8_t *hits)
 {
     const int joined = shared_terminal(n, sides);
-    for (int64_t row = 0; row < rows; row++) {
-        int hit = joined;
+    for (int64_t first = 0; first < rows; first += 64) {
+        const int lanes = rows - first < 64 ? (int)(rows - first) : 64;
+        const uint64_t every = ~(uint64_t)0 >> (64 - lanes);
+        uint64_t hit = joined ? every : 0;
         if (!hit) {
-            indexed_words(seed, start + row, n_edges, words);
-            int64_t count = 0;
-            for (int64_t e = 0; e < n_edges; e++) {
-                listed[count] = (int32_t)e;
-                count += words[e] < thresholds[e];
+            indexed_planes(seed, start + first, lanes, n_edges, thresholds, planes);
+            int32_t head = 0, count = 0;
+            for (int32_t v = 0; v < n; v++) {
+                reach[v] = pending[v] = sides[v] & 1 ? every : 0;
+                if (sides[v] & 1)
+                    queue[count++] = v;
             }
-            reset_sides(n, sides, parent, reached);
-            for (int64_t i = 0; i < count && !hit; i++)
-                hit = joins(parent, reached, edges_u[listed[i]], edges_v[listed[i]]);
+            while (count > 0 && hit != every) {
+                int32_t x = queue[head];
+                head = head + 1 == n ? 0 : head + 1;
+                count--;
+                uint64_t spread = pending[x] & ~hit;
+                pending[x] = 0;
+                for (int32_t i = offsets[x]; spread && i < offsets[x + 1]; i++) {
+                    int32_t e = incident[i];
+                    int32_t y = edges_u[e] ^ edges_v[e] ^ x;
+                    uint64_t add = spread & planes[e] & ~reach[y];
+                    if (!add)
+                        continue;
+                    reach[y] |= add;
+                    if (sides[y] & 2)
+                        hit |= add;
+                    if (!pending[y]) {
+                        int32_t tail = head + count < n ? head + count : head + count - n;
+                        queue[tail] = y;
+                        count++;
+                    }
+                    pending[y] |= add;
+                }
+            }
         }
-        hits[row] = (uint8_t)hit;
+        for (int lane = 0; lane < lanes; lane++)
+            hits[first + lane] = (uint8_t)(hit >> lane & 1);
     }
 }
 

@@ -7,13 +7,13 @@ so estimates cannot depend on trial execution order and the same lattice
 edge can be coupled across different windows.
 
 Every indexed Monte Carlo estimate here reads ``kernel.indexed_hits``:
-one call into the compiled union-find kernel (:mod:`trunclab.kernel`) draws
-a range of trials, computing the Philox words of the indexed stream in the
-loop that clusters them, and returns only whether each trial joins two
-terminal sets, uniting its open edges until they meet and keeping no masks
-and no labels.  :func:`mc_event_probability` sums those hits, and
-:func:`origin_radius_profile` takes one call per radius, from the origin to
-the vertices at that sup-norm or beyond.
+one call into the compiled kernel (:mod:`trunclab.kernel`) draws a range of
+trials, computing the Philox words of the indexed stream as bit planes, 64
+trials to a machine word, and returns only whether each trial joins two
+terminal sets, found by a frontier search in all 64 trials at once; it
+keeps no masks and no labels.  :func:`mc_event_probability` sums those
+hits, and :func:`origin_radius_profile` takes one call per radius, from the
+origin to the vertices at that sup-norm or beyond.
 The certification pass reads its keyed trials' reach from
 ``kernel.keyed_reach``, and the threshold estimates read each trial's
 crossing bottleneck from ``kernel.indexed_bottlenecks``.
@@ -22,10 +22,13 @@ no second route in the package.  The tests keep scipy's
 ``connected_components``, a per-trial sampler on the pure-Python
 :class:`UnionFind` and numpy's Philox generator as references the kernel
 must agree with.
-The exact oracle, :func:`exact_event_probability`, labels its enumerated
-configurations with its own vectorized label-propagation sweep, vertex by
-vertex over the whole batch, so Monte Carlo estimates are checked against
-connectivity code they do not share.
+The exact oracle, :func:`exact_event_probability`, packs its enumerated
+configurations 64 to a uint64 word, too, in numpy, and sweeps each vertex's
+reached configurations to a fixpoint, so Monte Carlo estimates are checked
+against connectivity code they do not share.  :func:`propagation_labels`
+(minimum-label propagation over a batch of configurations) is not called
+here: it is the tests' reference for the exact oracle, and the benchmark's
+tracer wraps it by name in this namespace.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from .windows import GraphWindow
 # with i, j vertex indices.
 
 MAX_EXACT_EDGES = 22
+# LANE_BITS[e] has bit l set when bit e of l is: lane l's configuration opens edge e.
+LANE_BITS = tuple(np.uint64(sum(1 << lane for lane in range(64) if lane >> e & 1)) for e in range(6))
 
 
 class EnumerationLimitError(Exception):
@@ -158,19 +163,6 @@ def propagation_labels(
         if not changed:
             return labels.T
     raise RuntimeError(f"label propagation did not settle within {n_vertices + 1} sweeps")
-
-
-def _connected_batch(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row connection test over ``(batch, n_vertices)`` label rows; terminal sets are small.
-
-    On :func:`propagation_labels`' vertex-major result each vertex's column
-    is a contiguous row.
-    """
-    hit = np.zeros(labels.shape[0], dtype=bool)
-    for s in left:
-        for t in right:
-            hit |= labels[:, s] == labels[:, t]
-    return hit
 
 
 def event_terminals(window: GraphWindow, event) -> tuple[np.ndarray, np.ndarray]:
@@ -318,11 +310,37 @@ def origin_radius_profile(
     return estimates, indicators
 
 
+def _joined_lanes(window: GraphWindow, planes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The lanes in which a ``left`` terminal joins a ``right`` one, as one
+    uint64 per word of ``planes``, whose row ``e`` holds the lanes that open
+    edge ``e``.  ``reach[v]`` holds the lanes in which ``v`` joins a left
+    terminal; an edge gives both ends the lanes open at it in which exactly
+    one end is reached, sweeping every edge until a sweep adds none."""
+    ends = list(zip(window.edges_u.tolist(), window.edges_v.tolist()))
+    reach = np.zeros((window.n_vertices, planes.shape[1]), dtype=np.uint64)
+    reach[left] = ~np.uint64(0)
+    crossing = np.empty(planes.shape[1], dtype=np.uint64)
+    changed = True
+    while changed:
+        changed = False
+        for e, (u, v) in enumerate(ends):
+            np.bitwise_xor(reach[u], reach[v], out=crossing)
+            crossing &= planes[e]
+            if crossing.any():
+                reach[u] |= crossing
+                reach[v] |= crossing
+                changed = True
+    return np.bitwise_or.reduce(reach[right], axis=0)
+
+
 def exact_event_probability(window: GraphWindow, event) -> float:
     """Sum of product-Bernoulli weights over all configurations in the event.
 
-    Exhaustive over all ``2^edges`` configurations, evaluated in vectorized
-    batches; refuses windows beyond ``MAX_EXACT_EDGES`` edges.
+    Exhaustive over all ``2^edges`` configurations, in batches of ``2^16``;
+    refuses windows beyond ``MAX_EXACT_EDGES`` edges.  A batch packs 64
+    configurations to a uint64 word, one bit (lane) each, with one bit plane
+    per edge, and finds the configurations in the event by sweeping each
+    vertex's reached lanes to a fixpoint (:func:`_joined_lanes`).
     """
     m = window.n_edges
     if m > MAX_EXACT_EDGES:
@@ -332,18 +350,29 @@ def exact_event_probability(window: GraphWindow, event) -> float:
     left, right = event_terminals(window, event)
     total_configs = 1 << m
     batch_size = min(total_configs, 1 << 16)
+    low = batch_size.bit_length() - 1  # the edges whose bits vary within a batch
     probs = window.probs
+    # The weight product of edges 0 .. low - 1, edge 0 first, at every pattern
+    # of their bits: configuration c's entry is its product's value there.
+    # Each batch multiplies on from edge low, so every weight takes the same
+    # multiplications in the same order as a product taken edge by edge.
+    prefix = np.ones(1)
+    for e in range(low):
+        prefix = np.concatenate([prefix * (1.0 - probs[e]), prefix * probs[e]])
     batch_totals = []
     for start in range(0, total_configs, batch_size):
-        configs = np.arange(start, min(start + batch_size, total_configs), dtype=np.uint32)
-        # Edge-major: row e opens edge e, so propagation reads contiguous rows.
-        open_rows = np.empty((m, configs.size), dtype=bool)
-        weights = np.ones(configs.size, dtype=np.float64)
+        weights = prefix.copy()
+        for e in range(low, m):
+            weights *= probs[e] if start >> e & 1 else 1.0 - probs[e]
+        # Configuration start + 64 w + l is lane l of word w, so edge e < 6
+        # opens the lanes with bit e set, and edge e >= 6 every lane of the
+        # words whose configurations have bit e set; the lanes of a batch
+        # under 64 configurations past its end are dropped from the hits.
+        word_index = np.arange(start >> 6, (start + batch_size + 63) >> 6, dtype=np.uint64)
+        planes = np.empty((m, word_index.size), dtype=np.uint64)
         for e in range(m):
-            bit = (configs >> np.uint32(e)) & np.uint32(1)
-            open_rows[e] = bit.astype(bool)
-            weights *= np.where(open_rows[e], probs[e], 1.0 - probs[e])
-        labels = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_rows.T)
-        hit = _connected_batch(labels, left, right)
+            planes[e] = LANE_BITS[e] if e < 6 else (word_index >> np.uint64(e - 6) & np.uint64(1)) * ~np.uint64(0)
+        joined = _joined_lanes(window, planes, left, right)
+        hit = np.unpackbits(joined.view(np.uint8), count=batch_size, bitorder="little").view(bool)
         batch_totals.append(float(weights[hit].sum()))
     return math.fsum(batch_totals)

@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .embedding import (
@@ -599,7 +598,6 @@ def _write_outputs(
         "versions": {
             "trunclab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},

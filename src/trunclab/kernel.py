@@ -4,20 +4,24 @@ each trial's crossing bottleneck.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of the source>.so`` next to it, and loaded with
-:mod:`ctypes`; later processes reuse the cached library.  :func:`mask_labels`
-labels a ``(rows, n_vertices)`` block of given open masks: a vertex's label
-is the smallest vertex index of its component plus ``row * n_vertices``, so
-labels never repeat across the rows of a block.  :func:`indexed_hits` draws
-each trial's edges from the indexed stream of :mod:`trunclab.rng` in the
-loop that lists them, against the window's ``open_thresholds``, and returns
-only whether each trial joins two terminal sets: it unites a trial's open
-edges until the sets meet and keeps no labels.  :func:`keyed_reach`
-returns only the origin's reach on keyed trials: a best-first search from
-the origin draws the edges it examines, usually a few hundred of the
-window's.  :func:`indexed_bottlenecks` returns, per indexed trial of a
-crossing window, the least open probability at which it crosses, as a
-53-bit word; within one call it sorts only the edges whose words lie in the
-band of the bottlenecks of the trials before.
+:mod:`ctypes`; later processes reuse the cached library, and a new build
+removes the builds of older texts.  :func:`mask_labels` labels a ``(rows,
+n_vertices)`` block of given open masks: a vertex's label is the smallest
+vertex index of its component plus ``row * n_vertices``, so labels never
+repeat across the rows of a block.  :func:`indexed_hits` draws each trial's
+edges from the indexed stream of :mod:`trunclab.rng` against the window's
+``open_thresholds`` and returns only whether each trial joins two terminal
+sets: it runs 64 trials to a machine word, one bit (lane) each, holding
+one word of lanes per edge (the lanes that open it) and per vertex (the
+lanes in which it joins a left terminal), and a frontier search from the
+left terminals over the window's incidence lists spreads the lanes until
+every lane has hit or the frontier is empty.  :func:`keyed_reach` returns
+only the origin's reach on keyed trials: a best-first search from the
+origin draws the edges it examines, usually a few hundred of the window's.
+:func:`indexed_bottlenecks` returns, per indexed trial of a crossing
+window, the least open probability at which it crosses, as a 53-bit word;
+within one call it sorts only the edges whose words lie in the band of the
+bottlenecks of the trials before.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ COMPILER = ("cc", "-O2", "-shared", "-fPIC")
 
 
 def build(source: Path = SOURCE) -> Path:
-    """Path of the compiled ``source``, compiling it unless a build of the same text exists."""
+    """Path of the compiled ``source``, compiling it unless a build of the same text exists.
+
+    A new build removes the builds of every other text of ``source`` from the
+    cache, skipping one that another process removed first.
+    """
     digest = blake2b(source.read_bytes(), digest_size=32).hexdigest()
     target = source.parent / "__pycache__" / f"{source.stem}-{digest}.so"
     if target.exists():
@@ -65,6 +73,9 @@ def build(source: Path = SOURCE) -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    for stale in target.parent.glob(f"{source.stem}-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 
@@ -75,13 +86,16 @@ def _array(dtype):
 @functools.cache
 def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(build()))
-    # rows, n, n_edges, edges_u, edges_v, listed
-    edges = [ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.int32)]
-    lib.mask_labels.argtypes = edges + [_array(np.bool_), _array(np.int32)]
-    # thresholds, sides, seed, start, words, parent, reached, hits
-    lib.indexed_hits.argtypes = edges + [
-        _array(np.uint64), _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64),
-        _array(np.int32), _array(np.uint8), _array(np.bool_),
+    # rows, n, n_edges, edges_u, edges_v, listed, open, labels
+    lib.mask_labels.argtypes = [
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 3, _array(np.bool_), _array(np.int32),
+    ]
+    # rows, n, n_edges, edges_u, edges_v, offsets, incident, thresholds, sides, seed, start,
+    # planes, reach, pending, queue, hits
+    lib.indexed_hits.argtypes = [
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4, _array(np.uint64),
+        _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, *[_array(np.uint64)] * 3, _array(np.int32),
+        _array(np.bool_),
     ]
     # n, n_edges, edges_u, edges_v, offsets, incident
     lib.incidence.argtypes = [ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4]
@@ -104,14 +118,6 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-def _edges(window: GraphWindow, rows: int) -> list:
-    """The leading kernel arguments: the window's checked edge arrays and a
-    scratch list of one slot per edge, owned by this call."""
-    edges_u, edges_v = window.kernel_edges
-    listed = np.empty(window.n_edges, dtype=np.int32)
-    return [rows, window.n_vertices, window.n_edges, edges_u, edges_v, listed]
-
-
 def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     """Labels of each row of a boolean ``(rows, n_edges)`` open-edge block."""
     open_matrix = np.ascontiguousarray(open_matrix, dtype=np.bool_)
@@ -120,8 +126,10 @@ def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     rows = open_matrix.shape[0]
     if rows * max(window.n_vertices, window.n_edges) > np.iinfo(np.int32).max:
         raise ValueError(f"a block of {rows} trials overflows the kernel's 32-bit labels")
+    edges_u, edges_v = window.kernel_edges
     labels = np.empty((rows, window.n_vertices), dtype=np.int32)
-    library().mask_labels(*_edges(window, rows), open_matrix, labels)
+    listed = np.empty(window.n_edges, dtype=np.int32)
+    library().mask_labels(rows, window.n_vertices, window.n_edges, edges_u, edges_v, listed, open_matrix, labels)
     return labels
 
 
@@ -212,18 +220,22 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     the edges ``indexed_uniform_matrix(n_edges, seed, stop - start, start) <
     window.probs`` opens, and trial ``t`` hits exactly when a left and a
     right terminal share a label in :func:`mask_labels` of its mask; but the
-    kernel unites its open edges only until the sets meet and keeps no
-    labels.  A vertex in both sets makes every trial hit.
+    kernel keeps no labels.  It takes the trials 64 at a time, one bit of a
+    machine word each, and searches from the left terminals over the
+    window's :attr:`GraphWindow.incidence` lists in all 64 at once, stopping
+    when every one has hit.  A vertex in both sets makes every trial hit.
     """
     rows = _trial_count(start, stop)
     sides = _sides(window, np.asarray(left), np.asarray(right))
     thresholds = window.open_thresholds
-    edges = _edges(window, rows)
-    n = window.n_vertices
+    edges_u, edges_v = window.kernel_edges
+    offsets, incident = window.incidence
+    n, n_edges = window.n_vertices, window.n_edges
     hits = np.empty(rows, dtype=np.bool_)
     library().indexed_hits(
-        *edges, thresholds, sides, seed & 0xFFFFFFFFFFFFFFFF, start, np.empty(window.n_edges, dtype=np.uint64),
-        np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8), hits,
+        rows, n, n_edges, edges_u, edges_v, offsets, incident, thresholds, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
+        np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64),
+        np.empty(n, dtype=np.int32), hits,
     )
     return hits
 

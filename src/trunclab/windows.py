@@ -92,7 +92,7 @@ class GraphWindow:
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Each vertex's edges as int32 CSR ``(offsets, incident)``
         (:func:`trunclab.kernel.incidence`), built once per window for the
-        kernel's search from the origin."""
+        kernel's searches: the origin's keyed reach and the indexed hits."""
         return kernel.incidence(self)
 
     @cached_property

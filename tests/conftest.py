@@ -3,6 +3,7 @@ package code is checked against."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -13,7 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from trunclab.embedding import EmbeddingReport, SlabCoord
-from trunclab.engine import UnionFind, trial_open_mask
+from trunclab.engine import UnionFind, event_terminals, propagation_labels, trial_open_mask
 from trunclab.rng import indexed_uniforms
 from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import GraphWindow
@@ -260,6 +261,33 @@ def bisection_bottleneck(window: GraphWindow, seed: int, trial: int) -> float:
         else:
             lo = mid + 1
     return float(ranked[lo])
+
+
+def propagation_exact_probability(window: GraphWindow, event) -> float:
+    """Reference for ``exact_event_probability``: the same batches of 2^16
+    enumerated configurations and the same weight product, edge 0 first, one
+    multiply per edge and configuration, with the event read off
+    ``propagation_labels`` of the batch's open rows.  So the two agree bit
+    for bit."""
+    m = window.n_edges
+    left, right = event_terminals(window, event)
+    total_configs = 1 << m
+    batch_size = min(total_configs, 1 << 16)
+    batch_totals = []
+    for start in range(0, total_configs, batch_size):
+        configs = np.arange(start, start + batch_size, dtype=np.uint32)
+        open_rows = np.empty((m, batch_size), dtype=bool)
+        weights = np.ones(batch_size, dtype=np.float64)
+        for e in range(m):
+            open_rows[e] = ((configs >> np.uint32(e)) & np.uint32(1)).astype(bool)
+            weights *= np.where(open_rows[e], window.probs[e], 1.0 - window.probs[e])
+        labels = propagation_labels(window.n_vertices, window.edges_u, window.edges_v, open_rows.T)
+        hit = np.zeros(batch_size, dtype=bool)
+        for s in left:
+            for t in right:
+                hit |= labels[:, s] == labels[:, t]
+        batch_totals.append(float(weights[hit].sum()))
+    return math.fsum(batch_totals)
 
 
 def random_sequence(rng: np.random.Generator) -> ProbabilitySequence:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from trunclab.windows import (
     long_range_radial_window,
 )
 
-from conftest import bfs_components, sample_and_cluster, scipy_union_labels
+import test_acceptance
+from conftest import bfs_components, propagation_exact_probability, sample_and_cluster, scipy_union_labels
+from test_benchmark_contract import load_perfbench
 
 PS = ProbabilitySequence
 
@@ -220,7 +223,45 @@ class TestUnionFindAgainstBreadthFirstSearch:
             assert uf_parts == bfs_components(window.n_vertices, open_edges)
 
 
+def criterion_4_windows():
+    """The 50 windows and events of acceptance criterion 4, drawn as it draws them."""
+    rng = np.random.default_rng(test_acceptance.SEED + 4)
+    drawn = []
+    while len(drawn) < 50:
+        window = test_acceptance._random_small_window(rng)
+        if window is not None:
+            drawn.append(window)
+            rng.integers(0, 2**62)  # criterion 4's Monte Carlo seed
+    return drawn
+
+
+def oracle_slot_windows(seed):
+    """The windows and events of the benchmark's oracle slots that it enumerates."""
+    return [(item.window, item.event) for item in load_perfbench("workloads").draw_oracle_windows(seed) if item.exact]
+
+
 class TestExactOracle:
+    @pytest.mark.parametrize("source", ["criterion-4", 7, 11, 13])
+    def test_values_equal_the_label_propagation_reference_bit_for_bit(self, source):
+        windows = criterion_4_windows() if source == "criterion-4" else oracle_slot_windows(source)
+        for window, event in windows:
+            value = exact_event_probability(window, event)
+            assert value.hex() == propagation_exact_probability(window, event).hex(), (window.describe(), event)
+
+    def test_peak_memory_at_the_edge_cap_is_no_higher_than_the_reference(self):
+        window = long_range_box_window(PS.constant(0.37).truncate(1), (0, 7), (0, 1))
+        assert window.n_edges == MAX_EXACT_EDGES
+        values, peaks = [], []
+        for oracle in (exact_event_probability, propagation_exact_probability):
+            tracemalloc.start()
+            try:
+                values.append(oracle(window, ("pair", 0, window.n_vertices - 1)).hex())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert values[0] == values[1]
+        assert peaks[0] <= peaks[1]
+
     def test_single_edge(self):
         window = long_range_box_window(nn(0.37), (0, 1), (0, 0))
         assert exact_event_probability(window, ("pair", 0, 1)) == pytest.approx(0.37)
@@ -365,7 +406,7 @@ def test_propagation_labels_match_scipy(rng):
     open_matrix[6] = True
     batch = propagation_labels(n, window.edges_u, window.edges_v, open_matrix)
     assert batch.shape == (trials, n)
-    # The exact oracle's edge-major block, passed transposed, gives the same labels.
+    # The exact-oracle reference's edge-major block, passed transposed, gives the same labels.
     edge_major = np.ascontiguousarray(open_matrix.T)
     assert np.array_equal(propagation_labels(n, window.edges_u, window.edges_v, edge_major.T), batch)
     reference = scipy_union_labels(window, open_matrix)

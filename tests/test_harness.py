@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +297,7 @@ class TestPipeline:
             assert (out_a / name).exists()
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert manifest["master_seed"] == config.master_seed
-        assert "trunclab" in manifest["versions"]
+        assert sorted(manifest["versions"]) == ["numpy", "python", "trunclab"]
 
     def test_finite_support_fails_at_scale_selection(self, tmp_path):
         config = small_config(sequence=ProbabilitySequence.lacunary(0.9, support=(5,)))
@@ -608,3 +612,13 @@ class TestCli:
         report = run_pipeline(config, tmp_path / "out")
         assert report.failure_stage == "acceptance-checks" and report.exit_code == 2
         assert report.error == "failed checks: theta_floor"
+
+
+def test_the_package_runs_without_scipy():
+    # scipy is a test dependency: the package and its command line never import it.
+    code = "import sys, trunclab.harness, trunclab.cli; print('scipy' in sys.modules)"
+    # The package's own directory first, so a run without PYTHONPATH finds it too.
+    package_root = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"

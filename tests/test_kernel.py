@@ -23,10 +23,13 @@ numpy Philox masks join the event's terminal sets.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import os
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,15 +330,35 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+# The ctypes declaration of each C parameter type: a scalar's ctypes type, or
+# the element types an array of it may hold.
+C_SCALARS = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64}
+C_ARRAYS = {
+    "int32_t": {np.int32}, "int64_t": {np.int64}, "uint64_t": {np.uint64}, "uint8_t": {np.uint8, np.bool_},
+    "double": {np.float64},
+}
+
+
 def test_every_exported_kernel_function_is_declared():
     # ctypes calls an entry point without argtypes by its default int
-    # conversion, which silently truncates int64 arguments.
-    exported = set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", kernel.SOURCE.read_text(), re.MULTILINE))
+    # conversion, which silently truncates int64 arguments, and argtypes out
+    # of step with the C parameter list pass each array to another parameter.
+    source = kernel.SOURCE.read_text()
+    exported = dict(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(([^)]*)\)", source, re.MULTILINE))
     lib = kernel.library()
     declared = {name for name, entry in vars(lib).items() if isinstance(entry, lib._FuncPtr)}
-    assert exported == declared
-    for name in declared:
-        assert getattr(lib, name).argtypes is not None and getattr(lib, name).restype is None, name
+    assert exported.keys() == declared
+    for name, parameters in exported.items():
+        entry = getattr(lib, name)
+        assert entry.argtypes is not None and entry.restype is None, name
+        parameters = [" ".join(parameter.split()) for parameter in parameters.split(",")]
+        assert len(entry.argtypes) == len(parameters), name
+        for parameter, argtype in zip(parameters, entry.argtypes):
+            ctype = parameter.removeprefix("const ").split()[0]
+            if "*" in parameter:
+                assert np.dtype(argtype._dtype_).type in C_ARRAYS[ctype], (name, parameter)
+            else:
+                assert argtype is C_SCALARS[ctype], (name, parameter)
 
 
 def test_second_load_reuses_the_cached_library(monkeypatch):
@@ -355,11 +378,35 @@ def test_changed_source_builds_a_new_file(tmp_path):
     source = tmp_path / "_kernel.c"
     shutil.copy(kernel.SOURCE, source)
     first = kernel.build(source)
+    assert first.name == kernel.build().name  # the same text names the same file
+    other = first.parent / "other-0.so"  # another source's build stays
+    other.write_bytes(b"")
     source.write_text(source.read_text() + "/* changed */\n")
     second = kernel.build(source)
-    assert first.exists() and second.exists() and first != second
-    assert first.name == kernel.build().name  # the same text names the same file
-    assert sorted(p.name for p in second.parent.iterdir()) == sorted([first.name, second.name])
+    assert second.exists() and first != second
+    assert sorted(p.name for p in second.parent.iterdir()) == sorted([other.name, second.name])
+
+
+def test_a_stale_build_removed_by_another_process_is_skipped(tmp_path, monkeypatch):
+    source = tmp_path / "_kernel.c"
+    shutil.copy(kernel.SOURCE, source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = [cache / "_kernel-0.so", cache / "_kernel-1.so"]
+    for path in stale:
+        path.write_bytes(b"")
+    unlink = Path.unlink
+
+    def raced(path, missing_ok=False):
+        # Another process removes the file between the listing and this call.
+        os.remove(path)
+        unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", raced)
+    # A stand-in compiler that only writes its output file.
+    monkeypatch.setattr(kernel, "COMPILER", ("sh", "-c", 'touch "$2"', "sh"))
+    built = kernel.build(source)
+    assert [p.name for p in cache.iterdir()] == [built.name]
 
 
 @pytest.mark.parametrize("compiler", [("false",), ("trunclab-no-such-compiler",)])
@@ -649,6 +696,43 @@ def test_hits_equal_scipy_connections_of_the_numpy_draws(name, p):
             assert not hits.any()
         if p is None:
             assert 0 < hits.sum() < trials
+
+
+def scipy_hits(window: GraphWindow, left, right, seed: int, start: int, stop: int) -> np.ndarray:
+    """Whether each indexed trial ``start .. stop - 1`` joins ``left`` to
+    ``right`` in scipy's labels of the numpy Philox masks."""
+    labels = scipy_union_labels(window, indexed_uniform_matrix(window.n_edges, seed, stop - start, start) < window.probs)
+    return (labels[:, left][:, :, None] == labels[:, right][:, None, :]).any(axis=(1, 2))
+
+
+@pytest.mark.parametrize("p", [0.0, None, 1.0], ids=["p0", "own-p", "p1"])
+@pytest.mark.parametrize("start", [0, 37, 64, 1000])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 777])
+def test_every_lane_of_every_trial_group_equals_scipy(rows, start, p):
+    # The kernel runs 64 trials to a word: a range may end inside a group and
+    # start at any trial, and a terminal in both sets hits in every lane.
+    window, _ = HIT_WINDOWS["crossing-2"]
+    if p is not None:
+        window = with_probability(window, p)
+    left, right = engine.event_terminals(window, "crossing")
+    hits = indexed_hits(window, left, right, 41, start, start + rows)
+    assert np.array_equal(hits, scipy_hits(window, left, right, 41, start, start + rows))
+    if p is None and rows >= 63:
+        assert 0 < hits.sum() < rows
+    assert indexed_hits(window, [1, 2], [2, 3], 41, start, start + rows).all()
+
+
+def test_lanes_on_the_edgeless_r60_and_the_lacunary_r20_windows():
+    edgeless = long_range_radial_window(PS.constant(0.0), 60)
+    lacunary = long_range_radial_window(PS.lacunary(0.1, base=2).truncate(8), 20)
+    assert (edgeless.n_edges, edgeless.n_vertices, lacunary.n_edges) == (0, 14_641, 12_218)
+    for window in (edgeless, lacunary):
+        origin = [window.origin_index]
+        for far in (window.terminals["boundary"], np.flatnonzero(window.norms >= 3), origin):
+            hits = indexed_hits(window, origin, far, 7, 1000, 1129)
+            assert np.array_equal(hits, scipy_hits(window, origin, far, 7, 1000, 1129))
+            if window is lacunary:
+                assert 0 < hits.sum() < hits.size or far is origin
 
 
 @pytest.mark.parametrize("name", ["box-5x2", "slab-crossing-d3"])
