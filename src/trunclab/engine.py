@@ -12,11 +12,10 @@ trials, computing the Philox words of the indexed stream as bit planes, 64
 trials to a machine word, and returns only whether each trial joins two
 terminal sets, found by a frontier search in all 64 trials at once; it
 keeps no masks and no labels.  :func:`mc_event_probability` sums those
-hits, and :func:`origin_radius_profile` takes one call per radius, from the
-origin to the vertices at that sup-norm or beyond.
-The certification pass reads its keyed trials' reach from
-``kernel.keyed_reach``, and the threshold estimates read each trial's
-crossing bottleneck from ``kernel.indexed_bottlenecks``.
+hits.  :func:`origin_radius_profile` reads every radius off one keyed
+``kernel.keyed_reach`` search with :func:`reach_estimate`, as the
+certification pass's theta rows do, and the threshold estimates read each
+trial's crossing bottleneck from ``kernel.indexed_bottlenecks``.
 :func:`component_labels` labels an open-edge block given as masks.  There is
 no second route in the package.  The tests keep scipy's
 ``connected_components``, a per-trial sampler on the pure-Python
@@ -38,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import indexed_hits, mask_labels
+from .kernel import indexed_hits, keyed_reach, mask_labels
 # indexed_uniform_matrix is not called here (the kernel draws the indexed
 # trials itself), but it stays bound: the benchmark's tracer wraps it by name
 # in this namespace.
 from .rng import (
     INDEXED_STREAM_RULE,
+    KEYED_STREAM_RULE,
     indexed_uniform_matrix,  # noqa: F401
     indexed_uniforms,
     keyed_uniforms,
@@ -274,6 +274,11 @@ def origin_boundary_estimate(
     return mc_event_probability(window, "origin_boundary", trials, master_seed, label=label)
 
 
+def reach_estimate(reach: np.ndarray, radius: int, seed: int, label: str) -> Estimate:
+    """The share of keyed trials whose reach (:func:`trunclab.kernel.keyed_reach`) is at least ``radius``."""
+    return _make_estimate(int((reach >= radius).sum()), reach.size, seed, KEYED_STREAM_RULE, label)
+
+
 def origin_radius_profile(
     window: GraphWindow,
     radii: list[int],
@@ -284,12 +289,13 @@ def origin_radius_profile(
     """Shared-trial estimates of reaching sup-norm distance >= r for several r.
 
     Trial ``t`` reaches ``r`` when its origin's cluster holds a vertex of
-    sup-norm at least ``r``: a hit from the origin to those vertices.  All
-    radii are evaluated on the same sampled configurations, and they must be
-    at least 1 and strictly increasing, so each radius's target set holds
-    the next one's and the per-trial indicator matrix (second return value)
-    is nonincreasing along the radius axis; the estimates inherit exact
-    monotone coupling rather than merely statistical ordering.
+    sup-norm at least ``r``.  One keyed search (:func:`trunclab.kernel.keyed_reach`)
+    finds every trial's reach, the largest such norm, and each radius is read
+    off it, so all radii are evaluated on the same sampled configurations.
+    They must be at least 1 and strictly increasing, so the per-trial
+    indicator matrix (second return value) is nonincreasing along the radius
+    axis; the estimates inherit exact monotone coupling rather than merely
+    statistical ordering.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -298,16 +304,9 @@ def origin_radius_profile(
     radii = list(radii)
     if any(r < 1 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be at least 1 and strictly increasing, got {radii}")
-    indicators = np.empty((trials, len(radii)), dtype=bool)
-    for i, r in enumerate(radii):
-        far = np.flatnonzero(window.norms >= r)
-        indicators[:, i] = indexed_hits(window, [window.origin_index], far, master_seed, 0, trials)
-    estimates = [
-        _make_estimate(int(indicators[:, i].sum()), trials, master_seed, INDEXED_STREAM_RULE,
-                       label=f"{label}r{r}" if label else f"reach-r{r}")
-        for i, r in enumerate(radii)
-    ]
-    return estimates, indicators
+    reach = keyed_reach(window, master_seed, 0, trials)
+    estimates = [reach_estimate(reach, r, master_seed, f"{label}r{r}" if label else f"reach-r{r}") for r in radii]
+    return estimates, reach[:, None] >= np.array(radii, dtype=np.int64)
 
 
 def _joined_lanes(window: GraphWindow, planes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ draws only the edges it examines, which draws can do in any order, so the
 reach is exact.  A path that leaves the open box
 ``{|x| < r}`` first lands at a vertex of norm below ``r + N``, so the
 radius-``R`` windows decide that event exactly for every theta radius
-``r``, and each theta row is read off the per-trial reaches.
+``r``; :func:`trunclab.engine.reach_estimate` reads each theta row off the
+per-trial reaches, as it reads the radii of ``engine.origin_radius_profile``.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .embedding import (
 # each by name in this namespace.
 from .engine import (
     Estimate,
-    _make_estimate,
     component_labels,  # noqa: F401
     origin_boundary_estimate,  # noqa: F401
+    reach_estimate,
 )
 from .kernel import keyed_reach
 from .rng import (
@@ -300,8 +301,7 @@ class ContainmentReport:
         window radius minus the truncation level.
         """
         return tuple(
-            _make_estimate(int((reach >= radius).sum()), reach.size, self.seed, KEYED_STREAM_RULE,
-                           f"theta-{name}-r{radius}")
+            reach_estimate(reach, radius, self.seed, f"theta-{name}-r{radius}")
             for name, reach in (("embedded", self.embedded_reach), ("full", self.full_reach))
         )
 

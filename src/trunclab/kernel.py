@@ -3,9 +3,9 @@ indexed trial joins two terminal sets, the origin's reach by search, and
 each trial's crossing bottleneck.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
-``__pycache__/_kernel-<blake2b of the source>.so`` next to it, and loaded with
-:mod:`ctypes`; later processes reuse the cached library, and a new build
-removes the builds of older texts.  :func:`mask_labels` labels a ``(rows,
+``__pycache__/_kernel-<blake2b of COMPILER and the source>.so`` next to it,
+and loaded with :mod:`ctypes`; later processes reuse the cached library,
+and a new build removes the older builds.  :func:`mask_labels` labels a ``(rows,
 n_vertices)`` block of given open masks: a vertex's label is the smallest
 vertex index of its component plus ``row * n_vertices``, so labels never
 repeat across the rows of a block.  :func:`indexed_hits` draws each trial's
@@ -16,8 +16,9 @@ one word of lanes per edge (the lanes that open it) and per vertex (the
 lanes in which it joins a left terminal), and a frontier search from the
 left terminals over the window's incidence lists spreads the lanes until
 every lane has hit or the frontier is empty.  :func:`keyed_reach` returns
-only the origin's reach on keyed trials: a best-first search from the
-origin draws the edges it examines, usually a few hundred of the window's.
+only the origin's reach on keyed trials, for theta and the radius profile:
+a best-first search from the origin draws the edges it examines, usually a
+few hundred of the window's.
 :func:`indexed_bottlenecks` returns, per indexed trial of a crossing
 window, the least open probability at which it crosses, as a 53-bit word;
 within one call it sorts only the edges whose words lie in the band of the
@@ -46,12 +47,12 @@ COMPILER = ("cc", "-O2", "-shared", "-fPIC")
 
 
 def build(source: Path = SOURCE) -> Path:
-    """Path of the compiled ``source``, compiling it unless a build of the same text exists.
+    """Path of the compiled ``source``, compiling it unless a build of its text under ``COMPILER`` exists.
 
-    A new build removes the builds of every other text of ``source`` from the
-    cache, skipping one that another process removed first.
+    A new build removes every other build of ``source`` from the cache,
+    skipping one that another process removed first.
     """
-    digest = blake2b(source.read_bytes(), digest_size=32).hexdigest()
+    digest = blake2b(repr(COMPILER).encode() + source.read_bytes(), digest_size=32).hexdigest()
     target = source.parent / "__pycache__" / f"{source.stem}-{digest}.so"
     if target.exists():
         return target

@@ -12,7 +12,9 @@ order.  Identical inputs therefore always produce identical edge orderings,
 which is what ties the per-edge random streams down.  Builders work by index
 arithmetic on numpy arrays: in a box window a vertex index is the row-major
 rank of its coordinates, and the embedded window takes its edges from
-:meth:`trunclab.embedding.EmbeddedGraph.edges_among`.
+:meth:`trunclab.embedding.EmbeddedGraph.edges_among`.  Every builder
+attaches each edge's coordinate key (:func:`trunclab.rng.coordinate_edge_keys`),
+so every window can draw keyed trials and be searched from its origin.
 
 Edges carrying probability zero are omitted: they can never open, and for
 heavy-tailed sequences they would dominate the edge list.
@@ -44,7 +46,7 @@ class GraphWindow:
     carry ``left``/``right``, box radial windows carry ``origin``/``boundary``
     and the embedded window carries ``origin`` only.
     ``edge_keys`` are coordinate-derived 64-bit identifiers used by the keyed
-    (shared-uniform) sampling mode; they exist for planar families only.
+    (shared-uniform) sampling mode; every builder attaches them.
     ``free_axes`` counts the leading coordinate columns distance is measured on
     (not a slab's confined axes); None means all of them.
     """
@@ -123,10 +125,9 @@ def _finish(
     terminals: dict[str, np.ndarray],
     origin_index: int | None,
     meta: dict,
-    with_keys: bool,
 ) -> GraphWindow:
     edges_u, edges_v, probs, lengths = edges
-    window = GraphWindow(
+    return GraphWindow(
         family=family,
         coords=coords,
         edges_u=edges_u.astype(np.int32, copy=False),
@@ -135,11 +136,9 @@ def _finish(
         lengths=lengths.astype(np.int32, copy=False),
         terminals={name: np.asarray(idx, dtype=np.int64) for name, idx in terminals.items()},
         origin_index=origin_index,
+        edge_keys=coordinate_edge_keys(coords, edges_u, edges_v),
         meta=meta,
     )
-    if with_keys:
-        window.edge_keys = coordinate_edge_keys(coords, edges_u, edges_v)
-    return window
 
 
 def _box_coords(ranges: list[range]) -> np.ndarray:
@@ -186,7 +185,6 @@ def _box_window(
     steps: list[tuple[int, float]],
     event: str | None,
     meta: dict,
-    with_keys: bool,
     free_axes: int | None = None,
 ) -> GraphWindow:
     """The box ``ranges[0] x ranges[1] x ...`` with ``steps`` along every axis.
@@ -197,7 +195,7 @@ def _box_window(
     axes, all by default) reads ``ranges[0].stop - 1``; ``None`` attaches none.
     """
     coords = _box_coords(ranges)
-    window = _finish(family, coords, _box_edges(tuple(len(r) for r in ranges), steps), {}, None, meta, with_keys)
+    window = _finish(family, coords, _box_edges(tuple(len(r) for r in ranges), steps), {}, None, meta)
     window.free_axes = free_axes
     if event == "crossing":
         window.terminals = {
@@ -220,7 +218,7 @@ def _long_range_window(
     span = max(len(r) for r in ranges) - 1
     cap = span if seq.truncation is None else min(seq.truncation, span)
     steps = [(n, seq.probability(n)) for n in seq.supported_lengths(cap)]
-    return _box_window("z2-long-range", ranges, steps, event, {**meta, "seq": seq.describe()}, with_keys=True)
+    return _box_window("z2-long-range", ranges, steps, event, {**meta, "seq": seq.describe()})
 
 
 def long_range_box_window(
@@ -301,7 +299,7 @@ def lattice_window(
     else:
         ranges += [range(thickness)] * (dimension - 2)
         family, meta = f"slab-d{dimension}-k{thickness}", {"d": dimension, "K": thickness, "p": p, extent: size}
-    return _box_window(family, ranges, [(1, p)], event, meta, with_keys=False, free_axes=free)
+    return _box_window(family, ranges, [(1, p)], event, meta, free_axes=free)
 
 
 def embedded_radial_window(
@@ -347,4 +345,4 @@ def embedded_radial_window(
         "scales": list(scales),
         "seq": seq.describe(),
     }
-    return _finish("embedded", points, edges, {"origin": [origin]}, origin, meta, with_keys=True)
+    return _finish("embedded", points, edges, {"origin": [origin]}, origin, meta)

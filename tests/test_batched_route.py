@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trunclab import engine, harness
+from trunclab import engine, harness, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import (
     UnionFind,
@@ -27,8 +27,10 @@ from trunclab.engine import (
     trial_open_mask,
 )
 from trunclab.harness import containment_check
-from trunclab.rng import KEYED_STREAM_RULE, indexed_uniform_matrix, indexed_uniforms, keyed_uniforms
+from trunclab.rng import KEYED_STREAM_RULE, derive_seed, indexed_uniform_matrix, indexed_uniforms, keyed_uniforms
+from trunclab.sequences import EpsilonCertificate
 from trunclab.sequences import ProbabilitySequence as PS
+from trunclab.thresholds import ThresholdSettings
 from trunclab.windows import (
     GraphWindow,
     embedded_radial_window,
@@ -172,9 +174,61 @@ def test_radius_profile_matches_per_trial_reach():
     _, indicators = origin_radius_profile(window, radii, 50, 3)
     norms = np.abs(window.coords).max(axis=1)
     for trial in range(50):
-        labels = component_labels(window, trial_open_mask(window, 3, trial))
+        labels = component_labels(window, trial_open_mask(window, 3, trial, keyed=True))
         reach = norms[labels == labels[window.origin_index]].max()
         assert indicators[trial].tolist() == [reach >= r for r in radii]
+
+
+def test_radius_profile_reads_the_search_that_theta_reads(monkeypatch):
+    # A run whose embedded theta rows are below 1, so the rows are not all alike.
+    config = harness.PipelineConfig(
+        sequence=PS.lacunary(0.5, base=2),
+        certificate=EpsilonCertificate(0.45, evidence="0.5 on a geometric length set"),
+        d_max=4,
+        k_max=3,
+        verify_coarse=2,
+        verify_vertical=2,
+        theta_radii=(4, 8, 12),
+        theta_trials=200,
+        containment_trials=100,
+        thresholds=ThresholdSettings(l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=400, coarse_trials=150),
+        master_seed=424242,
+    )
+    report = harness.run_pipeline(config)
+    assert report.passed
+    radii = list(config.theta_radii)
+    radius = max(radii) + report.truncation
+    seed = derive_seed(config.master_seed, "containment", radius)
+    truncated = config.sequence.truncate(report.truncation)
+    thickness = report.slab["thickness"]
+    graph = EmbeddedGraph(SlabParameters(report.slab["dimension"], thickness), ScaleVector(tuple(report.scales), thickness))
+    windows = {
+        "embedded": embedded_radial_window(graph, truncated, radius),
+        "full": long_range_radial_window(truncated, radius),
+    }
+    outcome = containment_check(windows["embedded"], windows["full"], 0, seed, theta_trials=config.theta_trials)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel.keyed_reach(*args)
+
+    def refused(*args):
+        raise AssertionError("the radius profile drew indexed hits")
+
+    monkeypatch.setattr(engine, "keyed_reach", counted)
+    monkeypatch.setattr(engine, "indexed_hits", refused)
+    for name, reach in (("embedded", outcome.embedded_reach), ("full", outcome.full_reach)):
+        calls.clear()
+        estimates, indicators = origin_radius_profile(windows[name], radii, config.theta_trials, seed)
+        assert len(calls) == 1
+        assert np.array_equal(indicators, reach[:, None] >= np.array(radii))
+        for estimate, row in zip(estimates, report.theta):
+            theta = row[name]
+            assert (estimate.successes, estimate.trials, estimate.seed, estimate.stream_rule) == (
+                theta["successes"], theta["trials"], theta["seed"], theta["stream_rule"]
+            )
+    assert [row["embedded"]["successes"] for row in report.theta] != [config.theta_trials] * len(radii)
 
 
 def per_trial_containment(embedded, full, trials, seed):

@@ -375,12 +375,19 @@ class TestOriginBoundary:
         ids=["z3-r3", "slab-d3-k2-r3", "long-range-r6", "slab-d3-k3-r2", "slab-d4-k4-r2", "open-slab-d3-k3-r1"],
     )
     def test_reach_is_measured_on_the_free_axes_like_the_rim(self, build, p):
-        # A slab's confined axes are no distance: on the same draws, reaching
-        # the window radius is touching the rim, and nothing reaches beyond it.
+        # A slab's confined axes are no distance: on the same keyed draws,
+        # reaching the window radius is touching the rim, and nothing reaches
+        # beyond it.  The rim count is scipy's labels of the keyed masks.
         window = build(p)
         radius = window.meta["radius"]
         (at_rim, beyond), _ = origin_radius_profile(window, [radius, radius + 1], 4000, 11)
-        assert at_rim.successes == origin_boundary_estimate(window, 4000, 11).successes
+        rim = window.terminals["boundary"]
+        touched = 0
+        for start in range(0, 4000, 500):
+            masks = np.stack([keyed_uniforms(window.edge_keys, 11, t) < window.probs for t in range(start, start + 500)])
+            labels = scipy_union_labels(window, masks)
+            touched += int((labels[:, rim] == labels[:, [window.origin_index]]).any(axis=1).sum())
+        assert at_rim.successes == touched
         assert beyond.successes == 0
 
     def test_certain_and_impossible(self):

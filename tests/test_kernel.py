@@ -298,7 +298,9 @@ def test_edges_are_checked_once_per_window_and_only_when_valid():
 )
 def test_draws_refuse_a_window_whose_arrays_do_not_fit_naming_its_family(name, fault):
     window = FAMILIES[name]
-    if fault is not None:
+    if fault is None:  # every builder attaches keys, so they are stripped here
+        window = dataclasses.replace(window, edge_keys=None)
+    else:
         window = dataclasses.replace(window, **{fault: getattr(window, fault)[:-1]})
     with pytest.raises(ValueError, match=re.escape(repr(window.family))):
         keyed_reach(window, 1, 0, 2)
@@ -364,7 +366,11 @@ def test_every_exported_kernel_function_is_declared():
 def test_second_load_reuses_the_cached_library(monkeypatch):
     path = kernel.build()
     assert path.exists() and path.parent.name == "__pycache__"
-    monkeypatch.setattr(kernel, "COMPILER", ("false",))
+
+    def compile_again(*args, **kwargs):
+        raise AssertionError("the cached library was compiled again")
+
+    monkeypatch.setattr(kernel.subprocess, "run", compile_again)
     kernel.library.cache_clear()
     try:
         assert kernel.build() == path
@@ -407,6 +413,19 @@ def test_a_stale_build_removed_by_another_process_is_skipped(tmp_path, monkeypat
     monkeypatch.setattr(kernel, "COMPILER", ("sh", "-c", 'touch "$2"', "sh"))
     built = kernel.build(source)
     assert [p.name for p in cache.iterdir()] == [built.name]
+
+
+def test_changed_compiler_flags_build_a_new_file(tmp_path, monkeypatch):
+    source = tmp_path / "_kernel.c"
+    shutil.copy(kernel.SOURCE, source)
+    # A stand-in compiler that takes one flag and only writes its output file.
+    monkeypatch.setattr(kernel, "COMPILER", ("sh", "-c", 'touch "$3"', "sh", "-O1"))
+    first = kernel.build(source)
+    assert kernel.build(source) == first
+    monkeypatch.setattr(kernel, "COMPILER", ("sh", "-c", 'touch "$3"', "sh", "-O3"))
+    second = kernel.build(source)
+    assert second != first
+    assert [p.name for p in second.parent.iterdir()] == [second.name]
 
 
 @pytest.mark.parametrize("compiler", [("false",), ("trunclab-no-such-compiler",)])

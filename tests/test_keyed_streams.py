@@ -10,9 +10,9 @@ errors of a zero correlation.
 
 The same checks run on two nearest-neighbour key sets in more dimensions: a
 3-D slab (thickness 2, free axes [-64, 64], 82,689 edges) and a 4-D box of
-Z^4 ([-6, 6]^4, 105,456 edges).  ``lattice_window`` attaches no keys, so
-they are computed from its coordinates with ``coordinate_edge_keys``, and
-each set is checked to hold no repeated key.
+Z^4 ([-6, 6]^4, 105,456 edges).  ``lattice_window`` attaches the keys
+``coordinate_edge_keys`` computes from its coordinates, which is checked
+first, and each set is checked to hold no repeated key.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ def draws(request, keys):
 def lattice_keys(request):
     build, n_edges = LATTICE_WINDOWS[request.param]
     window = build()
-    assert window.n_edges == n_edges and window.edge_keys is None
-    return coordinate_edge_keys(window.coords, window.edges_u, window.edges_v)
+    assert window.n_edges == n_edges
+    assert np.array_equal(window.edge_keys, coordinate_edge_keys(window.coords, window.edges_u, window.edges_v))
+    return window.edge_keys
 
 
 @pytest.fixture(scope="module", params=SEEDS)

@@ -26,11 +26,11 @@ from trunclab.windows import (
 )
 
 
-def reference_window(family, coords, edges, terminals, origin_index, meta, with_keys):
+def reference_window(family, coords, edges, terminals, origin_index, meta):
     coord_array = np.array(coords, dtype=np.int64).reshape(len(coords), -1)
     edges_u = np.array([e[0] for e in edges], dtype=np.int32)
     edges_v = np.array([e[1] for e in edges], dtype=np.int32)
-    window = {
+    return {
         "family": family,
         "coords": coord_array,
         "edges_u": edges_u,
@@ -39,14 +39,9 @@ def reference_window(family, coords, edges, terminals, origin_index, meta, with_
         "lengths": np.array([e[3] for e in edges], dtype=np.int32),
         "terminals": {name: np.array(idx, dtype=np.int64) for name, idx in terminals.items()},
         "origin_index": origin_index,
-        "edge_keys": None,
+        "edge_keys": coordinate_edge_keys(coord_array, edges_u, edges_v),
         "meta": meta,
     }
-    if with_keys and edges:
-        window["edge_keys"] = coordinate_edge_keys(coord_array, edges_u, edges_v)
-    elif with_keys:
-        window["edge_keys"] = np.empty(0, dtype=np.uint64)
-    return window
 
 
 def reference_long_range_edges(seq, coords, index, max_span, all_lengths):
@@ -83,7 +78,7 @@ def reference_box(seq, x_extent, y_extent, all_lengths=False):
     span = max(x_hi - x_lo, y_hi - y_lo, 1)
     edges = reference_long_range_edges(seq, coords, index, span, all_lengths)
     meta = {"x": list(x_extent), "y": list(y_extent), "seq": seq.describe()}
-    return reference_window("z2-long-range", coords, edges, {}, None, meta, True)
+    return reference_window("z2-long-range", coords, edges, {}, None, meta)
 
 
 def reference_crossing(seq, side, all_lengths=False):
@@ -95,7 +90,7 @@ def reference_crossing(seq, side, all_lengths=False):
         "right": [index[(side + 1, y)] for y in range(side + 1)],
     }
     meta = {"L": side, "seq": seq.describe()}
-    return reference_window("z2-long-range", coords, edges, terminals, None, meta, True)
+    return reference_window("z2-long-range", coords, edges, terminals, None, meta)
 
 
 def reference_radial(seq, radius, all_lengths=False):
@@ -106,7 +101,7 @@ def reference_radial(seq, radius, all_lengths=False):
     boundary = [i for i, (x, y) in enumerate(coords) if max(abs(x), abs(y)) == radius]
     terminals = {"origin": [index[(0, 0)]], "boundary": boundary}
     meta = {"radius": radius, "seq": seq.describe()}
-    return reference_window("z2-long-range", coords, edges, terminals, index[(0, 0)], meta, True)
+    return reference_window("z2-long-range", coords, edges, terminals, index[(0, 0)], meta)
 
 
 def reference_nearest_neighbor_edges(coords, p):
@@ -130,7 +125,7 @@ def reference_axis_box(family, ranges, p, meta):
         "left": [i for i, c in enumerate(coords) if c[0] == lo],
         "right": [i for i, c in enumerate(coords) if c[0] == hi],
     }
-    return reference_window(family, coords, edges, terminals, None, meta, False)
+    return reference_window(family, coords, edges, terminals, None, meta)
 
 
 def reference_grid_crossing(dimension, p, side):
@@ -152,7 +147,7 @@ def reference_grid_radial(dimension, p, radius):
     boundary = [i for i, c in enumerate(coords) if max(abs(v) for v in c) == radius]
     meta = {"d": dimension, "p": p, "radius": radius}
     terminals = {"origin": [origin], "boundary": boundary}
-    return reference_window(f"z{dimension}", coords, edges, terminals, origin, meta, False)
+    return reference_window(f"z{dimension}", coords, edges, terminals, origin, meta)
 
 
 def reference_slab_radial(dimension, thickness, p, radius):
@@ -164,7 +159,7 @@ def reference_slab_radial(dimension, thickness, p, radius):
     meta = {"d": dimension, "K": thickness, "p": p, "radius": radius}
     terminals = {"origin": [origin], "boundary": boundary}
     family = f"slab-d{dimension}-k{thickness}"
-    return reference_window(family, coords, edges, terminals, origin, meta, False)
+    return reference_window(family, coords, edges, terminals, origin, meta)
 
 
 def reference_embedded(graph, seq, radius):
@@ -204,7 +199,7 @@ def reference_embedded(graph, seq, radius):
         "scales": list(scales),
         "seq": seq.describe(),
     }
-    return reference_window("embedded", coords, edges, terminals, index[(0, 0)], meta, True)
+    return reference_window("embedded", coords, edges, terminals, index[(0, 0)], meta)
 
 
 ARRAYS = ("coords", "edges_u", "edges_v", "probs", "lengths", "edge_keys")
@@ -214,9 +209,6 @@ def assert_same_window(window, reference):
     assert window.family == reference["family"]
     for name in ARRAYS:
         built, expected = getattr(window, name), reference[name]
-        if expected is None:
-            assert built is None, name
-            continue
         assert built.dtype == expected.dtype, name
         assert built.shape == expected.shape, name
         assert np.array_equal(built, expected), name
