@@ -1,9 +1,9 @@
 /* Union-find labels of a block of given open masks (mask_labels), whether
  * each indexed trial joins two terminal sets (indexed_hits), a search for the
  * origin's reach that draws only the edges it examines (keyed_reach), and
- * each trial's crossing bottleneck by a sweep that sorts only the edges
+ * each keyed trial's crossing bottleneck by a sweep that sorts only the edges
  * whose words lie in the band of the call's earlier bottlenecks
- * (indexed_bottlenecks).
+ * (keyed_bottlenecks).  Only indexed_hits draws the indexed Philox stream.
  *
  * Built and loaded by kernel.py.  A block holds `rows` trials of one window
  * with `n` vertices and `n_edges` edges.  mask_labels clusters each trial
@@ -31,6 +31,18 @@ static inline uint64_t mix64(uint64_t z)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
+}
+
+/* Trial t's stamp and an edge's 53-bit word (its uniform is word * 2^-53)
+ * on the keyed stream of rng.py: a function of (key, seed, t) alone. */
+static inline uint64_t keyed_stamp(uint64_t seed, int64_t t)
+{
+    return mix64(seed ^ mix64((uint64_t)t + 1));
+}
+
+static inline uint64_t keyed_word(uint64_t key, uint64_t stamp)
+{
+    return mix64(key ^ stamp) >> 11;
 }
 
 /* One Philox4x64 round (Salmon et al., SC 2011) on (a, b, c, d) under key
@@ -104,23 +116,6 @@ void mask_labels(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_
     }
 }
 
-/* The 53-bit words (word >> 11) of indexed trial t over n_edges edges:
- * edge e takes word e % 4 of the Philox4x64-10 block t * ceil(n_edges / 4) +
- * 1 + e / 4 under key (seed, 0), the indexed stream of rng.py, whose uniforms
- * numpy computes as (word >> 11) * 2^-53. */
-static void indexed_words(uint64_t seed, int64_t t, int64_t n_edges, uint64_t *words)
-{
-    uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
-    unsigned __int128 block = (unsigned __int128)(uint64_t)t * blocks + 1;
-    for (int64_t e = 0; e < n_edges; e += 4, block++) {
-        uint64_t word[4];
-        philox4x64_10((uint64_t)block, (uint64_t)(block >> 64), seed, word);
-        int64_t width = n_edges - e < 4 ? n_edges - e : 4;
-        for (int64_t w = 0; w < width; w++)
-            words[e + w] = word[w] >> 11;
-    }
-}
-
 /* Unites the components of u and v, the smaller root taking the other
  * (itself, if they are one), and returns whether the united component holds
  * a left and a right terminal: reached[r] holds the side bits of root r's
@@ -153,12 +148,13 @@ static int shared_terminal(int32_t n, const uint8_t *sides)
     return joined;
 }
 
-/* planes[e] = the lanes 0 .. lanes - 1 whose indexed trial, first + lane,
- * opens edge e: its word (as in indexed_words) is below thresholds[e], the
- * edges numpy's uniforms open with u < p, compared as integers.  Each Philox
- * block is drawn for every lane in turn, and its four words are compared as
- * they come, so no word is stored and the four plane words stay in
- * registers; a block's slots past the last edge compare against 0. */
+/* planes[e] = the lanes 0 .. lanes - 1 whose indexed trial t = first + lane
+ * opens edge e: word e % 4 of Philox4x64-10 block t * ceil(n_edges / 4) + 1 +
+ * e / 4 under key (seed, 0), shifted right by 11, is below thresholds[e], as
+ * numpy's uniforms open edges with u < p.  Each Philox block is drawn for
+ * every lane in turn, and its four words are compared as they come, so no
+ * word is stored and the four plane words stay in registers; a block's
+ * slots past the last edge compare against 0. */
 static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_edges, const uint64_t *thresholds,
                            uint64_t *planes)
 {
@@ -308,12 +304,12 @@ static uint64_t band_bottleneck(int32_t n, int64_t n_edges, const int32_t *edges
     return never;
 }
 
-/* The bottleneck of indexed trial t = start + row: the word at which the
+/* The bottleneck of keyed trial t = start + row: the word at which the
  * window's left and right terminals first join when its edges open in
  * increasing word order, a Kruskal sweep (Newman and Ziff, Phys. Rev. Lett.
  * 85, 4104, 2000); 0 if a vertex is in both sets, 2^53 if they never join.
- * So the trial crosses at p exactly when its bottleneck is below
- * ceil(p * 2^53), the integer form of u < p on its rng.indexed_uniforms.
+ * Edge e's word is keyed_word(keys[e], keyed_stamp(seed, t)), so the trial
+ * crosses at p exactly when its bottleneck is below ceil(p * 2^53).
  * sides[v] has bit 1 set for a left terminal and bit 2 for a right one.
  * Each trial is swept over the band [cut, top) of the bottlenecks found so
  * far in the call (cut the least, top one above the largest), so only the
@@ -321,10 +317,10 @@ static uint64_t band_bottleneck(int32_t n, int64_t n_edges, const int32_t *edges
  * the band, about 2 ln(rows) record lows and highs, is swept again over the
  * full band, as the first trial is.  The value does not depend on the band.
  * `words`, `listed`, `order`, `counts`, `parent` and `reached` are scratch. */
-void indexed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
-                         const int32_t *edges_v, const uint8_t *sides, uint64_t seed, int64_t start,
-                         uint64_t *words, int32_t *listed, int32_t *order, int64_t *counts, int32_t *parent,
-                         uint8_t *reached, uint64_t *bottleneck)
+void keyed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
+                       const int32_t *edges_v, const uint64_t *keys, const uint8_t *sides, uint64_t seed,
+                       int64_t start, uint64_t *words, int32_t *listed, int32_t *order, int64_t *counts,
+                       int32_t *parent, uint8_t *reached, uint64_t *bottleneck)
 {
     const uint64_t never = (uint64_t)1 << 53;
     const int joined = shared_terminal(n, sides);
@@ -332,7 +328,9 @@ void indexed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t
     for (int64_t row = 0; row < rows; row++) {
         uint64_t found = 0;
         if (!joined) {
-            indexed_words(seed, start + row, n_edges, words);
+            const uint64_t stamp = keyed_stamp(seed, start + row);
+            for (int64_t e = 0; e < n_edges; e++)
+                words[e] = keyed_word(keys[e], stamp);
             found = band_bottleneck(n, n_edges, edges_u, edges_v, sides, words, cut, top, listed, order,
                                     counts, parent, reached);
             if (found < cut || found >= top)
@@ -384,9 +382,8 @@ static inline uint64_t open_threshold(double p)
  * a bucket queue (heads[k] starts a list of frontier vertices of level k,
  * linked through next), and stops when the frontier is empty or a vertex
  * of level top is found.  An edge to an unvisited vertex is drawn when the
- * search examines it: trial t opens edge e iff (mix64(keys[e] ^ stamp) >> 11)
- * is below the threshold of its probability, with stamp = mix64(seed ^
- * mix64(t + 1)), the keyed stream of rng.py compared as integers.  So the
+ * search examines it: trial t opens edge e iff keyed_word(keys[e],
+ * keyed_stamp(seed, t)) is below the threshold of its probability, so the
  * reach is exact and no threshold array is held.
  * visited[v] holds the last row that reached v, so no mark is cleared
  * between trials. */
@@ -399,7 +396,7 @@ void keyed_reach(int64_t rows, int32_t n, const int32_t *edges_u, const int32_t 
     for (int32_t v = 0; v < n; v++)
         visited[v] = -1;
     for (int64_t row = 0; row < rows; row++) {
-        uint64_t stamp = mix64(seed ^ mix64((uint64_t)(start + row) + 1));
+        const uint64_t stamp = keyed_stamp(seed, start + row);
         for (int32_t k = 0; k <= top; k++)
             heads[k] = -1;
         int32_t level = levels[origin], best = level;
@@ -416,7 +413,7 @@ void keyed_reach(int64_t rows, int32_t n, const int32_t *edges_u, const int32_t 
             for (int32_t i = offsets[x]; i < offsets[x + 1]; i++) {
                 int32_t e = incident[i];
                 int32_t y = edges_u[e] ^ edges_v[e] ^ x;
-                if (visited[y] == row || (mix64(keys[e] ^ stamp) >> 11) >= open_threshold(probs[e]))
+                if (visited[y] == row || keyed_word(keys[e], stamp) >= open_threshold(probs[e]))
                     continue;
                 visited[y] = row;
                 next[y] = heads[levels[y]];

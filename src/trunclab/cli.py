@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .embedding import EmbeddedGraph, HypothesisNotWitnessed, SlabParameters, select_scales, verify_isomorphism
-from .engine import mc_event_probability
+from .engine import mc_event_probability, origin_radius_profile
 from .harness import load_config, run_pipeline
 from .sequences import ProbabilitySequence
 from .thresholds import SETTING_READERS, CalibrationTable, LatticeFamily, ThresholdSettings, estimate_pc
@@ -96,7 +96,10 @@ def _estimate_command(args) -> int:
         window = build(ProbabilitySequence.constant(args.p).truncate(args.N), args.L)
     else:
         window = lattice_window(args.d, args.p, args.L, event, args.K if args.family == "slab" else None)
-    estimate = mc_event_probability(window, event, args.trials, args.seed)
+    if event == "crossing":
+        estimate = mc_event_probability(window, event, args.trials, args.seed)
+    else:  # the pipeline's theta route: the share of keyed trials whose reach is at least L
+        estimate = origin_radius_profile(window, [args.L], args.trials, args.seed)[0][0]
     params = f"p={args.p};L={args.L};N={args.N}"
     if args.family != "z2":
         params += f";d={args.d}"
@@ -104,7 +107,7 @@ def _estimate_command(args) -> int:
         params += f";K={args.K}"
     print(
         f"{args.family},{params},{args.event},{estimate.value!r},{estimate.half_width!r},"
-        f"{estimate.trials},{estimate.seed}"
+        f"{estimate.trials},{estimate.seed},{estimate.stream_rule}"
     )
     return 0
 

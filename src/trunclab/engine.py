@@ -15,7 +15,9 @@ keeps no masks and no labels.  :func:`mc_event_probability` sums those
 hits.  :func:`origin_radius_profile` reads every radius off one keyed
 ``kernel.keyed_reach`` search with :func:`reach_estimate`, as the
 certification pass's theta rows do, and the threshold estimates read each
-trial's crossing bottleneck from ``kernel.indexed_bottlenecks``.
+keyed trial's crossing bottleneck from ``kernel.keyed_bottlenecks``; so the
+pipeline draws only keyed words, and the indexed stream serves
+:func:`mc_event_probability` alone.
 :func:`component_labels` labels an open-edge block given as masks.  There is
 no second route in the package.  The tests keep scipy's
 ``connected_components``, a per-trial sampler on the pure-Python

@@ -57,7 +57,6 @@ from .engine import (
 )
 from .kernel import keyed_reach
 from .rng import (
-    INDEXED_STREAM_RULE,
     KEYED_STREAM_RULE,
     derive_seed,
     keyed_uniforms,  # noqa: F401
@@ -460,7 +459,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
         margin=config.margin,
         master_seed=config.master_seed,
         positivity_floor=config.positivity_floor,
-        stream_rules={"indexed": INDEXED_STREAM_RULE, "keyed": KEYED_STREAM_RULE},
+        stream_rules={"keyed": KEYED_STREAM_RULE},
     )
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

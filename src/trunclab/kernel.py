@@ -1,6 +1,6 @@
 """The compiled kernel: union-find over a block of open masks, whether each
 indexed trial joins two terminal sets, the origin's reach by search, and
-each trial's crossing bottleneck.
+each keyed trial's crossing bottleneck.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of COMPILER and the source>.so`` next to it,
@@ -19,10 +19,12 @@ every lane has hit or the frontier is empty.  :func:`keyed_reach` returns
 only the origin's reach on keyed trials, for theta and the radius profile:
 a best-first search from the origin draws the edges it examines, usually a
 few hundred of the window's.
-:func:`indexed_bottlenecks` returns, per indexed trial of a crossing
-window, the least open probability at which it crosses, as a 53-bit word;
-within one call it sorts only the edges whose words lie in the band of the
-bottlenecks of the trials before.
+:func:`keyed_bottlenecks` returns, per keyed trial of a crossing window,
+the least open probability at which it crosses, as a 53-bit word, for the
+threshold estimates; within one call it sorts only the edges whose words
+lie in the band of the bottlenecks of the trials before.  So the pipeline
+draws only keyed words: the indexed stream serves :func:`indexed_hits`, the
+route of ``engine.mc_event_probability``, alone.
 """
 
 from __future__ import annotations
@@ -107,14 +109,14 @@ def library() -> ctypes.CDLL:
         _array(np.int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,
         _array(np.int64), _array(np.int32), _array(np.int32), _array(np.int32),
     ]
-    # rows, n, n_edges, edges_u, edges_v, sides, seed, start, words, listed, order, counts,
+    # rows, n, n_edges, edges_u, edges_v, keys, sides, seed, start, words, listed, order, counts,
     # parent, reached, bottleneck
-    lib.indexed_bottlenecks.argtypes = [
-        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.uint8),
-        ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32), _array(np.int32), _array(np.int64),
-        _array(np.int32), _array(np.uint8), _array(np.uint64),
+    lib.keyed_bottlenecks.argtypes = [
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, _array(np.int32), _array(np.int32), _array(np.uint64),
+        _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32), _array(np.int32),
+        _array(np.int64), _array(np.int32), _array(np.uint8), _array(np.uint64),
     ]
-    for entry in (lib.mask_labels, lib.indexed_hits, lib.incidence, lib.keyed_reach, lib.indexed_bottlenecks):
+    for entry in (lib.mask_labels, lib.indexed_hits, lib.incidence, lib.keyed_reach, lib.keyed_bottlenecks):
         entry.restype = None
     return lib
 
@@ -241,17 +243,17 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     return hits
 
 
-def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
-    """Each indexed trial's bottleneck, for trials ``start .. stop - 1`` of a crossing window.
+def keyed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
+    """Each keyed trial's bottleneck, for trials ``start .. stop - 1`` of a crossing window.
 
     A trial's bottleneck is the least ``b`` such that the edges whose 53-bit
-    Philox words (those of ``rng.indexed_uniforms``) are at most ``b`` join
-    the left and right terminals, as uint64; ``2^53`` if all the window's
-    edges together leave them apart.
+    keyed words (those of ``rng.keyed_uniforms(window.edge_keys, seed, t)``)
+    are at most ``b`` join the left and right terminals, as uint64; ``2^53``
+    if all the window's edges together leave them apart.
     So trial ``t`` crosses at ``p`` exactly when its bottleneck is below
     ``ceil(p * 2^53)``, the kernel's integer open test, whatever
     ``window.probs`` holds, and ``bottleneck * 2^-53`` is the least of its
-    ``indexed_uniforms`` at which it crosses.
+    ``keyed_uniforms`` at which it crosses.
 
     The kernel unites, unsorted, the edges whose words lie below the least
     bottleneck found so far in the call, and sorts only those up to the
@@ -262,14 +264,15 @@ def indexed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -
     rows = _trial_count(start, stop)
     if not {"left", "right"} <= window.terminals.keys():
         raise ValueError(f"window family {window.family!r} has no crossing terminals")
+    keys = _keys(window)
     edges_u, edges_v = window.kernel_edges
     n, n_edges = window.n_vertices, window.n_edges
     sides = _sides(window, window.terminals["left"], window.terminals["right"])
     # The counting sort takes about one bucket per edge it sorts, at most 2^bits.
     bits = max(1, n_edges.bit_length())
     bottleneck = np.empty(rows, dtype=np.uint64)
-    library().indexed_bottlenecks(
-        bottleneck.size, n, n_edges, edges_u, edges_v, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
+    library().keyed_bottlenecks(
+        bottleneck.size, n, n_edges, edges_u, edges_v, keys, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
         np.empty(n_edges, dtype=np.uint64), np.empty(n_edges, dtype=np.int32), np.empty(n_edges, dtype=np.int32),
         np.empty((1 << bits) + 1, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8),
         bottleneck,

@@ -8,8 +8,10 @@ trials can run in any order (or in parallel) without changing a single draw:
   ``e`` takes word ``e % 4`` of counter block ``t * ceil(E / 4) + 1 + e // 4``
   (Philox emits four 64-bit words per block, and numpy's generator steps its
   counter before the first block).  The uniform for ``(seed, trial,
-  edge_index)`` depends on nothing else.  Threshold bottlenecks and single
-  estimates use them.
+  edge_index)`` depends on nothing else.  Only
+  :func:`trunclab.engine.mc_event_probability` uses them: the Monte Carlo
+  side of the exact-oracle checks and ``trunclab estimate --event
+  crossing``.
 
 * keyed streams -- one uniform per ``(seed, trial, edge_key)`` triple,
   computed with a splitmix64 finalizer chain.  Edge keys are derived from
@@ -22,7 +24,9 @@ trials can run in any order (or in parallel) without changing a single draw:
   (theta) trials come from these streams too: since a draw depends on
   nothing else, the kernel's search from the origin
   (:func:`trunclab.kernel.keyed_reach`) draws each edge only when it
-  examines it, in any order.
+  examines it, in any order.  The threshold estimates' crossing
+  bottlenecks (:func:`trunclab.kernel.keyed_bottlenecks`) read them as
+  well, so a pipeline run draws from this stream rule alone.
 
 Both streams turn a 64-bit ``word`` into the uniform ``u = (word >> 11) *
 2^-53`` (numpy's Philox doubles are made the same way).  That product and

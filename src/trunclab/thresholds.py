@@ -3,7 +3,8 @@
 The threshold proxy is the open probability at which the left-right crossing
 of the ``(L+1) x L`` sponge reaches one-half.  A trial's bottleneck is the
 least ``p`` at which it crosses, read exactly by a Kruskal sweep in the
-kernel (:func:`trunclab.kernel.indexed_bottlenecks`), so at one side the
+kernel (:func:`trunclab.kernel.keyed_bottlenecks`) over the trial's keyed
+words, the stream the certification pass draws too, so at one side the
 crossing fraction at every ``p`` is the empirical distribution function of
 the trials' bottlenecks and the proxy is their median.  One kernel call per
 side of the schedule gives them all.  The estimate is the largest side's
@@ -45,7 +46,7 @@ from .embedding import SlabParameters
 # crossing fraction at every p), but it stays bound: the benchmark's tracer
 # wraps it by name in this namespace.
 from .engine import crossing_estimate  # noqa: F401
-from .kernel import indexed_bottlenecks
+from .kernel import keyed_bottlenecks
 from .rng import derive_seed
 from .windows import ConfigError, GraphWindow, lattice_window
 
@@ -93,7 +94,7 @@ class LatticeFamily:
 
 # Names the estimator in every ThresholdEstimate and calibration row; a
 # stored row computed by another method is never reused.
-METHOD = "bottleneck-median/v3"
+METHOD = "bottleneck-median/v4"
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,9 @@ class ThresholdSettings:
     def __post_init__(self) -> None:
         if not self.l_schedule or any(b <= a for a, b in zip(self.l_schedule, self.l_schedule[1:])):
             raise ConfigError("L schedule must be nonempty and strictly increasing")
+        # A side below 1 would otherwise fail mid-search, in the window builder.
+        if self.l_schedule[0] < 1:
+            raise ConfigError(f"l_schedule side {self.l_schedule[0]} must be >= 1")
         if self.bracket_tol <= 0:
             raise ConfigError("bracket tolerance must be positive")
         if self.trials_per_probe < 1 or self.coarse_trials < 1:
@@ -247,7 +251,7 @@ def _side_probe(family: LatticeFamily, side: int, trials: int, master_seed: int)
     seed = derive_seed(master_seed, "pc", family.key, side)
     # The bottlenecks read the window's edges and terminals, not its edge probability.
     window = family.crossing_window(0.5, side)
-    ranked = np.sort(indexed_bottlenecks(window, seed, 0, trials))
+    ranked = np.sort(keyed_bottlenecks(window, seed, 0, trials))
     # b_(0) = 0 and b_(n+1) = 2^53 close the interval when no rank gives 95%.
     padded = [0, *ranked.tolist(), 1 << 53]
     rank = median_interval_rank(trials)

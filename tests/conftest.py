@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 from trunclab.embedding import EmbeddingReport, SlabCoord
 from trunclab.engine import UnionFind, event_terminals, propagation_labels, trial_open_mask
-from trunclab.rng import indexed_uniforms
+from trunclab.rng import keyed_uniforms
 from trunclab.sequences import ProbabilitySequence
 from trunclab.windows import GraphWindow
 
@@ -241,11 +241,11 @@ def origin_reach(window: GraphWindow, labels: np.ndarray) -> np.ndarray:
 
 
 def bisection_bottleneck(window: GraphWindow, seed: int, trial: int) -> float:
-    """The least of indexed trial ``trial``'s uniforms at which its crossing
-    window crosses, or 1.0 if it never does: the trial's sorted uniforms
-    bisected, each step opening the edges at or below one and clustering
-    them with :func:`scipy_union_labels`."""
-    uniforms = indexed_uniforms(window.n_edges, seed, trial)
+    """The least of keyed trial ``trial``'s uniforms at which its crossing
+    window crosses, or 1.0 if it never does: the trial's sorted
+    ``keyed_uniforms`` bisected, each step opening the edges at or below one
+    and clustering them with :func:`scipy_union_labels`."""
+    uniforms = keyed_uniforms(window.edge_keys, seed, trial)
     left, right = window.terminals["left"], window.terminals["right"]
 
     def crosses(open_mask):

@@ -23,6 +23,14 @@ the calibration rows and the report's ``threshold`` object (its ``p_hat``,
 holding the largest drift of a smaller side's median from the top side's,
 and the calibration file's first comment line says so; the slab (d3 K2),
 the report's other fields and ``estimates.csv`` stayed as they were.
+The report and calibration digests were re-recorded again when the
+bottleneck sweep moved from the indexed Philox words onto the keyed words
+the certification pass draws (method ``bottleneck-median/v4``): the
+calibration rows and the report's ``threshold`` object (its ``p_hat``,
+``uncertainty``, ``bracket`` and ``method``) changed, and ``stream_rules``
+lost its ``indexed`` entry, since a run now draws on the keyed rule alone;
+the slab (d3 K2), the report's other fields and ``estimates.csv`` stayed as
+they were.
 
 A change that moves these numbers on purpose (a new stream rule, a new
 estimator) updates the digests and says why in CHANGES.md.
@@ -30,19 +38,21 @@ estimator) updates the digests and says why in CHANGES.md.
 
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 
 import trunclab.thresholds as thresholds_module
+from trunclab import kernel, rng
 from trunclab.harness import PipelineConfig, run_pipeline
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
 from trunclab.thresholds import CalibrationTable, ThresholdSettings
 from trunclab.windows import ConfigError
 
 DIGESTS = {
-    "report.json": "f118a94d7c4db8368a005c9e078f49cd86e839229aee6388513fa92bd18d257c",
+    "report.json": "b978605b555dd3b2b57424590a661ba92c6025684ffa65af1d89d516ec3cf1e0",
     "estimates.csv": "3ac368e022760f66a130612798ffc37fe29d03f31bbd68bddce0f9f846dd8263",
-    "calibration.csv": "17134d3fe66ae905a43f131d98a73d151cc83d83239757141d0f55d75d05007d",
+    "calibration.csv": "a6628784ed3b481587ec8265e3236374aa5394fe8d76f69e3ce13c25bde82551",
 }
 
 
@@ -70,6 +80,25 @@ def test_tiny_pipeline_artifacts_match_recorded_digests(tmp_path):
     assert report.passed
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS}
     assert digests == DIGESTS
+
+
+def test_the_pipeline_draws_no_indexed_word(tmp_path, monkeypatch):
+    # Every entry point of the indexed stream raises, under every name a
+    # package module binds it to; the run must still pass on keyed words alone.
+    indexed = {kernel.indexed_hits, rng.indexed_uniforms, rng.indexed_uniform_matrix}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline drew an indexed word")
+
+    for name, module in list(sys.modules.items()):
+        if name == "trunclab" or name.startswith("trunclab."):
+            for attribute, value in list(vars(module).items()):
+                if any(value is entry for entry in indexed):
+                    monkeypatch.setattr(module, attribute, refuse)
+    report = run_pipeline(golden_config(), tmp_path)
+    assert report.passed
+    assert report.stream_rules == {"keyed": rng.KEYED_STREAM_RULE}
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == DIGESTS["report.json"]
 
 
 def test_calibration_round_trip(tmp_path, monkeypatch):

@@ -12,15 +12,18 @@ import pytest
 from trunclab import harness
 from trunclab.cli import _build_parser, _pc_settings, main
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
+from trunclab.engine import origin_radius_profile
 from trunclab.harness import (
     PipelineConfig,
     containment_check,
     load_config,
     run_pipeline,
 )
+from trunclab.rng import INDEXED_STREAM_RULE as INDEXED
+from trunclab.rng import KEYED_STREAM_RULE as KEYED
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
 from trunclab.thresholds import METHOD, CalibrationTable, LatticeFamily, ThresholdEstimate, ThresholdSettings
-from trunclab.windows import ConfigError, embedded_radial_window, long_range_radial_window
+from trunclab.windows import ConfigError, embedded_radial_window, lattice_window, long_range_radial_window
 
 FAST_THRESHOLDS = ThresholdSettings(
     l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=400, coarse_trials=150
@@ -419,27 +422,46 @@ class TestCli:
     @pytest.mark.parametrize(
         "args, row",
         [
-            ("z2 --p 0.3 --L 4 --N 2 crossing", "z2,p=0.3;L=4;N=2,crossing,0.755,0.05960704488565089"),
-            ("z2 --p 0.3 --L 4 --N 2 theta", "z2,p=0.3;L=4;N=2,theta,0.895,0.04248613656241292"),
-            ("zd --d 2 --p 0.5 --L 4 crossing", "zd,p=0.5;L=4;N=1;d=2,crossing,0.46,0.0690743599318879"),
-            ("zd --d 2 --p 0.5 --L 4 theta", "zd,p=0.5;L=4;N=1;d=2,theta,0.83,0.05206004994235024"),
-            ("zd --d 3 --p 0.3 --L 3 crossing", "zd,p=0.3;L=3;N=1;d=3,crossing,0.595,0.06803416641658806"),
-            ("zd --d 3 --p 0.3 --L 3 theta", "zd,p=0.3;L=3;N=1;d=3,theta,0.76,0.05919070197252268"),
+            ("z2 --p 0.3 --L 4 --N 2 crossing", f"z2,p=0.3;L=4;N=2,crossing,0.755,0.05960704488565089,{INDEXED}"),
+            ("z2 --p 0.3 --L 4 --N 2 theta", f"z2,p=0.3;L=4;N=2,theta,0.88,0.04503737114885815,{KEYED}"),
+            ("zd --d 2 --p 0.5 --L 4 crossing", f"zd,p=0.5;L=4;N=1;d=2,crossing,0.46,0.0690743599318879,{INDEXED}"),
+            ("zd --d 2 --p 0.5 --L 4 theta", f"zd,p=0.5;L=4;N=1;d=2,theta,0.8,0.055437171645025325,{KEYED}"),
+            ("zd --d 3 --p 0.3 --L 3 crossing", f"zd,p=0.3;L=3;N=1;d=3,crossing,0.595,0.06803416641658806,{INDEXED}"),
+            ("zd --d 3 --p 0.3 --L 3 theta", f"zd,p=0.3;L=3;N=1;d=3,theta,0.77,0.058324409984156715,{KEYED}"),
             ("slab --d 3 --K 2 --p 0.4 --L 3 crossing",
-             "slab,p=0.4;L=3;N=1;d=3;K=2,crossing,0.69,0.0640982932690099"),
+             f"slab,p=0.4;L=3;N=1;d=3;K=2,crossing,0.69,0.0640982932690099,{INDEXED}"),
             ("slab --d 3 --K 2 --p 0.4 --L 3 theta",
-             "slab,p=0.4;L=3;N=1;d=3;K=2,theta,0.82,0.053245664612248014"),
+             f"slab,p=0.4;L=3;N=1;d=3;K=2,theta,0.84,0.05080900707551762,{KEYED}"),
             ("slab --d 4 --K 1 --p 0.45 --L 3 crossing",
-             "slab,p=0.45;L=3;N=1;d=4;K=1,crossing,0.385,0.06743866991570935"),
+             f"slab,p=0.45;L=3;N=1;d=4;K=1,crossing,0.385,0.06743866991570935,{INDEXED}"),
             ("slab --d 4 --K 1 --p 0.45 --L 3 theta",
-             "slab,p=0.45;L=3;N=1;d=4;K=1,theta,0.77,0.058324409984156715"),
+             f"slab,p=0.45;L=3;N=1;d=4;K=1,theta,0.735,0.061165661935435635,{KEYED}"),
         ],
     )
     def test_estimate_rows_are_pinned(self, args, row, capsys):
+        # Crossing rows sum indexed kernel hits; theta rows read the keyed
+        # reach of the radius profile, the route of the pipeline's theta rows.
         *options, event = args.split()
         argv = ["estimate", "--family", *options, "--event", event, "--trials", "200", "--seed", "3"]
         assert main(argv) == 0
-        assert capsys.readouterr().out == f"{row},200,3\n"
+        value, rule = row.rsplit(",", 1)
+        assert capsys.readouterr().out == f"{value},200,3,{rule}\n"
+
+    @pytest.mark.parametrize(
+        "args, radius, window",
+        [
+            ("z2 --p 0.3 --N 2", 4, lambda: long_range_radial_window(ProbabilitySequence.constant(0.3).truncate(2), 4)),
+            ("slab --d 3 --K 2 --p 0.45", 8, lambda: lattice_window(3, 0.45, 8, "origin_boundary", thickness=2)),
+        ],
+        ids=["z2", "slab"],
+    )
+    def test_estimate_theta_is_the_radius_profile_estimate(self, args, radius, window, capsys):
+        argv = ["estimate", "--family", *args.split(), "--L", str(radius), "--event", "theta", "--trials", "500"]
+        assert main([*argv, "--seed", "7"]) == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        (profile,), _ = origin_radius_profile(window(), [radius], 500, 7)
+        assert fields[3:] == [repr(profile.value), repr(profile.half_width), "500", "7", profile.stream_rule]
+        assert profile.stream_rule == KEYED
 
     def test_estimate_theta_row(self, capsys):
         code = main(

@@ -14,9 +14,10 @@ hand-built window with unsorted ``edges_u`` is checked against all three
 references in ``test_batched_route.py``.  The search from the origin
 (``keyed_reach``) must give, on every trial, the reach that
 ``origin_reach`` reads off the labels of the masks ``keyed_uniforms(keys,
-seed, t) < probs``, a draw it does not share.  Each trial's crossing
-bottleneck (``indexed_bottlenecks``) must equal the least of its uniforms
-at which a bisection over them, clustered by scipy, finds a crossing.
+seed, t) < probs``, a draw it does not share.  Each keyed trial's crossing
+bottleneck (``keyed_bottlenecks``) must equal the least of its
+``keyed_uniforms`` at which a bisection over them, clustered by scipy,
+finds a crossing.
 Each trial's hit (``indexed_hits``) must equal whether scipy's labels of the
 numpy Philox masks join the event's terminal sets.
 """
@@ -39,8 +40,15 @@ from hypothesis import strategies as st
 from trunclab import engine, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
 from trunclab.engine import UnionFind, component_labels
-from trunclab.kernel import indexed_bottlenecks, indexed_hits, keyed_reach, mask_labels
-from trunclab.rng import indexed_uniform_matrix, indexed_uniforms, keyed_uniforms, mix64, open_thresholds
+from trunclab.kernel import indexed_hits, keyed_bottlenecks, keyed_reach, mask_labels
+from trunclab.rng import (
+    coordinate_edge_keys,
+    indexed_uniform_matrix,
+    indexed_uniforms,
+    keyed_uniforms,
+    mix64,
+    open_thresholds,
+)
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     GraphWindow,
@@ -216,14 +224,17 @@ def test_keyed_threshold_is_exact_at_the_boundary(p):
 
 
 def chain_window(n_edges: int, probs) -> GraphWindow:
-    """A path of ``n_edges`` edges with the given edge probabilities."""
+    """A path of ``n_edges`` edges with the given edge probabilities and coordinate keys."""
+    coords = np.arange(n_edges + 1, dtype=np.int64)[:, None]
+    edges_u, edges_v = np.arange(n_edges, dtype=np.int32), np.arange(1, n_edges + 1, dtype=np.int32)
     return GraphWindow(
         family="hand",
-        coords=np.arange(n_edges + 1, dtype=np.int64)[:, None],
-        edges_u=np.arange(n_edges, dtype=np.int32),
-        edges_v=np.arange(1, n_edges + 1, dtype=np.int32),
+        coords=coords,
+        edges_u=edges_u,
+        edges_v=edges_v,
         probs=np.broadcast_to(np.asarray(probs, dtype=np.float64), (n_edges,)).copy(),
         lengths=np.ones(n_edges, dtype=np.int32),
+        edge_keys=coordinate_edge_keys(coords, edges_u, edges_v),
     )
 
 
@@ -569,37 +580,38 @@ BOTTLENECK_FAMILIES = {
 def test_bottlenecks_equal_the_bisection_reference(name, side):
     window = BOTTLENECK_FAMILIES[name](side)
     seed, start, stop = 29 + side, 11, 14
-    bottlenecks = indexed_bottlenecks(window, seed, start, stop)
+    bottlenecks = keyed_bottlenecks(window, seed, start, stop)
     assert bottlenecks.dtype == np.uint64
     reference = [bisection_bottleneck(window, seed, t) for t in range(start, stop)]
     assert (bottlenecks * 2.0**-53).tolist() == reference
     # A trial range is a slice of any range that holds it.
-    assert np.array_equal(indexed_bottlenecks(window, seed, 0, stop)[start:], bottlenecks)
+    assert np.array_equal(keyed_bottlenecks(window, seed, 0, stop)[start:], bottlenecks)
 
 
 @pytest.mark.parametrize("n_edges", [1, 4, 7, 54])
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_chain_bottleneck_is_the_largest_word(n_edges, seed):
     # Every edge of a chain lies on its one crossing path, so the bottleneck
-    # is the trial's largest word, read off numpy's Philox stream.
+    # is the trial's largest word, read off the numpy keyed stream.
     window = dataclasses.replace(
         chain_window(n_edges, 0.5), terminals={"left": np.array([0]), "right": np.array([n_edges])}
     )
     for start, stop in ((0, 9), (2**62 + 5, 2**62 + 8)):
-        uniforms = indexed_uniform_matrix(n_edges, seed, stop - start, start)
+        uniforms = np.stack([keyed_uniforms(window.edge_keys, seed, t) for t in range(start, stop)])
         expected = (uniforms.max(axis=1) * 2.0**53).astype(np.uint64)
-        assert np.array_equal(indexed_bottlenecks(window, seed, start, stop), expected)
+        assert np.array_equal(keyed_bottlenecks(window, seed, start, stop), expected)
 
 
 def test_bottleneck_of_joined_and_of_separated_terminals():
     chain = chain_window(3, 0.5)
     joined = dataclasses.replace(chain, terminals={"left": np.array([0, 2]), "right": np.array([2, 3])})
     cut = dataclasses.replace(chain, edges_u=chain.edges_u[:2], edges_v=chain.edges_v[:2], probs=chain.probs[:2],
-                              lengths=chain.lengths[:2], terminals={"left": np.array([0]), "right": np.array([3])})
+                              lengths=chain.lengths[:2], edge_keys=chain.edge_keys[:2],
+                              terminals={"left": np.array([0]), "right": np.array([3])})
     # Long calls too: after the first trial the band is [0, 1) or [2^53, 2^53 + 1).
     for stop in (4, 600):
-        assert indexed_bottlenecks(joined, 5, 0, stop).tolist() == [0] * stop
-        assert indexed_bottlenecks(cut, 5, 0, stop).tolist() == [2**53] * stop
+        assert keyed_bottlenecks(joined, 5, 0, stop).tolist() == [0] * stop
+        assert keyed_bottlenecks(cut, 5, 0, stop).tolist() == [2**53] * stop
 
 
 # Windows on which a call sweeps each trial over the band of the bottlenecks before it.
@@ -614,7 +626,7 @@ def banded_call(name: str, trials: int = 500):
     family, side = BANDED[name]
     window = BOTTLENECK_FAMILIES[family](side)
     seed, start = 41 + side, 3
-    return window, seed, start, indexed_bottlenecks(window, seed, start, start + trials)
+    return window, seed, start, keyed_bottlenecks(window, seed, start, start + trials)
 
 
 def records(bottlenecks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,7 +641,7 @@ def records(bottlenecks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def test_a_long_call_equals_its_one_trial_calls(name):
     window, seed, start, bottlenecks = banded_call(name)
     # A one-trial call sweeps its trial over the full band.
-    alone = [indexed_bottlenecks(window, seed, t, t + 1)[0] for t in range(start, start + bottlenecks.size)]
+    alone = [keyed_bottlenecks(window, seed, t, t + 1)[0] for t in range(start, start + bottlenecks.size)]
     assert bottlenecks.tolist() == alone
     assert 0 < bottlenecks.min() and bottlenecks.max() < 2**53
 
@@ -650,7 +662,7 @@ def crossing_hits(window: GraphWindow, seed: int, start: int, stop: int) -> np.n
 
 def test_per_trial_entry_points_refuse_a_reversed_trial_range():
     radial, crossing = FAMILIES["long-range-radial"], FAMILIES["grid-crossing-d2"]
-    for draw, window in ((keyed_reach, radial), (indexed_bottlenecks, crossing), (crossing_hits, crossing)):
+    for draw, window in ((keyed_reach, radial), (keyed_bottlenecks, crossing), (crossing_hits, crossing)):
         with pytest.raises(ValueError, match=re.escape("trial range [5, 3) ends before it starts")):
             draw(window, 1, 5, 3)
         assert draw(window, 1, 5, 5).shape[0] == 0
@@ -669,7 +681,15 @@ def test_keyed_search_refuses_a_negative_first_trial():
 def test_bottlenecks_refuse_a_window_without_crossing_terminals_naming_its_family(name):
     window = FAMILIES[name]
     with pytest.raises(ValueError, match=re.escape(repr(window.family))):
-        indexed_bottlenecks(window, 1, 0, 2)
+        keyed_bottlenecks(window, 1, 0, 2)
+
+
+@pytest.mark.parametrize("fault", ["keyless", "short-keys"])
+def test_bottlenecks_refuse_a_window_without_a_key_per_edge_naming_its_family(fault):
+    window = FAMILIES["slab-crossing-d3"]
+    keys = None if fault == "keyless" else window.edge_keys[:-1]
+    with pytest.raises(ValueError, match=re.escape(repr(window.family))):
+        keyed_bottlenecks(dataclasses.replace(window, edge_keys=keys), 1, 0, 2)
 
 
 # Every oracle slot shape of the benchmark's oracle-small workload, and a slab

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import trunclab.thresholds as thresholds_module
-from trunclab.cli import _build_parser, _pc_settings
-from trunclab.engine import crossing_estimate
+from trunclab.cli import _build_parser, _pc_settings, main
 from trunclab.harness import load_config
-from trunclab.kernel import indexed_bottlenecks
-from trunclab.rng import derive_seed
+from trunclab.kernel import keyed_bottlenecks
+from trunclab.rng import derive_seed, keyed_uniforms
 from trunclab.sequences import ProbabilitySequence
 from trunclab.thresholds import (
     METHOD,
@@ -27,7 +26,7 @@ from trunclab.thresholds import (
 )
 from trunclab.windows import ConfigError, long_range_crossing_window
 
-from conftest import bisection_bottleneck
+from conftest import bisection_bottleneck, scipy_union_labels
 
 FAST = ThresholdSettings(l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=500, coarse_trials=200)
 
@@ -92,6 +91,24 @@ class TestSettings:
             ThresholdSettings(l_schedule=(8, 8))
         with pytest.raises(ConfigError):
             ThresholdSettings(l_schedule=())
+
+    @pytest.mark.parametrize("sides", [(0, 8), (-3, 8), (0,)])
+    def test_a_side_below_one_is_refused_naming_the_key_and_the_side(self, tmp_path, sides, capsys):
+        message = f"l_schedule side {sides[0]} must be >= 1"
+        with pytest.raises(ConfigError, match=message):
+            ThresholdSettings(l_schedule=sides)
+        schedule = " ".join(str(side) for side in sides)
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            f"[sequence]\nkind = constant\nvalue = 0.9\n\n[certificate]\nepsilon = 0.45\n\n[thresholds]\n"
+            f"l_schedule = {schedule}\n"
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_config(config)
+        calib = tmp_path / "calib.csv"
+        assert main(["pc", "--family", "z2", "--L-schedule", schedule, "--trials", "20", "--calib", str(calib)]) == 1
+        assert message in capsys.readouterr().err
+        assert not calib.exists()
 
     def test_tolerance_positive(self):
         with pytest.raises(ConfigError):
@@ -184,7 +201,7 @@ class TestEstimatePc:
         def refuse(*args, **kwargs):
             raise AssertionError("the estimate probed a crossing probability")
 
-        monkeypatch.setattr(thresholds_module, "indexed_bottlenecks", stub)
+        monkeypatch.setattr(thresholds_module, "keyed_bottlenecks", stub)
         monkeypatch.setattr(thresholds_module, "crossing_estimate", refuse)
         settings = dataclasses.replace(FAST, l_schedule=tuple(medians))
         estimate = estimate_pc(LatticeFamily("z2"), settings, 1)
@@ -213,14 +230,21 @@ class TestEstimatePc:
     @pytest.mark.parametrize("family", [LatticeFamily("slab", 3, k) for k in (1, 2, 3)], ids=lambda f: f.key)
     def test_bottlenecks_give_every_crossing_probe_bit_for_bit(self, family):
         # Bisection from [0, 1] to a tolerance of 0.015 or more, widened in
-        # doubling steps, probes only multiples of 1/128: at each, the share
-        # of bottlenecks below ceil(p * 2^53) is the crossing estimate itself.
+        # doubling steps, probes only multiples of 1/128: at each, the trials
+        # whose bottleneck lies below ceil(p * 2^53) are those in which
+        # scipy's labels of the keyed masks u < p join left to right.
         side, trials, seed = 16, 250, 5
-        bottlenecks = indexed_bottlenecks(family.crossing_window(0.5, side), seed, 0, trials)
+        window = family.crossing_window(0.5, side)
+        bottlenecks = keyed_bottlenecks(window, seed, 0, trials)
+        uniforms = np.stack([keyed_uniforms(window.edge_keys, seed, t) for t in range(trials)])
+        left, right = window.terminals["left"], window.terminals["right"]
         for k in range(1, 128):
-            window = family.crossing_window(k / 128, side)
-            fraction = int((bottlenecks < window.open_thresholds[0]).sum()) / trials
-            assert fraction == crossing_estimate(window, trials, seed).value, k
+            at_p = family.crossing_window(k / 128, side)
+            labels = scipy_union_labels(at_p, uniforms < at_p.probs)
+            # Labels are unique across trials, so a shared one names its trial.
+            shared = np.intersect1d(labels[:, left], labels[:, right])
+            crossed = np.isin(labels[:, left], shared).any(axis=1)
+            assert np.array_equal(bottlenecks < at_p.open_thresholds[0], crossed), k
 
     @pytest.mark.parametrize("schedule", [(6, 12), (8, 16, 32)], ids=["two-sides", "default-sides"])
     def test_every_setting_changes_the_estimate_or_the_verdict(self, tmp_path, schedule):
@@ -232,6 +256,16 @@ class TestEstimatePc:
         top_moved = (*schedule[:-1], schedule[-1] - 2)
         for change in ({"l_schedule": top_moved}, {"trials_per_probe": 400}, {"coarse_trials": 400}):
             other = estimate_pc(family, dataclasses.replace(settings, **change), 9)
+            if "coarse_trials" in change and len(schedule) > 2:
+                # Here the middle side's median lies farthest from the top's,
+                # so the first side's trials move only its own probe, and the
+                # drift reads it with every other side.
+                assert [p.median for p in other.probes[1:]] == [p.median for p in base.probes[1:]]
+                assert other.probes[0].median != base.probes[0].median
+                farthest = max(abs(other.p_hat - probe.median) for probe in other.probes[:-1])
+                assert farthest == abs(other.p_hat - other.probes[1].median)
+                assert other.uncertainty == other.stat_term + farthest
+                continue
             assert (other.p_hat, other.uncertainty, other.bracket) != (base.p_hat, base.uncertainty, base.bracket)
         # bracket_tol leaves the estimate alone and decides whether it may certify.
         params, row = choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(tmp_path / "a.csv"), settings, 1)
