@@ -3,15 +3,16 @@
  * origin's reach that draws only the edges it examines (keyed_reach), and
  * each keyed trial's crossing bottleneck by a sweep that sorts only the edges
  * whose words lie in the band of the call's earlier bottlenecks
- * (keyed_bottlenecks).  Only indexed_hits draws the indexed Philox stream.
+ * (keyed_bottlenecks): the four exports.  Only indexed_hits draws the
+ * indexed Philox stream.
  *
- * Built and loaded by kernel.py.  A block holds `rows` trials of one window
- * with `n` vertices and `n_edges` edges.  mask_labels clusters each trial
- * with a union-find forest that lives in its own row of `labels`: the root of
- * a component is always its smallest vertex index (unions hang the larger
- * root under the smaller, path halving only moves pointers down), so the
- * final label of a vertex is that index plus `row * n`, unique across the
- * block.
+ * Built and loaded by kernel.py, which checks every array a call reads.  A
+ * block holds `rows` trials of one window with `n` vertices and `n_edges`
+ * edges.  mask_labels clusters each trial with a union-find forest that
+ * lives in its own row of `labels`: the root of a component is always its
+ * smallest vertex index (unions hang the larger root under the smaller, path
+ * halving only moves pointers down), so the final label of a vertex is that
+ * index plus `row * n`, unique across the block.
  *
  * mask_labels first lists a trial's open edges in the caller's scratch array
  * `listed` (one slot per edge; an index is always written and the count
@@ -21,7 +22,8 @@
  * words lie against the band.  indexed_hits keeps no labels: it runs 64
  * trials to a machine word, one bit (lane) each, drawing their open edges as
  * bit planes and searching from the left terminals over the window's
- * incidence lists, in all 64 lanes at once, until every lane has hit.
+ * incidence lists, in all 64 lanes at once, until every lane has hit.  Both
+ * searches build those lists at entry, in the caller's scratch.
  */
 #include <stdint.h>
 
@@ -148,14 +150,46 @@ static int shared_terminal(int32_t n, const uint8_t *sides)
     return joined;
 }
 
+/* ceil(p * 2^53) for p in [0, 1], rng.open_thresholds of one edge: p * 2^53
+ * is exact, and so is its integer part, which is at most 2^53. */
+static inline uint64_t open_threshold(double p)
+{
+    double scaled = p * 9007199254740992.0;
+    uint64_t whole = (uint64_t)scaled;
+    return whole + ((double)whole < scaled);
+}
+
+/* Fills the incidence lists of a window's `n` vertices: the edges at vertex
+ * v are incident[offsets[v] .. offsets[v + 1] - 1], in increasing edge
+ * order.  `offsets` holds n + 1 zeros on entry and `incident` has two slots
+ * per edge.  A counting sort: it allocates nothing. */
+static void incidence(int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
+                      int32_t *offsets, int32_t *incident)
+{
+    for (int64_t e = 0; e < n_edges; e++) {
+        offsets[edges_u[e] + 1]++;
+        offsets[edges_v[e] + 1]++;
+    }
+    for (int32_t v = 0; v < n; v++)
+        offsets[v + 1] += offsets[v];
+    /* offsets[v] walks through v's slots, ending at the start of v + 1's. */
+    for (int64_t e = 0; e < n_edges; e++) {
+        incident[offsets[edges_u[e]]++] = (int32_t)e;
+        incident[offsets[edges_v[e]]++] = (int32_t)e;
+    }
+    for (int32_t v = n; v > 0; v--)
+        offsets[v] = offsets[v - 1];
+    offsets[0] = 0;
+}
+
 /* planes[e] = the lanes 0 .. lanes - 1 whose indexed trial t = first + lane
  * opens edge e: word e % 4 of Philox4x64-10 block t * ceil(n_edges / 4) + 1 +
- * e / 4 under key (seed, 0), shifted right by 11, is below thresholds[e], as
- * numpy's uniforms open edges with u < p.  Each Philox block is drawn for
- * every lane in turn, and its four words are compared as they come, so no
- * word is stored and the four plane words stay in registers; a block's
- * slots past the last edge compare against 0. */
-static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_edges, const uint64_t *thresholds,
+ * e / 4 under key (seed, 0), shifted right by 11, is below
+ * open_threshold(probs[e]), as numpy's uniforms open edges with u < p.  Each
+ * Philox block is drawn for every lane in turn, and its four words are
+ * compared as they come, so no word is stored and the four plane words stay
+ * in registers; a block's slots past the last edge compare against 0. */
+static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_edges, const double *probs,
                            uint64_t *planes)
 {
     const uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
@@ -163,7 +197,7 @@ static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_ed
         const int64_t width = n_edges - e < 4 ? n_edges - e : 4;
         uint64_t below[4] = {0, 0, 0, 0}, plane[4] = {0, 0, 0, 0};
         for (int64_t w = 0; w < width; w++)
-            below[w] = thresholds[e + w];
+            below[w] = open_threshold(probs[e + w]);
         unsigned __int128 block = (unsigned __int128)(uint64_t)first * blocks + 1 + (uint64_t)e / 4;
         for (int lane = 0; lane < lanes; lane++, block += blocks) {
             uint64_t word[4];
@@ -182,26 +216,28 @@ static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_ed
  * Carlo (Zorn, Herrmann and Rebbi, Comput. Phys. Commun. 23, 1981):
  * planes[e] holds the lanes that open edge e, and reach[v] the lanes in
  * which v joins a left terminal.  A frontier search from the left terminals
- * over the incidence lists (offsets, incident) moves the lanes that newly
- * reached x, pending[x], across each edge e to its other end y, adding
- * pending[x] & planes[e] & ~reach[y] to reach[y]; y is queued (a ring of n
- * slots: a vertex is queued at most once, while its pending word is
- * nonzero) only when its word grows.  So every lane crosses every edge at
- * most once.  Lanes that have hit spread no further, and a group's search
- * stops once every lane has hit; the vertices are reset once per group.
- * `planes`, `reach`, `pending` and `queue` are scratch. */
+ * over the incidence lists (offsets, incident), built at entry, moves the
+ * lanes that newly reached x, pending[x], across each edge e to its other
+ * end y, adding pending[x] & planes[e] & ~reach[y] to reach[y]; y is queued
+ * (a ring of n slots: a vertex is queued at most once, while its pending
+ * word is nonzero) only when its word grows.  So every lane crosses every
+ * edge at most once.  Lanes that have hit spread no further, and a group's
+ * search stops once every lane has hit; the vertices are reset once per
+ * group.  `offsets` (n + 1 zeros), `incident`, `planes`, `reach`, `pending`
+ * and `queue` are scratch. */
 void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
-                  const int32_t *offsets, const int32_t *incident, const uint64_t *thresholds,
-                  const uint8_t *sides, uint64_t seed, int64_t start, uint64_t *planes, uint64_t *reach,
-                  uint64_t *pending, int32_t *queue, uint8_t *hits)
+                  const double *probs, const uint8_t *sides, uint64_t seed, int64_t start, int32_t *offsets,
+                  int32_t *incident, uint64_t *planes, uint64_t *reach, uint64_t *pending, int32_t *queue,
+                  uint8_t *hits)
 {
     const int joined = shared_terminal(n, sides);
+    incidence(n, n_edges, edges_u, edges_v, offsets, incident);
     for (int64_t first = 0; first < rows; first += 64) {
         const int lanes = rows - first < 64 ? (int)(rows - first) : 64;
         const uint64_t every = ~(uint64_t)0 >> (64 - lanes);
         uint64_t hit = joined ? every : 0;
         if (!hit) {
-            indexed_planes(seed, start + first, lanes, n_edges, thresholds, planes);
+            indexed_planes(seed, start + first, lanes, n_edges, probs, planes);
             int32_t head = 0, count = 0;
             for (int32_t v = 0; v < n; v++) {
                 reach[v] = pending[v] = sides[v] & 1 ? every : 0;
@@ -343,38 +379,6 @@ void keyed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *
     }
 }
 
-/* Fills the incidence lists of a window's `n` vertices: the edges at vertex
- * v are incident[offsets[v] .. offsets[v + 1] - 1], in increasing edge
- * order.  `offsets` holds n + 1 zeros on entry and `incident` has two slots
- * per edge.  A counting sort: it allocates nothing. */
-void incidence(int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
-               int32_t *offsets, int32_t *incident)
-{
-    for (int64_t e = 0; e < n_edges; e++) {
-        offsets[edges_u[e] + 1]++;
-        offsets[edges_v[e] + 1]++;
-    }
-    for (int32_t v = 0; v < n; v++)
-        offsets[v + 1] += offsets[v];
-    /* offsets[v] walks through v's slots, ending at the start of v + 1's. */
-    for (int64_t e = 0; e < n_edges; e++) {
-        incident[offsets[edges_u[e]]++] = (int32_t)e;
-        incident[offsets[edges_v[e]]++] = (int32_t)e;
-    }
-    for (int32_t v = n; v > 0; v--)
-        offsets[v] = offsets[v - 1];
-    offsets[0] = 0;
-}
-
-/* ceil(p * 2^53) for p in [0, 1], rng.open_thresholds of one edge: p * 2^53
- * is exact, and so is its integer part, which is at most 2^53. */
-static inline uint64_t open_threshold(double p)
-{
-    double scaled = p * 9007199254740992.0;
-    uint64_t whole = (uint64_t)scaled;
-    return whole + ((double)whole < scaled);
-}
-
 /* Reach of the origin's cluster on keyed trials start .. start + rows - 1,
  * as the largest level in it (levels[v] ranks vertex v's norm among the
  * window's norms; top is the largest rank).  A best-first search from the
@@ -384,15 +388,16 @@ static inline uint64_t open_threshold(double p)
  * of level top is found.  An edge to an unvisited vertex is drawn when the
  * search examines it: trial t opens edge e iff keyed_word(keys[e],
  * keyed_stamp(seed, t)) is below the threshold of its probability, so the
- * reach is exact and no threshold array is held.
- * visited[v] holds the last row that reached v, so no mark is cleared
- * between trials. */
-void keyed_reach(int64_t rows, int32_t n, const int32_t *edges_u, const int32_t *edges_v,
-                 const int32_t *offsets, const int32_t *incident, const uint64_t *keys,
-                 const double *probs, const int32_t *levels, int32_t top, int32_t origin,
-                 uint64_t seed, int64_t start, int64_t *visited, int32_t *next, int32_t *heads,
-                 int32_t *reach)
+ * reach is exact.  The search runs over the incidence lists (offsets,
+ * incident), built at entry.  visited[v] holds the last row that reached v,
+ * so no mark is cleared between trials.  `offsets` (n + 1 zeros),
+ * `incident`, `visited`, `next` and `heads` are scratch. */
+void keyed_reach(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
+                 const uint64_t *keys, const double *probs, const int32_t *levels, int32_t top, int32_t origin,
+                 uint64_t seed, int64_t start, int32_t *offsets, int32_t *incident, int64_t *visited,
+                 int32_t *next, int32_t *heads, int32_t *reach)
 {
+    incidence(n, n_edges, edges_u, edges_v, offsets, incident);
     for (int32_t v = 0; v < n; v++)
         visited[v] = -1;
     for (int64_t row = 0; row < rows; row++) {

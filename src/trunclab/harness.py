@@ -110,7 +110,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.margin < self.certificate.epsilon:
-            raise ConfigError("margin must lie strictly between 0 and epsilon")
+            raise ConfigError(
+                f"margin must lie strictly between 0 and epsilon {self.certificate.epsilon}, got {self.margin}"
+            )
         if self.d_max < 3 or self.k_max < 1:
             raise ConfigError("search budget needs d_max >= 3 and k_max >= 1")
         if self.scale_search_limit < 1:
@@ -122,8 +124,9 @@ class PipelineConfig:
         for name in ("verify_coarse", "verify_vertical"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.positivity_floor < 0 or self.positivity_floor > 1:
-            raise ConfigError("positivity floor must lie in [0, 1]")
+        # Written as "not (...)" so that a NaN is refused too, as is a NaN margin above.
+        if not 0.0 <= self.positivity_floor <= 1.0:
+            raise ConfigError(f"positivity_floor must lie in [0, 1], got {self.positivity_floor}")
         if self.theta_trials < 1 or self.containment_trials < 0:
             raise ConfigError("theta needs at least one trial and containment a nonnegative count")
 
@@ -249,6 +252,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             raw_text=text,
             **_file_values(parser, _CONFIG_KEYS),
         )
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from None
     return config
@@ -385,7 +390,9 @@ def _containment_faults(embedded: GraphWindow, full: GraphWindow) -> tuple[int, 
     edge_faults = {
         "unmapped-edge": unmapped,
         "edge-key-differs": ~unmapped & (embedded.edge_keys != full.edge_keys[image]),
-        "edge-threshold-exceeds-full": ~unmapped & (embedded.open_thresholds > open_thresholds(full.probs[image])),
+        "edge-threshold-exceeds-full": ~unmapped & (
+            open_thresholds(embedded.probs) > open_thresholds(full.probs[image])
+        ),
     }
     stray = np.flatnonzero(vertex_map < 0)
     moved = vertex_map[embedded.origin_index] != full.origin_index

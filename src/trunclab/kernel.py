@@ -2,6 +2,11 @@
 indexed trial joins two terminal sets, the origin's reach by search, and
 each keyed trial's crossing bottleneck.
 
+A window is plain data.  Each entry point here checks what its call reads
+(the edges, probabilities, keys and terminals), so the C code indexes only
+inside its arrays, and the two searches build the window's incidence lists
+and open thresholds inside the call.
+
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of COMPILER and the source>.so`` next to it,
 and loaded with :mod:`ctypes`; later processes reuse the cached library,
@@ -10,16 +15,15 @@ n_vertices)`` block of given open masks: a vertex's label is the smallest
 vertex index of its component plus ``row * n_vertices``, so labels never
 repeat across the rows of a block.  :func:`indexed_hits` draws each trial's
 edges from the indexed stream of :mod:`trunclab.rng` against the window's
-``open_thresholds`` and returns only whether each trial joins two terminal
-sets: it runs 64 trials to a machine word, one bit (lane) each, holding
-one word of lanes per edge (the lanes that open it) and per vertex (the
-lanes in which it joins a left terminal), and a frontier search from the
-left terminals over the window's incidence lists spreads the lanes until
-every lane has hit or the frontier is empty.  :func:`keyed_reach` returns
-only the origin's reach on keyed trials, for theta and the radius profile:
-a best-first search from the origin draws the edges it examines, usually a
-few hundred of the window's.
-:func:`keyed_bottlenecks` returns, per keyed trial of a crossing window,
+``probs`` and returns only whether each trial joins two terminal sets: it
+runs 64 trials to a machine word, one bit (lane) each, holding one word of
+lanes per edge (the lanes that open it) and per vertex (the lanes in which
+it joins a left terminal), and a frontier search from the left terminals
+over the window's incidence lists spreads the lanes until every lane has
+hit or the frontier is empty.  :func:`keyed_reach` returns only the
+origin's reach on keyed trials, for theta and the radius profile: a
+best-first search from the origin draws the edges it examines, usually a
+few hundred of the window's.  :func:`keyed_bottlenecks` returns, per keyed trial of a crossing window,
 the least open probability at which it crosses, as a 53-bit word, for the
 threshold estimates; within one call it sorts only the edges whose words
 lie in the band of the bottlenecks of the trials before.  So the pipeline
@@ -35,14 +39,11 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import blake2b
-
-if TYPE_CHECKING:  # windows builds its incidence lists here
-    from .windows import GraphWindow
+from .windows import GraphWindow
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = ("cc", "-O2", "-shared", "-fPIC")
@@ -93,21 +94,19 @@ def library() -> ctypes.CDLL:
     lib.mask_labels.argtypes = [
         ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 3, _array(np.bool_), _array(np.int32),
     ]
-    # rows, n, n_edges, edges_u, edges_v, offsets, incident, thresholds, sides, seed, start,
+    # rows, n, n_edges, edges_u, edges_v, probs, sides, seed, start, offsets, incident,
     # planes, reach, pending, queue, hits
     lib.indexed_hits.argtypes = [
-        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4, _array(np.uint64),
-        _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, *[_array(np.uint64)] * 3, _array(np.int32),
-        _array(np.bool_),
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 2, _array(np.float64),
+        _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, *[_array(np.int32)] * 2, *[_array(np.uint64)] * 3,
+        _array(np.int32), _array(np.bool_),
     ]
-    # n, n_edges, edges_u, edges_v, offsets, incident
-    lib.incidence.argtypes = [ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 4]
-    # rows, n, edges_u, edges_v, offsets, incident, keys, probs, levels, top, origin,
-    # seed, start, visited, next, heads, reach
+    # rows, n, n_edges, edges_u, edges_v, keys, probs, levels, top, origin, seed, start,
+    # offsets, incident, visited, next, heads, reach
     lib.keyed_reach.argtypes = [
-        ctypes.c_int64, ctypes.c_int32, *[_array(np.int32)] * 4, _array(np.uint64), _array(np.float64),
-        _array(np.int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,
-        _array(np.int64), _array(np.int32), _array(np.int32), _array(np.int32),
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 2, _array(np.uint64),
+        _array(np.float64), _array(np.int32), ctypes.c_int32, ctypes.c_int32, ctypes.c_uint64, ctypes.c_int64,
+        *[_array(np.int32)] * 2, _array(np.int64), *[_array(np.int32)] * 3,
     ]
     # rows, n, n_edges, edges_u, edges_v, keys, sides, seed, start, words, listed, order, counts,
     # parent, reached, bottleneck
@@ -116,20 +115,52 @@ def library() -> ctypes.CDLL:
         _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, _array(np.uint64), _array(np.int32), _array(np.int32),
         _array(np.int64), _array(np.int32), _array(np.uint8), _array(np.uint64),
     ]
-    for entry in (lib.mask_labels, lib.indexed_hits, lib.incidence, lib.keyed_reach, lib.keyed_bottlenecks):
+    for entry in (lib.mask_labels, lib.indexed_hits, lib.keyed_reach, lib.keyed_bottlenecks):
         entry.restype = None
     return lib
 
 
+def _edges(window: GraphWindow) -> tuple[np.ndarray, np.ndarray]:
+    """``edges_u`` and ``edges_v`` as contiguous int32 arrays, checked on every
+    call to pair up and to lie among the window's vertices."""
+    edges_u, edges_v = np.asarray(window.edges_u), np.asarray(window.edges_v)
+    if edges_v.shape != edges_u.shape:
+        raise ValueError("edges_u and edges_v differ in length")
+    # Checked before the cast, which would wrap a wider endpoint into range.
+    n = window.n_vertices
+    if edges_u.size and not (min(edges_u.min(), edges_v.min()) >= 0 and max(edges_u.max(), edges_v.max()) < n):
+        raise ValueError("an edge endpoint lies outside the window's vertices")
+    return np.ascontiguousarray(edges_u, dtype=np.int32), np.ascontiguousarray(edges_v, dtype=np.int32)
+
+
+def _probs(window: GraphWindow) -> np.ndarray:
+    probs = np.ascontiguousarray(window.probs, dtype=np.float64)
+    if probs.shape != (window.n_edges,):
+        raise ValueError(f"window family {window.family!r} needs one edge probability per edge ({window.n_edges})")
+    # The kernel's integer threshold of a NaN or a negative p opens every edge;
+    # written as "not (...)" so that a NaN is refused too.
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        raise ValueError(f"window family {window.family!r} has an edge probability outside [0, 1]")
+    return probs
+
+
+def _incidence_scratch(window: GraphWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed ``offsets`` and room for ``incident``, into which a search builds
+    the window's incidence lists in CSR form."""
+    if 2 * window.n_edges > np.iinfo(np.int32).max:
+        raise ValueError(f"{window.n_edges} edges overflow the kernel's 32-bit incidence lists")
+    return np.zeros(window.n_vertices + 1, dtype=np.int32), np.empty(2 * window.n_edges, dtype=np.int32)
+
+
 def mask_labels(window: GraphWindow, open_matrix: np.ndarray) -> np.ndarray:
     """Labels of each row of a boolean ``(rows, n_edges)`` open-edge block."""
+    edges_u, edges_v = _edges(window)
     open_matrix = np.ascontiguousarray(open_matrix, dtype=np.bool_)
     if open_matrix.ndim != 2 or open_matrix.shape[1] != window.n_edges:
         raise ValueError(f"open block of shape {open_matrix.shape} does not fit {window.n_edges} edges")
     rows = open_matrix.shape[0]
     if rows * max(window.n_vertices, window.n_edges) > np.iinfo(np.int32).max:
         raise ValueError(f"a block of {rows} trials overflows the kernel's 32-bit labels")
-    edges_u, edges_v = window.kernel_edges
     labels = np.empty((rows, window.n_vertices), dtype=np.int32)
     listed = np.empty(window.n_edges, dtype=np.int32)
     library().mask_labels(rows, window.n_vertices, window.n_edges, edges_u, edges_v, listed, open_matrix, labels)
@@ -140,19 +171,6 @@ def _keys(window: GraphWindow) -> np.ndarray:
     if window.edge_keys is None or window.edge_keys.shape != (window.n_edges,):
         raise ValueError(f"window family {window.family!r} needs one edge key per edge ({window.n_edges})")
     return np.ascontiguousarray(window.edge_keys, dtype=np.uint64)
-
-
-def incidence(window: GraphWindow) -> tuple[np.ndarray, np.ndarray]:
-    """The window's incidence lists in CSR form, as int32 ``(offsets, incident)``:
-    the edges at vertex ``v`` are ``incident[offsets[v]:offsets[v + 1]]``, in
-    increasing order.  Cached per window as :attr:`GraphWindow.incidence`."""
-    edges_u, edges_v = window.kernel_edges
-    if 2 * window.n_edges > np.iinfo(np.int32).max:
-        raise ValueError(f"{window.n_edges} edges overflow the kernel's 32-bit incidence lists")
-    offsets = np.zeros(window.n_vertices + 1, dtype=np.int32)
-    incident = np.empty(2 * window.n_edges, dtype=np.int32)
-    library().incidence(window.n_vertices, window.n_edges, edges_u, edges_v, offsets, incident)
-    return offsets, incident
 
 
 def _trial_count(start: int, stop: int) -> int:
@@ -174,28 +192,24 @@ def keyed_reach(window: GraphWindow, seed: int, start: int, stop: int) -> np.nda
     origin's label in :func:`mask_labels` of those masks; but it is found by
     a best-first search from the origin that draws only the edges it
     examines, and stops at the window's largest norm.  The kernel computes
-    each examined edge's ``open_thresholds`` entry from its probability, so
-    a window's search holds no threshold array.
+    each examined edge's ``open_thresholds`` entry from its probability.
     """
     rows = _trial_count(start, stop)
     if window.origin_index is None:
         raise ValueError(f"window family {window.family!r} has no origin to search from")
     if not 0 <= window.origin_index < window.n_vertices:
         raise ValueError(f"origin {window.origin_index} lies outside the window's {window.n_vertices} vertices")
-    if window.probs.shape != (window.n_edges,):
-        raise ValueError(f"window family {window.family!r} needs one edge probability per edge ({window.n_edges})")
-    keys, probs = _keys(window), np.ascontiguousarray(window.probs, dtype=np.float64)
-    edges_u, edges_v = window.kernel_edges
-    offsets, incident = window.incidence
+    edges_u, edges_v = _edges(window)
+    keys, probs = _keys(window), _probs(window)
     # The search ranks norms, so its bucket queue has one list per distinct norm.
     norms = np.unique(window.norms)
     levels = np.searchsorted(norms, window.norms).astype(np.int32)
     n = window.n_vertices
     reach = np.empty(rows, dtype=np.int32)
     library().keyed_reach(
-        reach.size, n, edges_u, edges_v, offsets, incident, keys, probs,
-        levels, norms.size - 1, window.origin_index, seed & 0xFFFFFFFFFFFFFFFF, start,
-        np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(norms.size, dtype=np.int32), reach,
+        reach.size, n, window.n_edges, edges_u, edges_v, keys, probs, levels, norms.size - 1, window.origin_index,
+        seed & 0xFFFFFFFFFFFFFFFF, start, *_incidence_scratch(window), np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int32), np.empty(norms.size, dtype=np.int32), reach,
     )
     return norms[reach]
 
@@ -225,20 +239,19 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     right terminal share a label in :func:`mask_labels` of its mask; but the
     kernel keeps no labels.  It takes the trials 64 at a time, one bit of a
     machine word each, and searches from the left terminals over the
-    window's :attr:`GraphWindow.incidence` lists in all 64 at once, stopping
-    when every one has hit.  A vertex in both sets makes every trial hit.
+    window's incidence lists in all 64 at once, stopping when every one has
+    hit.  A vertex in both sets makes every trial hit.
     """
     rows = _trial_count(start, stop)
     sides = _sides(window, np.asarray(left), np.asarray(right))
-    thresholds = window.open_thresholds
-    edges_u, edges_v = window.kernel_edges
-    offsets, incident = window.incidence
+    edges_u, edges_v = _edges(window)
+    probs = _probs(window)
     n, n_edges = window.n_vertices, window.n_edges
     hits = np.empty(rows, dtype=np.bool_)
     library().indexed_hits(
-        rows, n, n_edges, edges_u, edges_v, offsets, incident, thresholds, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
-        np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64),
-        np.empty(n, dtype=np.int32), hits,
+        rows, n, n_edges, edges_u, edges_v, probs, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
+        *_incidence_scratch(window), np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64),
+        np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int32), hits,
     )
     return hits
 
@@ -265,7 +278,7 @@ def keyed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> 
     if not {"left", "right"} <= window.terminals.keys():
         raise ValueError(f"window family {window.family!r} has no crossing terminals")
     keys = _keys(window)
-    edges_u, edges_v = window.kernel_edges
+    edges_u, edges_v = _edges(window)
     n, n_edges = window.n_vertices, window.n_edges
     sides = _sides(window, window.terminals["left"], window.terminals["right"])
     # The counting sort takes about one bucket per edge it sorts, at most 2^bits.

@@ -34,9 +34,10 @@ Both streams turn a 64-bit ``word`` into the uniform ``u = (word >> 11) *
 word >> 11`` the test ``u < p`` is exactly ``k < ceil(p * 2^53)``
 (:func:`open_thresholds`).  The compiled kernel (:mod:`trunclab.kernel`)
 draws the words of either stream itself and compares them as integers with
-each window's cached ``open_thresholds``, so the edges it opens, and
-clusters without keeping a mask, are exactly those where
-``keyed_uniforms(...) < probs`` or ``indexed_uniform_matrix(...) < probs``.
+the threshold it computes from each edge's probability as it reads it, so
+the edges it opens, and clusters without keeping a mask, are exactly those
+where ``keyed_uniforms(...) < probs`` or ``indexed_uniform_matrix(...) <
+probs``.
 The numpy functions here are the reference the kernel is tested against,
 and the per-trial route of :func:`trunclab.engine.trial_open_mask`.
 """

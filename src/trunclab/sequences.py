@@ -55,10 +55,11 @@ class ProbabilitySequence:
 
     @staticmethod
     def power_law(amplitude: float, exponent: float) -> "ProbabilitySequence":
-        if amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative (probabilities may not grow)")
+        # Written as "not (...)" so that a NaN, which min(1, ...) would read as 1, is refused too.
+        if not amplitude >= 0:
+            raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
+        if not exponent >= 0:
+            raise ValueError(f"exponent must be nonnegative (probabilities may not grow), got {exponent}")
         return ProbabilitySequence(kind="power_law", amplitude=float(amplitude), exponent=float(exponent))
 
     @staticmethod

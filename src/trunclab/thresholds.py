@@ -118,10 +118,12 @@ class ThresholdSettings:
         # A side below 1 would otherwise fail mid-search, in the window builder.
         if self.l_schedule[0] < 1:
             raise ConfigError(f"l_schedule side {self.l_schedule[0]} must be >= 1")
-        if self.bracket_tol <= 0:
-            raise ConfigError("bracket tolerance must be positive")
-        if self.trials_per_probe < 1 or self.coarse_trials < 1:
-            raise ConfigError("trial counts must be positive")
+        # Written as "not (...)" so that a NaN is refused too.
+        if not self.bracket_tol > 0:
+            raise ConfigError(f"bracket_tol must be positive, got {self.bracket_tol}")
+        for name in ("trials_per_probe", "coarse_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -28,9 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import kernel
 from .embedding import EmbeddedGraph
-from .rng import coordinate_edge_keys, open_thresholds
+from .rng import coordinate_edge_keys
 from .sequences import ProbabilitySequence
 
 
@@ -40,7 +39,9 @@ class ConfigError(Exception):
 
 @dataclass
 class GraphWindow:
-    """A finite graph with per-edge open probabilities.
+    """A finite graph with per-edge open probabilities, as plain data: the
+    compiled kernel (:mod:`trunclab.kernel`) checks what each call reads and
+    builds what it indexes inside the call, so only :attr:`norms` is cached.
 
     ``terminals`` names the vertex sets events refer to: crossing windows
     carry ``left``/``right``, box radial windows carry ``origin``/``boundary``
@@ -75,36 +76,6 @@ class GraphWindow:
     def norms(self) -> np.ndarray:
         """Sup-norm of every vertex over the free axes, computed once per window."""
         return np.abs(self.coords[:, : self.free_axes]).max(axis=1)
-
-    @cached_property
-    def kernel_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``edges_u`` and ``edges_v`` as contiguous int32 arrays, checked once
-        per window to pair up and to lie among its vertices, so the compiled
-        kernel indexes only inside its arrays.  A failed check caches nothing."""
-        edges_u = np.ascontiguousarray(self.edges_u, dtype=np.int32)
-        edges_v = np.ascontiguousarray(self.edges_v, dtype=np.int32)
-        if edges_v.shape != edges_u.shape:
-            raise ValueError("edges_u and edges_v differ in length")
-        # Negative endpoints wrap to large unsigned values, so one comparison checks both ends.
-        if edges_u.size and max(edges_u.view(np.uint32).max(), edges_v.view(np.uint32).max()) >= self.n_vertices:
-            raise ValueError("an edge endpoint lies outside the window's vertices")
-        return edges_u, edges_v
-
-    @cached_property
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each vertex's edges as int32 CSR ``(offsets, incident)``
-        (:func:`trunclab.kernel.incidence`), built once per window for the
-        kernel's searches: the origin's keyed reach and the indexed hits."""
-        return kernel.incidence(self)
-
-    @cached_property
-    def open_thresholds(self) -> np.ndarray:
-        """The kernel's integer form of ``probs`` (:func:`trunclab.rng.open_thresholds`),
-        computed once per window, after checking that ``probs`` holds one
-        entry per edge.  A failed check caches nothing."""
-        if self.probs.shape != (self.n_edges,):
-            raise ValueError(f"window family {self.family!r} needs one edge probability per edge ({self.n_edges})")
-        return open_thresholds(self.probs)
 
     def edge_pairs(self) -> Iterator[tuple[tuple, tuple, float]]:
         for u, v, p in zip(self.edges_u, self.edges_v, self.probs):

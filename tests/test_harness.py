@@ -200,13 +200,47 @@ class TestConfig:
         (tmp_path / "table.txt").write_text("1 0.5\n2 0.4\n")
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT.replace("kind = lacunary\nbase = 2\nvalue = 0.9", sequence))
-        with pytest.raises(ConfigError, match=rf"^\[sequence\] {re.escape(message)}$"):
+        with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: \[sequence\] {re.escape(message)}$"):
             load_config(path)
         for command in (["pipeline", "--config", str(path), "--out", str(tmp_path / "out")],
                         ["scales", "--config", str(path)]):
             assert main(command) == 1
-            assert f"config error: [sequence] {message}" in capsys.readouterr().err
+            assert f"config error: config {path}: [sequence] {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("bracket_tol = 0.04", "bracket_tol = 0", "bracket_tol must be positive, got 0.0"),
+            ("bracket_tol = 0.04", "bracket_tol = nan", "bracket_tol must be positive, got nan"),
+            ("trials_per_probe = 400", "trials_per_probe = 0", "trials_per_probe must be positive, got 0"),
+            ("coarse_trials = 150", "coarse_trials = 0", "coarse_trials must be positive, got 0"),
+            ("margin = 0.02", "margin = 0.7", "margin must lie strictly between 0 and epsilon 0.45, got 0.7"),
+            ("margin = 0.02", "margin = nan", "margin must lie strictly between 0 and epsilon 0.45, got nan"),
+            ("positivity_floor = 0.05", "positivity_floor = 1.5", "positivity_floor must lie in [0, 1], got 1.5"),
+            ("positivity_floor = 0.05", "positivity_floor = nan", "positivity_floor must lie in [0, 1], got nan"),
+        ],
+        ids=["tol-zero", "tol-nan", "probe-trials-zero", "coarse-trials-zero", "margin-above-epsilon", "margin-nan",
+             "floor-above-one", "floor-nan"],
+    )
+    def test_a_refused_setting_names_the_file_the_key_and_the_value(self, tmp_path, capsys, line, bad, message):
+        path = tmp_path / "exp.ini"
+        assert CONFIG_TEXT.count(line) == 1
+        path.write_text(CONFIG_TEXT.replace(line, bad))
+        with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: {re.escape(message)}$"):
+            load_config(path)
+        for command in (["pipeline", "--config", str(path), "--out", str(tmp_path / "out")],
+                        ["scales", "--config", str(path)]):
+            assert main(command) == 1
+            assert f"config error: config {path}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_nan_sequence_parameter_is_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        sequence = "kind = power_law\nexponent = nan"
+        path.write_text(CONFIG_TEXT.replace("kind = lacunary\nbase = 2\nvalue = 0.9", sequence))
+        with pytest.raises(ConfigError, match=re.escape(f"invalid config {path}: exponent must be nonnegative")):
+            load_config(path)
 
     def test_sequence_section_variants(self, tmp_path):
         path = tmp_path / "exp.ini"

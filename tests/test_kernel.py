@@ -24,6 +24,7 @@ numpy Philox masks join the event's terminal sets.
 
 from __future__ import annotations
 
+import ast
 import ctypes
 import dataclasses
 import os
@@ -37,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab import engine, kernel
+from trunclab import engine, kernel, windows
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
 from trunclab.engine import UnionFind, component_labels
 from trunclab.kernel import indexed_hits, keyed_bottlenecks, keyed_reach, mask_labels
@@ -179,7 +180,7 @@ def test_keyed_search_draws_the_keyed_uniforms(p, corrupt_edge):
     if p == 1.0:
         assert reference.all()
     if p == 5e-324:
-        assert window.open_thresholds.tolist() == [1] * window.n_edges
+        assert open_thresholds(window.probs).tolist() == [1] * window.n_edges
 
 
 def unmix64(word: int) -> int:
@@ -255,7 +256,7 @@ def test_indexed_threshold_is_exact_at_the_boundary():
     uniforms = indexed_uniform_matrix(n_edges, seed, 1, trial)[0]
     above = np.arange(n_edges) % 2 == 0
     window = chain_window(n_edges, uniforms + np.where(above, 2.0**-53, 0.0))
-    thresholds = window.open_thresholds
+    thresholds = open_thresholds(window.probs)
     assert (thresholds - (uniforms * 2.0**53).astype(np.uint64)).tolist() == above.astype(int).tolist()
     opened = bridge_hits(window, seed, trial, trial + 1)
     assert opened[0].tolist() == above.tolist()
@@ -280,20 +281,59 @@ def test_out_of_range_inputs_are_refused():
         mask_labels(wide, np.zeros((2**31 // wide.n_vertices + 1, 0), dtype=bool))
 
 
-def test_edges_are_checked_once_per_window_and_only_when_valid():
-    window = FAMILIES["grid-crossing-d2"]
-    window = dataclasses.replace(window, edges_v=window.edges_v.copy())
-    last = window.edges_v[-1]
+# Each kernel entry point on a window it can run on: a crossing window given an origin.
+ENTRY_POINTS = {
+    "mask_labels": lambda window: mask_labels(window, np.ones((1, window.n_edges), dtype=bool)),
+    "indexed_hits": lambda window: indexed_hits(window, [0], [window.n_vertices - 1], 1, 0, 2),
+    "keyed_reach": lambda window: keyed_reach(window, 1, 0, 2),
+    "keyed_bottlenecks": lambda window: keyed_bottlenecks(window, 1, 0, 2),
+}
+
+
+def edited_edges(window: GraphWindow, fault: str | None) -> GraphWindow:
+    """A copy of ``window`` whose edge arrays hold ``fault``, if any."""
+    edges_u, edges_v = window.edges_u.copy(), window.edges_v.copy()
+    if fault == "endpoint-past-the-end":
+        edges_v[-1] = window.n_vertices
+    elif fault == "negative-endpoint":
+        edges_u[0] = -1
+    elif fault == "wide-endpoint":  # wraps to vertex 1 in 32 bits
+        edges_v = edges_v.astype(np.int64)
+        edges_v[-1] = 2**32 + 1
+    elif fault == "short-edges_u":
+        edges_u = edges_u[:-1]
+    elif fault == "short-edges_v":
+        edges_v = edges_v[:-1]
+    keep = slice(len(edges_u))  # the per-edge arrays follow edges_u, which sets n_edges
+    return dataclasses.replace(
+        window, edges_u=edges_u, edges_v=edges_v, probs=window.probs[keep], lengths=window.lengths[keep],
+        edge_keys=window.edge_keys[keep],
+    )
+
+
+EDGE_FAULTS = {
+    "endpoint-past-the-end": "an edge endpoint lies outside the window's vertices",
+    "negative-endpoint": "an edge endpoint lies outside the window's vertices",
+    "wide-endpoint": "an edge endpoint lies outside the window's vertices",
+    "short-edges_u": "edges_u and edges_v differ in length",
+    "short-edges_v": "edges_u and edges_v differ in length",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EDGE_FAULTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_edges_that_leave_the_window_or_do_not_pair_up(entry, fault):
+    window = dataclasses.replace(FAMILIES["grid-crossing-d2"], origin_index=0)
+    call = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=re.escape(EDGE_FAULTS[fault])):
+        call(edited_edges(window, fault))
+    # A window holds no checked copy of its edges, so one edited in place
+    # after a call is checked again on the next.
+    window = edited_edges(window, None)
+    call(window)
     window.edges_v[-1] = window.n_vertices
-    block = np.ones((1, window.n_edges), dtype=bool)
     with pytest.raises(ValueError, match="outside the window"):
-        mask_labels(window, block)
-    assert "kernel_edges" not in vars(window)
-    window.edges_v[-1] = last
-    labels = mask_labels(window, block)
-    checked = vars(window)["kernel_edges"]
-    assert np.array_equal(mask_labels(window, block), labels)
-    assert vars(window)["kernel_edges"] is checked
+        call(window)
 
 
 @pytest.mark.parametrize(
@@ -320,18 +360,19 @@ def test_draws_refuse_a_window_whose_arrays_do_not_fit_naming_its_family(name, f
             indexed_hits(window, [0], [1], 1, 0, 2)
 
 
-def test_thresholds_are_computed_once_per_window_and_only_when_valid():
-    valid = FAMILIES["long-range-radial"]
-    window = dataclasses.replace(valid, probs=valid.probs[:-1])
-    with pytest.raises(ValueError, match="one edge probability per edge"):
-        indexed_hits(window, [0], [1], 1, 0, 2)
-    assert "open_thresholds" not in vars(window)
-    window.probs = valid.probs
-    hits = indexed_hits(window, [0], [1], 1, 0, 2)
-    cached = vars(window)["open_thresholds"]
-    assert np.array_equal(cached, open_thresholds(valid.probs))
-    assert np.array_equal(indexed_hits(window, [0], [1], 1, 0, 2), hits)
-    assert vars(window)["open_thresholds"] is cached
+@pytest.mark.parametrize("p", [float("nan"), -0.5, 1.5])
+def test_searches_refuse_a_probability_outside_the_unit_interval_naming_the_family(p):
+    # The kernel's integer threshold of a NaN or a negative p opened every edge,
+    # where the numpy reference u < p opens none.
+    window = FAMILIES["long-range-radial"]
+    probs = window.probs.copy()
+    probs[-1] = p
+    window = dataclasses.replace(window, probs=probs)
+    message = f"window family {window.family!r} has an edge probability outside [0, 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        keyed_reach(window, 1, 0, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        indexed_hits(window, [window.origin_index], window.terminals["boundary"], 1, 0, 2)
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -361,6 +402,8 @@ def test_every_exported_kernel_function_is_declared():
     lib = kernel.library()
     declared = {name for name, entry in vars(lib).items() if isinstance(entry, lib._FuncPtr)}
     assert exported.keys() == declared
+    # One labelling, one hit, one reach and one bottleneck entry point.
+    assert len(exported) <= 4, sorted(exported)
     for name, parameters in exported.items():
         entry = getattr(lib, name)
         assert entry.argtypes is not None and entry.restype is None, name
@@ -372,6 +415,19 @@ def test_every_exported_kernel_function_is_declared():
                 assert np.dtype(argtype._dtype_).type in C_ARRAYS[ctype], (name, parameter)
             else:
                 assert argtype is C_SCALARS[ctype], (name, parameter)
+
+
+def test_windows_import_nothing_from_the_kernel():
+    # A window is plain data; the kernel checks and derives what each call reads.
+    tree = ast.parse(Path(windows.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {module} | {f"{module.rstrip('.')}.{alias.name}" for alias in node.names}
+    assert not [name for name in imported if "kernel" in name.split(".")], imported
 
 
 def test_second_load_reuses_the_cached_library(monkeypatch):
@@ -555,17 +611,39 @@ def test_search_refuses_a_window_without_an_origin_naming_its_family(name):
         keyed_reach(window, 1, 0, 2)
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_incidence_lists_each_vertex_edges_in_order(name):
+# Every family window with an origin or terminals: both searches run on it.
+SEARCHED_FAMILIES = sorted(
+    name for name, window in FAMILIES.items() if window.origin_index is not None or window.terminals
+)
+EVENT_TERMINALS = {"crossing": {"left", "right"}, "origin_boundary": {"origin", "boundary"}}
+
+
+@pytest.mark.parametrize("name", SEARCHED_FAMILIES)
+def test_searches_equal_their_references_on_every_family(name):
+    # Each search builds the window's incidence lists in the call, so a list
+    # that missed an edge or listed a wrong end would part it from the
+    # whole-window reference: the reach from the origin, and the hits of
+    # each event the window carries, at its own probabilities and at half.
     window = FAMILIES[name]
-    offsets, incident = window.incidence
-    assert offsets.dtype == incident.dtype == np.int32
-    ends = np.concatenate([window.edges_u, window.edges_v])
-    edges = np.tile(np.arange(window.n_edges), 2)
-    order = np.lexsort((edges, ends))
-    assert np.array_equal(incident, edges[order])
-    assert np.array_equal(offsets, np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=window.n_vertices))]))
-    assert window.incidence is vars(window)["incidence"]
+    seed, start, stop = 19, 4, 204
+    events = [event for event, keys in EVENT_TERMINALS.items() if keys <= window.terminals.keys()]
+    assert window.origin_index is not None or events
+    hits = {event: 0 for event in events}
+    at_top = 0
+    for scale in (1.0, 0.5):
+        scaled = dataclasses.replace(window, probs=window.probs * scale)
+        if window.origin_index is not None:
+            reach = keyed_reach(scaled, seed, start, stop)
+            assert np.array_equal(reach, reference_reach(scaled, seed, start, stop)), scale
+            at_top += int((reach == window.norms.max()).sum())
+        for event in events:
+            left, right = engine.event_terminals(scaled, event)
+            hit = indexed_hits(scaled, left, right, seed, start, stop)
+            assert np.array_equal(hit, scipy_hits(scaled, left, right, seed, start, stop)), (event, scale)
+            hits[event] += int(hit.sum())
+    # Both outcomes occur, so a search that always or never arrived would fail.
+    assert all(0 < count < 2 * (stop - start) for count in hits.values()), hits
+    assert window.origin_index is None or 0 < at_top < 2 * (stop - start)
 
 
 BOTTLENECK_FAMILIES = {

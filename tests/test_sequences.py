@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -44,6 +45,20 @@ class TestEvaluation:
                 value = seq.probability(int(n))
                 assert 0.0 <= value <= 1.0
                 assert seq.probability(int(n)) == value
+
+    @pytest.mark.parametrize(
+        "amplitude, exponent, message",
+        [
+            (float("nan"), 1.0, "amplitude must be nonnegative, got nan"),
+            (1.0, float("nan"), "exponent must be nonnegative (probabilities may not grow), got nan"),
+            (-0.5, 1.0, "amplitude must be nonnegative, got -0.5"),
+        ],
+        ids=["nan-amplitude", "nan-exponent", "negative-amplitude"],
+    )
+    def test_power_law_refuses_nan_and_negative_parameters(self, amplitude, exponent, message):
+        # min(1, nan) is 1, so a NaN parameter would read p(n) = 1 for every n.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProbabilitySequence.power_law(amplitude, exponent)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,11 @@ import trunclab.thresholds as thresholds_module
 from trunclab.cli import _build_parser, _pc_settings, main
 from trunclab.harness import load_config
 from trunclab.kernel import keyed_bottlenecks
-from trunclab.rng import derive_seed, keyed_uniforms
+from trunclab.rng import derive_seed, keyed_uniforms, open_thresholds
 from trunclab.sequences import ProbabilitySequence
 from trunclab.thresholds import (
     METHOD,
+    SETTING_READERS,
     CalibrationTable,
     LatticeFamily,
     ParametersNotFound,
@@ -108,6 +110,27 @@ class TestSettings:
         calib = tmp_path / "calib.csv"
         assert main(["pc", "--family", "z2", "--L-schedule", schedule, "--trials", "20", "--calib", str(calib)]) == 1
         assert message in capsys.readouterr().err
+        assert not calib.exists()
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("bracket_tol", "nan", "bracket_tol must be positive, got nan"),
+            ("bracket_tol", "0", "bracket_tol must be positive, got 0.0"),
+            ("trials_per_probe", "0", "trials_per_probe must be positive, got 0"),
+            ("coarse_trials", "0", "coarse_trials must be positive, got 0"),
+        ],
+        ids=["tol-nan", "tol-zero", "probe-trials-zero", "coarse-trials-zero"],
+    )
+    def test_a_refused_setting_is_named_with_its_value(self, tmp_path, capsys, name, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ThresholdSettings(**{name: SETTING_READERS[name](value)})
+        # Through `trunclab pc`, which printed "bracket_tol": NaN, not JSON, for --tol nan.
+        flag = {"bracket_tol": "--tol", "trials_per_probe": "--trials", "coarse_trials": "--coarse-trials"}[name]
+        calib = tmp_path / "calib.csv"
+        assert main(["pc", "--family", "z2", "--L-schedule", "4 8", flag, value, "--calib", str(calib)]) == 1
+        out, err = capsys.readouterr()
+        assert f"config error: {message}\n" in err and out == ""
         assert not calib.exists()
 
     def test_tolerance_positive(self):
@@ -244,7 +267,7 @@ class TestEstimatePc:
             # Labels are unique across trials, so a shared one names its trial.
             shared = np.intersect1d(labels[:, left], labels[:, right])
             crossed = np.isin(labels[:, left], shared).any(axis=1)
-            assert np.array_equal(bottlenecks < at_p.open_thresholds[0], crossed), k
+            assert np.array_equal(bottlenecks < open_thresholds(at_p.probs)[0], crossed), k
 
     @pytest.mark.parametrize("schedule", [(6, 12), (8, 16, 32)], ids=["two-sides", "default-sides"])
     def test_every_setting_changes_the_estimate_or_the_verdict(self, tmp_path, schedule):
