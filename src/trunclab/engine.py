@@ -13,10 +13,10 @@ trials to a machine word, and returns only whether each trial joins two
 terminal sets, found by a frontier search in all 64 trials at once; it
 keeps no masks and no labels.  :func:`mc_event_probability` sums those
 hits.  :func:`origin_radius_profile` reads every radius off one keyed
-``kernel.keyed_reach`` search with :func:`reach_estimate`, as the
-certification pass's theta rows do, and the threshold estimates read each
-keyed trial's crossing bottleneck from ``kernel.keyed_bottlenecks``; so the
-pipeline draws only keyed words, and the indexed stream serves
+``kernel.keyed_reach`` search, and the pipeline's theta rows are read
+through it, one call per certification window; the threshold estimates read
+each keyed trial's crossing bottleneck from ``kernel.keyed_bottlenecks``; so
+the pipeline draws only keyed words, and the indexed stream serves
 :func:`mc_event_probability` alone.
 :func:`component_labels` labels an open-edge block given as masks.  There is
 no second route in the package.  The tests keep scipy's
@@ -276,11 +276,6 @@ def origin_boundary_estimate(
     return mc_event_probability(window, "origin_boundary", trials, master_seed, label=label)
 
 
-def reach_estimate(reach: np.ndarray, radius: int, seed: int, label: str) -> Estimate:
-    """The share of keyed trials whose reach (:func:`trunclab.kernel.keyed_reach`) is at least ``radius``."""
-    return _make_estimate(int((reach >= radius).sum()), reach.size, seed, KEYED_STREAM_RULE, label)
-
-
 def origin_radius_profile(
     window: GraphWindow,
     radii: list[int],
@@ -306,9 +301,14 @@ def origin_radius_profile(
     radii = list(radii)
     if any(r < 1 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be at least 1 and strictly increasing, got {radii}")
-    reach = keyed_reach(window, master_seed, 0, trials)
-    estimates = [reach_estimate(reach, r, master_seed, f"{label}r{r}" if label else f"reach-r{r}") for r in radii]
-    return estimates, reach[:, None] >= np.array(radii, dtype=np.int64)
+    reached = keyed_reach(window, master_seed, 0, trials)[:, None] >= np.array(radii, dtype=np.int64)
+    estimates = [
+        _make_estimate(
+            int(hits), trials, master_seed, KEYED_STREAM_RULE, f"{label}r{r}" if label else f"reach-r{r}"
+        )
+        for r, hits in zip(radii, reached.sum(axis=0))
+    ]
+    return estimates, reached
 
 
 def _joined_lanes(window: GraphWindow, planes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:

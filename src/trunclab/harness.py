@@ -1,28 +1,24 @@
 """End-to-end pipeline: geometry selection, scale recursion, embedding
-verification, reach estimates, and containment checks, with file outputs.
+verification, the containment check and reach estimates, with file outputs.
 
 A run is a pure function of its configuration and master seed.  Every stage
 derives its stream seeds from the master seed and a textual label, so the
 report (written as ``report.json``) is byte-identical across reruns; wall
 times live only in the manifest.
 
-Reach and containment are certified together, in one pass on one pair of
-windows, the embedded and the full radial window of radius
-``R = max(theta_radii) + N`` (``N`` the truncation level).
-:func:`containment_check` checks containment on the pair's structure:
-every embedded vertex and edge lies in the full window, with the same
-edge keys, open thresholds at most the full ones, and the same origin.
+Certification works on one pair of windows, the embedded and the full
+radial window of radius ``R = max(theta_radii) + N`` (``N`` the truncation
+level).  :func:`containment_check` checks containment on the pair's
+structure: every embedded vertex and edge lies in the full window, with the
+same edge keys, open thresholds at most the full ones, and the same origin.
 Since each keyed draw is a pure function of (edge key, seed, trial), that
 makes the embedded cluster sit inside the truncated one on every trial.
-It then runs one set of keyed trials on both windows and records how far
-the origin's cluster reaches in each.  No window is clustered whole: per
-trial, :func:`trunclab.kernel.keyed_reach` searches from the origin and
-draws only the edges it examines, which draws can do in any order, so the
-reach is exact.  A path that leaves the open box
-``{|x| < r}`` first lands at a vertex of norm below ``r + N``, so the
-radius-``R`` windows decide that event exactly for every theta radius
-``r``; :func:`trunclab.engine.reach_estimate` reads each theta row off the
-per-trial reaches, as it reads the radii of ``engine.origin_radius_profile``.
+The theta rows are then read off one
+:func:`trunclab.engine.origin_radius_profile` call per window, both on the
+pair's stage seed, so the two windows share their keyed trials.  A path
+that leaves the open box ``{|x| < r}`` first lands at a vertex of norm
+below ``r + N``, so the radius-``R`` windows decide that event exactly for
+every theta radius ``r``.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +42,15 @@ from .embedding import (
     verify_isomorphism,
 )
 # component_labels, origin_boundary_estimate and keyed_uniforms are not
-# called here (the certification pass searches each trial's reach in the
-# kernel's keyed_reach), but they stay bound: the benchmark's tracer wraps
-# each by name in this namespace.
+# called here (theta is read off origin_radius_profile's keyed reach
+# search), but they stay bound: the benchmark's tracer wraps each by name in
+# this namespace.
 from .engine import (
     Estimate,
     component_labels,  # noqa: F401
     origin_boundary_estimate,  # noqa: F401
-    reach_estimate,
+    origin_radius_profile,
 )
-from .kernel import keyed_reach
 from .rng import (
     KEYED_STREAM_RULE,
     derive_seed,
@@ -261,8 +256,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class ContainmentReport:
-    """The certification pass: containment, checked once on the window pair,
-    and the origin's reach in each window on every theta trial.
+    """Containment, checked once on the structure of the window pair.
 
     The kernel draws each keyed word as a pure function of (edge key, seed,
     trial).  So when every embedded vertex and edge lies in the full window,
@@ -274,44 +268,24 @@ class ContainmentReport:
     containment trials); the check covers every trial.  ``edge_violations``
     counts the embedded edges that break it, ``cluster_violations`` the
     stray vertices and a mismatched origin, and ``first_violation`` names the
-    first fault's kind and its vertex or edge.
-
-    ``embedded_reach`` and ``full_reach`` hold, per reach trial, the largest
-    sup-norm in the origin's cluster, found by the kernel's search from the
-    origin (:func:`trunclab.kernel.keyed_reach`); :meth:`reach_estimates`
-    turns them into theta rows, which are not part of this record's
-    dictionary.
+    first fault's kind and its vertex or edge.  ``seed`` is the pair's stage
+    seed, on which the theta rows draw their trials.
     """
 
     radius: int
     trials: int
     checked_edges: int
-    edge_violations: int = 0
-    cluster_violations: int = 0
-    first_violation: dict | None = None
-    seed: int = 0
-    embedded_reach: np.ndarray | None = None
-    full_reach: np.ndarray | None = None
+    edge_violations: int
+    cluster_violations: int
+    first_violation: dict | None
+    seed: int
 
     @property
     def passed(self) -> bool:
         return self.edge_violations == 0 and self.cluster_violations == 0
 
-    def reach_estimates(self, radius: int) -> tuple[Estimate, Estimate]:
-        """Embedded and full theta at ``radius``: the share of reach trials whose
-        origin cluster leaves the open box ``{|x| < radius}``.
-
-        Exact on the infinite truncated graph when ``radius`` is at most the
-        window radius minus the truncation level.
-        """
-        return tuple(
-            reach_estimate(reach, radius, self.seed, f"theta-{name}-r{radius}")
-            for name, reach in (("embedded", self.embedded_reach), ("full", self.full_reach))
-        )
-
     def to_dict(self) -> dict:
-        names = [f.name for f in fields(self) if f.name not in ("embedded_reach", "full_reach")]
-        return {**{name: getattr(self, name) for name in names}, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 # Edges sorted at a time by _edge_index: a chunk's codes and sort order take
@@ -345,15 +319,8 @@ def _edge_index(window: GraphWindow, heads: np.ndarray, tails: np.ndarray) -> np
     return found
 
 
-def containment_check(
-    embedded: GraphWindow,
-    full: GraphWindow,
-    trials: int,
-    master_seed: int,
-    theta_trials: int = 0,
-) -> ContainmentReport:
-    """The certification pass: containment from the structure of the window
-    pair, and both reaches from one set of shared keyed trials.
+def containment_check(embedded: GraphWindow, full: GraphWindow, trials: int, master_seed: int) -> ContainmentReport:
+    """Containment from the structure of the window pair.
 
     ``embedded`` and ``full`` are the radial windows of one radius, built by
     :func:`embedded_radial_window` and :func:`long_range_radial_window` on the
@@ -363,27 +330,8 @@ def containment_check(
     edge key that differs from its image's, or an open threshold above its
     image's.  ``first_violation`` names the first fault in that order: a
     stray vertex, else the origin, else the first edge of the first edge
-    fault.
-
-    The pass then runs ``theta_trials`` trials on the keyed streams, so
-    every lattice edge the two windows share draws the same uniform.  One
-    kernel call per window searches each trial's reach from the origin,
-    drawing only the edges it examines, and the reaches go to
-    ``embedded_reach``/``full_reach``.
+    fault.  Nothing is drawn: ``trials`` and ``master_seed`` are recorded.
     """
-    report = ContainmentReport(
-        radius=embedded.meta["radius"], trials=trials, checked_edges=embedded.n_edges, seed=master_seed
-    )
-    report.edge_violations, report.cluster_violations, report.first_violation = _containment_faults(embedded, full)
-    report.embedded_reach = keyed_reach(embedded, master_seed, 0, theta_trials)
-    report.full_reach = keyed_reach(full, master_seed, 0, theta_trials)
-    return report
-
-
-def _containment_faults(embedded: GraphWindow, full: GraphWindow) -> tuple[int, int, dict | None]:
-    """The structural check of :func:`containment_check`: edge violations,
-    cluster violations and the first violation.  Its lookups are freed when
-    it returns, before the reach search."""
     vertex_map = _row_lookup(full.coords, embedded.coords)
     edge_map = _edge_index(full, vertex_map[embedded.edges_u], vertex_map[embedded.edges_v])
     unmapped, image = edge_map < 0, np.maximum(edge_map, 0)
@@ -396,7 +344,6 @@ def _containment_faults(embedded: GraphWindow, full: GraphWindow) -> tuple[int, 
     }
     stray = np.flatnonzero(vertex_map < 0)
     moved = vertex_map[embedded.origin_index] != full.origin_index
-    edge_violations = int(np.logical_or.reduce(list(edge_faults.values())).sum())
     faulty = [kind for kind, mask in edge_faults.items() if mask.any()]
     first = None
     if stray.size:
@@ -411,7 +358,15 @@ def _containment_faults(embedded: GraphWindow, full: GraphWindow) -> tuple[int, 
         e = int(np.argmax(edge_faults[faulty[0]]))
         ends = [embedded.edges_u[e], embedded.edges_v[e]]
         first = {"kind": faulty[0], "edge_index": e, "edge": embedded.coords[ends].tolist()}
-    return edge_violations, stray.size + int(moved), first
+    return ContainmentReport(
+        radius=embedded.meta["radius"],
+        trials=trials,
+        checked_edges=embedded.n_edges,
+        edge_violations=int(np.logical_or.reduce(list(edge_faults.values())).sum()),
+        cluster_violations=stray.size + int(moved),
+        first_violation=first,
+        seed=master_seed,
+    )
 
 
 @dataclass
@@ -552,31 +507,31 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
         )
         return finish()
 
-    # One keyed pass on one window pair scores theta and containment together;
-    # the "theta" timing covers the window builds and the pass.
+    # The "containment" stage builds the pair and checks it; the "theta"
+    # stage searches both windows' reaches on the pair's stage seed.
     clock = time.perf_counter()
-    outcome = containment_check(
-        embedded_radial_window(graph, truncated, radius),
-        long_range_radial_window(truncated, radius),
-        config.containment_trials,
-        derive_seed(config.master_seed, "containment", radius),
-        theta_trials=config.theta_trials,
+    seed = derive_seed(config.master_seed, "containment", radius)
+    windows = {
+        "embedded": embedded_radial_window(graph, truncated, radius),
+        "full": long_range_radial_window(truncated, radius),
+    }
+    outcome = containment_check(windows["embedded"], windows["full"], config.containment_trials, seed)
+    report.containment.append(outcome.to_dict())
+    timings["containment"] = time.perf_counter() - clock
+
+    clock = time.perf_counter()
+    embedded_rows, full_rows = (
+        origin_radius_profile(window, config.theta_radii, config.theta_trials, seed, f"theta-{name}-")[0]
+        for name, window in windows.items()
     )
-    floor_ok = True
-    for rho in config.theta_radii:
-        est_embedded, est_full = outcome.reach_estimates(rho)
+    for rho, est_embedded, est_full in zip(config.theta_radii, embedded_rows, full_rows):
         report.theta.append(
             {"radius": rho, "embedded": _estimate_dict(est_embedded), "full": _estimate_dict(est_full)}
         )
         for est, family in ((est_embedded, "embedded"), (est_full, "z2-long-range")):
             estimates_log.append({"family": family, "event": "origin_boundary", **est.as_row()})
-        floor_ok = floor_ok and est_embedded.value >= config.positivity_floor
     timings["theta"] = time.perf_counter() - clock
-    report.checks["theta_floor"] = floor_ok
-
-    clock = time.perf_counter()
-    report.containment.append(outcome.to_dict())
-    timings["containment"] = time.perf_counter() - clock
+    report.checks["theta_floor"] = all(est.value >= config.positivity_floor for est in embedded_rows)
     report.checks["containment"] = outcome.passed
 
     report.passed = all(report.checks.values())

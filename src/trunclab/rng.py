@@ -19,12 +19,13 @@ trials can run in any order (or in parallel) without changing a single draw:
   draw the *same* uniform for it.  So when two windows' shared edges carry
   the same keys and one window's open probabilities are at most the
   other's, its open edges are open in the other on every trial of every
-  seed: the pipeline's certification pass checks containment on that
-  structure once (:func:`trunclab.harness.containment_check`).  Its reach
+  seed: the pipeline checks containment on that structure once
+  (:func:`trunclab.harness.containment_check`).  The reach
   (theta) trials come from these streams too: since a draw depends on
   nothing else, the kernel's search from the origin
-  (:func:`trunclab.kernel.keyed_reach`) draws each edge only when it
-  examines it, in any order.  The threshold estimates' crossing
+  (:func:`trunclab.kernel.keyed_reach`, behind
+  :func:`trunclab.engine.origin_radius_profile`) draws each edge only when
+  it examines it, in any order.  The threshold estimates' crossing
   bottlenecks (:func:`trunclab.kernel.keyed_bottlenecks`) read them as
   well, so a pipeline run draws from this stream rule alone.
 

@@ -4,7 +4,7 @@ The threshold proxy is the open probability at which the left-right crossing
 of the ``(L+1) x L`` sponge reaches one-half.  A trial's bottleneck is the
 least ``p`` at which it crosses, read exactly by a Kruskal sweep in the
 kernel (:func:`trunclab.kernel.keyed_bottlenecks`) over the trial's keyed
-words, the stream the certification pass draws too, so at one side the
+words, the stream the theta rows draw too, so at one side the
 crossing fraction at every ``p`` is the empirical distribution function of
 the trials' bottlenecks and the proxy is their median.  One kernel call per
 side of the schedule gives them all.  The estimate is the largest side's
@@ -70,7 +70,7 @@ class LatticeFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("z2", "zd", "slab"):
             raise ConfigError(f"unknown lattice family kind {self.kind!r}")
-        if self.kind != "z2" and self.dimension < 2:
+        if self.kind == "slab" and self.dimension < 2:
             raise ConfigError("dimension must be >= 2")
         if self.kind == "slab" and self.thickness < 1:
             raise ConfigError("slab thickness must be >= 1")
@@ -79,6 +79,9 @@ class LatticeFamily:
             raise ConfigError(f"family {self.kind} has no thickness, got {self.thickness}")
         if self.kind == "z2" and self.dimension != 2:
             raise ConfigError(f"family z2 has dimension 2, got {self.dimension}")
+        # zd at dimension 2 would share the key "z2" with the z2 family.
+        if self.kind == "zd" and self.dimension < 3:
+            raise ConfigError(f"family zd needs dimension >= 3 (the plane is family z2), got {self.dimension}")
 
     @property
     def key(self) -> str:

@@ -3,10 +3,11 @@
 The batch estimators cluster a whole block of trials in one kernel call;
 these tests pin that route to one trial at a time: 2-D against 1-D
 ``component_labels``, block-offset Philox matrices against per-trial streams,
-and the certification pass's reaches against per-trial reference loops.  The
-pass checks containment on the structure of its window pair; a per-trial
-reference that compares open edges and clusters trial by trial tests that
-claim, on intact pairs and on pairs with one injected fault each.
+and the reach profile on the certification windows against per-trial
+reference loops.  The containment check reads only the structure of its
+window pair; a per-trial reference that compares open edges and clusters
+trial by trial tests that claim, on intact pairs and on pairs with one
+injected fault each.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def test_radius_profile_matches_per_trial_reach():
         assert indicators[trial].tolist() == [reach >= r for r in radii]
 
 
-def test_radius_profile_reads_the_search_that_theta_reads(monkeypatch):
+def test_theta_rows_are_the_profiles_of_the_pair(monkeypatch):
     # A run whose embedded theta rows are below 1, so the rows are not all alike.
     config = harness.PipelineConfig(
         sequence=PS.lacunary(0.5, base=2),
@@ -194,11 +195,25 @@ def test_radius_profile_reads_the_search_that_theta_reads(monkeypatch):
         thresholds=ThresholdSettings(l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=400, coarse_trials=150),
         master_seed=424242,
     )
+    calls = []
+
+    def counted(window, *args):
+        calls.append((window.family, window.meta["radius"], *args))
+        return kernel.keyed_reach(window, *args)
+
+    def refused(*args):
+        raise AssertionError("theta drew indexed hits")
+
+    monkeypatch.setattr(engine, "keyed_reach", counted)
+    monkeypatch.setattr(engine, "indexed_hits", refused)
     report = harness.run_pipeline(config)
     assert report.passed
     radii = list(config.theta_radii)
     radius = max(radii) + report.truncation
     seed = derive_seed(config.master_seed, "containment", radius)
+    trials = config.theta_trials
+    # One search per window of the pair, on the pair's stage seed.
+    assert calls == [("embedded", radius, seed, 0, trials), ("z2-long-range", radius, seed, 0, trials)]
     truncated = config.sequence.truncate(report.truncation)
     thickness = report.slab["thickness"]
     graph = EmbeddedGraph(SlabParameters(report.slab["dimension"], thickness), ScaleVector(tuple(report.scales), thickness))
@@ -206,29 +221,14 @@ def test_radius_profile_reads_the_search_that_theta_reads(monkeypatch):
         "embedded": embedded_radial_window(graph, truncated, radius),
         "full": long_range_radial_window(truncated, radius),
     }
-    outcome = containment_check(windows["embedded"], windows["full"], 0, seed, theta_trials=config.theta_trials)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return kernel.keyed_reach(*args)
-
-    def refused(*args):
-        raise AssertionError("the radius profile drew indexed hits")
-
-    monkeypatch.setattr(engine, "keyed_reach", counted)
-    monkeypatch.setattr(engine, "indexed_hits", refused)
-    for name, reach in (("embedded", outcome.embedded_reach), ("full", outcome.full_reach)):
-        calls.clear()
-        estimates, indicators = origin_radius_profile(windows[name], radii, config.theta_trials, seed)
-        assert len(calls) == 1
+    for name, window in windows.items():
+        reach = kernel.keyed_reach(window, seed, 0, trials)
+        estimates, indicators = origin_radius_profile(window, radii, trials, seed, f"theta-{name}-")
         assert np.array_equal(indicators, reach[:, None] >= np.array(radii))
         for estimate, row in zip(estimates, report.theta):
-            theta = row[name]
-            assert (estimate.successes, estimate.trials, estimate.seed, estimate.stream_rule) == (
-                theta["successes"], theta["trials"], theta["seed"], theta["stream_rule"]
-            )
-    assert [row["embedded"]["successes"] for row in report.theta] != [config.theta_trials] * len(radii)
+            assert harness._estimate_dict(estimate) == row[name]
+            assert estimate.label == f"theta-{name}-r{row['radius']}"
+    assert [row["embedded"]["successes"] for row in report.theta] != [trials] * len(radii)
 
 
 def per_trial_containment(embedded, full, trials, seed):
@@ -320,10 +320,9 @@ def test_edge_lookup_finds_the_first_directed_edge_in_every_chunk(radial_pair, c
 
 
 def test_structural_check_ignores_trial_counts(radial_pair):
-    # The check covers every trial: neither count changes the row.
-    rows = [containment_check(*radial_pair, trials, 9, theta_trials=theta).to_dict()
-            for trials, theta in ((0, 0), (1000, 0), (0, 7))]
-    assert rows[0] == rows[2] == {**rows[1], "trials": 0}
+    # The check covers every trial and draws nothing: the counts and the seed are only recorded.
+    rows = [containment_check(*radial_pair, trials, seed).to_dict() for trials, seed in ((0, 9), (1000, 9), (0, 7))]
+    assert rows[0] == {**rows[1], "trials": 0} == {**rows[2], "seed": 9}
 
 
 @pytest.mark.parametrize("change", ["raised", "lowered"])
@@ -388,35 +387,30 @@ def per_trial_reaches(window, keys, trials, seed):
     return np.array(reaches)
 
 
+def window_reaches(window, trials, seed):
+    """Each trial's reach read off the profile at every radius of the window, up to its own."""
+    radii = list(range(1, window.meta["radius"] + 1))
+    return origin_radius_profile(window, radii, trials, seed)[1].sum(axis=1)
+
+
 @pytest.mark.parametrize("theta_trials", [20, 50, 77])
-def test_pass_reaches_match_per_trial_loop(graph, theta_trials):
+def test_profile_reaches_match_per_trial_loop(graph, theta_trials):
     embedded, full = radial_windows(graph, 0.2)
-    report = containment_check(embedded, full, 50, 13, theta_trials=theta_trials)
-    assert report.passed
-    reaches = {
-        "embedded": per_trial_reaches(embedded, embedded.edge_keys, theta_trials, 13),
-        "full": per_trial_reaches(full, full.edge_keys, theta_trials, 13),
-    }
-    assert np.array_equal(report.embedded_reach, reaches["embedded"])
-    assert np.array_equal(report.full_reach, reaches["full"])
-    # The windows have radius 12 and the truncation level is 4, so every
-    # radius up to 8 is decided exactly.
-    for rho in (1, 2, 4, 8):
-        for name, estimate in zip(("embedded", "full"), report.reach_estimates(rho)):
-            assert estimate.successes == int((reaches[name] >= rho).sum())
+    assert containment_check(embedded, full, 50, 13).passed
+    for name, window in (("embedded", embedded), ("full", full)):
+        reaches = per_trial_reaches(window, window.edge_keys, theta_trials, 13)
+        assert np.array_equal(window_reaches(window, theta_trials, 13), reaches)
+        # The windows have radius 12 and the truncation level is 4, so every
+        # radius up to 8 is decided exactly.
+        estimates, _ = origin_radius_profile(window, [1, 2, 4, 8], theta_trials, 13, f"theta-{name}-")
+        for rho, estimate in zip((1, 2, 4, 8), estimates):
+            assert estimate.successes == int((reaches >= rho).sum())
             assert estimate.trials == theta_trials
             assert estimate.seed == 13
             assert estimate.stream_rule == KEYED_STREAM_RULE
             assert estimate.label == f"theta-{name}-r{rho}"
-    # Neither profile is saturated at radius 4.
-    for estimate in report.reach_estimates(4):
-        assert 0 < estimate.successes < theta_trials
-
-
-def test_pass_without_theta_trials_reports_no_reach(radial_pair):
-    report = containment_check(*radial_pair, 10, 9)
-    assert report.embedded_reach.size == 0 and report.full_reach.size == 0
-    assert all(estimate.trials == 0 for estimate in report.reach_estimates(4))
+        # Neither profile is saturated at radius 4.
+        assert 0 < estimates[2].successes < theta_trials
 
 
 def test_moved_embedded_origin_is_named(graph):
@@ -429,13 +423,13 @@ def test_moved_embedded_origin_is_named(graph):
         "kind": "origin-mismatch", "vertex": moved.coords[rim].tolist(), "full_origin": [0, 0],
     })
     assert report.cluster_violations == 1 and report.edge_violations == 0
-    # The reaches are still drawn, and the moved origin's exceed the full ones.
-    reaches = containment_check(moved, full, 0, 13, theta_trials=40)
-    assert np.array_equal(reaches.embedded_reach, per_trial_reaches(moved, moved.edge_keys, 40, 13))
-    assert (reaches.embedded_reach > reaches.full_reach).any()
+    # The moved origin's reaches are still searched, and exceed the full ones.
+    moved_reach = window_reaches(moved, 40, 13)
+    assert np.array_equal(moved_reach, per_trial_reaches(moved, moved.edge_keys, 40, 13))
+    assert (moved_reach > window_reaches(full, 40, 13)).any()
 
 
-def test_pass_reaches_agree_with_exact_enumeration():
+def test_profile_agrees_with_exact_enumeration():
     # (shape, scales, sequence, window radius): the full window of the first
     # case and the embedded windows of both are small enough to enumerate.
     cases = [
@@ -449,12 +443,12 @@ def test_pass_reaches_agree_with_exact_enumeration():
         truncated = seq.truncate(graph.scales.top)
         embedded = embedded_radial_window(graph, truncated, radius)
         full = long_range_radial_window(truncated, radius)
-        report = containment_check(embedded, full, 0, 31, theta_trials=trials)
-        for rho in range(1, radius + 1):
-            for window, estimate in zip((embedded, full), report.reach_estimates(rho)):
-                if window.n_edges > engine.MAX_EXACT_EDGES:
-                    continue
-                # The pass's event at rho: the origin reaches a vertex of norm >= rho.
+        for window in (embedded, full):
+            if window.n_edges > engine.MAX_EXACT_EDGES:
+                continue
+            estimates, _ = origin_radius_profile(window, range(1, radius + 1), trials, 31)
+            for rho, estimate in enumerate(estimates, 1):
+                # The profile's event at rho: the origin reaches a vertex of norm >= rho.
                 far = np.flatnonzero(np.abs(window.coords).max(axis=1) >= rho)
                 target = dataclasses.replace(window, terminals={**window.terminals, "boundary": far})
                 exact = exact_event_probability(target, "origin_boundary")

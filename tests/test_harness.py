@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from trunclab.rng import KEYED_STREAM_RULE as KEYED
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
 from trunclab.thresholds import METHOD, CalibrationTable, LatticeFamily, ThresholdEstimate, ThresholdSettings
 from trunclab.windows import ConfigError, embedded_radial_window, lattice_window, long_range_radial_window
+
+from test_acceptance import _spec_pipeline_config
 
 FAST_THRESHOLDS = ThresholdSettings(
     l_schedule=(6, 12), bracket_tol=0.04, trials_per_probe=400, coarse_trials=150
@@ -409,6 +412,39 @@ class TestPipeline:
         saved = json.loads((tmp_path / "out" / "report.json").read_text())
         assert saved["failure_stage"] == "certification"
 
+    def test_sparse_level_needs_the_slab_and_three_scales(self, tmp_path):
+        # Criterion 7's p(1) = 0.9 lies above 1/2, the bond threshold of Z^2
+        # (Kesten 1980), so its run percolates at N = 1 whatever the slab.
+        # At level 0.3 on the powers of 10 every single length is a
+        # subcritical copy of Z^2, so the run needs the slab and three scales,
+        # and theta is not saturated.
+        config = dataclasses.replace(
+            _spec_pipeline_config(),
+            sequence=ProbabilitySequence.lacunary(0.3, base=10),
+            certificate=EpsilonCertificate(0.3, evidence="level 0.3 on the powers of 10"),
+            margin=0.01,
+        )
+        report = run_pipeline(config, tmp_path / "out")
+        assert report.exit_code == 0, (report.failure_stage, report.error)
+        assert report.slab == {"dimension": 4, "thickness": 3}
+        assert report.scales == [1, 10, 100]
+        for row in report.theta:
+            assert 0 < row["embedded"]["successes"] < config.theta_trials, row
+
+    def test_manifest_times_the_pair_under_containment_and_the_searches_under_theta(self, tmp_path, monkeypatch):
+        def slowed(function):
+            def call(*args):
+                time.sleep(0.02)
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(harness, "embedded_radial_window", slowed(embedded_radial_window))
+        monkeypatch.setattr(harness, "origin_radius_profile", slowed(origin_radius_profile))
+        run_pipeline(small_config(), tmp_path / "out")
+        timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_seconds"]
+        assert timings["containment"] >= 0.02
+        assert timings["theta"] >= 0.04  # one search per window
+
     def test_fully_open_sequence_gives_tight_scales_and_certain_reach(self, tmp_path):
         config = small_config(
             sequence=ProbabilitySequence.constant(1.0),
@@ -588,6 +624,13 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["family"] == "z2"
         assert (tmp_path / "calib.csv").exists()
+
+    def test_pc_refuses_a_planar_zd_family(self, tmp_path, capsys):
+        calib = tmp_path / "calib.csv"
+        code = main(["pc", "--family", "zd", "--d", "2", "--L-schedule", "4", "--trials", "20", "--calib", str(calib)])
+        assert code == 1
+        assert "family zd needs dimension >= 3" in capsys.readouterr().err
+        assert not calib.exists()
 
     def test_pc_defaults_are_the_threshold_settings(self):
         args = _build_parser().parse_args(["pc", "--family", "z2"])

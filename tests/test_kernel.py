@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab import engine, kernel, windows
+from trunclab import engine, harness, kernel, windows
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters, select_scales
 from trunclab.engine import UnionFind, component_labels
 from trunclab.kernel import indexed_hits, keyed_bottlenecks, keyed_reach, mask_labels
@@ -417,9 +417,11 @@ def test_every_exported_kernel_function_is_declared():
                 assert argtype is C_SCALARS[ctype], (name, parameter)
 
 
-def test_windows_import_nothing_from_the_kernel():
-    # A window is plain data; the kernel checks and derives what each call reads.
-    tree = ast.parse(Path(windows.__file__).read_text())
+@pytest.mark.parametrize("module", [windows, harness], ids=["windows", "harness"])
+def test_module_imports_nothing_from_the_kernel(module):
+    # A window is plain data; the kernel checks and derives what each call
+    # reads.  The pipeline reaches the kernel only through the engine.
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -47,7 +47,12 @@ class TestLatticeFamily:
 
     @pytest.mark.parametrize(
         "fields, message",
-        [(("zd", 3, 7), "no thickness"), (("z2", 2, 2), "no thickness"), (("z2", 3), "dimension 2")],
+        [
+            (("zd", 3, 7), "no thickness"),
+            (("z2", 2, 2), "no thickness"),
+            (("z2", 3), "dimension 2"),
+            (("zd", 2), "the plane is family z2"),
+        ],
     )
     def test_fields_the_kind_ignores_are_refused(self, fields, message):
         # Each would share a key (z3, z2) with the family it is unequal to.
@@ -63,6 +68,16 @@ class TestLatticeFamily:
         assert stray != row
         path.write_text(text.replace(row, stray))
         with pytest.raises(ConfigError, match=f"{path}, line {len(text.splitlines())}: family zd has no thickness"):
+            CalibrationTable(path)
+
+    def test_planar_zd_row_is_not_served_as_z2(self, tmp_path):
+        # A zd row of dimension 2 carries the key z2; it must not load as the z2 family's row.
+        path = tmp_path / "calib.csv"
+        CalibrationTable(path).put(_fake_row(3, 2, 0.44))
+        text = path.read_text()
+        row = text.splitlines()[-1]
+        path.write_text(text.replace(row, row.replace("slab-d3-k2,slab,3,2,", "z2,zd,2,1,")))
+        with pytest.raises(ConfigError, match=f"{path}, line {len(text.splitlines())}: family zd needs dimension >= 3"):
             CalibrationTable(path)
 
     @pytest.mark.parametrize("side", [1, 4, 8, 32])
