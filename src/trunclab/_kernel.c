@@ -184,12 +184,12 @@ static void incidence(int32_t n, int64_t n_edges, const int32_t *edges_u, const 
 
 /* planes[e] = the lanes 0 .. lanes - 1 whose indexed trial t = first + lane
  * opens edge e: word e % 4 of Philox4x64-10 block t * ceil(n_edges / 4) + 1 +
- * e / 4 under key (seed, 0), shifted right by 11, is below
- * open_threshold(probs[e]), as numpy's uniforms open edges with u < p.  Each
+ * e / 4 under key (seed, 0), shifted right by 11, is below thresholds[e] =
+ * ceil(probs[e] * 2^53), as numpy's uniforms open edges with u < p.  Each
  * Philox block is drawn for every lane in turn, and its four words are
  * compared as they come, so no word is stored and the four plane words stay
  * in registers; a block's slots past the last edge compare against 0. */
-static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_edges, const double *probs,
+static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_edges, const uint64_t *thresholds,
                            uint64_t *planes)
 {
     const uint64_t blocks = (uint64_t)(n_edges + 3) / 4;
@@ -197,7 +197,7 @@ static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_ed
         const int64_t width = n_edges - e < 4 ? n_edges - e : 4;
         uint64_t below[4] = {0, 0, 0, 0}, plane[4] = {0, 0, 0, 0};
         for (int64_t w = 0; w < width; w++)
-            below[w] = open_threshold(probs[e + w]);
+            below[w] = thresholds[e + w];
         unsigned __int128 block = (unsigned __int128)(uint64_t)first * blocks + 1 + (uint64_t)e / 4;
         for (int lane = 0; lane < lanes; lane++, block += blocks) {
             uint64_t word[4];
@@ -223,12 +223,14 @@ static void indexed_planes(uint64_t seed, int64_t first, int lanes, int64_t n_ed
  * word is nonzero) only when its word grows.  So every lane crosses every
  * edge at most once.  Lanes that have hit spread no further, and a group's
  * search stops once every lane has hit; the vertices are reset once per
- * group.  `offsets` (n + 1 zeros), `incident`, `planes`, `reach`, `pending`
- * and `queue` are scratch. */
+ * group.  thresholds[e] is rng.open_thresholds of edge e's probability.
+ * `offsets` (n + 1 zeros), `incident`, `planes`, `reach`, `pending` and
+ * `queue` are scratch.  A call writes only its scratch and hits, so calls on
+ * disjoint ranges, each with its own scratch, may run at once. */
 void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u, const int32_t *edges_v,
-                  const double *probs, const uint8_t *sides, uint64_t seed, int64_t start, int32_t *offsets,
-                  int32_t *incident, uint64_t *planes, uint64_t *reach, uint64_t *pending, int32_t *queue,
-                  uint8_t *hits)
+                  const uint64_t *thresholds, const uint8_t *sides, uint64_t seed, int64_t start,
+                  int32_t *offsets, int32_t *incident, uint64_t *planes, uint64_t *reach, uint64_t *pending,
+                  int32_t *queue, uint8_t *hits)
 {
     const int joined = shared_terminal(n, sides);
     incidence(n, n_edges, edges_u, edges_v, offsets, incident);
@@ -237,7 +239,7 @@ void indexed_hits(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges
         const uint64_t every = ~(uint64_t)0 >> (64 - lanes);
         uint64_t hit = joined ? every : 0;
         if (!hit) {
-            indexed_planes(seed, start + first, lanes, n_edges, probs, planes);
+            indexed_planes(seed, start + first, lanes, n_edges, thresholds, planes);
             int32_t head = 0, count = 0;
             for (int32_t v = 0; v < n; v++) {
                 reach[v] = pending[v] = sides[v] & 1 ? every : 0;

@@ -11,7 +11,8 @@ one call into the compiled kernel (:mod:`trunclab.kernel`) draws a range of
 trials, computing the Philox words of the indexed stream as bit planes, 64
 trials to a machine word, and returns only whether each trial joins two
 terminal sets, found by a frontier search in all 64 trials at once; it
-keeps no masks and no labels.  :func:`mc_event_probability` sums those
+keeps no masks and no labels, and splits a long range across the usable
+cores with hits bit-identical to one thread's.  :func:`mc_event_probability` sums those
 hits.  :func:`origin_radius_profile` reads every radius off one keyed
 ``kernel.keyed_reach`` search, and the pipeline's theta rows are read
 through it, one call per certification window; the threshold estimates read
@@ -231,9 +232,10 @@ def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str
     )
 
 
-# Trials per ``indexed_hits`` call.  It only caps the hits array (one byte
-# per trial) at 1 MB, since the trial count is user input; the kernel keeps
-# no other per-trial state.
+# Trials per ``indexed_hits`` call.  It only caps the one hits array (one
+# byte per trial) at 1 MB, since the trial count is user input; the kernel
+# keeps no other per-trial state, and the pieces it splits a call into
+# across the cores write slices of that array.
 HITS_PER_CALL = 1 << 20
 
 

@@ -561,7 +561,7 @@ def _write_outputs(
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
+        "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "passed": report.passed,
     }
     (out_path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -4,8 +4,10 @@ each keyed trial's crossing bottleneck.
 
 A window is plain data.  Each entry point here checks what its call reads
 (the edges, probabilities, keys and terminals), so the C code indexes only
-inside its arrays, and the two searches build the window's incidence lists
-and open thresholds inside the call.
+inside its arrays, and the searches build the window's incidence lists
+inside the call; :func:`indexed_hits` passes the open thresholds
+(``rng.open_thresholds``) computed once per call, and :func:`keyed_reach`
+computes each examined edge's threshold as it reads it.
 
 ``_kernel.c`` is compiled with the system C compiler on first use into
 ``__pycache__/_kernel-<blake2b of COMPILER and the source>.so`` next to it,
@@ -29,6 +31,20 @@ threshold estimates; within one call it sorts only the edges whose words
 lie in the band of the bottlenecks of the trials before.  So the pipeline
 draws only keyed words: the indexed stream serves :func:`indexed_hits`, the
 route of ``engine.mc_event_probability``, alone.
+
+:func:`indexed_hits` splits a long trial range across the usable cores
+(``len(os.sched_getaffinity(0))``): one piece of whole 64-trial words per
+core, the first on the calling thread and each other on a
+:class:`threading.Thread`, every piece a C call on its own slice of one
+result array with its own scratch; ctypes releases the GIL for the call.
+A call too short to give two pieces of ``_PIECE_TRIALS`` trials starts no
+thread.  The Philox blocks of trial ``t`` are a function of ``(seed, t)``
+alone (a counter-based generator: Salmon et al., SC 2011), so every hit is
+bit-identical to the one-thread call's.  The two keyed searches stay on
+the calling thread: each piece would rebuild the window's incidence lists,
+and a prototype of the same split on both, on 2 cores, made
+``pipeline-warm`` ``wall_s`` about 15% slower (on its 110k-edge window)
+and ``pipeline-cold`` ``peak_rss_mb`` about 5.5% higher.
 """
 
 from __future__ import annotations
@@ -38,11 +54,12 @@ import functools
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from .rng import blake2b
+from .rng import blake2b, open_thresholds
 from .windows import GraphWindow
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -94,10 +111,10 @@ def library() -> ctypes.CDLL:
     lib.mask_labels.argtypes = [
         ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 3, _array(np.bool_), _array(np.int32),
     ]
-    # rows, n, n_edges, edges_u, edges_v, probs, sides, seed, start, offsets, incident,
+    # rows, n, n_edges, edges_u, edges_v, thresholds, sides, seed, start, offsets, incident,
     # planes, reach, pending, queue, hits
     lib.indexed_hits.argtypes = [
-        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 2, _array(np.float64),
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, *[_array(np.int32)] * 2, _array(np.uint64),
         _array(np.uint8), ctypes.c_uint64, ctypes.c_int64, *[_array(np.int32)] * 2, *[_array(np.uint64)] * 3,
         _array(np.int32), _array(np.bool_),
     ]
@@ -228,6 +245,14 @@ def _sides(window: GraphWindow, left: np.ndarray, right: np.ndarray) -> np.ndarr
     return sides
 
 
+# The fewest trials a piece of a split indexed_hits call takes, 128 words.
+# On 2 cores a thread's start and join took about 76 us, a two-piece call
+# 250-300 us more than half of the one-thread call, and one trial 34 ns on
+# the cheapest oracle window (7 edges) to 245 ns (54 edges).  So on the
+# cheapest window a piece this size costs about what the split does.
+_PIECE_TRIALS = 8192
+
+
 def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed: int, start: int,
                  stop: int) -> np.ndarray:
     """Whether each indexed trial ``start .. stop - 1`` joins a ``left``
@@ -241,18 +266,54 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     machine word each, and searches from the left terminals over the
     window's incidence lists in all 64 at once, stopping when every one has
     hit.  A vertex in both sets makes every trial hit.
+
+    The range is cut into one piece of whole 64-trial words per usable core
+    (``os.sched_getaffinity``), at most one per ``_PIECE_TRIALS`` trials;
+    the first piece runs on the calling thread and each other on a thread of
+    its own, writing its own slice of the result, and the kernel releases
+    the GIL.  The edges, sides and open thresholds are checked and computed
+    once and only read by every piece; each piece has its own scratch.
+    Trial ``t``'s Philox blocks depend on ``(seed, t)`` alone, so every hit
+    is bit-identical however the range is cut.  A worker's exception is
+    raised here.
     """
     rows = _trial_count(start, stop)
     sides = _sides(window, np.asarray(left), np.asarray(right))
     edges_u, edges_v = _edges(window)
-    probs = _probs(window)
+    thresholds = open_thresholds(_probs(window))
     n, n_edges = window.n_vertices, window.n_edges
+    seed &= 0xFFFFFFFFFFFFFFFF
     hits = np.empty(rows, dtype=np.bool_)
-    library().indexed_hits(
-        rows, n, n_edges, edges_u, edges_v, probs, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
-        *_incidence_scratch(window), np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64),
-        np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int32), hits,
-    )
+    lib = library()
+    words = -(-rows // 64)
+    # Where the platform cannot say which cores the process may use, one.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pieces = max(1, min(cores, rows // _PIECE_TRIALS))
+    bounds = [min(rows, 64 * (words * k // pieces)) for k in range(pieces + 1)]
+    calls = [
+        (last - first, n, n_edges, edges_u, edges_v, thresholds, sides, seed, start + first,
+         *_incidence_scratch(window), np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64),
+         np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int32), hits[first:last])
+        for first, last in zip(bounds, bounds[1:])
+    ]
+    errors: list[BaseException] = []
+
+    def work(arguments: tuple) -> None:
+        try:
+            lib.indexed_hits(*arguments)
+        except BaseException as exc:  # raised by the caller once every piece is done
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(arguments,)) for arguments in calls[1:]]
+    for worker in workers:
+        worker.start()
+    try:
+        lib.indexed_hits(*calls[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return hits
 
 

@@ -35,7 +35,8 @@ Both streams turn a 64-bit ``word`` into the uniform ``u = (word >> 11) *
 word >> 11`` the test ``u < p`` is exactly ``k < ceil(p * 2^53)``
 (:func:`open_thresholds`).  The compiled kernel (:mod:`trunclab.kernel`)
 draws the words of either stream itself and compares them as integers with
-the threshold it computes from each edge's probability as it reads it, so
+those thresholds (the hit kernel takes them from :func:`open_thresholds`,
+once per call; the reach search computes each edge's as it reads it), so
 the edges it opens, and clusters without keeping a mask, are exactly those
 where ``keyed_uniforms(...) < probs`` or ``indexed_uniform_matrix(...) <
 probs``.

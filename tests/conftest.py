@@ -4,6 +4,7 @@ package code is checked against."""
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -315,3 +316,17 @@ def random_sequence(rng: np.random.Generator) -> ProbabilitySequence:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while a test runs, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started

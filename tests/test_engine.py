@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trunclab import kernel
 from trunclab.engine import (
     EnumerationLimitError,
     MAX_EXACT_EDGES,
@@ -185,6 +186,25 @@ class TestSampling:
             if any(state.same_component(int(a), int(b)) for a in left for b in right):
                 successes += 1
         assert batch.successes == successes
+
+    # mc_event_probability's success counts on the eight oracle-small windows
+    # of each seed, 10^5 trials each, recorded when every call ran on one thread.
+    ORACLE_SUCCESSES = {
+        7: [54142, 95943, 50615, 62749, 31284, 86787, 53370, 97723],
+        11: [38070, 94561, 52054, 69154, 54753, 82144, 68056, 86107],
+        13: [61902, 96339, 61232, 67651, 44925, 86591, 44332, 71906],
+    }
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("seed", sorted(ORACLE_SUCCESSES))
+    def test_oracle_success_counts_do_not_depend_on_the_core_count(self, seed, cores, monkeypatch):
+        monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        workloads = load_perfbench("workloads")
+        counts = [
+            mc_event_probability(item.window, item.event, workloads.ORACLE_TRIALS, item.seed).successes
+            for item in workloads.draw_oracle_windows(seed)
+        ]
+        assert counts == self.ORACLE_SUCCESSES[seed]
 
     def test_scipy_labels_agree_with_union_find(self, rng):
         window = long_range_radial_window(PS.constant(0.5).truncate(2), 3)

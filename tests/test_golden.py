@@ -101,6 +101,14 @@ def test_the_pipeline_draws_no_indexed_word(tmp_path, monkeypatch):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == DIGESTS["report.json"]
 
 
+def test_the_pipeline_starts_no_thread(tmp_path, monkeypatch, thread_starts):
+    # Only the indexed hit kernel splits its trials over threads, and the
+    # pipeline never calls it; two usable cores are assumed whatever the host.
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run_pipeline(golden_config(), tmp_path).passed
+    assert thread_starts == []
+
+
 def test_calibration_round_trip(tmp_path, monkeypatch):
     # A warm rerun reads every threshold from the cold run's table and
     # reproduces its report byte for byte without estimating anything.

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +446,16 @@ class TestPipeline:
         timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_seconds"]
         assert timings["containment"] >= 0.02
         assert timings["theta"] >= 0.04  # one search per window
+
+    def test_manifest_keeps_a_sub_millisecond_stage_time(self, tmp_path, monkeypatch):
+        # On a clock that advances 0.3 ms a reading every stage takes 0.3 ms,
+        # which a manifest rounded to whole milliseconds would record as 0.0.
+        readings = itertools.count()
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: 3e-4 * next(readings)))
+        run_pipeline(small_config(), tmp_path / "out")
+        timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_seconds"]
+        stages = ["slab-search", "scale-selection", "embedding-verification", "containment", "theta"]
+        assert timings == dict.fromkeys(stages, 3e-4)
 
     def test_fully_open_sequence_gives_tight_scales_and_certain_reach(self, tmp_path):
         config = small_config(

@@ -31,6 +31,8 @@ import os
 import re
 import shutil
 import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -893,3 +895,111 @@ def test_hits_refuse_a_negative_start_and_a_terminal_outside_the_window():
     for outside in (-1, n):
         with pytest.raises(ValueError, match=f"terminal {outside} lies outside the window's {n} vertices"):
             indexed_hits(window, [0], [outside], 5, 0, 2)
+
+
+def cores(monkeypatch, count):
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+SPLIT_LENGTHS = [1, 63, 64, 65, 129, 2 * kernel._PIECE_TRIALS + 1, 3 * kernel._PIECE_TRIALS + 65]
+
+
+def test_a_split_call_equals_a_one_core_call_and_its_one_trial_calls(monkeypatch, thread_starts):
+    # Every range starts inside a 64-trial word; the two longest are cut into
+    # two pieces on two cores and into two and three on three.
+    window, _ = HIT_WINDOWS["crossing-2"]
+    left, right = engine.event_terminals(window, "crossing")
+    seed, start = 17, 37
+    alone = [indexed_hits(window, left, right, seed, t, t + 1)[0] for t in range(start, start + max(SPLIT_LENGTHS))]
+    for length in SPLIT_LENGTHS:
+        cores(monkeypatch, 1)
+        single = indexed_hits(window, left, right, seed, start, start + length)
+        assert single.tolist() == alone[:length]
+        for count in (2, 3):
+            cores(monkeypatch, count)
+            del thread_starts[:]
+            split = indexed_hits(window, left, right, seed, start, start + length)
+            assert np.array_equal(split, single), (length, count)
+            assert len(thread_starts) == max(1, min(count, length // kernel._PIECE_TRIALS)) - 1
+    assert 0 < sum(alone) < len(alone)
+
+
+def test_pieces_cover_the_range_in_whole_words(monkeypatch):
+    real = kernel.library()
+    pieces = []
+
+    class Recording:
+        def indexed_hits(self, rows, *arguments):
+            pieces.append((arguments[7], rows))  # the piece's first trial and length
+            real.indexed_hits(rows, *arguments)
+
+    monkeypatch.setattr(kernel, "library", Recording)
+    window, _ = HIT_WINDOWS["crossing-2"]
+    left, right = engine.event_terminals(window, "crossing")
+    start, stop = 37, 37 + 3 * kernel._PIECE_TRIALS + 65
+    for count in (1, 2, 3):
+        cores(monkeypatch, count)
+        del pieces[:]
+        indexed_hits(window, left, right, 5, start, stop)
+        pieces.sort()
+        assert len(pieces) == count
+        assert [first for first, _ in pieces] == [start] + [first + rows for first, rows in pieces[:-1]]
+        assert sum(rows for _, rows in pieces) == stop - start
+        assert all(rows % 64 == 0 and rows >= kernel._PIECE_TRIALS for _, rows in pieces[:-1])
+
+
+def test_one_usable_core_starts_no_thread(monkeypatch, thread_starts):
+    window, _ = HIT_WINDOWS["crossing-4"]
+    left, right = engine.event_terminals(window, "crossing")
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: {0})
+    indexed_hits(window, left, right, 3, 0, 10**5)
+    assert thread_starts == []
+
+
+def test_two_usable_cores_start_one_thread_and_small_calls_none(monkeypatch, thread_starts):
+    window, _ = HIT_WINDOWS["crossing-4"]
+    left, right = engine.event_terminals(window, "crossing")
+    cores(monkeypatch, 2)
+    indexed_hits(window, left, right, 3, 0, 10**5)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    indexed_hits(window, left, right, 3, 0, 2 * kernel._PIECE_TRIALS - 1)
+    assert len(thread_starts) == 1
+
+
+def test_more_pieces_than_cores_under_a_short_switch_interval_equal_one_core(monkeypatch, thread_starts):
+    # Four pieces on this machine's cores, switching threads as often as the
+    # interpreter allows: each piece writes only its own slice of the hits.
+    window, _ = HIT_WINDOWS["crossing-4"]
+    left, right = engine.event_terminals(window, "crossing")
+    stop = 4 * kernel._PIECE_TRIALS + 100
+    cores(monkeypatch, 1)
+    single = indexed_hits(window, left, right, 5, 11, stop)
+    cores(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(indexed_hits(window, left, right, 5, 11, stop), single)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(thread_starts) == 15 and not any(thread.is_alive() for thread in thread_starts)
+
+
+def test_a_failing_worker_fails_the_call(monkeypatch, thread_starts):
+    # A worker fills its slice of an uninitialised array, so its failure must
+    # not pass silently.
+    real = kernel.library()
+
+    class WorkersFail:
+        def indexed_hits(self, *arguments):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("the worker failed")
+            real.indexed_hits(*arguments)
+
+    monkeypatch.setattr(kernel, "library", WorkersFail)
+    cores(monkeypatch, 2)
+    window, _ = HIT_WINDOWS["crossing-4"]
+    left, right = engine.event_terminals(window, "crossing")
+    with pytest.raises(RuntimeError, match="the worker failed"):
+        indexed_hits(window, left, right, 3, 0, 10**5)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
