@@ -353,8 +353,11 @@ static uint64_t band_bottleneck(int32_t n, int64_t n_edges, const int32_t *edges
  * far in the call (cut the least, top one above the largest), so only the
  * edges inside the band are sorted; a trial whose bottleneck falls outside
  * the band, about 2 ln(rows) record lows and highs, is swept again over the
- * full band, as the first trial is.  The value does not depend on the band.
- * `words`, `listed`, `order`, `counts`, `parent` and `reached` are scratch. */
+ * full band, as the first trial is.  The value does not depend on the band,
+ * so a call on any part of a range gives that part's values.  `words`,
+ * `listed`, `order`, `counts`, `parent` and `reached` are scratch.  A call
+ * writes only its scratch and bottleneck, so calls on disjoint ranges, each
+ * with its own scratch, may run at once. */
 void keyed_bottlenecks(int64_t rows, int32_t n, int64_t n_edges, const int32_t *edges_u,
                        const int32_t *edges_v, const uint64_t *keys, const uint8_t *sides, uint64_t seed,
                        int64_t start, uint64_t *words, int32_t *listed, int32_t *order, int64_t *counts,

@@ -32,19 +32,24 @@ lie in the band of the bottlenecks of the trials before.  So the pipeline
 draws only keyed words: the indexed stream serves :func:`indexed_hits`, the
 route of ``engine.mc_event_probability``, alone.
 
-:func:`indexed_hits` splits a long trial range across the usable cores
-(``len(os.sched_getaffinity(0))``): one piece of whole 64-trial words per
-core, the first on the calling thread and each other on a
-:class:`threading.Thread`, every piece a C call on its own slice of one
-result array with its own scratch; ctypes releases the GIL for the call.
-A call too short to give two pieces of ``_PIECE_TRIALS`` trials starts no
-thread.  The Philox blocks of trial ``t`` are a function of ``(seed, t)``
-alone (a counter-based generator: Salmon et al., SC 2011), so every hit is
-bit-identical to the one-thread call's.  The two keyed searches stay on
-the calling thread: each piece would rebuild the window's incidence lists,
-and a prototype of the same split on both, on 2 cores, made
-``pipeline-warm`` ``wall_s`` about 15% slower (on its 110k-edge window)
-and ``pipeline-cold`` ``peak_rss_mb`` about 5.5% higher.
+:func:`indexed_hits` and :func:`keyed_bottlenecks` split a long trial
+range across the usable cores (``len(os.sched_getaffinity(0))``) through
+one piece runner, ``_run_pieces``: one contiguous piece per core, the first
+on the calling thread and each other on a :class:`threading.Thread`, every
+piece a C call on its own slice of one result array with its own scratch;
+ctypes releases the GIL for the call.  Each keeps its own cut:
+:func:`indexed_hits` takes whole 64-trial words, at least ``_PIECE_TRIALS``
+trials a piece, and :func:`keyed_bottlenecks` at least
+``_PIECE_EDGE_TRIALS`` edge-trials (trials times the window's edges) a
+piece; a call too short for two pieces starts no thread.  The Philox blocks
+of trial ``t`` are a function of ``(seed, t)`` alone (a counter-based
+generator: Salmon et al., SC 2011), a keyed word one of ``(key, seed, t)``,
+and a trial's bottleneck does not depend on the band its call has learned,
+so every value is bit-identical to the one-thread call's.
+:func:`keyed_reach` stays on the calling thread: each piece would rebuild
+the window's incidence lists, and a prototype of the same split on it, on
+2 cores, made ``pipeline-warm`` ``wall_s`` about 15% slower (on its
+110,696-edge window).
 """
 
 from __future__ import annotations
@@ -245,6 +250,39 @@ def _sides(window: GraphWindow, left: np.ndarray, right: np.ndarray) -> np.ndarr
     return sides
 
 
+def _cores() -> int:
+    """The cores the process may use; one where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_pieces(entry, bounds: list[int], piece) -> None:
+    """``entry(*piece(first, last))`` for every piece ``[first, last)``
+    between consecutive ``bounds`` at once: the first piece on the calling
+    thread and each other on a thread of its own, ctypes releasing the GIL
+    for each call.  Every piece's arguments, its own scratch among them, are
+    made before any thread starts.  A worker's exception is raised here once
+    every piece is done."""
+    calls = [piece(first, last) for first, last in zip(bounds, bounds[1:])]
+    errors: list[BaseException] = []
+
+    def work(arguments: tuple) -> None:
+        try:
+            entry(*arguments)
+        except BaseException as exc:  # raised by the caller once every piece is done
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(arguments,)) for arguments in calls[1:]]
+    for worker in workers:
+        worker.start()
+    try:
+        entry(*calls[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 # The fewest trials a piece of a split indexed_hits call takes, 128 words.
 # On 2 cores a thread's start and join took about 76 us, a two-piece call
 # 250-300 us more than half of the one-thread call, and one trial 34 ns on
@@ -284,37 +322,24 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     n, n_edges = window.n_vertices, window.n_edges
     seed &= 0xFFFFFFFFFFFFFFFF
     hits = np.empty(rows, dtype=np.bool_)
-    lib = library()
     words = -(-rows // 64)
-    # Where the platform cannot say which cores the process may use, one.
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    pieces = max(1, min(cores, rows // _PIECE_TRIALS))
+    pieces = max(1, min(_cores(), rows // _PIECE_TRIALS))
     bounds = [min(rows, 64 * (words * k // pieces)) for k in range(pieces + 1)]
-    calls = [
-        (last - first, n, n_edges, edges_u, edges_v, thresholds, sides, seed, start + first,
-         *_incidence_scratch(window), np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64),
-         np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int32), hits[first:last])
-        for first, last in zip(bounds, bounds[1:])
-    ]
-    errors: list[BaseException] = []
-
-    def work(arguments: tuple) -> None:
-        try:
-            lib.indexed_hits(*arguments)
-        except BaseException as exc:  # raised by the caller once every piece is done
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(arguments,)) for arguments in calls[1:]]
-    for worker in workers:
-        worker.start()
-    try:
-        lib.indexed_hits(*calls[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+    _run_pieces(library().indexed_hits, bounds, lambda first, last: (
+        last - first, n, n_edges, edges_u, edges_v, thresholds, sides, seed, start + first,
+        *_incidence_scratch(window), np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64),
+        np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int32), hits[first:last],
+    ))
     return hits
+
+
+# The fewest edge-trials (trials times the window's edges) a piece of a split
+# keyed_bottlenecks call takes.  A trial costs about 15-25 ns an edge on one
+# core, and each piece sweeps about 2 ln(rows) of its trials over every edge
+# while it learns its band.  On 2 cores, over the slab windows K1-K3 of sides
+# 8, 16 and 32, a two-piece call took 0.94-1.42 of the one-thread call's time
+# at about 50,000 edge-trials, 0.84-0.99 at 80,000 and 0.77-0.95 at 130,000.
+_PIECE_EDGE_TRIALS = 1 << 16
 
 
 def keyed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> np.ndarray:
@@ -334,6 +359,14 @@ def keyed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> 
     largest; a trial whose bottleneck lies outside that band is swept again
     over every word, as the first trial is.  So a trial's value does not
     depend on the range it is drawn in.
+
+    The range is cut into one piece per usable core, the pieces equal to
+    within a trial and each of at least ``_PIECE_EDGE_TRIALS`` edge-trials
+    (trials times the window's edges).  They run at once as
+    :func:`indexed_hits`' do, each learning its own band from its first
+    trial, and every value is bit-identical however the range is cut.  The
+    edges, keys and sides are checked once and only read by every piece;
+    each piece has its own scratch.  A worker's exception is raised here.
     """
     rows = _trial_count(start, stop)
     if not {"left", "right"} <= window.terminals.keys():
@@ -344,11 +377,15 @@ def keyed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> 
     sides = _sides(window, window.terminals["left"], window.terminals["right"])
     # The counting sort takes about one bucket per edge it sorts, at most 2^bits.
     bits = max(1, n_edges.bit_length())
+    seed &= 0xFFFFFFFFFFFFFFFF
     bottleneck = np.empty(rows, dtype=np.uint64)
-    library().keyed_bottlenecks(
-        bottleneck.size, n, n_edges, edges_u, edges_v, keys, sides, seed & 0xFFFFFFFFFFFFFFFF, start,
+    # The fewest trials a piece takes: enough for _PIECE_EDGE_TRIALS edge-trials.
+    least = -(-_PIECE_EDGE_TRIALS // max(1, n_edges))
+    pieces = max(1, min(_cores(), rows // least))
+    _run_pieces(library().keyed_bottlenecks, [rows * k // pieces for k in range(pieces + 1)], lambda first, last: (
+        last - first, n, n_edges, edges_u, edges_v, keys, sides, seed, start + first,
         np.empty(n_edges, dtype=np.uint64), np.empty(n_edges, dtype=np.int32), np.empty(n_edges, dtype=np.int32),
         np.empty((1 << bits) + 1, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8),
-        bottleneck,
-    )
+        bottleneck[first:last],
+    ))
     return bottleneck

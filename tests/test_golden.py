@@ -75,11 +75,18 @@ def golden_config() -> PipelineConfig:
     )
 
 
-def test_tiny_pipeline_artifacts_match_recorded_digests(tmp_path):
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_tiny_pipeline_artifacts_match_recorded_digests(tmp_path, monkeypatch, thread_starts, cores):
+    # The bottleneck sweeps split their trials over the usable cores, and no
+    # cut may move a value: every artifact matches its digest, recorded on
+    # one thread, whether the sweeps ran on one core or on several.
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(cores)))
     report = run_pipeline(golden_config(), tmp_path)
     assert report.passed
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS}
     assert digests == DIGESTS
+    assert (len(thread_starts) > 0) == (cores > 1)
+    assert not any(thread.is_alive() for thread in thread_starts)
 
 
 def test_the_pipeline_draws_no_indexed_word(tmp_path, monkeypatch):
@@ -101,17 +108,12 @@ def test_the_pipeline_draws_no_indexed_word(tmp_path, monkeypatch):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == DIGESTS["report.json"]
 
 
-def test_the_pipeline_starts_no_thread(tmp_path, monkeypatch, thread_starts):
-    # Only the indexed hit kernel splits its trials over threads, and the
-    # pipeline never calls it; two usable cores are assumed whatever the host.
-    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: {0, 1})
-    assert run_pipeline(golden_config(), tmp_path).passed
-    assert thread_starts == []
-
-
-def test_calibration_round_trip(tmp_path, monkeypatch):
+def test_calibration_round_trip(tmp_path, monkeypatch, thread_starts):
     # A warm rerun reads every threshold from the cold run's table and
-    # reproduces its report byte for byte without estimating anything.
+    # reproduces its report byte for byte without estimating anything.  Only
+    # the split kernels start threads, so it starts none on any number of
+    # cores: it sweeps no bottleneck and never calls the hit kernel.
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     run_pipeline(golden_config(), tmp_path / "cold")
     table = tmp_path / "cold" / "calibration.csv"
 
@@ -120,7 +122,9 @@ def test_calibration_round_trip(tmp_path, monkeypatch):
 
     monkeypatch.setattr(thresholds_module, "estimate_pc", refuse)
     warm = dataclasses.replace(golden_config(), calibration_file=str(table))
+    del thread_starts[:]
     run_pipeline(warm, tmp_path / "warm")
+    assert thread_starts == []
     assert (tmp_path / "warm" / "report.json").read_bytes() == (tmp_path / "cold" / "report.json").read_bytes()
 
     # A row's family column must name the family its kind, dimension and

@@ -454,7 +454,7 @@ class TestPipeline:
         monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: 3e-4 * next(readings)))
         run_pipeline(small_config(), tmp_path / "out")
         timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_seconds"]
-        stages = ["slab-search", "scale-selection", "embedding-verification", "containment", "theta"]
+        stages = ["slab-search", "scale-selection", "embedding-verification", "containment", "theta", "write"]
         assert timings == dict.fromkeys(stages, 3e-4)
 
     def test_fully_open_sequence_gives_tight_scales_and_certain_reach(self, tmp_path):

@@ -19,7 +19,9 @@ bottleneck (``keyed_bottlenecks``) must equal the least of its
 ``keyed_uniforms`` at which a bisection over them, clustered by scipy,
 finds a crossing.
 Each trial's hit (``indexed_hits``) must equal whether scipy's labels of the
-numpy Philox masks join the event's terminal sets.
+numpy Philox masks join the event's terminal sets.  Both of these split a
+long trial range across the usable cores, and every split is checked, for
+each of them, against the one-core call and the one-trial calls.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -901,105 +904,142 @@ def cores(monkeypatch, count):
     monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-SPLIT_LENGTHS = [1, 63, 64, 65, 129, 2 * kernel._PIECE_TRIALS + 1, 3 * kernel._PIECE_TRIALS + 65]
+@dataclasses.dataclass(frozen=True)
+class Split:
+    """A kernel entry point that splits its trial range, on one window:
+    ``values(seed, start, stop)`` calls it, every piece but the last holds a
+    multiple of ``word`` trials and at least ``least``, and ``lengths`` are
+    ranges around the floor of two pieces."""
+
+    values: Callable[[int, int, int], np.ndarray]
+    least: int
+    word: int
+    lengths: tuple[int, ...]
 
 
-def test_a_split_call_equals_a_one_core_call_and_its_one_trial_calls(monkeypatch, thread_starts):
-    # Every range starts inside a 64-trial word; the two longest are cut into
-    # two pieces on two cores and into two and three on three.
-    window, _ = HIT_WINDOWS["crossing-2"]
-    left, right = engine.event_terminals(window, "crossing")
+def splits() -> dict[str, Split]:
+    hit_window, _ = HIT_WINDOWS["crossing-2"]
+    left, right = engine.event_terminals(hit_window, "crossing")
+    hit_least = kernel._PIECE_TRIALS
+    # A small window, so that a few thousand one-trial calls stay cheap.
+    bottleneck_window = BOTTLENECK_FAMILIES["slab-d3-k1"](8)
+    least = -(-kernel._PIECE_EDGE_TRIALS // bottleneck_window.n_edges)
+    return {
+        "indexed_hits": Split(
+            lambda seed, start, stop: indexed_hits(hit_window, left, right, seed, start, stop), hit_least, 64,
+            (1, 63, 64, 65, 129, 2 * hit_least - 1, 2 * hit_least + 1, 3 * hit_least + 65),
+        ),
+        "keyed_bottlenecks": Split(
+            lambda seed, start, stop: keyed_bottlenecks(bottleneck_window, seed, start, stop), least, 1,
+            (1, 2, least, 2 * least - 1, 2 * least, 3 * least + 1, 4 * least + 5),
+        ),
+    }
+
+
+SPLITS = splits()
+
+
+@pytest.mark.parametrize("entry", sorted(SPLITS))
+def test_a_split_call_equals_a_one_core_call_and_its_one_trial_calls(monkeypatch, thread_starts, entry):
+    # Every range starts inside a 64-trial word; the longer ranges are cut
+    # into as many pieces as the cores and their length allow.
+    split = SPLITS[entry]
     seed, start = 17, 37
-    alone = [indexed_hits(window, left, right, seed, t, t + 1)[0] for t in range(start, start + max(SPLIT_LENGTHS))]
-    for length in SPLIT_LENGTHS:
+    alone = np.concatenate([split.values(seed, t, t + 1) for t in range(start, start + max(split.lengths))])
+    for length in split.lengths:
         cores(monkeypatch, 1)
-        single = indexed_hits(window, left, right, seed, start, start + length)
-        assert single.tolist() == alone[:length]
-        for count in (2, 3):
+        single = split.values(seed, start, start + length)
+        assert np.array_equal(single, alone[:length]), length
+        for count in (2, 3, 4):
             cores(monkeypatch, count)
             del thread_starts[:]
-            split = indexed_hits(window, left, right, seed, start, start + length)
-            assert np.array_equal(split, single), (length, count)
-            assert len(thread_starts) == max(1, min(count, length // kernel._PIECE_TRIALS)) - 1
-    assert 0 < sum(alone) < len(alone)
+            assert np.array_equal(split.values(seed, start, start + length), single), (length, count)
+            assert len(thread_starts) == max(1, min(count, length // split.least)) - 1
+    assert np.unique(alone).size > 1
 
 
-def test_pieces_cover_the_range_in_whole_words(monkeypatch):
+@pytest.mark.parametrize("entry", sorted(SPLITS))
+def test_pieces_cover_the_range_contiguously(monkeypatch, entry):
     real = kernel.library()
     pieces = []
 
     class Recording:
-        def indexed_hits(self, rows, *arguments):
-            pieces.append((arguments[7], rows))  # the piece's first trial and length
-            real.indexed_hits(rows, *arguments)
+        def __getattr__(self, name):
+            def record(rows, *arguments):
+                pieces.append((arguments[7], rows))  # the piece's first trial and length
+                getattr(real, name)(rows, *arguments)
+
+            return record
 
     monkeypatch.setattr(kernel, "library", Recording)
-    window, _ = HIT_WINDOWS["crossing-2"]
-    left, right = engine.event_terminals(window, "crossing")
-    start, stop = 37, 37 + 3 * kernel._PIECE_TRIALS + 65
-    for count in (1, 2, 3):
+    split = SPLITS[entry]
+    start, stop = 37, 37 + max(split.lengths)
+    for count in (1, 2, 3, 4):
         cores(monkeypatch, count)
         del pieces[:]
-        indexed_hits(window, left, right, 5, start, stop)
+        split.values(5, start, stop)
         pieces.sort()
-        assert len(pieces) == count
+        assert len(pieces) == min(count, (stop - start) // split.least)
         assert [first for first, _ in pieces] == [start] + [first + rows for first, rows in pieces[:-1]]
         assert sum(rows for _, rows in pieces) == stop - start
-        assert all(rows % 64 == 0 and rows >= kernel._PIECE_TRIALS for _, rows in pieces[:-1])
+        assert all(rows % split.word == 0 for _, rows in pieces[:-1])
+        assert all(rows >= split.least for _, rows in pieces)
 
 
-def test_one_usable_core_starts_no_thread(monkeypatch, thread_starts):
-    window, _ = HIT_WINDOWS["crossing-4"]
-    left, right = engine.event_terminals(window, "crossing")
+@pytest.mark.parametrize("entry", sorted(SPLITS))
+def test_one_usable_core_starts_no_thread(monkeypatch, thread_starts, entry):
+    split = SPLITS[entry]
     monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: {0})
-    indexed_hits(window, left, right, 3, 0, 10**5)
+    split.values(3, 0, 8 * split.least)
     assert thread_starts == []
 
 
-def test_two_usable_cores_start_one_thread_and_small_calls_none(monkeypatch, thread_starts):
-    window, _ = HIT_WINDOWS["crossing-4"]
-    left, right = engine.event_terminals(window, "crossing")
+@pytest.mark.parametrize("entry", sorted(SPLITS))
+def test_two_usable_cores_start_one_thread_and_calls_below_the_floor_none(monkeypatch, thread_starts, entry):
+    split = SPLITS[entry]
     cores(monkeypatch, 2)
-    indexed_hits(window, left, right, 3, 0, 10**5)
+    split.values(3, 0, 8 * split.least)
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-    indexed_hits(window, left, right, 3, 0, 2 * kernel._PIECE_TRIALS - 1)
+    split.values(3, 0, 2 * split.least - 1)
     assert len(thread_starts) == 1
 
 
-def test_more_pieces_than_cores_under_a_short_switch_interval_equal_one_core(monkeypatch, thread_starts):
+@pytest.mark.parametrize("entry", sorted(SPLITS))
+def test_more_pieces_than_cores_under_a_short_switch_interval_equal_one_core(monkeypatch, thread_starts, entry):
     # Four pieces on this machine's cores, switching threads as often as the
-    # interpreter allows: each piece writes only its own slice of the hits.
-    window, _ = HIT_WINDOWS["crossing-4"]
-    left, right = engine.event_terminals(window, "crossing")
-    stop = 4 * kernel._PIECE_TRIALS + 100
+    # interpreter allows: each piece writes only its own slice of the result.
+    split = SPLITS[entry]
+    stop = 4 * split.least + 100
     cores(monkeypatch, 1)
-    single = indexed_hits(window, left, right, 5, 11, stop)
+    single = split.values(5, 11, stop)
     cores(monkeypatch, 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert np.array_equal(indexed_hits(window, left, right, 5, 11, stop), single)
+            assert np.array_equal(split.values(5, 11, stop), single)
     finally:
         sys.setswitchinterval(interval)
     assert len(thread_starts) == 15 and not any(thread.is_alive() for thread in thread_starts)
 
 
-def test_a_failing_worker_fails_the_call(monkeypatch, thread_starts):
+@pytest.mark.parametrize("entry", sorted(SPLITS))
+def test_a_failing_worker_fails_the_call(monkeypatch, thread_starts, entry):
     # A worker fills its slice of an uninitialised array, so its failure must
     # not pass silently.
     real = kernel.library()
 
     class WorkersFail:
-        def indexed_hits(self, *arguments):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("the worker failed")
-            real.indexed_hits(*arguments)
+        def __getattr__(self, name):
+            def call(*arguments):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("the worker failed")
+                getattr(real, name)(*arguments)
+
+            return call
 
     monkeypatch.setattr(kernel, "library", WorkersFail)
     cores(monkeypatch, 2)
-    window, _ = HIT_WINDOWS["crossing-4"]
-    left, right = engine.event_terminals(window, "crossing")
     with pytest.raises(RuntimeError, match="the worker failed"):
-        indexed_hits(window, left, right, 3, 0, 10**5)
+        SPLITS[entry].values(3, 0, 8 * SPLITS[entry].least)
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
