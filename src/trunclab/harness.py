@@ -450,6 +450,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
             master_seed=config.master_seed,
         )
     except ParametersNotFound as exc:
+        # A budget failure spends its time in this stage, so it is recorded too.
+        timings["slab-search"] = time.perf_counter() - clock
         report.failure_stage = "slab-search"
         report.error = str(exc)
         report.checks["slab_found"] = False
@@ -466,6 +468,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
             config.sequence, config.certificate.epsilon, params, config.scale_search_limit
         )
     except HypothesisNotWitnessed as exc:
+        timings["scale-selection"] = time.perf_counter() - clock
         report.failure_stage = "scale-selection"
         report.error = str(exc)
         report.checks["scales_found"] = False

@@ -268,6 +268,8 @@ class EpsilonCertificate:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 0.5:
+            # The bond threshold of Z^2 is 1/2 (Kesten 1980).
             raise ValueError(
-                f"epsilon must lie in (0, 1/2]; probabilities cap the limiting level at 1/2 (got {self.epsilon})"
+                f"epsilon must lie in (0, 1/2] (got {self.epsilon}); a level above 1/2 is settled by one"
+                " length alone, whose edges form copies of Z^2 above their threshold 1/2"
             )

@@ -20,7 +20,12 @@ are reported rather than hidden.
 cost (dimension first, then thickness) until one's estimated threshold
 clears a declared level with margin to spare, on an interval no wider than
 ``bracket_tol`` -- the numeric stand-in for the cited existence results,
-which give no effective bounds.  Estimates are persisted in a
+which give no effective bounds.  A slab of thickness 1 is Z^2, whose bond
+threshold is 1/2 exactly (Kesten 1980), so the scan records it as a
+shortfall from that value and never estimates, stores or reads its row; an
+old calibration file's thickness-1 rows still load but are not read, and
+``trunclab pc`` still estimates them, the planar calibration anchor.
+Estimates are persisted in a
 :class:`CalibrationTable`, whose rows are reused only under the settings
 and method they were computed with.  A row is a :class:`ThresholdEstimate`
 without its probes: the table stores, loads and returns estimates, and the
@@ -440,30 +445,38 @@ def choose_slab_parameters(
     wider than ``settings.bracket_tol``, recorded as stated.  A candidate's
     shortfall is the larger of ``p_hat + uncertainty + margin - epsilon``
     and ``bracket width - bracket_tol``, so a failed candidate's is at least
-    0.  Dimension 2 never qualifies (the planar threshold
-    is one-half and epsilon cannot exceed one-half), so the scan starts at
-    dimension 3.  Raises :class:`ParametersNotFound` with every candidate's
-    shortfall when the budget is exhausted.
+    0.  A slab of thickness 1, at any dimension, is Z^2, whose threshold is
+    one-half exactly (Kesten 1980), and epsilon cannot exceed one-half, so
+    it never qualifies: it is recorded from that exact threshold (``p_hat``
+    0.5, ``uncertainty`` and ``bracket_width`` 0) without an estimate, and
+    the table is neither read nor written for it.  The scan starts at
+    dimension 3, since dimension 2 is that plane too.  Raises
+    :class:`ParametersNotFound` with every candidate's shortfall when the
+    budget is exhausted.
     """
+    if not 0.0 < epsilon <= 0.5:
+        raise ConfigError(f"epsilon must lie in (0, 1/2], got {epsilon}")
     if not 0.0 < margin < epsilon:
         raise ConfigError(f"margin must lie strictly between 0 and epsilon, got {margin}")
     shortfalls: list[dict] = []
     for dimension in range(3, d_max + 1):
         for thickness in range(1, k_max + 1):
             family = LatticeFamily("slab", dimension, thickness)
-            row = table.ensure(family, settings, master_seed)
-            score = row.p_hat + row.uncertainty + margin
-            width = row.bracket[1] - row.bracket[0]
-            if score < epsilon and width <= settings.bracket_tol:
-                return SlabParameters(dimension, thickness), row
+            if thickness == 1:  # Z^2: its exact threshold, never a table row
+                p_hat, uncertainty, width = 0.5, 0.0, 0.0
+            else:
+                row = table.ensure(family, settings, master_seed)
+                p_hat, uncertainty, width = row.p_hat, row.uncertainty, row.bracket[1] - row.bracket[0]
+                if p_hat + uncertainty + margin < epsilon and width <= settings.bracket_tol:
+                    return SlabParameters(dimension, thickness), row
             shortfalls.append(
                 {
                     "family": family.key,
-                    "p_hat": row.p_hat,
-                    "uncertainty": row.uncertainty,
+                    "p_hat": p_hat,
+                    "uncertainty": uncertainty,
                     "required_below": epsilon - margin,
                     "bracket_width": width,
-                    "shortfall": max(score - epsilon, width - settings.bracket_tol),
+                    "shortfall": max(p_hat + uncertainty + margin - epsilon, width - settings.bracket_tol),
                 }
             )
     best = min(shortfalls, key=lambda s: s["shortfall"]) if shortfalls else None

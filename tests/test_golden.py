@@ -30,7 +30,10 @@ calibration rows and the report's ``threshold`` object (its ``p_hat``,
 ``uncertainty``, ``bracket`` and ``method``) changed, and ``stream_rules``
 lost its ``indexed`` entry, since a run now draws on the keyed rule alone;
 the slab (d3 K2), the report's other fields and ``estimates.csv`` stayed as
-they were.
+they were.  The calibration digest was re-recorded once more when the slab
+search began to take a thickness-1 slab, which is Z^2, from its exact
+threshold 1/2 instead of estimating it: the ``slab-d3-k1`` row is gone and
+every other byte of every artifact stayed as it was.
 
 A change that moves these numbers on purpose (a new stream rule, a new
 estimator) updates the digests and says why in CHANGES.md.
@@ -52,7 +55,7 @@ from trunclab.windows import ConfigError
 DIGESTS = {
     "report.json": "b978605b555dd3b2b57424590a661ba92c6025684ffa65af1d89d516ec3cf1e0",
     "estimates.csv": "3ac368e022760f66a130612798ffc37fe29d03f31bbd68bddce0f9f846dd8263",
-    "calibration.csv": "a6628784ed3b481587ec8265e3236374aa5394fe8d76f69e3ce13c25bde82551",
+    "calibration.csv": "ed219fda445eab71b2a93c6248e1f7b6fec023d0b9b71e6a53407287bf695894",
 }
 
 
@@ -130,8 +133,8 @@ def test_calibration_round_trip(tmp_path, monkeypatch, thread_starts):
     # A row's family column must name the family its kind, dimension and
     # thickness describe; otherwise the row would serve the wrong family.
     lines = table.read_text().splitlines(keepends=True)
-    row = next(number for number, line in enumerate(lines) if line.startswith("slab-d3-k1,"))
-    lines[row] = lines[row].replace("slab-d3-k1,", "slab-d3-k2,", 1)
+    row = next(number for number, line in enumerate(lines) if line.startswith("slab-d3-k2,"))
+    lines[row] = lines[row].replace("slab-d3-k2,", "slab-d3-k1,", 1)
     table.write_text("".join(lines))
     with pytest.raises(ConfigError) as excinfo:
         CalibrationTable(table)

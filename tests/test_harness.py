@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trunclab import harness
+from trunclab import harness, thresholds
 from trunclab.cli import _build_parser, _pc_settings, main
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import origin_radius_profile
@@ -25,7 +25,14 @@ from trunclab.harness import (
 from trunclab.rng import INDEXED_STREAM_RULE as INDEXED
 from trunclab.rng import KEYED_STREAM_RULE as KEYED
 from trunclab.sequences import EpsilonCertificate, ProbabilitySequence
-from trunclab.thresholds import METHOD, CalibrationTable, LatticeFamily, ThresholdEstimate, ThresholdSettings
+from trunclab.thresholds import (
+    METHOD,
+    CalibrationTable,
+    LatticeFamily,
+    ThresholdEstimate,
+    ThresholdSettings,
+    estimate_pc,
+)
 from trunclab.windows import ConfigError, embedded_radial_window, lattice_window, long_range_radial_window
 
 from test_acceptance import _spec_pipeline_config
@@ -348,6 +355,9 @@ class TestPipeline:
         assert report.failure_stage == "scale-selection"
         assert report.exit_code == 3
         assert "step 2" in report.error
+        # The failed stage's time is recorded, like every stage before it.
+        timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_seconds"]
+        assert sorted(timings) == ["scale-selection", "slab-search", "write"]
 
     def test_unreachable_level_fails_at_slab_search(self, tmp_path):
         config = small_config(
@@ -361,6 +371,9 @@ class TestPipeline:
         assert report.failure_stage == "slab-search"
         assert report.exit_code == 3
         assert report.slab["shortfalls"]
+        # A budget failure spends its time in the slab search, so the manifest records it.
+        timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_seconds"]
+        assert sorted(timings) == ["slab-search", "write"]
 
     def test_report_records_theta_and_containment(self, tmp_path):
         report = run_pipeline(small_config(), tmp_path / "out")
@@ -414,7 +427,7 @@ class TestPipeline:
         saved = json.loads((tmp_path / "out" / "report.json").read_text())
         assert saved["failure_stage"] == "certification"
 
-    def test_sparse_level_needs_the_slab_and_three_scales(self, tmp_path):
+    def test_sparse_level_needs_the_slab_and_three_scales(self, tmp_path, monkeypatch):
         # Criterion 7's p(1) = 0.9 lies above 1/2, the bond threshold of Z^2
         # (Kesten 1980), so its run percolates at N = 1 whatever the slab.
         # At level 0.3 on the powers of 10 every single length is a
@@ -426,9 +439,18 @@ class TestPipeline:
             certificate=EpsilonCertificate(0.3, evidence="level 0.3 on the powers of 10"),
             margin=0.01,
         )
+        estimated = []
+
+        def recording(family, *args):
+            estimated.append(family.key)
+            return estimate_pc(family, *args)
+
+        monkeypatch.setattr(thresholds, "estimate_pc", recording)
         report = run_pipeline(config, tmp_path / "out")
         assert report.exit_code == 0, (report.failure_stage, report.error)
         assert report.slab == {"dimension": 4, "thickness": 3}
+        # The planar slabs d3 K1 and d4 K1 are taken from the exact threshold 1/2.
+        assert estimated == ["slab-d3-k2", "slab-d3-k3", "slab-d3-k4", "slab-d4-k2", "slab-d4-k3"]
         assert report.scales == [1, 10, 100]
         for row in report.theta:
             assert 0 < row["embedded"]["successes"] < config.theta_trials, row
@@ -680,13 +702,13 @@ class TestCli:
         calib = tmp_path / "calib.csv"
         stale = ThresholdSettings(l_schedule=(6, 12, 24), bracket_tol=0.04, trials_per_probe=5000, coarse_trials=150)
         CalibrationTable(calib).put(
-            ThresholdEstimate(LatticeFamily("slab", 3, 1), 0.49, 0.01, (0.48, 0.5), 0.005, stale, 7, METHOD)
+            ThresholdEstimate(LatticeFamily("slab", 3, 2), 0.44, 0.01, (0.43, 0.45), 0.005, stale, 7, METHOD)
         )
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT.replace("coarse_trials = 150", f"coarse_trials = 150\ncalibration_file = {calib}"))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         error = capsys.readouterr().err
-        assert "slab-d3-k1" in error and "l_schedule" in error and "trials_per_probe" in error
+        assert "slab-d3-k2" in error and "l_schedule" in error and "trials_per_probe" in error
 
     def test_pipeline_command(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

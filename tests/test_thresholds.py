@@ -492,7 +492,65 @@ class TestCalibrationTable:
         assert replay == row
 
 
+class PlanarRefusingTable(CalibrationTable):
+    """A table that fails the test when asked for a thickness-1 slab."""
+
+    def ensure(self, family, settings, master_seed):
+        if family.kind == "slab" and family.thickness == 1:
+            raise AssertionError(f"the slab search asked the table for {family.key}")
+        return super().ensure(family, settings, master_seed)
+
+
+def _planar_shortfall(dimension: int, epsilon: float, margin: float) -> dict:
+    # A thickness-1 slab is Z^2: threshold 1/2 exactly (Kesten 1980).
+    return {
+        "family": f"slab-d{dimension}-k1",
+        "p_hat": 0.5,
+        "uncertainty": 0.0,
+        "required_below": epsilon - margin,
+        "bracket_width": 0.0,
+        "shortfall": 0.5 + margin - epsilon,
+    }
+
+
 class TestChooseSlabParameters:
+    def test_thickness_one_is_planar_and_never_estimated(self, tmp_path):
+        table = PlanarRefusingTable(tmp_path / "calib.csv")
+        table.rows = {
+            "slab-d3-k2": _fake_row(3, 2, 0.44),
+            "slab-d3-k3": _fake_row(3, 3, 0.41),
+            "slab-d4-k2": _fake_row(4, 2, 0.40),
+        }
+        params, row = choose_slab_parameters(0.45, 0.02, 4, 3, table, FAST, 1)
+        assert (params.dimension, params.thickness, row.family.key) == (3, 3, "slab-d3-k3")
+
+        # One record per candidate in scan order; the planar ones from the exact threshold.
+        with pytest.raises(ParametersNotFound) as excinfo:
+            choose_slab_parameters(0.30, 0.02, 4, 2, table, FAST, 1)
+        shortfalls = excinfo.value.shortfalls
+        assert [s["family"] for s in shortfalls] == ["slab-d3-k1", "slab-d3-k2", "slab-d4-k1", "slab-d4-k2"]
+        assert shortfalls[0] == _planar_shortfall(3, 0.30, 0.02)
+        assert shortfalls[2] == _planar_shortfall(4, 0.30, 0.02)
+        assert shortfalls[1]["shortfall"] == pytest.approx(0.44 + 0.005 + 0.02 - 0.30)
+
+        # `trunclab pc` and criterion 6(d) still estimate the planar slab.
+        estimate = estimate_pc(LatticeFamily("slab", 3, 1), FAST, 32)
+        assert estimate.family.key == "slab-d3-k1" and len(estimate.probes) == len(FAST.l_schedule)
+        assert 0.42 <= estimate.p_hat <= 0.58 and estimate.uncertainty > 0
+
+    def test_a_stale_planar_row_loads_but_is_never_read_or_stored(self, tmp_path):
+        path = tmp_path / "calib.csv"
+        stale = dataclasses.replace(FAST, trials_per_probe=FAST.trials_per_probe + 1)
+        CalibrationTable(path).put(dataclasses.replace(_fake_row(3, 1, 0.49), settings=stale))
+        params, row = choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(path), FAST, 1)
+        assert row.family.key == "slab-d3-k2"
+        # The stale row is kept as it was, and the search stored no planar row of its own.
+        stored = CalibrationTable(path).rows
+        assert sorted(stored) == ["slab-d3-k1", "slab-d3-k2"] and stored["slab-d3-k1"].settings == stale
+        fresh = tmp_path / "fresh.csv"
+        choose_slab_parameters(0.45, 0.02, 3, 2, CalibrationTable(fresh), FAST, 1)
+        assert sorted(CalibrationTable(fresh).rows) == ["slab-d3-k2"]
+
     def test_picks_least_cost_qualifying_geometry(self, tmp_path):
         table = CalibrationTable(tmp_path / "calib.csv")
         table.rows = {
@@ -512,6 +570,9 @@ class TestChooseSlabParameters:
             choose_slab_parameters(0.45, 0.45, 4, 3, table, FAST, 1)
         with pytest.raises(ConfigError):
             choose_slab_parameters(0.45, 0.0, 4, 3, table, FAST, 1)
+        # Above 1/2 the planar record would no longer be a shortfall.
+        with pytest.raises(ConfigError, match="epsilon"):
+            choose_slab_parameters(0.6, 0.02, 4, 3, table, FAST, 1)
 
     def test_budget_exhaustion_reports_shortfalls(self, tmp_path):
         table = CalibrationTable(tmp_path / "calib.csv")
