@@ -18,6 +18,8 @@ unit steps instead of trusting the arithmetic argument.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,32 +29,48 @@ from .sequences import ProbabilitySequence, scan_support
 Point = tuple[int, int]
 
 
-def _row_codes(rows: np.ndarray, low: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Exact mixed-radix int64 code of each integer row, given per-column ranges."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for column in range(rows.shape[1]):
-        codes = codes * spans[column] + (rows[:, column] - low[column])
+def _row_codes(columns: Sequence[np.ndarray], low: list[int], spans: list[int]) -> np.ndarray:
+    """Exact mixed-radix int64 code of each integer row, given its columns and their ranges.
+    The steps run in place and may wrap, but each code lies below 2^63, so it comes out exact."""
+    codes = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, least, span in zip(columns, low, spans):
+        codes *= span
+        codes += column
+        codes -= least
     return codes
 
 
-def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of each query row among the rows of ``table``, or -1 where absent.
+# Table rows coded and sorted at a time by _row_lookup: a chunk's codes and sort
+# order take 0.4 MB, where all of a large full window's vertices or edges take MBs.
+_LOOKUP_CHUNK = 1 << 14
 
-    Both are integer arrays with the same number of columns; rows are compared
-    exactly, through sorted mixed-radix codes.
+
+def _row_lookup(table: Sequence[np.ndarray], queries: Sequence[np.ndarray]) -> np.ndarray:
+    """Index of the first row of ``table`` equal to each query row, or -1 where none is.
+
+    ``table`` and ``queries`` are sequences of as many integer columns (pass
+    ``array.T`` for the rows of a 2-D array).  Rows are compared exactly by
+    their mixed-radix codes; the table is coded, sorted and searched one
+    ``_LOOKUP_CHUNK`` of rows at a time, in row order.
     """
-    if table.shape[0] == 0 or queries.shape[0] == 0:
-        return np.full(queries.shape[0], -1, dtype=np.int64)
-    low = np.minimum(table.min(axis=0), queries.min(axis=0))
-    spans = np.maximum(table.max(axis=0), queries.max(axis=0)) - low + 1
-    if np.prod(spans.astype(object)) >= 2**63:
+    n_rows, found = len(table[0]), np.full(len(queries[0]), -1, dtype=np.int64)
+    if n_rows == 0 or found.size == 0:
+        return found
+    low = [min(int(c.min()), int(q.min())) for c, q in zip(table, queries)]
+    spans = [max(int(c.max()), int(q.max())) - least + 1 for c, q, least in zip(table, queries, low)]
+    if math.prod(spans) >= 2**63:
         raise ValueError("coordinate range too wide for exact 64-bit row codes")
-    table_codes = _row_codes(table, low, spans)
-    order = np.argsort(table_codes, kind="stable")
-    ranked = table_codes[order]
     query_codes = _row_codes(queries, low, spans)
-    slot = np.minimum(np.searchsorted(ranked, query_codes), ranked.shape[0] - 1)
-    return np.where(ranked[slot] == query_codes, order[slot], -1)
+    for start in range(0, n_rows, _LOOKUP_CHUNK):
+        codes = _row_codes([column[start:start + _LOOKUP_CHUNK] for column in table], low, spans)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]  # drops the unsorted codes
+        slot = np.searchsorted(codes, query_codes)
+        np.minimum(slot, codes.size - 1, out=slot)
+        hit = codes[slot] == query_codes
+        hit &= found < 0
+        found[hit] = start + order[slot[hit]]
+    return found
 
 
 class HypothesisNotWitnessed(Exception):
@@ -265,7 +283,7 @@ class EmbeddedGraph:
         scales = self.scales.scales
         lengths = np.array(scales + scales[:1], dtype=np.int64)
         offsets = np.array([(n, 0) for n in scales] + [(0, scales[0])], dtype=np.int64)
-        targets = _row_lookup(points, (points[:, None, :] + offsets).reshape(-1, 2))
+        targets = _row_lookup(points.T, (points[:, None, :] + offsets).reshape(-1, 2).T)
         targets = targets.reshape(points.shape[0], offsets.shape[0])
         edges_u, slot = np.nonzero(targets >= 0)
         return edges_u, targets[edges_u, slot], lengths[slot]
@@ -327,7 +345,7 @@ def verify_isomorphism(
     def pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
 
-    first = _row_lookup(points, points)
+    first = _row_lookup(points.T, points.T)
     repeats = np.flatnonzero(first != np.arange(report.vertex_count))
     report.checks["injective"] = repeats.size == 0
     if repeats.size:
@@ -336,13 +354,13 @@ def verify_isomorphism(
         return report
 
     axes = coords.shape[1]
-    steps = _row_lookup(coords, (coords[:, None, :] + np.eye(axes, dtype=np.int64)).reshape(-1, axes))
+    steps = _row_lookup(coords.T, (coords[:, None, :] + np.eye(axes, dtype=np.int64)).reshape(-1, axes).T)
     found = np.flatnonzero(steps >= 0)
     slab = pairs(found // axes, steps[found])
     edges_u, edges_v, lengths = graph.edges_among(points)
     embedded = pairs(edges_u, edges_v)
-    slab_only = slab[_row_lookup(embedded, slab) < 0].tolist()
-    embedded_only = embedded[_row_lookup(slab, embedded) < 0].tolist()
+    slab_only = slab[_row_lookup(embedded.T, slab.T) < 0].tolist()
+    embedded_only = embedded[_row_lookup(slab.T, embedded.T) < 0].tolist()
     spans = np.abs(points[edges_v] - points[edges_u]).sum(axis=1)
     scale_length = (lengths[:, None] == np.array(graph.scales.scales)).any(axis=1)
     off_scale = np.flatnonzero((spans != lengths) | ~scale_length)

@@ -36,6 +36,7 @@ tracer wraps it by name in this namespace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,7 +292,7 @@ def origin_radius_profile(
     sup-norm at least ``r``.  One keyed search (:func:`trunclab.kernel.keyed_reach`)
     finds every trial's reach, the largest such norm, and each radius is read
     off it, so all radii are evaluated on the same sampled configurations.
-    They must be at least 1 and strictly increasing, so the per-trial
+    They must be integers, at least 1 and strictly increasing, so the per-trial
     indicator matrix (second return value) is nonincreasing along the radius
     axis; the estimates inherit exact monotone coupling rather than merely
     statistical ordering.
@@ -301,6 +302,9 @@ def origin_radius_profile(
     if window.origin_index is None:
         raise ValueError("window has no origin vertex")
     radii = list(radii)
+    for r in radii:
+        if not isinstance(r, numbers.Integral):
+            raise ValueError(f"radius {r!r} is not an integer")
     if any(r < 1 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be at least 1 and strictly increasing, got {radii}")
     reached = keyed_reach(window, master_seed, 0, trials)[:, None] >= np.array(radii, dtype=np.int64)

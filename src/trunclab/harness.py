@@ -288,37 +288,6 @@ class ContainmentReport:
         return {**asdict(self), "passed": self.passed}
 
 
-# Edges sorted at a time by _edge_index: a chunk's codes and sort order take
-# 0.4 MB, where sorting all of a large full window's edges takes several MB.
-_LOOKUP_CHUNK = 1 << 14
-
-
-def _edge_index(window: GraphWindow, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Index of the first edge ``heads[i] -> tails[i]`` of ``window``, or -1
-    where it has none (as where an end is -1).
-
-    Edges are compared exactly by their code ``u * n_vertices + v``, sorted
-    one chunk at a time and searched in edge order.
-    """
-    n = np.int64(window.n_vertices)
-    queries = heads * n
-    queries += tails
-    queries[(heads < 0) | (tails < 0)] = -1
-    found = np.full(queries.shape, -1, dtype=np.int64)
-    for start in range(0, window.n_edges, _LOOKUP_CHUNK):
-        stop = min(start + _LOOKUP_CHUNK, window.n_edges)
-        codes = window.edges_u[start:stop] * n
-        codes += window.edges_v[start:stop]
-        order = np.argsort(codes, kind="stable")
-        ranked = codes[order]
-        slot = np.searchsorted(ranked, queries)
-        np.minimum(slot, ranked.size - 1, out=slot)
-        hit = ranked[slot] == queries
-        hit &= found < 0
-        found[hit] = start + order[slot[hit]]
-    return found
-
-
 def containment_check(embedded: GraphWindow, full: GraphWindow, trials: int, master_seed: int) -> ContainmentReport:
     """Containment from the structure of the window pair.
 
@@ -332,8 +301,8 @@ def containment_check(embedded: GraphWindow, full: GraphWindow, trials: int, mas
     stray vertex, else the origin, else the first edge of the first edge
     fault.  Nothing is drawn: ``trials`` and ``master_seed`` are recorded.
     """
-    vertex_map = _row_lookup(full.coords, embedded.coords)
-    edge_map = _edge_index(full, vertex_map[embedded.edges_u], vertex_map[embedded.edges_v])
+    vertex_map = _row_lookup(full.coords.T, embedded.coords.T)
+    edge_map = _row_lookup((full.edges_u, full.edges_v), (vertex_map[embedded.edges_u], vertex_map[embedded.edges_v]))
     unmapped, image = edge_map < 0, np.maximum(edge_map, 0)
     edge_faults = {
         "unmapped-edge": unmapped,

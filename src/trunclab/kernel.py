@@ -37,15 +37,16 @@ range across the usable cores (``len(os.sched_getaffinity(0))``) through
 one piece runner, ``_run_pieces``: one contiguous piece per core, the first
 on the calling thread and each other on a :class:`threading.Thread`, every
 piece a C call on its own slice of one result array with its own scratch;
-ctypes releases the GIL for the call.  Each keeps its own cut:
-:func:`indexed_hits` takes whole 64-trial words, at least ``_PIECE_TRIALS``
-trials a piece, and :func:`keyed_bottlenecks` at least
-``_PIECE_EDGE_TRIALS`` edge-trials (trials times the window's edges) a
-piece; a call too short for two pieces starts no thread.  The Philox blocks
-of trial ``t`` are a function of ``(seed, t)`` alone (a counter-based
-generator: Salmon et al., SC 2011), a keyed word one of ``(key, seed, t)``,
-and a trial's bottleneck does not depend on the band its call has learned,
-so every value is bit-identical to the one-thread call's.
+ctypes releases the GIL for the call.  The runner cuts the range from each
+caller's floor and word: :func:`indexed_hits` takes whole 64-trial words,
+at least ``_PIECE_TRIALS`` trials a piece, and :func:`keyed_bottlenecks`
+single trials, at least ``_PIECE_EDGE_TRIALS`` edge-trials (trials times
+the window's edges) a piece; a call too short for two pieces starts no
+thread.  The Philox blocks of trial ``t`` are a function of ``(seed, t)``
+alone (a counter-based generator: Salmon et al., SC 2011), a keyed word
+one of ``(key, seed, t)``, and a trial's bottleneck does not depend on the
+band its call has learned, so every value is bit-identical to the
+one-thread call's.
 :func:`keyed_reach` stays on the calling thread: each piece would rebuild
 the window's incidence lists, and a prototype of the same split on it, on
 2 cores, made ``pipeline-warm`` ``wall_s`` about 15% slower (on its
@@ -255,13 +256,18 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_pieces(entry, bounds: list[int], piece) -> None:
-    """``entry(*piece(first, last))`` for every piece ``[first, last)``
-    between consecutive ``bounds`` at once: the first piece on the calling
-    thread and each other on a thread of its own, ctypes releasing the GIL
-    for each call.  Every piece's arguments, its own scratch among them, are
-    made before any thread starts.  A worker's exception is raised here once
-    every piece is done."""
+def _run_pieces(entry, rows: int, least: int, word: int, piece) -> None:
+    """``entry(*piece(first, last))`` for every piece ``[first, last)`` of
+    ``0 .. rows - 1`` at once: one piece per usable core, at most one per
+    ``least`` rows, cut at multiples of ``word`` rows into pieces equal to
+    within a word, the first on the calling thread and each other on a
+    thread of its own, ctypes releasing the GIL for each call.  Every
+    piece's arguments, its own scratch among them, are made before any
+    thread starts.  A worker's exception is raised here once every piece is
+    done."""
+    pieces = max(1, min(_cores(), rows // least))
+    words = -(-rows // word)
+    bounds = [min(rows, word * (words * k // pieces)) for k in range(pieces + 1)]
     calls = [piece(first, last) for first, last in zip(bounds, bounds[1:])]
     errors: list[BaseException] = []
 
@@ -322,10 +328,7 @@ def indexed_hits(window: GraphWindow, left: np.ndarray, right: np.ndarray, seed:
     n, n_edges = window.n_vertices, window.n_edges
     seed &= 0xFFFFFFFFFFFFFFFF
     hits = np.empty(rows, dtype=np.bool_)
-    words = -(-rows // 64)
-    pieces = max(1, min(_cores(), rows // _PIECE_TRIALS))
-    bounds = [min(rows, 64 * (words * k // pieces)) for k in range(pieces + 1)]
-    _run_pieces(library().indexed_hits, bounds, lambda first, last: (
+    _run_pieces(library().indexed_hits, rows, _PIECE_TRIALS, 64, lambda first, last: (
         last - first, n, n_edges, edges_u, edges_v, thresholds, sides, seed, start + first,
         *_incidence_scratch(window), np.empty(n_edges, dtype=np.uint64), np.empty(n, dtype=np.uint64),
         np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int32), hits[first:last],
@@ -381,8 +384,7 @@ def keyed_bottlenecks(window: GraphWindow, seed: int, start: int, stop: int) -> 
     bottleneck = np.empty(rows, dtype=np.uint64)
     # The fewest trials a piece takes: enough for _PIECE_EDGE_TRIALS edge-trials.
     least = -(-_PIECE_EDGE_TRIALS // max(1, n_edges))
-    pieces = max(1, min(_cores(), rows // least))
-    _run_pieces(library().keyed_bottlenecks, [rows * k // pieces for k in range(pieces + 1)], lambda first, last: (
+    _run_pieces(library().keyed_bottlenecks, rows, least, 1, lambda first, last: (
         last - first, n, n_edges, edges_u, edges_v, keys, sides, seed, start + first,
         np.empty(n_edges, dtype=np.uint64), np.empty(n_edges, dtype=np.int32), np.empty(n_edges, dtype=np.int32),
         np.empty((1 << bits) + 1, dtype=np.int64), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.uint8),

@@ -75,8 +75,9 @@ class LatticeFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("z2", "zd", "slab"):
             raise ConfigError(f"unknown lattice family kind {self.kind!r}")
-        if self.kind == "slab" and self.dimension < 2:
-            raise ConfigError("dimension must be >= 2")
+        # A slab at dimension 2 has no confined axis: its window is Z^2's.
+        if self.kind == "slab" and self.dimension < 3:
+            raise ConfigError(f"family slab needs dimension >= 3 (the plane is family z2), got {self.dimension}")
         if self.kind == "slab" and self.thickness < 1:
             raise ConfigError("slab thickness must be >= 1")
         # A field the kind ignores would give two unequal families one key.

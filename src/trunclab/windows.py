@@ -252,6 +252,8 @@ def lattice_window(
     """
     if dimension < 2:
         raise ConfigError("lattice window needs dimension >= 2")
+    if thickness is not None and dimension < 3:
+        raise ConfigError(f"a slab needs dimension >= 3 (the plane is family z2), got {dimension}")
     if thickness is not None and thickness < 1:
         raise ConfigError("slab thickness must be >= 1")
     if size < 1:

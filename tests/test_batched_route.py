@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trunclab import engine, harness, kernel
+from trunclab import embedding, engine, harness, kernel
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabParameters
 from trunclab.engine import (
     UnionFind,
@@ -300,7 +300,7 @@ def test_containment_blocks_match_per_trial_reference(graph, corrupt_edge, moved
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_edge_lookup_finds_the_first_directed_edge_in_every_chunk(radial_pair, chunk, monkeypatch):
-    monkeypatch.setattr(harness, "_LOOKUP_CHUNK", chunk)
+    monkeypatch.setattr(embedding, "_LOOKUP_CHUNK", chunk)
     _, full = radial_pair
     # Repeating the first edges at the end gives those pairs two indices.
     window = dataclasses.replace(
@@ -315,7 +315,7 @@ def test_edge_lookup_finds_the_first_directed_edge_in_every_chunk(radial_pair, c
     for e, pair in enumerate(zip(window.edges_u.tolist(), window.edges_v.tolist())):
         first.setdefault(pair, e)
     expected = [first.get(pair, -1) for pair in zip(heads.tolist(), tails.tolist())]
-    assert harness._edge_index(window, heads, tails).tolist() == expected
+    assert embedding._row_lookup((window.edges_u, window.edges_v), (heads, tails)).tolist() == expected
     assert expected[:20] != [-1] * 20 and expected[200:220] == [-1] * 20  # found forward, never reversed
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trunclab import embedding
 from trunclab.embedding import (
     EmbeddedGraph,
     HypothesisNotWitnessed,
@@ -333,3 +334,41 @@ def test_embedded_process_is_truncation_measurable(rng):
         assert report.max_edge_length == vec.top
         truncated = seq.truncate(vec.top)
         assert all(truncated.probability(n) == seq.probability(n) for n in vec.scales)
+
+
+def dict_lookup(table: np.ndarray, queries: np.ndarray) -> list[int]:
+    """Reference for ``_row_lookup``: the first row of ``table`` equal to each query, by a dict."""
+    first: dict[tuple, int] = {}
+    for index, row in enumerate(map(tuple, table.tolist())):
+        first.setdefault(row, index)
+    return [first.get(row, -1) for row in map(tuple, queries.tolist())]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_row_lookup_equals_a_dict_in_every_chunk(monkeypatch, chunk, columns):
+    monkeypatch.setattr(embedding, "_LOOKUP_CHUNK", chunk)
+    rng = np.random.default_rng(23 + columns)
+    for rows, width in ((0, 4), (1, 4), (40, 3), (300, 9), (2000, 40)):
+        # A narrow range repeats rows; every other query is a table row.
+        table = rng.integers(-width, width, size=(rows, columns))
+        queries = rng.integers(-width - 2, width + 2, size=(300, columns))
+        if rows:
+            queries[::2] = table[rng.integers(0, rows, size=150)]
+        queries[::7] = -1
+        assert embedding._row_lookup(table.T, queries[:0].T).tolist() == []
+        found = embedding._row_lookup(table.T, queries.T)
+        assert found.dtype == np.int64 and found.tolist() == dict_lookup(table, queries), rows
+    assert found.min() == -1 and len(set(found.tolist())) > 10
+
+
+def test_row_lookup_refuses_a_range_too_wide_for_64_bit_codes():
+    # Spans 2^32 and 2^31 give 2^63 codes, one too many for int64.
+    wide = np.array([[0, 2**62], [2**32 - 1, 2**62 + 2**31 - 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="coordinate range too wide"):
+        embedding._row_lookup(wide.T, wide[:1].T)
+    # One less in the second column fits; coding the last row wraps past
+    # 2^63 before the second column's least value is taken off.
+    fits = np.array([[0, 2**62], [2**32 - 1, 2**62 + 2**31 - 2]], dtype=np.int64)
+    queries = np.concatenate([fits[::-1], [[0, 2**62 + 1], [2**32 - 1, 2**62]]])
+    assert embedding._row_lookup(fits.T, queries.T).tolist() == [1, 0, -1, -1]

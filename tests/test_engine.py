@@ -371,6 +371,13 @@ class TestMonotoneCoupling:
         with pytest.raises(ValueError, match=re.escape(f"got {radii}")):
             origin_radius_profile(window, radii, 500, 3)
 
+    @pytest.mark.parametrize("radii, named", [([1.5, 1.7], "1.5"), ([1, 2.0], "2.0")])
+    def test_a_non_integer_radius_is_refused(self, radii, named):
+        # Cast to int64, 1.5 and 1.7 would each read P(reach >= 1) under their own labels.
+        window = lattice_window(2, 0.6, 4, "origin_boundary")
+        with pytest.raises(ValueError, match=re.escape(f"radius {named} is not an integer")):
+            origin_radius_profile(window, radii, 100, 3)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_fewer_than_one_trial_is_refused(self, trials):
         # Zero trials would give estimates of 0/0, reported as 0.0 +- 0.0.

@@ -666,6 +666,17 @@ class TestCli:
         assert "family zd needs dimension >= 3" in capsys.readouterr().err
         assert not calib.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["pc", "--family", "slab", "--d", "2", "--K", "3", "--L-schedule", "4", "--trials", "20"],
+        ["estimate", "--family", "slab", "--d", "2", "--K", "3", "--p", "0.6", "--L", "3", "--trials", "10"],
+    ], ids=["pc", "estimate"])
+    def test_a_planar_slab_is_refused(self, tmp_path, capsys, command):
+        # Its window would be Z^2's, so `pc` would store a second z2 row under another key.
+        calib = tmp_path / "calib.csv"
+        assert main(command + (["--calib", str(calib)] if command[0] == "pc" else [])) == 1
+        assert "slab needs dimension >= 3 (the plane is family z2)" in capsys.readouterr().err
+        assert not calib.exists()
+
     def test_pc_defaults_are_the_threshold_settings(self):
         args = _build_parser().parse_args(["pc", "--family", "z2"])
         assert _pc_settings(args) == ThresholdSettings()

@@ -109,8 +109,9 @@ def family_windows():
     for d, side in ((2, 6), (3, 4), (4, 2)):
         windows[f"grid-crossing-d{d}"] = lattice_window(d, 0.45, side, "crossing")
         windows[f"grid-radial-d{d}"] = lattice_window(d, 0.45, side // 2 + 1, "origin_boundary")
-        windows[f"slab-crossing-d{d}"] = lattice_window(d, 0.45, side, "crossing", thickness=2)
-        windows[f"slab-radial-d{d}"] = lattice_window(d, 0.45, side // 2 + 1, "origin_boundary", thickness=2)
+        if d > 2:  # a slab of dimension 2 is the plane, the grid windows above
+            windows[f"slab-crossing-d{d}"] = lattice_window(d, 0.45, side, "crossing", thickness=2)
+            windows[f"slab-radial-d{d}"] = lattice_window(d, 0.45, side // 2 + 1, "origin_boundary", thickness=2)
     return windows
 
 

@@ -52,10 +52,12 @@ class TestLatticeFamily:
             (("z2", 2, 2), "no thickness"),
             (("z2", 3), "dimension 2"),
             (("zd", 2), "the plane is family z2"),
+            (("slab", 2, 3), "family slab needs dimension >= 3"),
         ],
     )
     def test_fields_the_kind_ignores_are_refused(self, fields, message):
-        # Each would share a key (z3, z2) with the family it is unequal to.
+        # Each would share a key (z3, z2) or, for the planar slab, a window
+        # (Z^2's) with the family it is unequal to.
         with pytest.raises(ConfigError, match=message):
             LatticeFamily(*fields)
 

@@ -275,7 +275,7 @@ def test_nearest_neighbor_builders_match_loops(p):
                 lattice_window(dimension, p, size, "origin_boundary"),
                 reference_grid_radial(dimension, p, size),
             )
-            for thickness in (1, 2, 3):
+            for thickness in (1, 2, 3) if dimension > 2 else ():
                 assert_same_window(
                     lattice_window(dimension, p, size, "crossing", thickness),
                     reference_slab_crossing(dimension, thickness, p, size),
@@ -291,6 +291,8 @@ def test_nearest_neighbor_builders_match_loops(p):
     [
         ((1, 0.5, 2, "crossing"), "dimension"),
         ((3, 0.5, 2, "crossing", 0), "thickness"),
+        ((2, 0.5, 2, "crossing", 3), "slab needs dimension >= 3"),
+        ((2, 0.5, 2, "origin_boundary", 1), "slab needs dimension >= 3"),
         ((3, 0.5, 0, "origin_boundary"), "size"),
         ((3, 1.5, 2, "crossing"), "probability"),
         ((3, 0.5, 2, "theta"), "event"),
