@@ -209,15 +209,13 @@ class Estimate:
     label: str = ""
 
     def as_row(self) -> dict:
-        return {
-            "label": self.label,
-            "value": repr(self.value),
-            "half_width": repr(self.half_width),
-            "trials": self.trials,
-            "successes": self.successes,
-            "seed": self.seed,
-            "stream_rule": self.stream_rule,
-        }
+        """The :data:`ESTIMATE_COLUMNS` of the estimate's CSV row, floats by their repr."""
+        row = {name: getattr(self, name) for name in ESTIMATE_COLUMNS}
+        return {name: repr(value) if isinstance(value, float) else value for name, value in row.items()}
+
+
+# The fields of an estimate's CSV row, in column order.
+ESTIMATE_COLUMNS = ("label", "value", "half_width", "trials", "successes", "seed", "stream_rule")
 
 
 def _make_estimate(successes: int, trials: int, seed: int, rule: str, label: str) -> Estimate:

@@ -19,6 +19,12 @@ pair's stage seed, so the two windows share their keyed trials.  A path
 that leaves the open box ``{|x| < r}`` first lands at a vertex of norm
 below ``r + N``, so the radius-``R`` windows decide that event exactly for
 every theta radius ``r``.
+
+Each stage runs under one timer (:func:`_stage`), which records its wall
+time also when the stage raises, and a run leaves through one exit.  The
+loader and its unknown-key check read the same schema tables:
+:data:`_SEQUENCE_KINDS` (each ``[sequence]`` kind's constructor and key
+readers) and :data:`_FIELD_KEYS` (each record field's section, key and reader).
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +53,7 @@ from .embedding import (
 # search), but they stay bound: the benchmark's tracer wraps each by name in
 # this namespace.
 from .engine import (
+    ESTIMATE_COLUMNS,
     Estimate,
     component_labels,  # noqa: F401
     origin_boundary_estimate,  # noqa: F401
@@ -114,8 +122,9 @@ class PipelineConfig:
             raise ConfigError("scale_search_limit must be positive")
         if list(self.theta_radii) != sorted(set(self.theta_radii)) or not self.theta_radii:
             raise ConfigError("theta radii must be a nonempty increasing list")
-        if min(self.theta_radii) < 1:
-            raise ConfigError(f"theta_radii entries must be >= 1, got {min(self.theta_radii)}")
+        for radius in self.theta_radii:
+            if not isinstance(radius, (int, np.integer)) or radius < 1:
+                raise ConfigError(f"theta_radii entries must be integers >= 1, got {radius!r}")
         for name in ("verify_coarse", "verify_vertical"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -126,94 +135,100 @@ class PipelineConfig:
             raise ConfigError("theta needs at least one trial and containment a nonnegative count")
 
 
-# The keys each [sequence] kind reads besides "kind" and "truncation": the
-# ones it needs, then the ones it may take.
+# Each [sequence] kind's constructor, the keys it needs, then those it may
+# take, each with its text reader; a key left out keeps the constructor's
+# default.  Of each group of needed keys exactly one is set.
 _SEQUENCE_KINDS = {
-    "constant": (("value",), ()),
-    "power_law": (("exponent",), ("amplitude",)),
-    "lacunary": (("value",), ("support", "base", "background")),
-    "table": (("file",), ("tail",)),
+    "constant": (ProbabilitySequence.constant, ({"value": float},), {}),
+    "power_law": (ProbabilitySequence.power_law, ({"exponent": float},), {"amplitude": float}),
+    "lacunary": (
+        ProbabilitySequence.lacunary,
+        ({"value": float}, {"support": _int_list, "base": int}),
+        {"background": float},
+    ),
+    "table": (
+        lambda file, **taken: ProbabilitySequence.from_table_file(file, **taken),
+        ({"file": Path},),
+        {"tail": float},
+    ),
 }
-_SEQUENCE_KEYS = {"kind", "truncation"}.union(*(needed + taken for needed, taken in _SEQUENCE_KINDS.values()))
+_SEQUENCE_KEYS = {"kind", "truncation"}.union(
+    *(group for _, needs, takes in _SEQUENCE_KINDS.values() for group in (*needs, takes))
+)
 
 
-def _sequence_from_section(section: configparser.SectionProxy, base_dir: Path) -> ProbabilitySequence:
-    """The section's sequence; a stray key, a missing one or both ``support`` and ``base`` stop the load."""
-    kind = section.get("kind", fallback=None)
-    if kind is None:
-        raise ConfigError("[sequence] needs a kind")
-    kind = kind.strip().replace("-", "_")
+def _sequence_from_file(parser: configparser.ConfigParser, base_dir: Path) -> ProbabilitySequence:
+    """The [sequence] section's sequence; a key its kind does not read, a
+    missing one or two of one group stop the load.  A path reads relative
+    to ``base_dir``, the config file's directory."""
+    section = dict(parser["sequence"]) if parser.has_section("sequence") else {}
+    if "kind" not in section:
+        raise ConfigError("[sequence] needs key 'kind'")
+    kind = section.pop("kind").strip().replace("-", "_")
     if kind not in _SEQUENCE_KINDS:
         raise ConfigError(f"unknown sequence kind {kind!r}")
-    needed, taken = _SEQUENCE_KINDS[kind]
+    build, needs, takes = _SEQUENCE_KINDS[kind]
+    readers = {key: read for group in ({"truncation": int}, *needs, takes) for key, read in group.items()}
     for key in section:
-        if key not in ("kind", "truncation", *needed, *taken):
+        if key not in readers:
             raise ConfigError(f"[sequence] kind {kind} does not read key {key!r}")
-    for key in needed:
-        if key not in section:
-            raise ConfigError(f"[sequence] kind {kind} needs key {key!r}")
-    if "support" in section and "base" in section:
-        raise ConfigError("[sequence] kind lacunary takes key 'support' or key 'base', not both")
-    if kind == "constant":
-        seq = ProbabilitySequence.constant(section.getfloat("value"))
-    elif kind == "power_law":
-        seq = ProbabilitySequence.power_law(
-            section.getfloat("amplitude", fallback=1.0), section.getfloat("exponent")
-        )
-    elif kind == "lacunary":
-        support_text = section.get("support", fallback=None)
-        support = _int_list(support_text) if support_text else None
-        seq = ProbabilitySequence.lacunary(
-            section.getfloat("value"),
-            base=section.getint("base", fallback=None),
-            support=support,
-            background=section.getfloat("background", fallback=0.0),
-        )
-    elif kind == "table":
-        path = Path(section.get("file"))
-        if not path.is_absolute():
-            path = base_dir / path
-        seq = ProbabilitySequence.from_table_file(path, tail=section.getfloat("tail", fallback=0.0))
-    truncation = section.getint("truncation", fallback=None)
+    for group in needs:
+        names, count = " or ".join(f"key {key!r}" for key in group), len(group.keys() & section.keys())
+        if count == 0:
+            raise ConfigError(f"[sequence] kind {kind} needs {names}")
+        if count > 1:
+            raise ConfigError(f"[sequence] kind {kind} takes {names}, not both")
+    values = {key: base_dir / text if readers[key] is Path else readers[key](text) for key, text in section.items()}
+    truncation = values.pop("truncation", None)
+    seq = build(**values)
     return seq if truncation is None else seq.truncate(truncation)
 
 
-# The experiment file's section and key for each PipelineConfig field it may
-# set, and how the key's text reads.  The [thresholds] keys are the
+# The experiment file's section and key for each field of each record it
+# sets, and how the key's text reads.  The [thresholds] keys are the
 # ThresholdSettings field names, each read by its SETTING_READERS entry.
-_CONFIG_KEYS = {
-    "margin": ("search", "margin", float),
-    "d_max": ("search", "d_max", int),
-    "k_max": ("search", "k_max", int),
-    "scale_search_limit": ("search", "scale_search_limit", int),
-    "verify_coarse": ("verify", "coarse_window", int),
-    "verify_vertical": ("verify", "vertical_window", int),
-    "theta_radii": ("theta", "radii", _int_list),
-    "theta_trials": ("theta", "trials", int),
-    "positivity_floor": ("theta", "positivity_floor", float),
-    "containment_trials": ("containment", "trials", int),
-    "master_seed": ("run", "master_seed", int),
-    "calibration_file": ("thresholds", "calibration_file", str),
-    "embedding_dimension": ("embedding", "dimension", int),
-    "embedding_thickness": ("embedding", "thickness", int),
+_FIELD_KEYS = {
+    PipelineConfig: {
+        "margin": ("search", "margin", float),
+        "d_max": ("search", "d_max", int),
+        "k_max": ("search", "k_max", int),
+        "scale_search_limit": ("search", "scale_search_limit", int),
+        "verify_coarse": ("verify", "coarse_window", int),
+        "verify_vertical": ("verify", "vertical_window", int),
+        "theta_radii": ("theta", "radii", _int_list),
+        "theta_trials": ("theta", "trials", int),
+        "positivity_floor": ("theta", "positivity_floor", float),
+        "containment_trials": ("containment", "trials", int),
+        "master_seed": ("run", "master_seed", int),
+        "calibration_file": ("thresholds", "calibration_file", str),
+        "embedding_dimension": ("embedding", "dimension", int),
+        "embedding_thickness": ("embedding", "thickness", int),
+    },
+    EpsilonCertificate: {
+        "epsilon": ("certificate", "epsilon", float),
+        "evidence": ("certificate", "evidence", str),
+    },
+    ThresholdSettings: {name: ("thresholds", name, read) for name, read in SETTING_READERS.items()},
 }
-_THRESHOLD_KEYS = {name: ("thresholds", name, read) for name, read in SETTING_READERS.items()}
 
 
-def _file_values(parser: configparser.ConfigParser, keys: dict) -> dict:
-    """The fields whose key the file sets, read from its text; a field the
-    file leaves out is not passed, so it keeps its dataclass default."""
-    return {
-        name: read(parser.get(section, key))
-        for name, (section, key, read) in keys.items()
-        if parser.has_option(section, key)
-    }
+def _record_from_file(parser: configparser.ConfigParser, record: type, **given):
+    """``record`` built from ``given`` and the fields whose key the file
+    sets, read from its text.  A field the file leaves out keeps its
+    dataclass default; one without a default stops the load, naming its key."""
+    required = {f.name for f in fields(record) if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for name, (section, key, read) in _FIELD_KEYS[record].items():
+        if parser.has_option(section, key):
+            values[name] = read(parser.get(section, key))
+        elif name in required:
+            raise ConfigError(f"[{section}] needs key {key!r}")
+    return record(**given, **values)
 
 
 def _refuse_unknown_keys(parser: configparser.ConfigParser, path: Path) -> None:
     """A key the loader does not read would silently run its default, so it stops the load."""
-    known = {(section, key) for section, key, _ in (*_CONFIG_KEYS.values(), *_THRESHOLD_KEYS.values())}
-    known |= {("certificate", "epsilon"), ("certificate", "evidence")}
+    known = {(section, key) for keys in _FIELD_KEYS.values() for section, key, _ in keys.values()}
     known |= {("sequence", key) for key in _SEQUENCE_KEYS}
     for section in parser.sections():
         for key in parser[section]:
@@ -224,8 +239,8 @@ def _refuse_unknown_keys(parser: configparser.ConfigParser, path: Path) -> None:
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse the INI-style experiment file into a validated configuration.
 
-    A key outside the sections and names the loader reads is refused, naming
-    its section and key."""
+    A key outside the sections and names the loader reads is refused, and so
+    is a required one left out, naming its section and key."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -237,21 +252,18 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     _refuse_unknown_keys(parser, path)
     try:
-        config = PipelineConfig(
-            sequence=_sequence_from_section(parser["sequence"], path.parent),
-            certificate=EpsilonCertificate(
-                epsilon=parser.getfloat("certificate", "epsilon"),
-                **_file_values(parser, {"evidence": ("certificate", "evidence", str)}),
-            ),
-            thresholds=ThresholdSettings(**_file_values(parser, _THRESHOLD_KEYS)),
+        return _record_from_file(
+            parser,
+            PipelineConfig,
+            sequence=_sequence_from_file(parser, path.parent),
+            certificate=_record_from_file(parser, EpsilonCertificate),
+            thresholds=_record_from_file(parser, ThresholdSettings),
             raw_text=text,
-            **_file_values(parser, _CONFIG_KEYS),
         )
     except ConfigError as exc:
         raise ConfigError(f"config {path}: {exc}") from None
-    except (ValueError, KeyError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from None
-    return config
 
 
 @dataclass
@@ -376,6 +388,16 @@ def _estimate_dict(estimate: Estimate) -> dict:
     return {name: value for name, value in asdict(estimate).items() if name != "label"}
 
 
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Records the block's wall time as ``timings[name]``, also when it raises."""
+    clock = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - clock
+
+
 def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> PipelineReport:
     """Execute all stages in order and (optionally) persist the run artifacts.
 
@@ -402,67 +424,58 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
     )
     table = CalibrationTable(calibration_path)
 
-    def finish() -> PipelineReport:
+    def finish(stage: str | None = None, error: str | None = None) -> PipelineReport:
+        """The run's one exit: it passed when no stage failed."""
+        report.passed, report.failure_stage, report.error = stage is None, stage, error
         if out_path is not None:
             _write_outputs(out_path, config, report, estimates_log, timings)
         return report
 
-    clock = time.perf_counter()
     try:
-        params, row = choose_slab_parameters(
-            epsilon=config.certificate.epsilon,
-            margin=config.margin,
-            d_max=config.d_max,
-            k_max=config.k_max,
-            table=table,
-            settings=config.thresholds,
-            master_seed=config.master_seed,
-        )
-    except ParametersNotFound as exc:
         # A budget failure spends its time in this stage, so it is recorded too.
-        timings["slab-search"] = time.perf_counter() - clock
-        report.failure_stage = "slab-search"
-        report.error = str(exc)
+        with _stage(timings, "slab-search"):
+            params, row = choose_slab_parameters(
+                epsilon=config.certificate.epsilon,
+                margin=config.margin,
+                d_max=config.d_max,
+                k_max=config.k_max,
+                table=table,
+                settings=config.thresholds,
+                master_seed=config.master_seed,
+            )
+    except ParametersNotFound as exc:
         report.checks["slab_found"] = False
         report.slab = {"shortfalls": exc.shortfalls}
-        return finish()
-    timings["slab-search"] = time.perf_counter() - clock
+        return finish("slab-search", str(exc))
     report.slab = {"dimension": params.dimension, "thickness": params.thickness}
     report.threshold = row.to_dict()
     report.checks["slab_found"] = True
 
-    clock = time.perf_counter()
     try:
-        scales = select_scales(
-            config.sequence, config.certificate.epsilon, params, config.scale_search_limit
-        )
+        with _stage(timings, "scale-selection"):
+            scales = select_scales(
+                config.sequence, config.certificate.epsilon, params, config.scale_search_limit
+            )
     except HypothesisNotWitnessed as exc:
-        timings["scale-selection"] = time.perf_counter() - clock
-        report.failure_stage = "scale-selection"
-        report.error = str(exc)
         report.checks["scales_found"] = False
-        return finish()
-    timings["scale-selection"] = time.perf_counter() - clock
+        return finish("scale-selection", str(exc))
     report.scales = list(scales.scales)
     report.truncation = scales.top
     report.checks["scales_found"] = True
 
-    clock = time.perf_counter()
-    graph = EmbeddedGraph(params, scales)
-    embedding_report = verify_isomorphism(
-        graph,
-        config.verify_coarse,
-        config.verify_vertical,
-        seq=config.sequence,
-        epsilon=config.certificate.epsilon,
-    )
-    timings["embedding-verification"] = time.perf_counter() - clock
+    with _stage(timings, "embedding-verification"):
+        graph = EmbeddedGraph(params, scales)
+        embedding_report = verify_isomorphism(
+            graph,
+            config.verify_coarse,
+            config.verify_vertical,
+            seq=config.sequence,
+            epsilon=config.certificate.epsilon,
+        )
     report.embedding = asdict(embedding_report)
     report.checks["isomorphism"] = embedding_report.passed
     if not embedding_report.passed:
-        report.failure_stage = "embedding-verification"
-        report.error = embedding_report.counterexample
-        return finish()
+        return finish("embedding-verification", embedding_report.counterexample)
 
     # The windows of radius max(radii) + top decide every theta row exactly
     # (module docstring); a pair that could outgrow the edge budget is refused
@@ -472,49 +485,41 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> P
     steps = len(truncated.supported_lengths(min(scales.top, 2 * radius)))
     edge_bound = 2 * (2 * radius + 1) ** 2 * steps
     if edge_bound > MAX_CERTIFICATION_EDGES:
-        report.failure_stage = "certification"
-        report.error = (
+        return finish(
+            "certification",
             f"the certification windows of radius {radius} = {max(config.theta_radii)} + {scales.top} "
-            f"may hold {edge_bound} edges, above the {MAX_CERTIFICATION_EDGES} a run may build"
+            f"may hold {edge_bound} edges, above the {MAX_CERTIFICATION_EDGES} a run may build",
         )
-        return finish()
 
     # The "containment" stage builds the pair and checks it; the "theta"
     # stage searches both windows' reaches on the pair's stage seed.
-    clock = time.perf_counter()
-    seed = derive_seed(config.master_seed, "containment", radius)
-    windows = {
-        "embedded": embedded_radial_window(graph, truncated, radius),
-        "full": long_range_radial_window(truncated, radius),
-    }
-    outcome = containment_check(windows["embedded"], windows["full"], config.containment_trials, seed)
-    report.containment.append(outcome.to_dict())
-    timings["containment"] = time.perf_counter() - clock
+    with _stage(timings, "containment"):
+        seed = derive_seed(config.master_seed, "containment", radius)
+        windows = {
+            "embedded": embedded_radial_window(graph, truncated, radius),
+            "full": long_range_radial_window(truncated, radius),
+        }
+        outcome = containment_check(windows["embedded"], windows["full"], config.containment_trials, seed)
+        report.containment.append(outcome.to_dict())
 
-    clock = time.perf_counter()
-    embedded_rows, full_rows = (
-        origin_radius_profile(window, config.theta_radii, config.theta_trials, seed, f"theta-{name}-")[0]
-        for name, window in windows.items()
-    )
-    for rho, est_embedded, est_full in zip(config.theta_radii, embedded_rows, full_rows):
-        report.theta.append(
-            {"radius": rho, "embedded": _estimate_dict(est_embedded), "full": _estimate_dict(est_full)}
+    with _stage(timings, "theta"):
+        embedded_rows, full_rows = (
+            origin_radius_profile(window, config.theta_radii, config.theta_trials, seed, f"theta-{name}-")[0]
+            for name, window in windows.items()
         )
-        for est, family in ((est_embedded, "embedded"), (est_full, "z2-long-range")):
-            estimates_log.append({"family": family, "event": "origin_boundary", **est.as_row()})
-    timings["theta"] = time.perf_counter() - clock
+        for rho, est_embedded, est_full in zip(config.theta_radii, embedded_rows, full_rows):
+            report.theta.append(
+                {"radius": rho, "embedded": _estimate_dict(est_embedded), "full": _estimate_dict(est_full)}
+            )
+            for est, family in ((est_embedded, "embedded"), (est_full, "z2-long-range")):
+                estimates_log.append({"family": family, "event": "origin_boundary", **est.as_row()})
     report.checks["theta_floor"] = all(est.value >= config.positivity_floor for est in embedded_rows)
     report.checks["containment"] = outcome.passed
 
-    report.passed = all(report.checks.values())
-    if not report.passed:
-        report.failure_stage = "acceptance-checks"
-        failed = [name for name, ok in report.checks.items() if not ok]
-        first = outcome.first_violation
-        if first is not None:
-            failed[failed.index("containment")] += f" ({first['kind']} at {first.get('edge', first.get('vertex'))})"
-        report.error = "failed checks: " + ", ".join(failed)
-    return finish()
+    first = outcome.first_violation
+    notes = {"containment": f" ({first['kind']} at {first.get('edge', first.get('vertex'))})"} if first else {}
+    failed = [name + notes.get(name, "") for name, ok in report.checks.items() if not ok]
+    return finish("acceptance-checks", "failed checks: " + ", ".join(failed)) if failed else finish()
 
 
 def _write_outputs(
@@ -526,25 +531,12 @@ def _write_outputs(
 ) -> None:
     """Writes ``report.json`` and ``estimates.csv``, timed as the ``write``
     stage, then ``manifest.json``, whose own write is not timed."""
-    clock = time.perf_counter()
-    (out_path / "report.json").write_text(report.to_json())
-    columns = [
-        "family",
-        "event",
-        "label",
-        "value",
-        "half_width",
-        "trials",
-        "successes",
-        "seed",
-        "stream_rule",
-    ]
-    with open(out_path / "estimates.csv", "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in estimates_log:
-            writer.writerow(row)
-    timings["write"] = time.perf_counter() - clock
+    with _stage(timings, "write"):
+        (out_path / "report.json").write_text(report.to_json())
+        with open(out_path / "estimates.csv", "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=["family", "event", *ESTIMATE_COLUMNS])
+            writer.writeheader()
+            writer.writerows(estimates_log)
     manifest = {
         "config_text": config.raw_text,
         "master_seed": config.master_seed,

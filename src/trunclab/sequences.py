@@ -54,7 +54,7 @@ class ProbabilitySequence:
         return ProbabilitySequence(kind="constant", value=_check_probability(value, "value"))
 
     @staticmethod
-    def power_law(amplitude: float, exponent: float) -> "ProbabilitySequence":
+    def power_law(amplitude: float = 1.0, exponent: float = 1.0) -> "ProbabilitySequence":
         # Written as "not (...)" so that a NaN, which min(1, ...) would read as 1, is refused too.
         if not amplitude >= 0:
             raise ValueError(f"amplitude must be nonnegative, got {amplitude}")

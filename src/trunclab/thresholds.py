@@ -53,7 +53,7 @@ from .embedding import SlabParameters
 from .engine import crossing_estimate  # noqa: F401
 from .kernel import keyed_bottlenecks
 from .rng import derive_seed
-from .windows import ConfigError, GraphWindow, lattice_window
+from .windows import ConfigError, LatticeFamily
 
 
 class ParametersNotFound(Exception):
@@ -62,43 +62,6 @@ class ParametersNotFound(Exception):
     def __init__(self, message: str, shortfalls: list[dict]):
         super().__init__(message)
         self.shortfalls = shortfalls
-
-
-@dataclass(frozen=True)
-class LatticeFamily:
-    """A graph family whose threshold can be estimated: z2, zd, or slab."""
-
-    kind: str
-    dimension: int = 2
-    thickness: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("z2", "zd", "slab"):
-            raise ConfigError(f"unknown lattice family kind {self.kind!r}")
-        # A slab at dimension 2 has no confined axis: its window is Z^2's.
-        if self.kind == "slab" and self.dimension < 3:
-            raise ConfigError(f"family slab needs dimension >= 3 (the plane is family z2), got {self.dimension}")
-        if self.kind == "slab" and self.thickness < 1:
-            raise ConfigError("slab thickness must be >= 1")
-        # A field the kind ignores would give two unequal families one key.
-        if self.kind != "slab" and self.thickness != 1:
-            raise ConfigError(f"family {self.kind} has no thickness, got {self.thickness}")
-        if self.kind == "z2" and self.dimension != 2:
-            raise ConfigError(f"family z2 has dimension 2, got {self.dimension}")
-        # zd at dimension 2 would share the key "z2" with the z2 family.
-        if self.kind == "zd" and self.dimension < 3:
-            raise ConfigError(f"family zd needs dimension >= 3 (the plane is family z2), got {self.dimension}")
-
-    @property
-    def key(self) -> str:
-        if self.kind == "z2":
-            return "z2"
-        if self.kind == "zd":
-            return f"z{self.dimension}"
-        return f"slab-d{self.dimension}-k{self.thickness}"
-
-    def crossing_window(self, p: float, side: int) -> GraphWindow:
-        return lattice_window(self.dimension, p, side, "crossing", self.thickness if self.kind == "slab" else None)
 
 
 # Names the estimator in every ThresholdEstimate and calibration row; a

@@ -1,7 +1,7 @@
 """Finite graph windows with enumerable, deterministically ordered edge lists.
 
 There are two kinds of window.  Boxes, the planar long-range ones and the
-nearest-neighbor Z^d and slab ones of :func:`lattice_window`, all come from
+nearest-neighbor Z^d and slab ones of :class:`LatticeFamily`, all come from
 one box builder, which also attaches the crossing or the origin/boundary
 terminals.  The embedded window is the embedded slab graph inside a planar
 box.
@@ -234,6 +234,68 @@ def long_range_radial_window(seq: ProbabilitySequence, radius: int) -> GraphWind
     return _long_range_window(seq, [range(-radius, radius + 1)] * 2, "origin_boundary", {"radius": radius})
 
 
+@dataclass(frozen=True)
+class LatticeFamily:
+    """A nearest-neighbor lattice family, z2, zd or slab: the graph a
+    threshold is estimated on, and the name and checks of its windows."""
+
+    kind: str
+    dimension: int = 2
+    thickness: int = 1
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("z2", "zd", "slab"):
+            raise ConfigError(f"unknown lattice family kind {self.kind!r}")
+        # A slab at dimension 2 has no confined axis: its window is Z^2's.
+        if self.kind == "slab" and self.dimension < 3:
+            raise ConfigError(f"family slab needs dimension >= 3 (the plane is family z2), got {self.dimension}")
+        if self.kind == "slab" and self.thickness < 1:
+            raise ConfigError("slab thickness must be >= 1")
+        # A field the kind ignores would give two unequal families one key.
+        if self.kind != "slab" and self.thickness != 1:
+            raise ConfigError(f"family {self.kind} has no thickness, got {self.thickness}")
+        if self.kind == "z2" and self.dimension != 2:
+            raise ConfigError(f"family z2 has dimension 2, got {self.dimension}")
+        # zd at dimension 2 would share the key "z2" with the z2 family.
+        if self.kind == "zd" and self.dimension < 3:
+            raise ConfigError(f"family zd needs dimension >= 3 (the plane is family z2), got {self.dimension}")
+
+    @property
+    def key(self) -> str:
+        return f"slab-d{self.dimension}-k{self.thickness}" if self.kind == "slab" else f"z{self.dimension}"
+
+    def window(self, p: float, size: int, event: str) -> GraphWindow:
+        """Nearest-neighbor window of Z^d, or of the slab Z^2 x {0..K-1}^(d-2) of thickness K.
+
+        Every edge has length one and open probability ``p``.  The free axes
+        (all ``dimension`` axes of Z^d, the first two of the slab) span
+        ``{0..size+1} x {0..size} x ...`` for the ``"crossing"`` event, whose
+        terminals are the two end slices of axis 0, and ``[-size, size]`` for
+        the ``"origin_boundary"`` event, whose boundary is the rim of the free
+        axes.  The slab's confined axes always span ``{0..K-1}`` in full.
+        """
+        if size < 1:
+            raise ConfigError("lattice window needs size >= 1")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"edge probability {p} outside [0, 1]")
+        free = 2 if self.kind == "slab" else self.dimension
+        if event == "crossing":
+            ranges, extent = [range(size + 2)] + [range(size + 1)] * (free - 1), "L"
+        elif event == "origin_boundary":
+            ranges, extent = [range(-size, size + 1)] * free, "radius"
+        else:
+            raise ConfigError(f"lattice window event must be 'crossing' or 'origin_boundary', not {event!r}")
+        if self.kind == "slab":
+            ranges += [range(self.thickness)] * (self.dimension - 2)
+            meta = {"d": self.dimension, "K": self.thickness, "p": p, extent: size}
+        else:
+            meta = {"d": self.dimension, "p": p, extent: size}
+        return _box_window(self.key, ranges, [(1, p)], event, meta, free_axes=free)
+
+    def crossing_window(self, p: float, side: int) -> GraphWindow:
+        return self.window(p, side, "crossing")
+
+
 def lattice_window(
     dimension: int,
     p: float,
@@ -241,38 +303,10 @@ def lattice_window(
     event: str,
     thickness: int | None = None,
 ) -> GraphWindow:
-    """Nearest-neighbor window of Z^d, or of the slab Z^2 x {0..K-1}^(d-2) with ``thickness`` K.
-
-    Every edge has length one and open probability ``p``.  The free axes
-    (all ``dimension`` axes of Z^d, the first two of the slab) span
-    ``{0..size+1} x {0..size} x ...`` for the ``"crossing"`` event, whose
-    terminals are the two end slices of axis 0, and ``[-size, size]`` for
-    the ``"origin_boundary"`` event, whose boundary is the rim of the free
-    axes.  The slab's confined axes always span ``{0..K-1}`` in full.
-    """
-    if dimension < 2:
-        raise ConfigError("lattice window needs dimension >= 2")
-    if thickness is not None and dimension < 3:
-        raise ConfigError(f"a slab needs dimension >= 3 (the plane is family z2), got {dimension}")
-    if thickness is not None and thickness < 1:
-        raise ConfigError("slab thickness must be >= 1")
-    if size < 1:
-        raise ConfigError("lattice window needs size >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability {p} outside [0, 1]")
-    free = dimension if thickness is None else 2
-    if event == "crossing":
-        ranges, extent = [range(size + 2)] + [range(size + 1)] * (free - 1), "L"
-    elif event == "origin_boundary":
-        ranges, extent = [range(-size, size + 1)] * free, "radius"
-    else:
-        raise ConfigError(f"lattice window event must be 'crossing' or 'origin_boundary', not {event!r}")
-    if thickness is None:
-        family, meta = f"z{dimension}", {"d": dimension, "p": p, extent: size}
-    else:
-        ranges += [range(thickness)] * (dimension - 2)
-        family, meta = f"slab-d{dimension}-k{thickness}", {"d": dimension, "K": thickness, "p": p, extent: size}
-    return _box_window(family, ranges, [(1, p)], event, meta, free_axes=free)
+    """:meth:`LatticeFamily.window` of Z^``dimension``, or of its slab of ``thickness``."""
+    if thickness is not None:
+        return LatticeFamily("slab", dimension, thickness).window(p, size, event)
+    return LatticeFamily("z2" if dimension == 2 else "zd", dimension).window(p, size, event)
 
 
 def embedded_radial_window(

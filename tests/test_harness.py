@@ -157,10 +157,13 @@ class TestConfig:
         [
             ("theta_radii", dict(theta_radii=(0, 16))),
             ("theta_radii", dict(theta_radii=(-4, 8))),
+            ("theta_radii", dict(theta_radii=(8.0, 16.0))),
+            ("theta_radii", dict(theta_radii=(8.5, 16))),
             ("verify_coarse", dict(verify_coarse=0)),
             ("verify_vertical", dict(verify_vertical=0)),
         ],
-        ids=["zero-radius", "negative-radius", "verify-coarse", "verify-vertical"],
+        ids=["zero-radius", "negative-radius", "float-radius", "fractional-radius", "verify-coarse",
+             "verify-vertical"],
     )
     def test_radii_and_verify_bounds_rejected_at_construction(self, field, overrides):
         # Caught later, these fail only after the slab search and leave no report.
@@ -204,9 +207,10 @@ class TestConfig:
                 "kind = lacunary\nvalue = 0.9\nsupport = 2, 4\nbase = 2",
                 "kind lacunary takes key 'support' or key 'base', not both",
             ),
+            ("kind = lacunary\nvalue = 0.9", "kind lacunary needs key 'support' or key 'base'"),
         ],
         ids=["constant-exponent", "power-law-background", "table-value", "constant-no-value",
-             "power-law-no-exponent", "support-and-base"],
+             "power-law-no-exponent", "support-and-base", "neither-support-nor-base"],
     )
     def test_sequence_keys_are_checked_against_the_kind(self, tmp_path, capsys, sequence, message):
         (tmp_path / "table.txt").write_text("1 0.5\n2 0.4\n")
@@ -246,6 +250,66 @@ class TestConfig:
             assert main(command) == 1
             assert f"config error: config {path}: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[sequence]\nkind = lacunary\nbase = 2\nvalue = 0.9\n", "", "[sequence] needs key 'kind'"),
+            ("[certificate]\nepsilon = 0.45\nevidence = geometric support at 0.9\n", "",
+             "[certificate] needs key 'epsilon'"),
+            ("epsilon = 0.45\n", "", "[certificate] needs key 'epsilon'"),
+        ],
+        ids=["no-sequence-section", "no-certificate-section", "no-epsilon"],
+    )
+    def test_a_missing_required_section_or_key_is_named(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "exp.ini"
+        assert CONFIG_TEXT.count(old) == 1
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        assert main(["scales", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: config {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "sequence, expected",
+        [
+            (
+                "kind = constant\nvalue = 0.7\ntruncation = 5",
+                lambda table: ProbabilitySequence.constant(0.7).truncate(5),
+            ),
+            ("kind = constant\nvalue = 0.7", lambda table: ProbabilitySequence.constant(0.7)),
+            (
+                "kind = power_law\namplitude = 0.8\nexponent = 1.5\ntruncation = 9",
+                lambda table: ProbabilitySequence.power_law(0.8, 1.5).truncate(9),
+            ),
+            ("kind = power_law\nexponent = 1.5", lambda table: ProbabilitySequence.power_law(1.0, 1.5)),
+            (
+                "kind = lacunary\nvalue = 0.9\nsupport = 3, 30\nbackground = 0.1\ntruncation = 40",
+                lambda table: ProbabilitySequence.lacunary(0.9, support=(3, 30), background=0.1).truncate(40),
+            ),
+            (
+                "kind = lacunary\nvalue = 0.9\nbase = 3\nbackground = 0.1\ntruncation = 40",
+                lambda table: ProbabilitySequence.lacunary(0.9, base=3, background=0.1).truncate(40),
+            ),
+            ("kind = lacunary\nvalue = 0.9\nbase = 3", lambda table: ProbabilitySequence.lacunary(0.9, base=3)),
+            (
+                "kind = table\nfile = tables/p.txt\ntail = 0.2\ntruncation = 6",
+                lambda table: ProbabilitySequence.from_table_file(table, tail=0.2).truncate(6),
+            ),
+            ("kind = table\nfile = tables/p.txt", lambda table: ProbabilitySequence.from_table_file(table)),
+        ],
+        ids=["constant-all", "constant-required", "power-law-all", "power-law-required", "lacunary-support-all",
+             "lacunary-base-all", "lacunary-required", "table-all", "table-required"],
+    )
+    def test_every_sequence_kind_loads_as_its_constructor_builds_it(self, tmp_path, monkeypatch, sequence, expected):
+        # The table file lies beside the config, so its relative path reads
+        # against the config's directory, not the working one.
+        config_dir = tmp_path / "experiment"
+        (config_dir / "tables").mkdir(parents=True)
+        (config_dir / "tables" / "p.txt").write_text("1 0.9\n2 0.7\n3 0.5\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys.modules[__name__], "table", config_dir / "tables" / "p.txt", raising=False)
+        path = config_dir / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("kind = lacunary\nbase = 2\nvalue = 0.9", sequence))
+        assert load_config(path).sequence == expected(config_dir / "tables" / "p.txt")
 
     def test_a_nan_sequence_parameter_is_refused_naming_the_file(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -13,11 +13,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+import trunclab
+from trunclab import thresholds
 from trunclab.embedding import EmbeddedGraph, ScaleVector, SlabCoord, SlabParameters
 from trunclab.rng import coordinate_edge_keys
 from trunclab.sequences import ProbabilitySequence as PS
 from trunclab.windows import (
     ConfigError,
+    LatticeFamily,
     embedded_radial_window,
     lattice_window,
     long_range_box_window,
@@ -301,6 +304,25 @@ def test_nearest_neighbor_builders_match_loops(p):
 def test_lattice_window_rejects_bad_arguments(args, message):
     with pytest.raises(ConfigError, match=message):
         lattice_window(*args)
+
+
+@pytest.mark.parametrize(
+    "fields, thickness, key",
+    [(("z2",), None, "z2"), (("zd", 3), None, "z3"), (("zd", 4), None, "z4"), (("slab", 3, 1), 1, "slab-d3-k1"),
+     (("slab", 4, 2), 2, "slab-d4-k2")],
+)
+def test_a_lattice_window_is_named_and_built_by_its_family(fields, thickness, key):
+    # One class names every lattice window; the threshold module and the
+    # package export that same class.
+    assert thresholds.LatticeFamily is trunclab.LatticeFamily is LatticeFamily
+    family = LatticeFamily(*fields)
+    assert family.key == key
+    window = lattice_window(family.dimension, 0.4, 3, "crossing", thickness)
+    assert window.family == key
+    crossing = family.crossing_window(0.4, 3)
+    for name in ("coords", "edges_u", "edges_v", "probs", "edge_keys"):
+        assert np.array_equal(getattr(crossing, name), getattr(window, name)), name
+    assert crossing.meta == window.meta
 
 
 EMBEDDINGS = {
